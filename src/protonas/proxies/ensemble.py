@@ -13,7 +13,12 @@ meco    per superblock tap, the smallest eigenvalue of the channel
 
 All four share one deterministic batch stream in evaluate_ensemble, so
 a candidate's scores depend only on the graph, parameters, and seed.
-Epsilon floors keep every score finite on degenerate inputs.
+They also share the engine work: the first batch is forwarded once, and
+its trace yields the naswot codes and the meco taps (row 0) before one
+per-sample backward reuses it.  Every later batch gets one per-sample
+backward.  snip is |theta * mean_b g_b| over the first batch's
+per-sample gradients, zico reads all of them.  Epsilon floors keep
+every score finite on degenerate inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from ..archspace.graph import ArchitectureGraph
 from ..errors import ConfigError
-from ..tensorcore.engine import ParamSet, backward, forward
+from ..tensorcore.engine import ForwardTrace, GradientRecord, ParamSet, backward, forward
 
 _SCORED_KINDS = ("conv", "depthwise-conv", "linear")
 
@@ -57,15 +62,20 @@ class ProxyScores:
         return {"meco": self.meco, "zico": self.zico, "naswot": self.naswot, "snip": self.snip}
 
 
+def _snip_from_grads(params: ParamSet, weight_grads: dict, bias_grads: dict) -> float:
+    """Sum of |theta * g| over every parameter tensor with a gradient."""
+    total = 0.0
+    for nid, grad in weight_grads.items():
+        total += float(np.abs(params.weights[nid] * grad).sum())
+    for nid, grad in bias_grads.items():
+        total += float(np.abs(params.biases[nid] * grad).sum())
+    return total
+
+
 def snip(g: ArchitectureGraph, params: ParamSet, batch, labels) -> float:
     """Connection-sensitivity mass: sum of |theta * dL/dtheta|."""
     rec = backward(g, params, batch, labels)
-    total = 0.0
-    for nid, grad in rec.weight_grads.items():
-        total += float(np.abs(params.weights[nid] * grad).sum())
-    for nid, grad in rec.bias_grads.items():
-        total += float(np.abs(params.biases[nid] * grad).sum())
-    return total
+    return _snip_from_grads(params, rec.weight_grads, rec.bias_grads)
 
 
 def naswot_from_codes(codes: np.ndarray, eps: float = 1e-6) -> float:
@@ -81,12 +91,17 @@ def naswot_from_codes(codes: np.ndarray, eps: float = 1e-6) -> float:
     return float(logdet)
 
 
-def naswot(g: ArchitectureGraph, params: ParamSet, batch, eps: float = 1e-6) -> float:
-    trace = forward(g, params, batch)
-    rows = [trace.relu_patterns[i].reshape(len(batch), -1) for i in sorted(trace.relu_patterns)]
+def _relu_codes(trace: ForwardTrace) -> np.ndarray:
+    """(B, N) activation codes of every relu in the trace, in node order."""
+    rows = [trace.relu_patterns[i].reshape(len(trace.logits), -1)
+            for i in sorted(trace.relu_patterns)]
     if not rows:
         raise ConfigError("naswot needs at least one relu layer")
-    return naswot_from_codes(np.concatenate(rows, axis=1), eps)
+    return np.concatenate(rows, axis=1)
+
+
+def naswot(g: ArchitectureGraph, params: ParamSet, batch, eps: float = 1e-6) -> float:
+    return naswot_from_codes(_relu_codes(forward(g, params, batch)), eps)
 
 
 def zico_from_sample_grads(per_layer: list[np.ndarray], eps: float = 1e-6) -> float:
@@ -103,12 +118,9 @@ def zico_from_sample_grads(per_layer: list[np.ndarray], eps: float = 1e-6) -> fl
     return total
 
 
-def zico(g: ArchitectureGraph, params: ParamSet, batches, labels_list, eps: float = 1e-6) -> float:
-    if len(batches) != len(labels_list) or not batches:
-        raise ConfigError("zico needs matching, non-empty batch and label lists")
-    records = [
-        backward(g, params, b, l, per_sample=True) for b, l in zip(batches, labels_list)
-    ]
+def _layer_sample_grads(g: ArchitectureGraph, records: list[GradientRecord]) -> list[np.ndarray]:
+    """One (S, P) array per scored layer: its weight and bias gradients,
+    flattened per sample, stacked over the samples of all records."""
     per_layer = []
     for nid, node in enumerate(g.nodes):
         if node.kind not in _SCORED_KINDS:
@@ -120,7 +132,16 @@ def zico(g: ArchitectureGraph, params: ParamSet, batches, labels_list, eps: floa
                 parts.append(rec.bias_grads[nid].reshape(rec.bias_grads[nid].shape[0], -1))
             chunks.append(np.concatenate(parts, axis=1))
         per_layer.append(np.concatenate(chunks, axis=0))
-    return zico_from_sample_grads(per_layer, eps)
+    return per_layer
+
+
+def zico(g: ArchitectureGraph, params: ParamSet, batches, labels_list, eps: float = 1e-6) -> float:
+    if len(batches) != len(labels_list) or not batches:
+        raise ConfigError("zico needs matching, non-empty batch and label lists")
+    records = [
+        backward(g, params, b, l, per_sample=True) for b, l in zip(batches, labels_list)
+    ]
+    return zico_from_sample_grads(_layer_sample_grads(g, records), eps)
 
 
 def correlation_min_eigenvalue(channels: np.ndarray, eps: float = 1e-6) -> float:
@@ -140,10 +161,8 @@ def correlation_min_eigenvalue(channels: np.ndarray, eps: float = 1e-6) -> float
     return float(np.linalg.eigvalsh(corr)[0])
 
 
-def meco(g: ArchitectureGraph, params: ParamSet, sample, eps: float = 1e-6) -> float:
-    """Sum of per-tap minimum correlation eigenvalues on one input."""
-    x = np.asarray(sample, dtype=float)
-    trace = forward(g, params, x[None])
+def _meco_from_trace(g: ArchitectureGraph, trace: ForwardTrace, eps: float) -> float:
+    """Sum of per-tap minimum correlation eigenvalues on the first trace row."""
     taps = [i for i, node in enumerate(g.nodes) if node.block_output]
     if not taps:
         raise ConfigError("meco needs block_output taps in the graph")
@@ -152,6 +171,12 @@ def meco(g: ArchitectureGraph, params: ParamSet, sample, eps: float = 1e-6) -> f
         fm = trace.outputs[i][0]
         total += correlation_min_eigenvalue(fm.reshape(fm.shape[0], -1), eps)
     return total
+
+
+def meco(g: ArchitectureGraph, params: ParamSet, sample, eps: float = 1e-6) -> float:
+    """Sum of per-tap minimum correlation eigenvalues on one input."""
+    x = np.asarray(sample, dtype=float)
+    return _meco_from_trace(g, forward(g, params, x[None]), eps)
 
 
 def evaluate_ensemble(
@@ -164,15 +189,27 @@ def evaluate_ensemble(
 
     Draw order is fixed: for each of num_batches_zico batches, first the
     standard-normal inputs, then uniform labels.  snip and naswot use
-    the first batch, meco its first sample, zico all batches.
+    the first batch, meco its first sample, zico all batches.  The
+    engine runs one forward and one per-sample backward per batch.
     """
     batches = []
     labels = []
     for _ in range(cfg.num_batches_zico):
         batches.append(rng.standard_normal((cfg.batch_size, *g.input_shape)))
         labels.append(rng.integers(0, g.num_classes, size=cfg.batch_size))
-    snip_v = snip(g, params, batches[0], labels[0])
-    naswot_v = naswot(g, params, batches[0], cfg.eps_logdet)
-    zico_v = zico(g, params, batches, labels, cfg.eps_std)
-    meco_v = meco(g, params, batches[0][0], cfg.eps_var)
+    trace = forward(g, params, batches[0])
+    naswot_v = naswot_from_codes(_relu_codes(trace), cfg.eps_logdet)
+    meco_v = _meco_from_trace(g, trace, cfg.eps_var)
+    records = [backward(g, params, batches[0], labels[0], per_sample=True, trace=trace)]
+    del trace  # the activations are the bulk of peak memory; free them first
+    records += [
+        backward(g, params, b, l, per_sample=True) for b, l in zip(batches[1:], labels[1:])
+    ]
+    first = records[0]
+    snip_v = _snip_from_grads(
+        params,
+        {k: v.mean(axis=0) for k, v in first.weight_grads.items()},
+        {k: v.mean(axis=0) for k, v in first.bias_grads.items()},
+    )
+    zico_v = zico_from_sample_grads(_layer_sample_grads(g, records), cfg.eps_std)
     return ProxyScores(meco=meco_v, zico=zico_v, naswot=naswot_v, snip=snip_v)

@@ -4,7 +4,9 @@ Generational loop: sample an initial population, then evolve by binary
 tournament (rank, then crowding), gene-wise crossover, and per-gene
 mutation, evaluating exactly cfg.trials candidates in total.  Every
 evaluation is logged; infeasible candidates skip proxy scoring, carry
-worst-case placeholder objectives, and never enter the archive.
+worst-case placeholder objectives, and never enter the archive.  A
+candidate whose scoring fails (a linear-algebra error or a non-finite
+score) is logged as an error record and treated the same way.
 
 Objective vector (all minimized):
     [flops, -meco, -zico, -naswot, -snip]
@@ -132,7 +134,26 @@ def evaluate_candidate(
         )
     rng = np.random.default_rng(seed)
     params = init_params(pruned, rng)
-    scores = evaluate_ensemble(pruned, params, ctx.proxy, rng)
+    try:
+        scores = evaluate_ensemble(pruned, params, ctx.proxy, rng)
+    except np.linalg.LinAlgError as exc:
+        error = f"LinAlgError: {exc}"
+    else:
+        bad = [name for name, v in scores.as_dict().items() if not math.isfinite(v)]
+        error = f"NonFiniteProxy: {', '.join(bad)}" if bad else None
+    if error is not None:
+        # Scoring failed: log it like a decode error and keep the
+        # candidate off the front, so one bad network never ends a run.
+        return CandidateRecord(
+            trial_index=trial_index,
+            seed=seed,
+            genes=x,
+            feasibility=Feasibility(False, math.inf),
+            costs=costs,
+            objectives=(float(costs.flops), math.inf, math.inf, math.inf, math.inf),
+            proxies=None,
+            error=error,
+        )
     return CandidateRecord(
         trial_index=trial_index,
         seed=seed,
@@ -273,8 +294,9 @@ def compute_pareto_indices(records: list[CandidateRecord]) -> list[int]:
 def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) -> ParetoArchive:
     """Run the full exploration; returns every record plus the front.
 
-    jobs > 1 evaluates each generation in a process pool; trial order,
-    seeds, and therefore all outputs are identical for any jobs value.
+    jobs > 1 evaluates each generation in one process pool kept for the
+    whole run; trial order, seeds, and therefore all outputs are
+    identical for any jobs value.
     log_path, when given, receives one JSON line per trial, appended in
     trial order.
     """
@@ -286,17 +308,17 @@ def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) 
 
     records: list[CandidateRecord] = []
     sink = open(log_path, "w", encoding="utf-8") if log_path is not None else None
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
 
     def evaluate_batch(genes: list[HyperparamVector], start: int) -> list[CandidateRecord]:
         args = [
             (x, ctx, trial_seed(cfg.base_seed, start + off), start + off)
             for off, x in enumerate(genes)
         ]
-        if jobs == 1 or len(args) == 1:
+        if pool is None or len(args) == 1:
             batch = [_eval_star(a) for a in args]
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                batch = list(pool.map(_eval_star, args))
+            batch = list(pool.map(_eval_star, args))
         for rec in batch:
             records.append(rec)
             if sink is not None:
@@ -315,6 +337,8 @@ def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) 
             done += count
             population = _select_survivors(population + offspring, cfg.population_size)
     finally:
+        if pool is not None:
+            pool.shutdown()
         if sink is not None:
             sink.close()
 

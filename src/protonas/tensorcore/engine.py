@@ -7,8 +7,11 @@ the memory profile flat.  Backward is reverse-mode over the recorded
 forward activations.  Batchnorm runs in initialization-statistics mode
 (zero mean, unit variance, identity affine) and carries no parameters.
 
-Loss is mean softmax cross-entropy over the batch, optionally scaled;
-per-sample gradients re-run backward with one-row batches.
+Loss is mean softmax cross-entropy over the batch, optionally scaled.
+Batch rows never mix (batchnorm uses fixed statistics), so per-sample
+gradients come from the same single backward pass: the loss gradient is
+seeded per row and weight/bias gradients keep the leading batch axis
+instead of summing it away.
 """
 
 from __future__ import annotations
@@ -123,7 +126,13 @@ def _conv_fwd(x, w, b, stride, padding):
     return out
 
 
-def _conv_bwd(x, w, dout, stride, padding, want_bias):
+def _param_reduce_axes(dout: np.ndarray, per_sample: bool) -> tuple[int, ...]:
+    """Axes a weight/bias gradient sums over: spatial, plus batch unless per-sample."""
+    spatial = tuple(range(2, dout.ndim))
+    return spatial if per_sample else (0,) + spatial
+
+
+def _conv_bwd(x, w, dout, stride, padding, want_bias, per_sample):
     B, cin = x.shape[:2]
     cout, kernel = w.shape[0], w.shape[2]
     dims = x.ndim - 2
@@ -132,18 +141,18 @@ def _conv_bwd(x, w, dout, stride, padding, want_bias):
     length = int(np.prod(out_sp))
     dflat = dout.reshape(B, cout, length)
     dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
+    dw = np.zeros(((B,) if per_sample else ()) + w.shape)
+    lead = (slice(None),) * (3 if per_sample else 2)
     for off in _offsets(kernel, dims):
         patch = _window(xp, off, stride, out_sp).reshape(B, cin, length)
-        dw[(slice(None), slice(None), *off)] = (
-            dflat @ patch.transpose(0, 2, 1)
-        ).sum(axis=0)
+        dw_b = dflat @ patch.transpose(0, 2, 1)
+        dw[(*lead, *off)] = dw_b if per_sample else dw_b.sum(axis=0)
         dpatch = (w[(slice(None), slice(None), *off)].T @ dflat).reshape(B, cin, *out_sp)
         _window(dxp, off, stride, out_sp)[...] += dpatch
     dx = dxp if padding == 0 else dxp[
         (slice(None), slice(None)) + tuple(slice(padding, padding + n) for n in x.shape[2:])
     ]
-    db = dout.sum(axis=(0,) + tuple(range(2, dout.ndim))) if want_bias else None
+    db = dout.sum(axis=_param_reduce_axes(dout, per_sample)) if want_bias else None
     return dx, dw, db
 
 
@@ -162,18 +171,19 @@ def _dwconv_fwd(x, w, b, stride, padding):
     return out
 
 
-def _dwconv_bwd(x, w, dout, stride, padding, want_bias):
+def _dwconv_bwd(x, w, dout, stride, padding, want_bias, per_sample):
     B, c = x.shape[:2]
     kernel = w.shape[2]
     dims = x.ndim - 2
     xp = _pad(x, padding)
     out_sp = dout.shape[2:]
     dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
-    reduce_axes = (0,) + tuple(range(2, dout.ndim))
+    dw = np.zeros(((B,) if per_sample else ()) + w.shape)
+    lead = (slice(None),) * (2 if per_sample else 1)
+    reduce_axes = _param_reduce_axes(dout, per_sample)
     for off in _offsets(kernel, dims):
         patch = _window(xp, off, stride, out_sp)
-        dw[(slice(None), 0, *off)] = (dout * patch).sum(axis=reduce_axes)
+        dw[(*lead, 0, *off)] = (dout * patch).sum(axis=reduce_axes)
         coeff = w[(slice(None), 0, *off)].reshape((1, c) + (1,) * dims)
         _window(dxp, off, stride, out_sp)[...] += dout * coeff
     dx = dxp if padding == 0 else dxp[
@@ -220,21 +230,33 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - picked))
 
 
-def _ce_grad(logits: np.ndarray, labels: np.ndarray, scale: float) -> np.ndarray:
+def _ce_grad(
+    logits: np.ndarray, labels: np.ndarray, scale: float, per_sample: bool
+) -> np.ndarray:
+    """Loss gradient w.r.t. the logits.
+
+    per_sample seeds each row as the gradient of its own one-row mean
+    loss, so no 1/B factor.
+    """
     z = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(z)
     p = ez / ez.sum(axis=1, keepdims=True)
     p[np.arange(len(labels)), labels] -= 1.0
-    return p * (scale / len(labels))
+    return p * (scale / (1 if per_sample else len(labels)))
 
 
-def forward(g: ArchitectureGraph, params: ParamSet, batch: np.ndarray) -> ForwardTrace:
-    """Run the graph on a batch shaped (B, *input_shape)."""
+def _as_batch(g: ArchitectureGraph, batch: np.ndarray) -> np.ndarray:
     x = np.asarray(batch, dtype=float)
     if x.ndim != len(g.input_shape) + 1 or x.shape[1:] != tuple(g.input_shape):
         raise ShapeMismatch(
             f"batch shape {x.shape} does not match input {tuple(g.input_shape)}"
         )
+    return x
+
+
+def forward(g: ArchitectureGraph, params: ParamSet, batch: np.ndarray) -> ForwardTrace:
+    """Run the graph on a batch shaped (B, *input_shape)."""
+    x = _as_batch(g, batch)
     outputs: dict[int, np.ndarray] = {}
     relu_patterns: dict[int, np.ndarray] = {}
     pool_argmax: dict[int, np.ndarray] = {}
@@ -282,17 +304,35 @@ def forward(g: ArchitectureGraph, params: ParamSet, batch: np.ndarray) -> Forwar
     )
 
 
-def _backward_once(
+def backward(
     g: ArchitectureGraph,
     params: ParamSet,
     batch: np.ndarray,
     labels: np.ndarray,
-    scale: float,
+    scale: float = 1.0,
+    per_sample: bool = False,
+    trace: ForwardTrace | None = None,
 ) -> GradientRecord:
-    x = np.asarray(batch, dtype=float)
-    trace = forward(g, params, x)
+    """Gradients of the (scaled) mean cross-entropy w.r.t. all parameters.
+
+    per_sample=True returns per-sample gradients from the same single
+    pass: each array gains a leading batch axis, and row b holds the
+    gradient of the loss evaluated on sample b alone.  trace, when
+    given, must be forward(g, params, batch); backward then reuses it
+    instead of running the forward pass again.
+    """
+    x = _as_batch(g, batch)
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or len(labels) != len(x):
+        raise ShapeMismatch("labels must be one per batch row")
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= g.num_classes:
+        raise ShapeMismatch("label outside class range")
+    if trace is None:
+        trace = forward(g, params, x)
+    elif len(trace.logits) != len(x):
+        raise ShapeMismatch("trace was not recorded on this batch")
     n = len(g.nodes)
-    douts: dict[int, np.ndarray] = {n - 1: _ce_grad(trace.logits, labels, scale)}
+    douts: dict[int, np.ndarray] = {n - 1: _ce_grad(trace.logits, labels, scale, per_sample)}
     wgrads: dict[int, np.ndarray] = {}
     bgrads: dict[int, np.ndarray] = {}
 
@@ -311,20 +351,25 @@ def _backward_once(
         a = ins[0]
         kind = node.kind
         if kind == "conv":
-            dx, dw, db = _conv_bwd(a, params.weights[i], dout, node.stride, node.padding, i in params.biases)
+            dx, dw, db = _conv_bwd(a, params.weights[i], dout, node.stride, node.padding,
+                                   i in params.biases, per_sample)
             wgrads[i] = dw
             if db is not None:
                 bgrads[i] = db
         elif kind == "depthwise-conv":
-            dx, dw, db = _dwconv_bwd(a, params.weights[i], dout, node.stride, node.padding, i in params.biases)
+            dx, dw, db = _dwconv_bwd(a, params.weights[i], dout, node.stride, node.padding,
+                                     i in params.biases, per_sample)
             wgrads[i] = dw
             if db is not None:
                 bgrads[i] = db
         elif kind == "linear":
             flat = a.reshape(len(a), -1)
-            wgrads[i] = dout.T @ flat
+            if per_sample:
+                wgrads[i] = dout[:, :, None] * flat[:, None, :]
+            else:
+                wgrads[i] = dout.T @ flat
             if i in params.biases:
-                bgrads[i] = dout.sum(axis=0)
+                bgrads[i] = dout if per_sample else dout.sum(axis=0)
             dx = (dout @ params.weights[i]).reshape(a.shape)
         elif kind == "relu":
             dx = dout * trace.relu_patterns[i]
@@ -350,38 +395,4 @@ def _backward_once(
             raise ShapeMismatch(f"unknown layer kind '{kind}'")
         if g.preds[i]:
             push(g.preds[i][0], dx)
-    return GradientRecord(weight_grads=wgrads, bias_grads=bgrads)
-
-
-def backward(
-    g: ArchitectureGraph,
-    params: ParamSet,
-    batch: np.ndarray,
-    labels: np.ndarray,
-    scale: float = 1.0,
-    per_sample: bool = False,
-) -> GradientRecord:
-    """Gradients of the (scaled) mean cross-entropy w.r.t. all parameters.
-
-    per_sample=True re-runs backward once per batch row; each returned
-    array then has a leading batch axis, and row b holds the gradient of
-    the loss evaluated on sample b alone.
-    """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or len(labels) != len(batch):
-        raise ShapeMismatch("labels must be one per batch row")
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= g.num_classes:
-        raise ShapeMismatch("label outside class range")
-    if not per_sample:
-        return _backward_once(g, params, batch, labels, scale)
-    records = [
-        _backward_once(g, params, batch[b : b + 1], labels[b : b + 1], scale)
-        for b in range(len(batch))
-    ]
-    wkeys = records[0].weight_grads.keys()
-    bkeys = records[0].bias_grads.keys()
-    return GradientRecord(
-        weight_grads={k: np.stack([r.weight_grads[k] for r in records]) for k in wkeys},
-        bias_grads={k: np.stack([r.bias_grads[k] for r in records]) for k in bkeys},
-        per_sample=True,
-    )
+    return GradientRecord(weight_grads=wgrads, bias_grads=bgrads, per_sample=per_sample)

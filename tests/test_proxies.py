@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from protonas.archspace import decode, sample
+from protonas.archspace import apply_static_pruning, decode, sample
 from protonas.archspace.graph import LayerSpec
 from protonas.proxies import (
     ProxyBatchConfig,
@@ -176,3 +176,66 @@ def test_ensemble_finite_on_random_candidates(space2d, task2d, templates):
         params = init_params(g, np.random.default_rng(1))
         scores = evaluate_ensemble(g, params, cfg, np.random.default_rng(2))
         assert all(math.isfinite(v) for v in scores.as_dict().values())
+
+
+def _decoded_1d(space1d, task1d, templates, seed):
+    x = sample(np.random.default_rng(seed), space1d)
+    g = apply_static_pruning(decode(x, space1d, task1d, templates), x.pruning_sparsity)
+    g.infer_shapes()
+    return g
+
+
+def _drawn_batches(g, cfg, rng):
+    # the draw order evaluate_ensemble documents
+    batches, labels = [], []
+    for _ in range(cfg.num_batches_zico):
+        batches.append(rng.standard_normal((cfg.batch_size, *g.input_shape)))
+        labels.append(rng.integers(0, g.num_classes, size=cfg.batch_size))
+    return batches, labels
+
+
+def test_ensemble_matches_standalone_proxies(space1d, task1d, templates):
+    for seed, cfg in ((3, ProxyBatchConfig()), (5, ProxyBatchConfig(batch_size=3, num_batches_zico=3))):
+        g = _decoded_1d(space1d, task1d, templates, seed)
+        params = init_params(g, np.random.default_rng(seed))
+        got = evaluate_ensemble(g, params, cfg, np.random.default_rng(seed + 100)).as_dict()
+        batches, labels = _drawn_batches(g, cfg, np.random.default_rng(seed + 100))
+        want = {
+            "snip": snip(g, params, batches[0], labels[0]),
+            "naswot": naswot(g, params, batches[0], cfg.eps_logdet),
+            "zico": zico(g, params, batches, labels, cfg.eps_std),
+            "meco": meco(g, params, batches[0][0], cfg.eps_var),
+        }
+        for name, v in want.items():
+            assert math.isclose(got[name], v, rel_tol=1e-12), name
+
+
+def test_ensemble_runs_one_forward_and_one_backward_per_batch(
+    space1d, task1d, templates, monkeypatch
+):
+    import protonas.proxies.ensemble as ensemble_mod
+    import protonas.tensorcore.engine as engine_mod
+
+    rows = {"forward": 0, "backward": 0}
+
+    def counting(name, fn):
+        def wrapper(g, params, batch, *args, **kwargs):
+            rows[name] += len(batch)
+            return fn(g, params, batch, *args, **kwargs)
+
+        return wrapper
+
+    # the engine calls forward from backward, the ensemble calls both
+    for name in rows:
+        wrapper = counting(name, getattr(engine_mod, name))
+        monkeypatch.setattr(engine_mod, name, wrapper)
+        monkeypatch.setattr(ensemble_mod, name, wrapper)
+
+    cfg = ProxyBatchConfig()
+    candidates = 3
+    for seed in range(candidates):
+        g = _decoded_1d(space1d, task1d, templates, seed)
+        params = init_params(g, np.random.default_rng(seed))
+        evaluate_ensemble(g, params, cfg, np.random.default_rng(seed))
+    per_candidate = cfg.batch_size * cfg.num_batches_zico
+    assert rows == {"forward": per_candidate * candidates, "backward": per_candidate * candidates}

@@ -6,7 +6,7 @@ import pytest
 
 from protonas.archspace import sample
 from protonas.costmodel import EXAMPLE_PROFILE, TargetProfile
-from protonas.proxies import ProxyBatchConfig
+from protonas.proxies import ProxyBatchConfig, ProxyScores
 from protonas.search import (
     EvalContext,
     SearchConfig,
@@ -183,3 +183,40 @@ def test_search_config_validation(space1d, task1d):
         SearchConfig(
             space=space1d, task=task1d, profile=EXAMPLE_PROFILE, trials=2, population_size=5
         )
+
+
+def test_scoring_failures_become_error_records(space1d, task1d, templates, tmp_path, monkeypatch):
+    import protonas.search.run as run_mod
+
+    real = run_mod.evaluate_ensemble
+    injected = {"NonFiniteProxy: meco": 0, "LinAlgError: Singular matrix": 0}
+    calls = []
+
+    def flaky(g, params, cfg, rng):
+        calls.append(None)
+        scores = real(g, params, cfg, rng)
+        if len(calls) % 3 == 1:
+            injected["NonFiniteProxy: meco"] += 1
+            return ProxyScores(meco=math.nan, zico=scores.zico, naswot=scores.naswot,
+                               snip=scores.snip)
+        if len(calls) % 3 == 2:
+            injected["LinAlgError: Singular matrix"] += 1
+            raise np.linalg.LinAlgError("Singular matrix")
+        return scores
+
+    monkeypatch.setattr(run_mod, "evaluate_ensemble", flaky)
+    cfg = small_search(space1d, task1d, trials=12, pop=6, seed=4)
+    log = tmp_path / "trials.jsonl"
+    archive = run_search(cfg, log_path=log, templates=templates)
+    docs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(docs) == cfg.trials
+    assert all(injected.values())
+    for error, count in injected.items():
+        hit = [d for d in docs if d["error"] == error]
+        assert len(hit) == count
+        for d in hit:
+            assert d["proxies"] is None and not d["feasible"]
+            assert d["objectives"] == [d["costs"]["flops"], None, None, None, None]
+    errored = {d["trial"] for d in docs if d["error"] is not None}
+    assert len(errored) == sum(injected.values())
+    assert not errored & {r.trial_index for r in archive.pareto_records()}

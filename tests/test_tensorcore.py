@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from protonas.archspace import decode, sample
-from protonas.archspace.graph import LayerSpec
+from protonas.archspace.graph import ArchitectureGraph, LayerSpec
 from protonas.errors import ShapeMismatch
 from protonas.tensorcore import backward, cross_entropy, forward, init_params
 
@@ -52,8 +52,8 @@ def test_gradients_match_finite_differences_on_chain():
     assert max_rel_error(g, params, batch, labels, rng) < 1e-5
 
 
-def test_gradients_match_finite_differences_on_branchy_graph():
-    # conv trunk with an additive skip and a concat side branch
+def branchy_graph():
+    """conv trunk with an additive skip and a concat side branch."""
     nodes = [
         LayerSpec(kind="conv", in_channels=2, out_channels=3, kernel=3, padding=1, bias=True),
         LayerSpec(kind="relu"),
@@ -68,10 +68,13 @@ def test_gradients_match_finite_differences_on_branchy_graph():
         LayerSpec(kind="linear", in_channels=5, out_channels=4, bias=True),
     ]
     preds = [[], [0], [1], [2], [1, 3], [4], [4, 5], [6], [7], [8], [9]]
-    from protonas.archspace.graph import ArchitectureGraph
-
     g = ArchitectureGraph(nodes=nodes, preds=preds, input_shape=(2, 8, 8), num_classes=4)
     g.infer_shapes()
+    return g
+
+
+def test_gradients_match_finite_differences_on_branchy_graph():
+    g = branchy_graph()
     rng = np.random.default_rng(7)
     params = init_params(g, rng)
     batch = rng.standard_normal((2, 2, 8, 8))
@@ -122,6 +125,63 @@ def test_per_sample_gradients_average_to_batch():
         stacked = per.weight_grads[node]
         assert stacked.shape == (5, *whole.weight_grads[node].shape)
         assert np.allclose(stacked.mean(axis=0), whole.weight_grads[node], atol=1e-12)
+
+
+def _assert_per_sample_matches_rows(g, params, batch, labels, scale=1.0):
+    per = backward(g, params, batch, labels, scale=scale, per_sample=True)
+    assert per.per_sample
+    for b in range(len(batch)):
+        row = backward(g, params, batch[b : b + 1], labels[b : b + 1], scale=scale)
+        for got, want in ((per.weight_grads, row.weight_grads), (per.bias_grads, row.bias_grads)):
+            assert got.keys() == want.keys()
+            for node in want:
+                assert got[node].shape == (len(batch), *want[node].shape)
+                err = np.abs(got[node][b] - want[node]).max(initial=0.0)
+                assert err <= 1e-12 * max(1.0, np.abs(want[node]).max(initial=0.0))
+
+
+def test_batched_per_sample_gradients_equal_one_row_backward():
+    g = branchy_graph()
+    rng = np.random.default_rng(11)
+    params = init_params(g, rng)
+    for nid in params.biases:
+        params.biases[nid] = rng.standard_normal(params.biases[nid].shape)
+    batch = rng.standard_normal((5, 2, 8, 8))
+    _assert_per_sample_matches_rows(g, params, batch, np.array([0, 3, 1, 2, 3]), scale=0.7)
+
+
+def test_batched_per_sample_gradients_on_decoded_candidate(space1d, task1d, templates):
+    x = sample(np.random.default_rng(12), space1d)
+    g = decode(x, space1d, task1d, templates)
+    g.infer_shapes()
+    rng = np.random.default_rng(13)
+    params = init_params(g, rng)
+    batch = rng.standard_normal((6, *task1d.input_shape))
+    _assert_per_sample_matches_rows(g, params, batch, rng.integers(0, task1d.num_classes, 6))
+
+
+@pytest.mark.parametrize("per_sample", [False, True])
+def test_backward_reuses_a_given_trace_exactly(per_sample):
+    g = branchy_graph()
+    rng = np.random.default_rng(14)
+    params = init_params(g, rng)
+    batch = rng.standard_normal((3, 2, 8, 8))
+    labels = np.array([2, 0, 1])
+    fresh = backward(g, params, batch, labels, per_sample=per_sample)
+    reused = backward(g, params, batch, labels, per_sample=per_sample,
+                      trace=forward(g, params, batch))
+    for got, want in ((reused.weight_grads, fresh.weight_grads), (reused.bias_grads, fresh.bias_grads)):
+        assert got.keys() == want.keys()
+        for node in want:
+            assert np.array_equal(got[node], want[node])
+
+
+def test_backward_rejects_trace_of_another_batch_size():
+    g = tiny_classifier()
+    params = init_params(g, np.random.default_rng(0))
+    batch = np.random.default_rng(1).standard_normal((3, *g.input_shape))
+    with pytest.raises(ShapeMismatch):
+        backward(g, params, batch, np.array([0, 1, 2]), trace=forward(g, params, batch[:2]))
 
 
 def test_cross_entropy_uniform_logits():
