@@ -3,7 +3,9 @@
 All writers are idempotent (no timestamps, stable ordering) and floats
 are serialized with Python's shortest round-trip repr, so re-exporting
 the same run produces byte-identical files and parsing a value back
-returns the exact double.
+returns the exact double.  Each file is written whole to a temp file
+beside it and renamed over it, so a failed or interrupted export leaves
+the previous file as it was.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from ..search.run import CandidateRecord, ParetoArchive
@@ -43,16 +47,41 @@ def _record_row(r: CandidateRecord) -> list:
     return [r.trial_index, r.seed] + genes + costs + list(r.objectives) + proxies
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+@contextmanager
+def _replacing(path):
+    """Text stream to a temp file that replaces path when the block ends.
+
+    If the block raises, path keeps its old content and the temp file
+    is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    with _replacing(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
+def write_json(path, doc: dict) -> None:
+    """Sorted keys, two-space indent, trailing newline."""
+    with _replacing(path) as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_front_csv(path, records: list[CandidateRecord]) -> None:
     """One row per feasible scored record; header only when empty."""
-    _write_csv(Path(path), FRONT_COLUMNS, [_record_row(r) for r in records])
+    write_csv(path, FRONT_COLUMNS, [_record_row(r) for r in records])
 
 
 def write_tau_csv(path, tau: TauMatrix) -> None:
@@ -60,7 +89,7 @@ def write_tau_csv(path, tau: TauMatrix) -> None:
     rows = [
         [label] + [float(v) for v in tau.values[i]] for i, label in enumerate(tau.labels)
     ]
-    _write_csv(Path(path), header, rows)
+    write_csv(path, header, rows)
 
 
 def config_digest(echo: dict) -> str:
@@ -84,9 +113,7 @@ def write_summary(path, echo: dict, archive: ParetoArchive, extra: dict | None =
     }
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)
     return doc
 
 

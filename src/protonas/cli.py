@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .analysis.correlation import RankSeries, tau_matrix
-from .analysis.report import write_front_csv, write_summary, write_tau_csv
+from .analysis.report import write_csv, write_front_csv, write_json, write_summary, write_tau_csv
 from .archspace.templates import load_templates
 from .config import RunConfig, default_config_yaml, load_config
 from .errors import ConfigError, DegenerateSeries, InfeasibleK, ProtonasError
@@ -156,10 +156,7 @@ def cmd_select(args) -> int:
         raise ConfigError(str(exc)) from exc
     out.mkdir(parents=True, exist_ok=True)
     sel_path = out / "selection.csv"
-    with open(sel_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows[i] for i in chosen)
+    write_csv(sel_path, header, [rows[i] for i in chosen])
     summary = {
         "front_size": len(points),
         "k_requested": cfg.k,
@@ -171,9 +168,7 @@ def cmd_select(args) -> int:
     if note is not None:
         summary["note"] = note
         print(note)
-    with open(out / "selection_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "selection_summary.json", summary)
     print(f"selected {len(chosen)} of {len(points)} front members -> {sel_path}")
     return OK
 
@@ -240,9 +235,7 @@ def cmd_report(args) -> int:
             if i < j
         },
     }
-    with open(out / "report_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "report_summary.json", doc)
     print(f"correlated {len(scored)} candidates over {len(tau.labels)} series -> {out / 'tau.csv'}")
     return OK
 

@@ -1,8 +1,6 @@
 """Pure-Python exact hypervolume kernel (minimization, dimension sweep).
 
-Reference implementation; protonas.hvss prefers the compiled twin in
-_hv_cy when it imported successfully.  Both follow the same recursion:
-sort by the last objective, sweep the slabs between consecutive values,
+Sort by the last objective, sweep the slabs between consecutive values,
 and recurse on the dominance-filtered projections of the prefix.
 """
 

@@ -1,4 +1,4 @@
-"""Hypervolume front door: validation, backend choice, MC estimator."""
+"""Hypervolume front door: validation, the exact kernel, MC estimator."""
 
 from __future__ import annotations
 
@@ -9,13 +9,8 @@ import numpy as np
 from ..errors import DimensionMismatch
 from . import _hv_py
 
-try:
-    from . import _hv_cy
-
-    HAVE_COMPILED = True
-except ImportError:  # pragma: no cover - build-dependent
-    _hv_cy = None
-    HAVE_COMPILED = False
+# There is no compiled kernel; the flag stays for callers that report it.
+HAVE_COMPILED = False
 
 
 def _checked(points, ref) -> tuple[list[tuple], tuple]:
@@ -36,24 +31,13 @@ def _checked(points, ref) -> tuple[list[tuple], tuple]:
     return out, ref_t
 
 
-def hypervolume(points, ref, backend: str = "auto") -> float:
+def hypervolume(points, ref) -> float:
     """Exact dominated hypervolume under minimization.
 
     Points violating p <= ref componentwise contribute nothing and are
-    dropped.  backend picks the kernel: "auto" prefers the compiled one,
-    "compiled" requires it, "pure" forces the Python twin.
+    dropped.
     """
     pts, ref_t = _checked(points, ref)
-    if backend == "pure":
-        return _hv_py.hv_exact(pts, ref_t)
-    if backend == "compiled":
-        if not HAVE_COMPILED:
-            raise RuntimeError("compiled hypervolume kernel is not available")
-        return _hv_cy.hv_exact(pts, ref_t)
-    if backend != "auto":
-        raise ValueError(f"unknown backend '{backend}'")
-    if HAVE_COMPILED:
-        return _hv_cy.hv_exact(pts, ref_t)
     return _hv_py.hv_exact(pts, ref_t)
 
 

@@ -4,7 +4,9 @@ Given a Pareto front P (minimization, typically normalized to [0, 1]
 per objective) pick the k points whose joint hypervolume against the
 reference point is maximal.  select_subset runs a genetic algorithm
 over binary membership genes; exhaustive_subset is the brute-force
-oracle for small instances.
+oracle for small instances.  Sets of at most IE_MAX_POINTS points are
+scored by exact inclusion-exclusion over numpy arrays, larger ones by
+the sweep kernel behind hypervolume.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import InfeasibleK
+from ..errors import DimensionMismatch, InfeasibleK
 from .hv import hypervolume
 
 DEFAULT_REF_VALUE = 1.1
@@ -58,6 +60,13 @@ def default_reference(d: int) -> tuple[float, ...]:
     return (DEFAULT_REF_VALUE,) * d
 
 
+def _reference(p: np.ndarray, ref) -> np.ndarray:
+    r = np.asarray(default_reference(p.shape[1]) if ref is None else ref, dtype=float)
+    if r.shape != (p.shape[1],) or not np.isfinite(r).all():
+        raise DimensionMismatch(f"reference point must hold {p.shape[1]} finite values")
+    return r
+
+
 def normalize_objectives(points) -> np.ndarray:
     """Min-max normalize each objective over the set; constant -> 0."""
     p = np.asarray(points, dtype=float)
@@ -71,24 +80,111 @@ def normalize_objectives(points) -> np.ndarray:
     return out
 
 
-class _HvCache:
-    """Memoized hypervolume of index subsets of a fixed front."""
+# Up to this many points, exact inclusion-exclusion over numpy arrays
+# beats the sweep kernel; above it the 2^m terms cost more than the sweep.
+IE_MAX_POINTS = 12
+# Row t holds the bits of mask t as 0.0/1.0, and _EVEN_SIGN[t] is +1 for
+# an even number of set bits, -1 for an odd number.
+_MASK_BITS = ((np.arange(1 << IE_MAX_POINTS)[:, None] >> np.arange(IE_MAX_POINTS)) & 1).astype(float)
+_EVEN_SIGN = 1.0 - 2.0 * (_MASK_BITS.sum(axis=1) % 2)
+# Elements of one under-full gain block (masks x candidates x objectives).
+_GAIN_BLOCK = 1 << 18
 
-    def __init__(self, points: np.ndarray, ref: tuple[float, ...]):
-        self.rows = [tuple(float(v) for v in row) for row in points]
+
+def _corners(p: np.ndarray) -> np.ndarray:
+    """Componentwise max of every subset of the rows of p, by bitmask.
+
+    Row t is the max over the points whose bit is set in t; row 0 (the
+    empty subset) is -inf, so max(x, row 0) == x.
+    """
+    m, d = p.shape
+    corners = np.empty((1 << m, d))
+    corners[0] = -np.inf
+    for j in range(m):
+        lo = 1 << j
+        np.maximum(corners[:lo], p[j], out=corners[lo : 2 * lo])
+    return corners
+
+
+def _box_volumes(corners: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    # Boxes [corner, ref]; a corner outside the reference box bounds nothing.
+    return np.prod(np.clip(ref - corners, 0.0, None), axis=-1)
+
+
+def _ie_hypervolume(p: np.ndarray, ref: np.ndarray) -> float:
+    """Exact hypervolume of at most IE_MAX_POINTS points by inclusion-exclusion."""
+    corners = _corners(p)
+    return -float(_EVEN_SIGN[1 : len(corners)] @ _box_volumes(corners[1:], ref))
+
+
+class _HvCache:
+    """Hypervolume of subsets of a fixed front, memoized by membership."""
+
+    def __init__(self, points: np.ndarray, ref: np.ndarray):
+        self.points = points
         self.ref = ref
         self._table: dict[bytes, float] = {}
 
     def of_indices(self, idx) -> float:
-        key = np.sort(np.asarray(idx, dtype=np.int64)).tobytes()
+        """Uncached hypervolume of the points at idx."""
+        if len(idx) <= IE_MAX_POINTS:
+            return _ie_hypervolume(self.points[idx], self.ref)
+        return hypervolume(self.points[idx], self.ref)
+
+    def of_bits(self, bits: np.ndarray) -> float:
+        key = np.packbits(bits).tobytes()
         hit = self._table.get(key)
         if hit is None:
-            hit = hypervolume([self.rows[i] for i in idx], self.ref)
+            hit = self.of_indices(np.flatnonzero(bits))
             self._table[key] = hit
         return hit
 
-    def of_bits(self, bits: np.ndarray) -> float:
-        return self.of_indices(np.flatnonzero(bits))
+    def removal_losses(self, on: np.ndarray) -> np.ndarray:
+        """Hypervolume lost when each member of `on` alone is removed.
+
+        Members that another member weakly dominates lose exactly 0.
+        """
+        if len(on) > IE_MAX_POINTS:
+            return self.sweep_losses(on, range(len(on)))
+        p = self.points[on]
+        m = len(on)
+        terms = np.zeros(1 << m)
+        terms[1:] = _EVEN_SIGN[1 : 1 << m] * _box_volumes(_corners(p)[1:], self.ref)
+        # the terms of the masks holding bit j sum to minus j's exclusive volume
+        losses = -(terms @ _MASK_BITS[: 1 << m, :m])
+        dominated = (p[None, :, :] <= p[:, None, :]).all(axis=2)
+        np.fill_diagonal(dominated, False)
+        losses[dominated.any(axis=1)] = 0.0
+        return losses
+
+    def sweep_losses(self, on: np.ndarray, members) -> np.ndarray:
+        """removal_losses of on[j] for j in members, by the sweep kernel."""
+        p = self.points[on]
+        full = hypervolume(p, self.ref)
+        return np.array([full - hypervolume(np.delete(p, j, axis=0), self.ref) for j in members])
+
+    def addition_gains(self, on: np.ndarray, cand: np.ndarray) -> np.ndarray:
+        """Hypervolume each point of cand adds to the set `on`.
+
+        The gain of b over S is the sum over T subset of S of
+        (-1)^|T| vol(box of max(b, max T)).  Candidates a member of S
+        weakly dominates gain exactly 0.
+        """
+        if len(on) >= IE_MAX_POINTS:
+            base = self.of_indices(on)
+            return np.array([self.of_indices(np.append(on, b)) - base for b in cand])
+        corners = _corners(self.points[on])
+        c = self.points[cand]
+        step = max(1, _GAIN_BLOCK // corners.size)
+        volumes = [
+            _box_volumes(np.maximum(c[None, lo : lo + step], corners[:, None]), self.ref)
+            for lo in range(0, len(c), step)
+        ]
+        # summed down axis 0, so equal candidates get bit-identical gains
+        gains = (_EVEN_SIGN[: len(corners), None] * np.concatenate(volumes, axis=1)).sum(axis=0)
+        dominated = (self.points[on][None, :, :] <= c[:, None, :]).all(axis=2).any(axis=1)
+        gains[dominated] = 0.0
+        return gains
 
 
 def _repair_bits(bits: np.ndarray, k: int, cache: _HvCache) -> np.ndarray:
@@ -100,29 +196,24 @@ def _repair_bits(bits: np.ndarray, k: int, cache: _HvCache) -> np.ndarray:
     take the lowest index).
     """
     bits = bits.copy()
-    on = [int(i) for i in np.flatnonzero(bits)]
+    on = np.flatnonzero(bits)
     if len(on) > k:
-        on_set = set(on)
-        hv_without = {
-            b: cache.of_indices(sorted(on_set - {b})) for b in on
-        }
-        # smaller remainder == larger individual loss == more valuable
-        keep = sorted(on, key=lambda b: (hv_without[b], b))[:k]
+        losses = cache.removal_losses(on)
+        zero = np.flatnonzero(losses == 0.0)
+        if len(on) - len(zero) < k:
+            # The cut falls among members whose removal loses nothing.
+            # Their order is a matter of rounding: take the sweep
+            # kernel's, which the leave-one-out rule has always used.
+            losses[zero] = cache.sweep_losses(on, zero)
+        keep = on[np.argsort(-losses, kind="stable")[:k]]
         bits[:] = False
         bits[keep] = True
-        on = sorted(keep)
+        on = keep
     while len(on) < k:
-        best_bit = -1
-        best_hv = -math.inf
-        for b in range(bits.size):
-            if bits[b]:
-                continue
-            h = cache.of_indices(on + [b])
-            if h > best_hv:
-                best_hv = h
-                best_bit = b
+        cand = np.flatnonzero(~bits)
+        best_bit = cand[int(np.argmax(cache.addition_gains(on, cand)))]
         bits[best_bit] = True
-        on = sorted(on + [best_bit])
+        on = np.flatnonzero(bits)
     return bits
 
 
@@ -136,8 +227,7 @@ def repair(gene: SubsetGene, points, ref=None) -> SubsetGene:
         raise ValueError("gene length does not match the point set")
     if gene.k < 1 or gene.k > len(p):
         raise InfeasibleK(f"cannot select {gene.k} of {len(p)} points")
-    ref_t = tuple(ref) if ref is not None else default_reference(p.shape[1])
-    cache = _HvCache(p, ref_t)
+    cache = _HvCache(p, _reference(p, ref))
     return SubsetGene(_repair_bits(gene.bits, gene.k, cache), gene.k)
 
 
@@ -156,8 +246,7 @@ def select_subset(points, k: int, cfg: HssConfig | None = None, ref=None) -> lis
     if k >= n:
         return list(range(n))
     cfg = cfg if cfg is not None else HssConfig()
-    ref_t = tuple(ref) if ref is not None else default_reference(p.shape[1])
-    cache = _HvCache(p, ref_t)
+    cache = _HvCache(p, _reference(p, ref))
     rng = np.random.default_rng(cfg.seed)
 
     pop = np.zeros((cfg.population, n), dtype=bool)
@@ -218,8 +307,7 @@ def exhaustive_subset(points, k: int, ref=None, limit: int = 2_000_000) -> list[
         return list(range(n))
     if math.comb(n, k) > limit:
         raise ValueError(f"C({n},{k}) exceeds the exhaustive search limit")
-    ref_t = tuple(ref) if ref is not None else default_reference(p.shape[1])
-    cache = _HvCache(p, ref_t)
+    cache = _HvCache(p, _reference(p, ref))
     best = None
     best_hv = -math.inf
     for combo in itertools.combinations(range(n), k):

@@ -13,8 +13,10 @@ from protonas.analysis import (
     kendall_tau_b,
     tau_matrix,
     write_front_csv,
+    write_summary,
     write_tau_csv,
 )
+from protonas.analysis.report import write_csv
 from protonas.costmodel import EXAMPLE_PROFILE
 from protonas.errors import DegenerateSeries, DimensionMismatch
 from protonas.proxies import ProxyBatchConfig
@@ -149,6 +151,25 @@ def test_exports_are_idempotent(tiny_archive, tmp_path):
     assert set(paths1) == set(paths2)
     for name in paths1:
         assert paths1[name].read_bytes() == paths2[name].read_bytes()
+
+
+def test_failed_export_keeps_previous_file(tiny_archive, tmp_path):
+    summary = tmp_path / "run_summary.json"
+    front = tmp_path / "pareto.csv"
+    write_summary(summary, {"trials": 10}, tiny_archive)
+    write_front_csv(front, tiny_archive.pareto_records())
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def rows_then_failure():
+        yield [1] * len(FRONT_COLUMNS)
+        raise RuntimeError("export interrupted")
+
+    # json.dump streams, so the unserializable last key fails mid-file
+    with pytest.raises(TypeError):
+        write_summary(summary, {"trials": 10}, tiny_archive, extra={"zz": object()})
+    with pytest.raises(RuntimeError):
+        write_csv(front, FRONT_COLUMNS, rows_then_failure())
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_tau_csv_layout(tmp_path):

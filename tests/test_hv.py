@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from protonas.errors import DimensionMismatch
-from protonas.hvss import HAVE_COMPILED, hv_monte_carlo, hypervolume
+from protonas.hvss import hv_monte_carlo, hypervolume
 
 
 def hv_inclusion_exclusion(points, ref):
@@ -73,21 +73,8 @@ def test_matches_inclusion_exclusion_oracle(d):
         pts = [tuple(rng.random(d)) for _ in range(n)]
         ref = tuple(1.0 + rng.random(d))
         want = hv_inclusion_exclusion(pts, ref)
-        assert abs(hypervolume(pts, ref, backend="pure") - want) < 1e-9
         got = hypervolume(pts, ref)
         assert abs(got - want) < 1e-9
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernel not built")
-def test_backends_agree():
-    rng = np.random.default_rng(9)
-    for d in (2, 3, 5, 6):
-        for _ in range(10):
-            pts = [tuple(rng.random(d)) for _ in range(int(rng.integers(1, 40)))]
-            ref = (1.0,) * d
-            a = hypervolume(pts, ref, backend="pure")
-            b = hypervolume(pts, ref, backend="compiled")
-            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def test_monte_carlo_cross_check():
@@ -112,8 +99,6 @@ def test_reference_validation():
         hypervolume([(0.5, 0.5)], (1.0, math.inf))
     with pytest.raises(DimensionMismatch):
         hypervolume([(0.5, 0.5, 0.5)], (1.0, 1.0))
-    with pytest.raises(ValueError):
-        hypervolume([(0.5, 0.5)], (1.0, 1.0), backend="mystery")
 
 
 def test_high_dimension_feasibility():

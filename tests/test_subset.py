@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from protonas.hvss import (
     select_subset,
     subset_hypervolume,
 )
+from protonas.hvss import _hv_py
+from protonas.hvss.subset import IE_MAX_POINTS, _HvCache, _ie_hypervolume
 
 
 def small_cfg(seed=0):
@@ -188,3 +192,77 @@ def test_exhaustive_limit_guard():
     pts = np.random.default_rng(6).random((30, 3))
     with pytest.raises(ValueError):
         exhaustive_subset(pts, 15, limit=1000)
+
+
+def awkward_points(rng, m, d, ref):
+    """m points with duplicates, dominated points and points outside the box."""
+    p = rng.random((m, d))
+    for i in range(1, m):
+        kind = rng.integers(4)
+        j = int(rng.integers(i))
+        if kind == 0:
+            p[i] = p[j]
+        elif kind == 1:
+            p[i] = np.minimum(p[j] + rng.random(d) * 0.3, ref)
+        elif kind == 2:
+            p[i, rng.integers(d)] = ref[0] + rng.random()
+    return p
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_inclusion_exclusion_matches_sweep(d):
+    rng = np.random.default_rng(40 + d)
+    ref = np.full(d, 1.1)
+    for m in range(IE_MAX_POINTS + 1):
+        for _ in range(3):
+            p = awkward_points(rng, m, d, ref)
+            inside = [tuple(row) for row in p if (row <= ref).all()]
+            want = _hv_py.hv_exact(inside, tuple(ref))
+            got = _ie_hypervolume(p, ref)
+            assert abs(got - want) <= 1e-12 * abs(want), (m, got, want)
+
+
+def bits_of(n, idx):
+    bits = np.zeros(n, dtype=bool)
+    bits[list(idx)] = True
+    return bits
+
+
+def test_batched_repair_steps_match_cached_hypervolume():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(4, 20))
+        d = int(rng.integers(2, 6))
+        ref = np.full(d, 1.1)
+        pts = awkward_points(rng, n, d, ref)
+        cache = _HvCache(pts, ref)
+        on = np.sort(rng.choice(n, size=int(rng.integers(0, min(n, IE_MAX_POINTS))), replace=False))
+        full = cache.of_bits(bits_of(n, on))
+        for j, loss in enumerate(cache.removal_losses(on)):
+            assert abs((full - loss) - cache.of_bits(bits_of(n, np.delete(on, j)))) <= 1e-12
+        cand = np.setdiff1d(np.arange(n), on)
+        for b, gain in zip(cand, cache.addition_gains(on, cand)):
+            assert abs((full + gain) - cache.of_bits(bits_of(n, np.append(on, b)))) <= 1e-12
+
+
+def sphere_front(seed, n, d):
+    """Seeded points on the positive unit sphere, min-max normalized."""
+    rng = random.Random(seed)
+    pts = []
+    for _ in range(n):
+        g = [abs(rng.gauss(0.0, 1.0)) for _ in range(d)]
+        norm = math.sqrt(sum(v * v for v in g))
+        pts.append([v / norm for v in g])
+    return normalize_objectives(pts)
+
+
+def test_select_default_config_on_realistic_front():
+    # 350 mutually non-dominated 5-D points, the front size a 500-trial
+    # search produces.  The golden indices come from the earlier
+    # sweep-kernel implementation, which took over 100 s on a 2-CPU host.
+    front = sphere_front(350, 350, 5)
+    t0 = time.perf_counter()
+    got = select_subset(front, 5, HssConfig(generations=1))
+    elapsed = time.perf_counter() - t0
+    assert got == [85, 148, 234, 300, 346]
+    assert elapsed < 20.0, f"default-config select took {elapsed:.1f}s"
