@@ -5,8 +5,9 @@ tournament (rank, then crowding), gene-wise crossover, and per-gene
 mutation, evaluating exactly cfg.trials candidates in total.  Every
 evaluation is logged; infeasible candidates skip proxy scoring, carry
 worst-case placeholder objectives, and never enter the archive.  A
-candidate whose scoring fails (a linear-algebra error or a non-finite
-score) is logged as an error record and treated the same way.
+candidate whose scoring fails (a linear-algebra error, a MemoryError,
+a package error such as a proxy ConfigError, or a non-finite score) is
+logged as an error record and treated the same way.
 
 Objective vector (all minimized):
     [flops, -meco, -zico, -naswot, -snip]
@@ -136,8 +137,8 @@ def evaluate_candidate(
     params = init_params(pruned, rng)
     try:
         scores = evaluate_ensemble(pruned, params, ctx.proxy, rng)
-    except np.linalg.LinAlgError as exc:
-        error = f"LinAlgError: {exc}"
+    except (np.linalg.LinAlgError, MemoryError, ProtonasError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
     else:
         bad = [name for name, v in scores.as_dict().items() if not math.isfinite(v)]
         error = f"NonFiniteProxy: {', '.join(bad)}" if bad else None

@@ -85,11 +85,20 @@ def init_params(g: ArchitectureGraph, rng: np.random.Generator) -> ParamSet:
     return ParamSet(weights, biases)
 
 
+def _interior(padding: int, spatial: tuple[int, ...]) -> tuple[slice, ...]:
+    """Index of the unpadded region inside an array padded by `padding`."""
+    return (slice(None), slice(None)) + tuple(slice(padding, padding + n) for n in spatial)
+
+
 def _pad(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
+    """x with `padding` cells of `value` on both sides of every spatial axis."""
     if padding == 0:
         return x
-    spec = [(0, 0), (0, 0)] + [(padding, padding)] * (x.ndim - 2)
-    return np.pad(x, spec, constant_values=value)
+    shape = x.shape[:2] + tuple(n + 2 * padding for n in x.shape[2:])
+    # np.zeros gets pre-zeroed memory, which is faster than filling
+    xp = np.zeros(shape, x.dtype) if value == 0.0 else np.full(shape, value, x.dtype)
+    xp[_interior(padding, x.shape[2:])] = x
+    return xp
 
 
 def _out_extent(n: int, kernel: int, stride: int, padding: int) -> int:
@@ -115,7 +124,7 @@ def _conv_fwd(x, w, b, stride, padding):
     dims = x.ndim - 2
     xp = _pad(x, padding)
     out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
-    length = int(np.prod(out_sp))
+    length = math.prod(out_sp)
     acc = np.zeros((B, cout, length))
     for off in _offsets(kernel, dims):
         patch = _window(xp, off, stride, out_sp).reshape(B, cin, length)
@@ -132,26 +141,26 @@ def _param_reduce_axes(dout: np.ndarray, per_sample: bool) -> tuple[int, ...]:
     return spatial if per_sample else (0,) + spatial
 
 
-def _conv_bwd(x, w, dout, stride, padding, want_bias, per_sample):
+def _conv_bwd(x, w, dout, stride, padding, want_bias, per_sample, want_dx=True):
+    """Input, weight and bias gradients; dx is None unless want_dx."""
     B, cin = x.shape[:2]
     cout, kernel = w.shape[0], w.shape[2]
     dims = x.ndim - 2
     xp = _pad(x, padding)
     out_sp = dout.shape[2:]
-    length = int(np.prod(out_sp))
+    length = math.prod(out_sp)
     dflat = dout.reshape(B, cout, length)
-    dxp = np.zeros_like(xp)
+    dxp = np.zeros_like(xp) if want_dx else None
     dw = np.zeros(((B,) if per_sample else ()) + w.shape)
     lead = (slice(None),) * (3 if per_sample else 2)
     for off in _offsets(kernel, dims):
         patch = _window(xp, off, stride, out_sp).reshape(B, cin, length)
         dw_b = dflat @ patch.transpose(0, 2, 1)
         dw[(*lead, *off)] = dw_b if per_sample else dw_b.sum(axis=0)
-        dpatch = (w[(slice(None), slice(None), *off)].T @ dflat).reshape(B, cin, *out_sp)
-        _window(dxp, off, stride, out_sp)[...] += dpatch
-    dx = dxp if padding == 0 else dxp[
-        (slice(None), slice(None)) + tuple(slice(padding, padding + n) for n in x.shape[2:])
-    ]
+        if want_dx:
+            dpatch = (w[(slice(None), slice(None), *off)].T @ dflat).reshape(B, cin, *out_sp)
+            _window(dxp, off, stride, out_sp)[...] += dpatch
+    dx = dxp if padding == 0 or not want_dx else dxp[_interior(padding, x.shape[2:])]
     db = dout.sum(axis=_param_reduce_axes(dout, per_sample)) if want_bias else None
     return dx, dw, db
 
@@ -186,9 +195,7 @@ def _dwconv_bwd(x, w, dout, stride, padding, want_bias, per_sample):
         dw[(*lead, 0, *off)] = (dout * patch).sum(axis=reduce_axes)
         coeff = w[(slice(None), 0, *off)].reshape((1, c) + (1,) * dims)
         _window(dxp, off, stride, out_sp)[...] += dout * coeff
-    dx = dxp if padding == 0 else dxp[
-        (slice(None), slice(None)) + tuple(slice(padding, padding + n) for n in x.shape[2:])
-    ]
+    dx = dxp if padding == 0 else dxp[_interior(padding, x.shape[2:])]
     db = dout.sum(axis=reduce_axes) if want_bias else None
     return dx, dw, db
 
@@ -214,12 +221,7 @@ def _maxpool_bwd(x_shape, arg, dout, kernel, stride, padding):
     out_sp = dout.shape[2:]
     for idx, off in enumerate(_offsets(kernel, dims)):
         _window(dxp, off, stride, out_sp)[...] += dout * (arg == idx)
-    if padding == 0:
-        return dxp
-    return dxp[
-        (slice(None), slice(None))
-        + tuple(slice(padding, padding + n) for n in x_shape[2:])
-    ]
+    return dxp if padding == 0 else dxp[_interior(padding, x_shape[2:])]
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
@@ -351,8 +353,9 @@ def backward(
         a = ins[0]
         kind = node.kind
         if kind == "conv":
+            # a conv reading the graph input has no input gradient to pass on
             dx, dw, db = _conv_bwd(a, params.weights[i], dout, node.stride, node.padding,
-                                   i in params.biases, per_sample)
+                                   i in params.biases, per_sample, want_dx=bool(g.preds[i]))
             wgrads[i] = dw
             if db is not None:
                 bgrads[i] = db
@@ -378,7 +381,7 @@ def backward(
         elif kind == "maxpool":
             dx = _maxpool_bwd(a.shape, trace.pool_argmax[i], dout, node.kernel, node.stride, node.padding)
         elif kind == "global-avg-pool":
-            spatial = int(np.prod(a.shape[2:]))
+            spatial = math.prod(a.shape[2:])
             dx = np.broadcast_to(dout / spatial, a.shape).copy()
         elif kind == "add":
             for p in g.preds[i]:

@@ -6,6 +6,7 @@ import pytest
 
 from protonas.archspace import sample
 from protonas.costmodel import EXAMPLE_PROFILE, TargetProfile
+from protonas.errors import ConfigError
 from protonas.proxies import ProxyBatchConfig, ProxyScores
 from protonas.search import (
     EvalContext,
@@ -189,23 +190,29 @@ def test_scoring_failures_become_error_records(space1d, task1d, templates, tmp_p
     import protonas.search.run as run_mod
 
     real = run_mod.evaluate_ensemble
-    injected = {"NonFiniteProxy: meco": 0, "LinAlgError: Singular matrix": 0}
+    raised = {
+        "LinAlgError: Singular matrix": np.linalg.LinAlgError("Singular matrix"),
+        "MemoryError: out of memory": MemoryError("out of memory"),
+        "ConfigError: proxy.batch_size: too large": ConfigError("proxy.batch_size: too large"),
+    }
+    injected = {"NonFiniteProxy: meco": 0, **{error: 0 for error in raised}}
+    plan = [*injected, None]  # the c-th call injects plan[c % len(plan)]; None passes
     calls = []
 
     def flaky(g, params, cfg, rng):
         calls.append(None)
         scores = real(g, params, cfg, rng)
-        if len(calls) % 3 == 1:
-            injected["NonFiniteProxy: meco"] += 1
-            return ProxyScores(meco=math.nan, zico=scores.zico, naswot=scores.naswot,
-                               snip=scores.snip)
-        if len(calls) % 3 == 2:
-            injected["LinAlgError: Singular matrix"] += 1
-            raise np.linalg.LinAlgError("Singular matrix")
-        return scores
+        error = plan[len(calls) % len(plan)]
+        if error is None:
+            return scores
+        injected[error] += 1
+        if error in raised:
+            raise raised[error]
+        return ProxyScores(meco=math.nan, zico=scores.zico, naswot=scores.naswot,
+                           snip=scores.snip)
 
     monkeypatch.setattr(run_mod, "evaluate_ensemble", flaky)
-    cfg = small_search(space1d, task1d, trials=12, pop=6, seed=4)
+    cfg = small_search(space1d, task1d, trials=16, pop=6, seed=4)
     log = tmp_path / "trials.jsonl"
     archive = run_search(cfg, log_path=log, templates=templates)
     docs = [json.loads(line) for line in log.read_text().splitlines()]

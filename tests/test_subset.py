@@ -222,10 +222,10 @@ def test_inclusion_exclusion_matches_sweep(d):
             assert abs(got - want) <= 1e-12 * abs(want), (m, got, want)
 
 
-def bits_of(n, idx):
+def packed_of(n, idx):
     bits = np.zeros(n, dtype=bool)
     bits[list(idx)] = True
-    return bits
+    return np.packbits(bits).tobytes()
 
 
 def test_batched_repair_steps_match_cached_hypervolume():
@@ -237,12 +237,12 @@ def test_batched_repair_steps_match_cached_hypervolume():
         pts = awkward_points(rng, n, d, ref)
         cache = _HvCache(pts, ref)
         on = np.sort(rng.choice(n, size=int(rng.integers(0, min(n, IE_MAX_POINTS))), replace=False))
-        full = cache.of_bits(bits_of(n, on))
+        full = cache.of_packed(packed_of(n, on))
         for j, loss in enumerate(cache.removal_losses(on)):
-            assert abs((full - loss) - cache.of_bits(bits_of(n, np.delete(on, j)))) <= 1e-12
+            assert abs((full - loss) - cache.of_packed(packed_of(n, np.delete(on, j)))) <= 1e-12
         cand = np.setdiff1d(np.arange(n), on)
         for b, gain in zip(cand, cache.addition_gains(on, cand)):
-            assert abs((full + gain) - cache.of_bits(bits_of(n, np.append(on, b)))) <= 1e-12
+            assert abs((full + gain) - cache.of_packed(packed_of(n, np.append(on, b)))) <= 1e-12
 
 
 def sphere_front(seed, n, d):
@@ -266,3 +266,58 @@ def test_select_default_config_on_realistic_front():
     elapsed = time.perf_counter() - t0
     assert got == [85, 148, 234, 300, 346]
     assert elapsed < 20.0, f"default-config select took {elapsed:.1f}s"
+
+
+def test_select_full_default_run_on_realistic_front():
+    # The default HssConfig run to stagnation (it stops at generation
+    # 500) on the 350-point front above.  The earlier implementation,
+    # which repaired every gene of every generation, picked the same
+    # indices in 38-42 s on a 2-CPU x86 host; this one takes 5-8 s there.
+    front = sphere_front(350, 350, 5)
+    t0 = time.perf_counter()
+    got = select_subset(front, 5, HssConfig())
+    elapsed = time.perf_counter() - t0
+    assert got == [85, 148, 234, 300, 346]
+    assert elapsed < 15.0, f"full default-config select took {elapsed:.1f}s"
+
+
+def test_repair_runs_once_per_distinct_gene(monkeypatch):
+    import protonas.hvss.subset as subset_mod
+
+    real = subset_mod._repair_bits
+    seen = []
+
+    def counting(bits, k, cache):
+        seen.append(np.packbits(bits).tobytes())
+        return real(bits, k, cache)
+
+    monkeypatch.setattr(subset_mod, "_repair_bits", counting)
+    cfg = HssConfig(population=200, generations=20, stagnation=1000, seed=3)
+    got = select_subset(sphere_front(3, 16, 5), 5, cfg)
+    assert len(got) == 5
+    assert len(seen) == len(set(seen))
+    # 21 populations of 200 genes were repaired; most of them repeat
+    assert 0 < len(seen) < 21 * 200 // 2
+
+
+# Selections of the implementation that repaired every gene of every
+# generation; deduplicating the population must not move any of them.
+DEFAULT_CFG_GOLDEN = {1: [1, 4, 6, 14, 15], 2: [5, 6, 7, 9, 10], 3: [0, 1, 4, 5, 9]}
+SMALL_POP_GOLDEN = {
+    (1, 1): [1, 3, 5, 7, 14], (1, 6): [1, 3, 7, 12, 14], (1, 50): [1, 3, 7, 12, 14],
+    (2, 1): [1, 2, 9, 12, 13], (2, 6): [1, 2, 9, 12, 13], (2, 50): [1, 2, 9, 12, 13],
+    (3, 1): [0, 1, 6, 13, 15], (3, 6): [0, 1, 5, 11, 15], (3, 50): [0, 1, 5, 11, 15],
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("generations", [1, 6, 50])
+def test_deduplicated_select_keeps_earlier_selections(seed, generations):
+    front = sphere_front(seed, 16, 5)
+    got = select_subset(front, 5, HssConfig(generations=generations, seed=seed))
+    assert got == DEFAULT_CFG_GOLDEN[seed]
+    # a population of 8 on a front with dominated points: the answer
+    # still changes between generations, so every step is compared
+    pts = np.random.default_rng(seed).random((16, 5))
+    cfg = HssConfig(population=8, generations=generations, stagnation=500, seed=seed)
+    assert select_subset(pts, 5, cfg) == SMALL_POP_GOLDEN[seed, generations]

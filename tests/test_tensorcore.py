@@ -7,6 +7,7 @@ from protonas.archspace import decode, sample
 from protonas.archspace.graph import ArchitectureGraph, LayerSpec
 from protonas.errors import ShapeMismatch
 from protonas.tensorcore import backward, cross_entropy, forward, init_params
+from protonas.tensorcore.engine import _conv_bwd, _pad
 
 from conftest import chain_graph, tiny_classifier
 
@@ -182,6 +183,30 @@ def test_backward_rejects_trace_of_another_batch_size():
     batch = np.random.default_rng(1).standard_normal((3, *g.input_shape))
     with pytest.raises(ShapeMismatch):
         backward(g, params, batch, np.array([0, 1, 2]), trace=forward(g, params, batch[:2]))
+
+
+@pytest.mark.parametrize("value", [0.0, -np.inf])
+@pytest.mark.parametrize("shape", [(2, 3, 5), (2, 3, 4, 5)])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+def test_pad_matches_np_pad(value, shape, padding):
+    x = np.random.default_rng(0).normal(size=shape)
+    spec = [(0, 0), (0, 0)] + [(padding, padding)] * (len(shape) - 2)
+    want = np.pad(x, spec, constant_values=value)
+    got = _pad(x, padding, value)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+def test_conv_bwd_without_input_gradient_keeps_parameter_gradients():
+    rng = np.random.default_rng(1)
+    x = rng.normal(size=(3, 2, 7, 7))
+    w = rng.normal(size=(4, 2, 3, 3))
+    dout = rng.normal(size=(3, 4, 4, 4))
+    for per_sample in (False, True):
+        dx, dw, db = _conv_bwd(x, w, dout, 2, 1, True, per_sample)
+        none, dw_only, db_only = _conv_bwd(x, w, dout, 2, 1, True, per_sample, want_dx=False)
+        assert dx.shape == x.shape and none is None
+        assert np.array_equal(dw, dw_only) and np.array_equal(db, db_only)
 
 
 def test_cross_entropy_uniform_logits():
