@@ -241,7 +241,14 @@ def apply_static_pruning(g: ArchitectureGraph, sparsity) -> ArchitectureGraph:
         raise ConfigError("expected four per-group sparsities")
     if any(not (0.0 <= s < 1.0) for s in sparsity):
         raise ConfigError("sparsities must lie in [0, 1)")
-    h = copy.deepcopy(g)
+    # LayerSpec holds only scalars, so a shallow copy per node suffices
+    h = ArchitectureGraph(
+        [copy.copy(node) for node in g.nodes],
+        [list(p) for p in g.preds],
+        g.input_shape,
+        g.num_classes,
+        list(g.shapes),
+    )
     for node in h.nodes:
         if node.kind == "conv" and node.group is not None:
             c = node.out_channels

@@ -191,13 +191,7 @@ def cmd_report(args) -> int:
     if len(scored) < 2:
         print("fewer than two scored candidates; nothing to correlate", file=sys.stderr)
         return EMPTY_RESULT
-    series = [
-        RankSeries("meco", [t["proxies"]["meco"] for t in scored]),
-        RankSeries("zico", [t["proxies"]["zico"] for t in scored]),
-        RankSeries("naswot", [t["proxies"]["naswot"] for t in scored]),
-        RankSeries("snip", [t["proxies"]["snip"] for t in scored]),
-        RankSeries("flops", [t["costs"]["flops"] for t in scored]),
-    ]
+    acc = None
     if args.accuracy is not None:
         header, rows = _read_front_csv(args.accuracy)
         if "trial" not in header or "accuracy" not in header:
@@ -211,14 +205,15 @@ def cmd_report(args) -> int:
             print("fewer than two trials with accuracy; nothing to correlate", file=sys.stderr)
             return EMPTY_RESULT
         scored = joined
-        series = [
-            RankSeries("meco", [t["proxies"]["meco"] for t in scored]),
-            RankSeries("zico", [t["proxies"]["zico"] for t in scored]),
-            RankSeries("naswot", [t["proxies"]["naswot"] for t in scored]),
-            RankSeries("snip", [t["proxies"]["snip"] for t in scored]),
-            RankSeries("flops", [t["costs"]["flops"] for t in scored]),
-            RankSeries("accuracy", [acc[t["trial"]] for t in scored]),
-        ]
+    series = [
+        RankSeries("meco", [t["proxies"]["meco"] for t in scored]),
+        RankSeries("zico", [t["proxies"]["zico"] for t in scored]),
+        RankSeries("naswot", [t["proxies"]["naswot"] for t in scored]),
+        RankSeries("snip", [t["proxies"]["snip"] for t in scored]),
+        RankSeries("flops", [t["costs"]["flops"] for t in scored]),
+    ]
+    if acc is not None:
+        series.append(RankSeries("accuracy", [acc[t["trial"]] for t in scored]))
     try:
         tau = tau_matrix(series)
     except DegenerateSeries as exc:

@@ -280,9 +280,7 @@ def select_subset(points, k: int, cfg: HssConfig | None = None, ref=None) -> lis
     memo: dict[bytes, bytes] = {}
     pop, fitness = _repair_population(rng.random((cfg.population, n)) < (k / n), k, cache, memo)
 
-    best_idx = int(np.argmax(fitness))
-    best_bits = pop[best_idx].copy()
-    best_hv = float(fitness[best_idx])
+    best_hv = float(fitness.max())
     since_improved = 0
 
     for _ in range(cfg.generations):
@@ -311,13 +309,14 @@ def select_subset(points, k: int, cfg: HssConfig | None = None, ref=None) -> lis
 
         if fitness[0] > best_hv:
             best_hv = float(fitness[0])
-            best_bits = pop[0].copy()
             since_improved = 0
         else:
             since_improved += 1
             if since_improved >= cfg.stagnation:
                 break
-    return [int(i) for i in np.flatnonzero(best_bits)]
+    # the elitist stable sort keeps the first best gene at pop[0]
+    # (generations >= 1, so pop has been sorted at least once)
+    return [int(i) for i in np.flatnonzero(pop[0])]
 
 
 def exhaustive_subset(points, k: int, ref=None, limit: int = 2_000_000) -> list[int]:

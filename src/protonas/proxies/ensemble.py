@@ -15,9 +15,9 @@ All four share one deterministic batch stream in evaluate_ensemble, so
 a candidate's scores depend only on the graph, parameters, and seed.
 They also share the engine work: the first batch is forwarded once, and
 its trace yields the naswot codes and the meco taps (row 0) before one
-per-sample backward reuses it.  Every later batch gets one per-sample
-backward.  snip is |theta * mean_b g_b| over the first batch's
-per-sample gradients, zico reads all of them.  Epsilon floors keep
+backward reuses it.  Every later batch gets one backward, which always
+returns per-sample gradients.  snip is |theta * mean_b g_b| over the
+first batch's gradients, zico reads all of them.  Epsilon floors keep
 every score finite on degenerate inputs.
 """
 
@@ -62,20 +62,19 @@ class ProxyScores:
         return {"meco": self.meco, "zico": self.zico, "naswot": self.naswot, "snip": self.snip}
 
 
-def _snip_from_grads(params: ParamSet, weight_grads: dict, bias_grads: dict) -> float:
-    """Sum of |theta * g| over every parameter tensor with a gradient."""
+def _snip_from_record(params: ParamSet, rec: GradientRecord) -> float:
+    """Sum of |theta * mean_b g_b| over every parameter tensor with a gradient."""
     total = 0.0
-    for nid, grad in weight_grads.items():
-        total += float(np.abs(params.weights[nid] * grad).sum())
-    for nid, grad in bias_grads.items():
-        total += float(np.abs(params.biases[nid] * grad).sum())
+    for nid, grad in rec.weight_grads.items():
+        total += float(np.abs(params.weights[nid] * grad.mean(axis=0)).sum())
+    for nid, grad in rec.bias_grads.items():
+        total += float(np.abs(params.biases[nid] * grad.mean(axis=0)).sum())
     return total
 
 
 def snip(g: ArchitectureGraph, params: ParamSet, batch, labels) -> float:
     """Connection-sensitivity mass: sum of |theta * dL/dtheta|."""
-    rec = backward(g, params, batch, labels)
-    return _snip_from_grads(params, rec.weight_grads, rec.bias_grads)
+    return _snip_from_record(params, backward(g, params, batch, labels))
 
 
 def naswot_from_codes(codes: np.ndarray, eps: float = 1e-6) -> float:
@@ -138,9 +137,7 @@ def _layer_sample_grads(g: ArchitectureGraph, records: list[GradientRecord]) -> 
 def zico(g: ArchitectureGraph, params: ParamSet, batches, labels_list, eps: float = 1e-6) -> float:
     if len(batches) != len(labels_list) or not batches:
         raise ConfigError("zico needs matching, non-empty batch and label lists")
-    records = [
-        backward(g, params, b, l, per_sample=True) for b, l in zip(batches, labels_list)
-    ]
+    records = [backward(g, params, b, l) for b, l in zip(batches, labels_list)]
     return zico_from_sample_grads(_layer_sample_grads(g, records), eps)
 
 
@@ -190,7 +187,7 @@ def evaluate_ensemble(
     Draw order is fixed: for each of num_batches_zico batches, first the
     standard-normal inputs, then uniform labels.  snip and naswot use
     the first batch, meco its first sample, zico all batches.  The
-    engine runs one forward and one per-sample backward per batch.
+    engine runs one forward and one backward per batch.
     """
     batches = []
     labels = []
@@ -200,16 +197,9 @@ def evaluate_ensemble(
     trace = forward(g, params, batches[0])
     naswot_v = naswot_from_codes(_relu_codes(trace), cfg.eps_logdet)
     meco_v = _meco_from_trace(g, trace, cfg.eps_var)
-    records = [backward(g, params, batches[0], labels[0], per_sample=True, trace=trace)]
+    records = [backward(g, params, batches[0], labels[0], trace=trace)]
     del trace  # the activations are the bulk of peak memory; free them first
-    records += [
-        backward(g, params, b, l, per_sample=True) for b, l in zip(batches[1:], labels[1:])
-    ]
-    first = records[0]
-    snip_v = _snip_from_grads(
-        params,
-        {k: v.mean(axis=0) for k, v in first.weight_grads.items()},
-        {k: v.mean(axis=0) for k, v in first.bias_grads.items()},
-    )
+    records += [backward(g, params, b, l) for b, l in zip(batches[1:], labels[1:])]
+    snip_v = _snip_from_record(params, records[0])
     zico_v = zico_from_sample_grads(_layer_sample_grads(g, records), cfg.eps_std)
     return ProxyScores(meco=meco_v, zico=zico_v, naswot=naswot_v, snip=snip_v)

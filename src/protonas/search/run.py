@@ -103,6 +103,22 @@ def trial_seed(base_seed: int, trial_index: int) -> int:
     return derive_seed(base_seed, "trial", trial_index)
 
 
+def _unscored(x, seed, trial_index, feasibility, costs, error=None) -> CandidateRecord:
+    """Record of a candidate that got no proxy scores: worst-case proxy
+    objectives (and flops too when there are no costs)."""
+    flops = math.inf if costs is None else float(costs.flops)
+    return CandidateRecord(
+        trial_index=trial_index,
+        seed=seed,
+        genes=x,
+        feasibility=feasibility,
+        costs=costs,
+        objectives=(flops, math.inf, math.inf, math.inf, math.inf),
+        proxies=None,
+        error=error,
+    )
+
+
 def evaluate_candidate(
     x: HyperparamVector, ctx: EvalContext, seed: int, trial_index: int = -1
 ) -> CandidateRecord:
@@ -113,26 +129,10 @@ def evaluate_candidate(
         costs = estimate_costs(pruned, ctx.profile)
         feas = check(costs, ctx.profile)
     except ProtonasError as exc:
-        return CandidateRecord(
-            trial_index=trial_index,
-            seed=seed,
-            genes=x,
-            feasibility=Feasibility(False, math.inf),
-            costs=None,
-            objectives=(math.inf,) * 5,
-            proxies=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return _unscored(x, seed, trial_index, Feasibility(False, math.inf), None,
+                         f"{type(exc).__name__}: {exc}")
     if not feas.feasible:
-        return CandidateRecord(
-            trial_index=trial_index,
-            seed=seed,
-            genes=x,
-            feasibility=feas,
-            costs=costs,
-            objectives=(float(costs.flops), math.inf, math.inf, math.inf, math.inf),
-            proxies=None,
-        )
+        return _unscored(x, seed, trial_index, feas, costs)
     rng = np.random.default_rng(seed)
     params = init_params(pruned, rng)
     try:
@@ -145,16 +145,7 @@ def evaluate_candidate(
     if error is not None:
         # Scoring failed: log it like a decode error and keep the
         # candidate off the front, so one bad network never ends a run.
-        return CandidateRecord(
-            trial_index=trial_index,
-            seed=seed,
-            genes=x,
-            feasibility=Feasibility(False, math.inf),
-            costs=costs,
-            objectives=(float(costs.flops), math.inf, math.inf, math.inf, math.inf),
-            proxies=None,
-            error=error,
-        )
+        return _unscored(x, seed, trial_index, Feasibility(False, math.inf), costs, error)
     return CandidateRecord(
         trial_index=trial_index,
         seed=seed,

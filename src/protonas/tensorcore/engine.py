@@ -7,11 +7,11 @@ the memory profile flat.  Backward is reverse-mode over the recorded
 forward activations.  Batchnorm runs in initialization-statistics mode
 (zero mean, unit variance, identity affine) and carries no parameters.
 
-Loss is mean softmax cross-entropy over the batch, optionally scaled.
-Batch rows never mix (batchnorm uses fixed statistics), so per-sample
-gradients come from the same single backward pass: the loss gradient is
-seeded per row and weight/bias gradients keep the leading batch axis
-instead of summing it away.
+Loss is softmax cross-entropy.  Batch rows never mix (batchnorm uses
+fixed statistics), so one backward pass yields per-sample gradients:
+the loss gradient is seeded per row and every weight/bias gradient keeps
+the leading batch axis.  Averaging that axis gives the gradient of the
+mean loss over the batch.
 """
 
 from __future__ import annotations
@@ -52,14 +52,14 @@ class ForwardTrace:
 
 @dataclass
 class GradientRecord:
-    """Loss gradients per parameter tensor.
+    """Per-sample loss gradients per parameter tensor.
 
-    In per-sample mode each array gains a leading batch axis.
+    Each array has a leading batch axis; row b is the gradient of the
+    loss on sample b alone.
     """
 
     weight_grads: dict[int, np.ndarray]
     bias_grads: dict[int, np.ndarray]
-    per_sample: bool = False
 
 
 def init_params(g: ArchitectureGraph, rng: np.random.Generator) -> ParamSet:
@@ -135,14 +135,8 @@ def _conv_fwd(x, w, b, stride, padding):
     return out
 
 
-def _param_reduce_axes(dout: np.ndarray, per_sample: bool) -> tuple[int, ...]:
-    """Axes a weight/bias gradient sums over: spatial, plus batch unless per-sample."""
-    spatial = tuple(range(2, dout.ndim))
-    return spatial if per_sample else (0,) + spatial
-
-
-def _conv_bwd(x, w, dout, stride, padding, want_bias, per_sample, want_dx=True):
-    """Input, weight and bias gradients; dx is None unless want_dx."""
+def _conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
+    """Input and per-sample weight and bias gradients; dx is None unless want_dx."""
     B, cin = x.shape[:2]
     cout, kernel = w.shape[0], w.shape[2]
     dims = x.ndim - 2
@@ -151,17 +145,15 @@ def _conv_bwd(x, w, dout, stride, padding, want_bias, per_sample, want_dx=True):
     length = math.prod(out_sp)
     dflat = dout.reshape(B, cout, length)
     dxp = np.zeros_like(xp) if want_dx else None
-    dw = np.zeros(((B,) if per_sample else ()) + w.shape)
-    lead = (slice(None),) * (3 if per_sample else 2)
+    dw = np.zeros((B,) + w.shape)
     for off in _offsets(kernel, dims):
         patch = _window(xp, off, stride, out_sp).reshape(B, cin, length)
-        dw_b = dflat @ patch.transpose(0, 2, 1)
-        dw[(*lead, *off)] = dw_b if per_sample else dw_b.sum(axis=0)
+        dw[(slice(None),) * 3 + off] = dflat @ patch.transpose(0, 2, 1)
         if want_dx:
             dpatch = (w[(slice(None), slice(None), *off)].T @ dflat).reshape(B, cin, *out_sp)
             _window(dxp, off, stride, out_sp)[...] += dpatch
     dx = dxp if padding == 0 or not want_dx else dxp[_interior(padding, x.shape[2:])]
-    db = dout.sum(axis=_param_reduce_axes(dout, per_sample)) if want_bias else None
+    db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
 
@@ -180,23 +172,23 @@ def _dwconv_fwd(x, w, b, stride, padding):
     return out
 
 
-def _dwconv_bwd(x, w, dout, stride, padding, want_bias, per_sample):
+def _dwconv_bwd(x, w, dout, stride, padding, want_bias):
+    """Input and per-sample weight and bias gradients."""
     B, c = x.shape[:2]
     kernel = w.shape[2]
     dims = x.ndim - 2
     xp = _pad(x, padding)
     out_sp = dout.shape[2:]
     dxp = np.zeros_like(xp)
-    dw = np.zeros(((B,) if per_sample else ()) + w.shape)
-    lead = (slice(None),) * (2 if per_sample else 1)
-    reduce_axes = _param_reduce_axes(dout, per_sample)
+    dw = np.zeros((B,) + w.shape)
+    spatial = tuple(range(2, dout.ndim))
     for off in _offsets(kernel, dims):
         patch = _window(xp, off, stride, out_sp)
-        dw[(*lead, 0, *off)] = (dout * patch).sum(axis=reduce_axes)
+        dw[(slice(None), slice(None), 0) + off] = (dout * patch).sum(axis=spatial)
         coeff = w[(slice(None), 0, *off)].reshape((1, c) + (1,) * dims)
         _window(dxp, off, stride, out_sp)[...] += dout * coeff
     dx = dxp if padding == 0 else dxp[_interior(padding, x.shape[2:])]
-    db = dout.sum(axis=reduce_axes) if want_bias else None
+    db = dout.sum(axis=spatial) if want_bias else None
     return dx, dw, db
 
 
@@ -232,19 +224,17 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - picked))
 
 
-def _ce_grad(
-    logits: np.ndarray, labels: np.ndarray, scale: float, per_sample: bool
-) -> np.ndarray:
-    """Loss gradient w.r.t. the logits.
+def _ce_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Per-row loss gradient w.r.t. the logits.
 
-    per_sample seeds each row as the gradient of its own one-row mean
-    loss, so no 1/B factor.
+    Row b is the gradient of sample b's own cross-entropy, so no 1/B
+    factor.
     """
     z = logits - logits.max(axis=1, keepdims=True)
     ez = np.exp(z)
     p = ez / ez.sum(axis=1, keepdims=True)
     p[np.arange(len(labels)), labels] -= 1.0
-    return p * (scale / (1 if per_sample else len(labels)))
+    return p
 
 
 def _as_batch(g: ArchitectureGraph, batch: np.ndarray) -> np.ndarray:
@@ -311,17 +301,15 @@ def backward(
     params: ParamSet,
     batch: np.ndarray,
     labels: np.ndarray,
-    scale: float = 1.0,
-    per_sample: bool = False,
     trace: ForwardTrace | None = None,
 ) -> GradientRecord:
-    """Gradients of the (scaled) mean cross-entropy w.r.t. all parameters.
+    """Per-sample cross-entropy gradients w.r.t. all parameters.
 
-    per_sample=True returns per-sample gradients from the same single
-    pass: each array gains a leading batch axis, and row b holds the
-    gradient of the loss evaluated on sample b alone.  trace, when
-    given, must be forward(g, params, batch); backward then reuses it
-    instead of running the forward pass again.
+    Every array has a leading batch axis, and row b holds the gradient
+    of the loss evaluated on sample b alone; the mean over that axis is
+    the gradient of the mean loss over the batch.  trace, when given,
+    must be forward(g, params, batch); backward then reuses it instead
+    of running the forward pass again.
     """
     x = _as_batch(g, batch)
     labels = np.asarray(labels)
@@ -334,7 +322,7 @@ def backward(
     elif len(trace.logits) != len(x):
         raise ShapeMismatch("trace was not recorded on this batch")
     n = len(g.nodes)
-    douts: dict[int, np.ndarray] = {n - 1: _ce_grad(trace.logits, labels, scale, per_sample)}
+    douts: dict[int, np.ndarray] = {n - 1: _ce_grad(trace.logits, labels)}
     wgrads: dict[int, np.ndarray] = {}
     bgrads: dict[int, np.ndarray] = {}
 
@@ -355,24 +343,21 @@ def backward(
         if kind == "conv":
             # a conv reading the graph input has no input gradient to pass on
             dx, dw, db = _conv_bwd(a, params.weights[i], dout, node.stride, node.padding,
-                                   i in params.biases, per_sample, want_dx=bool(g.preds[i]))
+                                   i in params.biases, want_dx=bool(g.preds[i]))
             wgrads[i] = dw
             if db is not None:
                 bgrads[i] = db
         elif kind == "depthwise-conv":
             dx, dw, db = _dwconv_bwd(a, params.weights[i], dout, node.stride, node.padding,
-                                     i in params.biases, per_sample)
+                                     i in params.biases)
             wgrads[i] = dw
             if db is not None:
                 bgrads[i] = db
         elif kind == "linear":
             flat = a.reshape(len(a), -1)
-            if per_sample:
-                wgrads[i] = dout[:, :, None] * flat[:, None, :]
-            else:
-                wgrads[i] = dout.T @ flat
+            wgrads[i] = dout[:, :, None] * flat[:, None, :]
             if i in params.biases:
-                bgrads[i] = dout if per_sample else dout.sum(axis=0)
+                bgrads[i] = dout
             dx = (dout @ params.weights[i]).reshape(a.shape)
         elif kind == "relu":
             dx = dout * trace.relu_patterns[i]
@@ -398,4 +383,4 @@ def backward(
             raise ShapeMismatch(f"unknown layer kind '{kind}'")
         if g.preds[i]:
             push(g.preds[i][0], dx)
-    return GradientRecord(weight_grads=wgrads, bias_grads=bgrads, per_sample=per_sample)
+    return GradientRecord(weight_grads=wgrads, bias_grads=bgrads)

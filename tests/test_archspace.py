@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -179,6 +180,21 @@ def test_prune_keeps_add_endpoints_equal(space2d, task2d, templates):
             if node.kind == "add":
                 widths = {shapes[p][0] for p in pruned.preds[i]}
                 assert len(widths) == 1
+
+
+def test_prune_leaves_input_graph_unchanged(space2d, task2d, templates):
+    rng = np.random.default_rng(15)
+    for _ in range(10):
+        x = sample(rng, space2d)
+        g = decode(x, space2d, task2d, templates)
+        before = copy.deepcopy(g)
+        pruned = apply_static_pruning(g, (0.6, 0.6, 0.6, 0.6))
+        assert g.nodes == before.nodes
+        assert g.preds == before.preds
+        assert g.shapes == before.shapes
+        assert not any(a is b for a, b in zip(g.nodes, pruned.nodes))
+        assert not any(a is b for a, b in zip(g.preds, pruned.preds))
+        assert pruned.shapes is not g.shapes
 
 
 def test_prune_then_shapes_consistent(space1d, task1d, templates):
