@@ -135,14 +135,20 @@ def test_batched_per_sample_gradients_on_decoded_candidate(space1d, task1d, temp
     _assert_per_sample_matches_rows(g, params, batch, rng.integers(0, task1d.num_classes, 6))
 
 
-def test_backward_reuses_a_given_trace_exactly():
+@pytest.mark.parametrize("reuse_twice", [False, True])
+def test_backward_reuses_a_given_trace_exactly(reuse_twice):
+    """A given trace yields the gradients of a fresh forward; with reuse_twice
+    a second backward from the same trace checks the first left it intact."""
     g = branchy_graph()
     rng = np.random.default_rng(14)
     params = init_params(g, rng)
     batch = rng.standard_normal((3, 2, 8, 8))
     labels = np.array([2, 0, 1])
     fresh = backward(g, params, batch, labels)
-    reused = backward(g, params, batch, labels, trace=forward(g, params, batch))
+    trace = forward(g, params, batch)
+    reused = backward(g, params, batch, labels, trace=trace)
+    if reuse_twice:
+        reused = backward(g, params, batch, labels, trace=trace)
     for got, want in ((reused.weight_grads, fresh.weight_grads), (reused.bias_grads, fresh.bias_grads)):
         assert got.keys() == want.keys()
         for node in want:
