@@ -65,7 +65,12 @@ class RunConfig:
     jobs: int
 
     def echo(self) -> dict:
-        """Plain-data view of the effective configuration."""
+        """Plain-data view of the configuration that determines results.
+
+        output_dir and jobs are left out: where a run writes and how many
+        workers score it do not change its outputs, so they must not
+        change run_summary.json or its config_hash either.
+        """
         space = self.search.space
         return {
             "task": {
@@ -109,8 +114,6 @@ class RunConfig:
                 "seed": self.hss.seed,
             },
             "templates": self.templates_path,
-            "output_dir": self.output_dir,
-            "jobs": self.jobs,
         }
 
 

@@ -88,38 +88,76 @@ IE_MAX_POINTS = 12
 # an even number of set bits, -1 for an odd number.
 _MASK_BITS = ((np.arange(1 << IE_MAX_POINTS)[:, None] >> np.arange(IE_MAX_POINTS)) & 1).astype(float)
 _EVEN_SIGN = 1.0 - 2.0 * (_MASK_BITS.sum(axis=1) % 2)
-# Elements of one under-full gain block (masks x candidates x objectives).
-_GAIN_BLOCK = 1 << 18
+# Elements of one batched temporary (masks x rows x candidates x
+# objectives): larger blocks raise peak memory and gain no speed.
+_BLOCK = 1 << 15
+
+
+def _row_blocks(rows: int, per_row: int) -> list[slice]:
+    """Slices over rows, each covering at most _BLOCK // per_row rows (at least one)."""
+    step = max(1, _BLOCK // per_row)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _count_groups(counts: np.ndarray):
+    """(m, rows) for each distinct value m of counts, ascending, with rows
+    the positions where counts == m.
+
+    np.bincount, not np.unique: on integers np.unique imports numpy.ma,
+    which costs 1.5 MB of peak memory.
+    """
+    for m in np.flatnonzero(np.bincount(counts)):
+        yield int(m), np.flatnonzero(counts == m)
+
+
+def _members(bits: np.ndarray, m: int) -> np.ndarray:
+    """(G, m) sorted member indices of rows of bits that each hold m set bits."""
+    return np.nonzero(bits)[1].reshape(len(bits), m)
 
 
 def _corners(p: np.ndarray) -> np.ndarray:
-    """Componentwise max of every subset of the rows of p, by bitmask.
+    """Componentwise max of every subset of each of G sets of m points, by bitmask.
 
-    Row t is the max over the points whose bit is set in t; row 0 (the
-    empty subset) is -inf, so max(x, row 0) == x.
+    p is (G, m, d).  Row t of the (2^m, G, d) result is, per set, the max
+    over the points whose bit is set in t; row 0 (the empty subset) is
+    -inf, so max(x, row 0) == x.
     """
-    m, d = p.shape
-    corners = np.empty((1 << m, d))
+    g, m, d = p.shape
+    corners = np.empty((1 << m, g, d))
     corners[0] = -np.inf
     for j in range(m):
         lo = 1 << j
-        np.maximum(corners[:lo], p[j], out=corners[lo : 2 * lo])
+        np.maximum(corners[:lo], p[:, j], out=corners[lo : 2 * lo])
     return corners
 
 
 def _box_volumes(corners: np.ndarray, ref: np.ndarray) -> np.ndarray:
     # Boxes [corner, ref]; a corner outside the reference box bounds nothing.
-    return np.prod(np.clip(ref - corners, 0.0, None), axis=-1)
+    sides = ref - corners
+    return np.prod(np.clip(sides, 0.0, None, out=sides), axis=-1)
+
+
+def _volume_rows(p: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """(G, 2^m - 1): box volumes of the non-empty corners of each set in p.
+
+    One contiguous row per set: the dot products over a row are taken
+    per set, because one batched matrix product rounds differently from
+    the product for a lone set.
+    """
+    return np.ascontiguousarray(_box_volumes(_corners(p)[1:], ref).T)
 
 
 def _ie_hypervolume(p: np.ndarray, ref: np.ndarray) -> float:
     """Exact hypervolume of at most IE_MAX_POINTS points by inclusion-exclusion."""
-    corners = _corners(p)
-    return -float(_EVEN_SIGN[1 : len(corners)] @ _box_volumes(corners[1:], ref))
+    return -float(_EVEN_SIGN[1 : 1 << len(p)] @ _volume_rows(p[None], ref)[0])
 
 
 class _HvCache:
-    """Hypervolume of subsets of a fixed front, memoized by membership."""
+    """Hypervolume of subsets of a fixed front, memoized by membership.
+
+    The batched methods take G sets of m members each as a (G, m) array
+    of sorted point indices.
+    """
 
     def __init__(self, points: np.ndarray, ref: np.ndarray):
         self.points = points
@@ -132,30 +170,49 @@ class _HvCache:
             return _ie_hypervolume(self.points[idx], self.ref)
         return hypervolume(self.points[idx], self.ref)
 
-    def of_packed(self, key: bytes) -> float:
-        """Hypervolume of the subset whose np.packbits membership is key."""
-        hit = self._table.get(key)
-        if hit is None:
-            bits = np.unpackbits(np.frombuffer(key, np.uint8), count=len(self.points))
-            hit = self._table[key] = self.of_indices(np.flatnonzero(bits))
-        return hit
+    def of_rows(self, bits: np.ndarray) -> np.ndarray:
+        """Uncached hypervolume of the subset marked in each row of bits."""
+        hv = np.empty(len(bits))
+        for m, rows in _count_groups(bits.sum(axis=1)):
+            on = _members(bits[rows], m)
+            if m > IE_MAX_POINTS:
+                hv[rows] = [hypervolume(self.points[idx], self.ref) for idx in on]
+                continue
+            for blk in _row_blocks(len(on), (1 << m) * self.points.shape[1]):
+                volumes = _volume_rows(self.points[on[blk]], self.ref)
+                hv[rows[blk]] = [-float(_EVEN_SIGN[1 : 1 << m] @ v) for v in volumes]
+        return hv
+
+    def of_packed(self, keys: list[bytes]) -> np.ndarray:
+        """Hypervolumes of the subsets whose np.packbits memberships are keys."""
+        new = [key for key in dict.fromkeys(keys) if key not in self._table]
+        if new:
+            bits = np.unpackbits(
+                np.frombuffer(b"".join(new), np.uint8).reshape(len(new), -1),
+                axis=1, count=len(self.points),
+            ).view(bool)
+            self._table.update(zip(new, self.of_rows(bits)))
+        return np.array([self._table[key] for key in keys])
 
     def removal_losses(self, on: np.ndarray) -> np.ndarray:
-        """Hypervolume lost when each member of `on` alone is removed.
+        """(G, m): hypervolume each set loses when each member alone is removed.
 
         Members that another member weakly dominates lose exactly 0.
         """
-        if len(on) > IE_MAX_POINTS:
-            return self.sweep_losses(on, range(len(on)))
-        p = self.points[on]
-        m = len(on)
-        terms = np.zeros(1 << m)
-        terms[1:] = _EVEN_SIGN[1 : 1 << m] * _box_volumes(_corners(p)[1:], self.ref)
-        # the terms of the masks holding bit j sum to minus j's exclusive volume
-        losses = -(terms @ _MASK_BITS[: 1 << m, :m])
-        dominated = (p[None, :, :] <= p[:, None, :]).all(axis=2)
-        np.fill_diagonal(dominated, False)
-        losses[dominated.any(axis=1)] = 0.0
+        g, m = on.shape
+        if m > IE_MAX_POINTS:
+            return np.array([self.sweep_losses(idx, range(m)) for idx in on])
+        losses = np.empty((g, m))
+        for blk in _row_blocks(g, (1 << m) * self.points.shape[1]):
+            p = self.points[on[blk]]
+            terms = np.zeros((len(p), 1 << m))
+            terms[:, 1:] = _EVEN_SIGN[1 : 1 << m] * _volume_rows(p, self.ref)
+            # the terms of the masks holding bit j sum to minus j's exclusive
+            # volume; one product per set keeps a lone set's rounding
+            losses[blk] = [-(t @ _MASK_BITS[: 1 << m, :m]) for t in terms]
+            dominated = (p[:, None, :, :] <= p[:, :, None, :]).all(axis=3)
+            dominated[:, range(m), range(m)] = False
+            losses[blk][dominated.any(axis=2)] = 0.0
         return losses
 
     def sweep_losses(self, on: np.ndarray, members) -> np.ndarray:
@@ -164,57 +221,73 @@ class _HvCache:
         full = hypervolume(p, self.ref)
         return np.array([full - hypervolume(np.delete(p, j, axis=0), self.ref) for j in members])
 
-    def addition_gains(self, on: np.ndarray, cand: np.ndarray) -> np.ndarray:
-        """Hypervolume each point of cand adds to the set `on`.
+    def addition_gains(self, on: np.ndarray) -> np.ndarray:
+        """(G, n): hypervolume each front point adds to each set; members get -inf.
 
         The gain of b over S is the sum over T subset of S of
-        (-1)^|T| vol(box of max(b, max T)).  Candidates a member of S
-        weakly dominates gain exactly 0.
+        (-1)^|T| vol(box of max(b, max T)).  Points a member of S weakly
+        dominates gain exactly 0.
         """
-        if len(on) >= IE_MAX_POINTS:
-            base = self.of_indices(on)
-            return np.array([self.of_indices(np.append(on, b)) - base for b in cand])
-        corners = _corners(self.points[on])
-        c = self.points[cand]
-        step = max(1, _GAIN_BLOCK // corners.size)
-        volumes = [
-            _box_volumes(np.maximum(c[None, lo : lo + step], corners[:, None]), self.ref)
-            for lo in range(0, len(c), step)
-        ]
-        # summed down axis 0, so equal candidates get bit-identical gains
-        gains = (_EVEN_SIGN[: len(corners), None] * np.concatenate(volumes, axis=1)).sum(axis=0)
-        dominated = (self.points[on][None, :, :] <= c[:, None, :]).all(axis=2).any(axis=1)
-        gains[dominated] = 0.0
+        g, m = on.shape
+        n, d = self.points.shape
+        gains = np.full((g, n), -np.inf)
+        if m >= IE_MAX_POINTS:
+            for row, idx in zip(gains, on):
+                base = self.of_indices(idx)
+                free = np.ones(n, dtype=bool)
+                free[idx] = False
+                for b in np.flatnonzero(free):
+                    row[b] = self.of_indices(np.append(idx, b)) - base
+            return gains
+        masks = 1 << m
+        for blk in _row_blocks(g, masks * n * d):
+            p = self.points[on[blk]]
+            corners = _corners(p)[:, :, None, :]
+            step = max(2, _BLOCK // (masks * len(p) * d))
+            for lo in range(0, n, step):
+                # summed mask by mask down axis 0, so equal candidates get
+                # bit-identical gains; never one column, which numpy
+                # would sum pairwise instead
+                cols = slice(max(0, min(lo, n - 2)), lo + step)
+                volumes = _box_volumes(np.maximum(self.points[cols], corners), self.ref)
+                gains[blk, cols] = (_EVEN_SIGN[:masks, None, None] * volumes).sum(axis=0)
+            dominated = (p[:, None, :, :] <= self.points[None, :, None, :]).all(axis=3).any(axis=2)
+            gains[blk][dominated] = 0.0
+            gains[blk][np.arange(len(p))[:, None], on[blk]] = -np.inf
         return gains
 
 
-def _repair_bits(bits: np.ndarray, k: int, cache: _HvCache) -> np.ndarray:
-    """Force exactly k set bits, steered by hypervolume.
+def _repair_rows(bits: np.ndarray, k: int, cache: _HvCache) -> np.ndarray:
+    """Force exactly k set bits in each row of bits, steered by hypervolume.
 
-    Over-full genes keep the k members whose individual removal would
+    Over-full rows keep the k members whose individual removal would
     lose the most hypervolume (ties keep the lower index).  Under-full
-    genes greedily add the bit with the largest hypervolume gain (ties
-    take the lowest index).
+    rows greedily add the point with the largest hypervolume gain (ties
+    take the lowest index).  Rows with equal member counts are repaired
+    together; each row's result is that of repairing it alone.
     """
     bits = bits.copy()
-    on = np.flatnonzero(bits)
-    if len(on) > k:
+    counts = bits.sum(axis=1)
+    for m, rows in _count_groups(counts):
+        if m <= k:
+            continue
+        on = _members(bits[rows], m)
         losses = cache.removal_losses(on)
-        zero = np.flatnonzero(losses == 0.0)
-        if len(on) - len(zero) < k:
+        zero = losses == 0.0
+        for j in np.flatnonzero(m - zero.sum(axis=1) < k):
             # The cut falls among members whose removal loses nothing.
             # Their order is a matter of rounding: take the sweep
             # kernel's, which the leave-one-out rule has always used.
-            losses[zero] = cache.sweep_losses(on, zero)
-        keep = on[np.argsort(-losses, kind="stable")[:k]]
-        bits[:] = False
-        bits[keep] = True
-        on = keep
-    while len(on) < k:
-        cand = np.flatnonzero(~bits)
-        best_bit = cand[int(np.argmax(cache.addition_gains(on, cand)))]
-        bits[best_bit] = True
-        on = np.flatnonzero(bits)
+            losses[j, zero[j]] = cache.sweep_losses(on[j], np.flatnonzero(zero[j]))
+        keep = np.take_along_axis(on, np.argsort(-losses, axis=1, kind="stable")[:, :k], axis=1)
+        bits[rows] = False
+        bits[rows[:, None], keep] = True
+    counts = np.minimum(counts, k)
+    for m in range(int(counts.min(initial=k)), k):
+        rows = np.flatnonzero(counts == m)
+        gains = cache.addition_gains(_members(bits[rows], m))
+        bits[rows, np.argmax(gains, axis=1)] = True
+        counts[rows] += 1
     return bits
 
 
@@ -229,7 +302,7 @@ def repair(gene: SubsetGene, points, ref=None) -> SubsetGene:
     if gene.k < 1 or gene.k > len(p):
         raise InfeasibleK(f"cannot select {gene.k} of {len(p)} points")
     cache = _HvCache(p, _reference(p, ref))
-    return SubsetGene(_repair_bits(gene.bits, gene.k, cache), gene.k)
+    return SubsetGene(_repair_rows(gene.bits[None], gene.k, cache)[0], gene.k)
 
 
 def _repair_population(genes, k, cache, memo):
@@ -238,20 +311,19 @@ def _repair_population(genes, k, cache, memo):
     memo maps a gene's packed bits to its repaired gene's packed bits,
     which also key the hypervolume in cache; repair is a pure function of
     the gene, so a gene seen in an earlier generation is not repaired
-    again.
+    again, and the genes first seen here are repaired in one batch.
     """
     packed = np.packbits(genes, axis=1)
     # one opaque item per row: sorts by memcmp, far faster than axis=0
     rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
     distinct, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-    fixed = []
-    for j, row in enumerate(distinct):
-        key = row.tobytes()
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = np.packbits(_repair_bits(genes[first[j]], k, cache)).tobytes()
-        fixed.append(hit)
-    hv = np.array([cache.of_packed(f) for f in fixed])
+    keys = [row.tobytes() for row in distinct]
+    new = [j for j, key in enumerate(keys) if key not in memo]
+    if new:
+        fixed_new = np.packbits(_repair_rows(genes[first[new]], k, cache), axis=1)
+        memo.update((keys[j], row.tobytes()) for j, row in zip(new, fixed_new))
+    fixed = [memo[key] for key in keys]
+    hv = cache.of_packed(fixed)
     repaired = np.unpackbits(
         np.frombuffer(b"".join(fixed), np.uint8).reshape(len(fixed), -1),
         axis=1, count=genes.shape[1],

@@ -196,11 +196,16 @@ def _maxpool_fwd(x, kernel, stride, padding):
     dims = x.ndim - 2
     xp = _pad(x, padding, value=-np.inf)
     out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
-    stack = np.stack(
-        [_window(xp, off, stride, out_sp) for off in _offsets(kernel, dims)], axis=0
-    )
-    arg = stack.argmax(axis=0)  # ties resolve to the first offset
-    out = np.take_along_axis(stack, arg[None], axis=0)[0]
+    offsets = _offsets(kernel, dims)
+    out = _window(xp, offsets[0], stride, out_sp).copy()
+    arg = np.zeros(out.shape, dtype=np.intp)
+    for idx, off in enumerate(offsets[1:], start=1):
+        win = _window(xp, off, stride, out_sp)
+        # strictly greater: ties resolve to the first offset, and
+        # maximum(win, out) returns out on a tie, so a tie keeps the
+        # first offset's value too
+        np.putmask(arg, win > out, idx)
+        np.maximum(win, out, out=out)
     return out, arg
 
 

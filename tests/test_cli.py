@@ -1,7 +1,9 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -177,21 +179,28 @@ def test_env_seed_used_without_explicit_value(run_yaml, tmp_path, capsys, monkey
 
 
 def test_jobs_flag_matches_serial_output(run_yaml, tmp_path, capsys):
+    # the same run at --jobs 1 and 2, written to two directories: neither
+    # the worker count nor the output directory may change a byte
     out1 = tmp_path / "o1"
     out2 = tmp_path / "o2"
     cfg1 = run_yaml(out1)
-    main(["explore", "--config", str(cfg1)])
+    assert main(["explore", "--config", str(cfg1), "--jobs", "1"]) == 0
     cfg2 = run_yaml(out2)
-    main(["explore", "--config", str(cfg2), "--jobs", "2"])
-    assert (out1 / "trials.jsonl").read_bytes() == (out2 / "trials.jsonl").read_bytes()
+    assert main(["explore", "--config", str(cfg2), "--jobs", "2"]) == 0
+    for name in ("trials.jsonl", "pareto.csv", "run_summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     capsys.readouterr()
 
 
 def test_console_entry_point():
+    # the subprocess does not see pytest's pythonpath setting: give it src
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "protonas.cli", "print-defaults"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert yaml.safe_load(proc.stdout)["hss"]["k"] == 5

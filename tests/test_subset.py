@@ -19,7 +19,7 @@ from protonas.hvss import (
     subset_hypervolume,
 )
 from protonas.hvss import _hv_py
-from protonas.hvss.subset import IE_MAX_POINTS, _HvCache, _ie_hypervolume
+from protonas.hvss.subset import IE_MAX_POINTS, _HvCache, _ie_hypervolume, _repair_population
 
 
 def small_cfg(seed=0):
@@ -236,13 +236,147 @@ def test_batched_repair_steps_match_cached_hypervolume():
         ref = np.full(d, 1.1)
         pts = awkward_points(rng, n, d, ref)
         cache = _HvCache(pts, ref)
-        on = np.sort(rng.choice(n, size=int(rng.integers(0, min(n, IE_MAX_POINTS))), replace=False))
-        full = cache.of_packed(packed_of(n, on))
-        for j, loss in enumerate(cache.removal_losses(on)):
-            assert abs((full - loss) - cache.of_packed(packed_of(n, np.delete(on, j)))) <= 1e-12
-        cand = np.setdiff1d(np.arange(n), on)
-        for b, gain in zip(cand, cache.addition_gains(on, cand)):
-            assert abs((full + gain) - cache.of_packed(packed_of(n, np.append(on, b)))) <= 1e-12
+        m = int(rng.integers(0, min(n, IE_MAX_POINTS)))
+        on = np.sort([rng.choice(n, size=m, replace=False) for _ in range(3)], axis=1).reshape(3, m)
+
+        def hv(idx):
+            return cache.of_packed([packed_of(n, idx)])[0]
+
+        for row, losses, gains in zip(on, cache.removal_losses(on), cache.addition_gains(on)):
+            full = hv(row)
+            for j, loss in enumerate(losses):
+                assert abs((full - loss) - hv(np.delete(row, j))) <= 1e-12
+            assert (gains[row] == -np.inf).all()
+            for b in np.setdiff1d(np.arange(n), row):
+                assert abs((full + gains[b]) - hv(np.append(row, b))) <= 1e-12
+
+
+# The per-gene repair that the batched one replaced, kept as the oracle:
+# batching must not move a single bit of any loss, gain, repair or
+# hypervolume.
+ORACLE_BITS = ((np.arange(1 << IE_MAX_POINTS)[:, None] >> np.arange(IE_MAX_POINTS)) & 1).astype(float)
+ORACLE_SIGN = 1.0 - 2.0 * (ORACLE_BITS.sum(axis=1) % 2)
+
+
+def oracle_corners(p):
+    m, d = p.shape
+    corners = np.empty((1 << m, d))
+    corners[0] = -np.inf
+    for j in range(m):
+        lo = 1 << j
+        np.maximum(corners[:lo], p[j], out=corners[lo : 2 * lo])
+    return corners
+
+
+def oracle_volumes(corners, ref):
+    return np.prod(np.clip(ref - corners, 0.0, None), axis=-1)
+
+
+def oracle_hv(pts, idx, ref):
+    if len(idx) <= IE_MAX_POINTS:
+        corners = oracle_corners(pts[idx])
+        return -float(ORACLE_SIGN[1 : len(corners)] @ oracle_volumes(corners[1:], ref))
+    return hypervolume(pts[idx], ref)
+
+
+def oracle_sweep_losses(pts, on, members, ref):
+    p = pts[on]
+    full = hypervolume(p, ref)
+    return np.array([full - hypervolume(np.delete(p, j, axis=0), ref) for j in members])
+
+
+def oracle_losses(pts, on, ref):
+    if len(on) > IE_MAX_POINTS:
+        return oracle_sweep_losses(pts, on, range(len(on)), ref)
+    p = pts[on]
+    m = len(on)
+    terms = np.zeros(1 << m)
+    terms[1:] = ORACLE_SIGN[1 : 1 << m] * oracle_volumes(oracle_corners(p)[1:], ref)
+    losses = -(terms @ ORACLE_BITS[: 1 << m, :m])
+    dominated = (p[None, :, :] <= p[:, None, :]).all(axis=2)
+    np.fill_diagonal(dominated, False)
+    losses[dominated.any(axis=1)] = 0.0
+    return losses
+
+
+def oracle_gains(pts, on, cand, ref):
+    if len(on) >= IE_MAX_POINTS:
+        base = oracle_hv(pts, on, ref)
+        return np.array([oracle_hv(pts, np.append(on, b), ref) - base for b in cand])
+    corners = oracle_corners(pts[on])
+    c = pts[cand]
+    step = max(1, (1 << 18) // corners.size)
+    volumes = [
+        oracle_volumes(np.maximum(c[None, lo : lo + step], corners[:, None]), ref)
+        for lo in range(0, len(c), step)
+    ]
+    gains = (ORACLE_SIGN[: len(corners), None] * np.concatenate(volumes, axis=1)).sum(axis=0)
+    dominated = (pts[on][None, :, :] <= c[:, None, :]).all(axis=2).any(axis=1)
+    gains[dominated] = 0.0
+    return gains
+
+
+def oracle_repair(pts, bits, k, ref, tie_cuts):
+    bits = bits.copy()
+    on = np.flatnonzero(bits)
+    if len(on) > k:
+        losses = oracle_losses(pts, on, ref)
+        zero = np.flatnonzero(losses == 0.0)
+        if len(on) - len(zero) < k:
+            tie_cuts.append(len(on))
+            losses[zero] = oracle_sweep_losses(pts, on, zero, ref)
+        keep = on[np.argsort(-losses, kind="stable")[:k]]
+        bits[:] = False
+        bits[keep] = True
+        on = keep
+    while len(on) < k:
+        cand = np.flatnonzero(~bits)
+        bits[cand[int(np.argmax(oracle_gains(pts, on, cand, ref)))]] = True
+        on = np.flatnonzero(bits)
+    return bits
+
+
+# A 64-element block splits every batch into single rows and candidate
+# blocks of two.
+@pytest.mark.parametrize("seed, block", [(0, None), (1, 64), (2, None), (3, 64)])
+def test_batched_repair_equals_per_gene_repair(seed, block, monkeypatch):
+    import protonas.hvss.subset as subset_mod
+
+    if block is not None:
+        monkeypatch.setattr(subset_mod, "_BLOCK", block)
+    rng = np.random.default_rng(70 + seed)
+    # an odd front whose last point lies inside the box, so that a lone
+    # last candidate has a gain to get right
+    n = 2 * int(rng.integers(7, 11)) + 1
+    d = int(rng.integers(2, 6))
+    ref = np.full(d, 1.1)
+    pts = np.vstack([awkward_points(rng, n - 1, d, ref), rng.random(d)])
+    cache = _HvCache(pts, ref)
+    # losses and gains of sets of every size the batched kernels take
+    for m in range(IE_MAX_POINTS + 2):
+        on = np.sort([rng.choice(n, size=m, replace=False) for _ in range(5)], axis=1).reshape(5, m)
+        gains = cache.addition_gains(on) if m <= IE_MAX_POINTS else [None] * 5
+        for row, losses, row_gains in zip(on, cache.removal_losses(on), gains):
+            assert (losses == oracle_losses(pts, row, ref)).all()
+            if row_gains is not None:
+                cand = np.setdiff1d(np.arange(n), row)
+                assert (row_gains[cand] == oracle_gains(pts, row, cand, ref)).all()
+    # whole populations: empty, valid, over-full past IE_MAX_POINTS and
+    # random genes; k = 13 steps under-full genes past IE_MAX_POINTS
+    tie_cuts = []
+    for k, genes in ((1, 80), (3, 80), (5, 80), (13, 6)):
+        pop = rng.random((genes, n)) < rng.random((genes, 1))
+        pop[0] = False
+        pop[1] = False
+        pop[1, rng.choice(n, size=k, replace=False)] = True
+        pop[2] = True
+        repaired, hv = _repair_population(pop, k, cache, {})
+        for gene, got, got_hv in zip(pop, repaired, hv):
+            want = oracle_repair(pts, gene, k, ref, tie_cuts)
+            assert (got == want).all()
+            assert got_hv == oracle_hv(pts, np.flatnonzero(want), ref)
+    # some over-full genes cut among members that lose nothing
+    assert tie_cuts
 
 
 def sphere_front(seed, n, d):
@@ -284,14 +418,14 @@ def test_select_full_default_run_on_realistic_front():
 def test_repair_runs_once_per_distinct_gene(monkeypatch):
     import protonas.hvss.subset as subset_mod
 
-    real = subset_mod._repair_bits
+    real = subset_mod._repair_rows
     seen = []
 
     def counting(bits, k, cache):
-        seen.append(np.packbits(bits).tobytes())
+        seen.extend(np.packbits(row).tobytes() for row in bits)
         return real(bits, k, cache)
 
-    monkeypatch.setattr(subset_mod, "_repair_bits", counting)
+    monkeypatch.setattr(subset_mod, "_repair_rows", counting)
     cfg = HssConfig(population=200, generations=20, stagnation=1000, seed=3)
     got = select_subset(sphere_front(3, 16, 5), 5, cfg)
     assert len(got) == 5

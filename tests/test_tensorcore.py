@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from protonas.archspace import decode, sample
 from protonas.archspace.graph import ArchitectureGraph, LayerSpec
 from protonas.errors import ShapeMismatch
 from protonas.tensorcore import backward, cross_entropy, forward, init_params
-from protonas.tensorcore.engine import _conv_bwd, _pad
+from protonas.tensorcore.engine import _conv_bwd, _maxpool_fwd, _pad
 
 from conftest import chain_graph, tiny_classifier
 
@@ -224,6 +225,37 @@ def test_maxpool_ties_resolve_to_first_window_offset():
     assert trace2.pool_argmax[0][0, 0, 0, 0] == 1
     assert trace2.pool_argmax[0][0, 0, 0, 1] == 0
     assert trace2.outputs[0][0, 0, 0, 0] == 2.0
+
+
+def stacked_maxpool(x, kernel, stride, padding):
+    """Reference max pooling: stack every window offset, take the argmax."""
+    spatial = x.shape[2:]
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(padding, padding)] * len(spatial), constant_values=-np.inf)
+    out_sp = [(n + 2 * padding - kernel) // stride + 1 for n in spatial]
+    windows = [
+        xp[(slice(None), slice(None)) + tuple(slice(o, o + stride * n, stride) for o, n in zip(off, out_sp))]
+        for off in itertools.product(range(kernel), repeat=len(spatial))
+    ]
+    stack = np.stack(windows)
+    arg = stack.argmax(axis=0)
+    return np.take_along_axis(stack, arg[None], axis=0)[0], arg
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 9), (2, 3, 7, 8)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_maxpool_fwd_matches_stacked_argmax(shape, stride, padding):
+    rng = np.random.default_rng(len(shape) + 2 * stride + padding)
+    # five distinct values: most windows tie, also between 0.0 and -0.0
+    x = rng.integers(-2, 3, size=shape) * 0.5
+    x[x == 0.0] *= rng.choice([1.0, -1.0], size=int((x == 0.0).sum()))
+    x[rng.random(shape) < 0.2] = -np.inf
+    for kernel in (2, 3):
+        want_out, want_arg = stacked_maxpool(x, kernel, stride, padding)
+        got_out, got_arg = _maxpool_fwd(x, kernel, stride, padding)
+        assert got_arg.dtype == want_arg.dtype and np.array_equal(got_arg, want_arg)
+        assert np.array_equal(got_out, want_out)
+        assert np.array_equal(np.signbit(got_out), np.signbit(want_out))
 
 
 def test_init_params_he_scale():
