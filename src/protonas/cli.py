@@ -17,6 +17,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -128,6 +129,40 @@ def _read_front_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def _numeric_columns(
+    path: Path, header: list[str], rows: list[list[str]], columns: list[str]
+) -> list[list[float]]:
+    """Per row, the cells of `columns` as finite floats.
+
+    Checks every row before returning, so a command can validate its
+    input before it writes anything.  Raises ConfigError naming the file,
+    the row (1 is the first row after the header) and the column.
+    """
+    for name in columns:
+        if name not in header:
+            raise ConfigError(f"{path}: no {name} column")
+    idx = [header.index(name) for name in columns]
+    values = []
+    for n, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ConfigError(
+                f"{path}: row {n}: expected {len(header)} cells as in the header, found {len(row)}"
+            )
+        vals = []
+        for name, i in zip(columns, idx):
+            try:
+                v = float(row[i])
+            except ValueError:
+                v = math.nan
+            if not math.isfinite(v):
+                raise ConfigError(
+                    f"{path}: row {n}, column {name}: expected a finite number, got {row[i]!r}"
+                )
+            vals.append(v)
+        values.append(vals)
+    return values
+
+
 def cmd_select(args) -> int:
     cfg = _resolve(load_config(args.config, seed_flag=args.seed), args)
     if args.seed is not None:
@@ -138,11 +173,12 @@ def cmd_select(args) -> int:
     obj_cols = [c for c in header if c.startswith("obj_")]
     if not obj_cols:
         raise ConfigError(f"{front_path}: no obj_* columns found")
+    values = _numeric_columns(front_path, header, rows, ["trial"] + obj_cols)
     if not rows:
         print("front is empty; nothing to select", file=sys.stderr)
         return EMPTY_RESULT
-    idx = [header.index(c) for c in obj_cols]
-    points = [[float(row[i]) for i in idx] for row in rows]
+    trials = [int(v[0]) for v in values]
+    points = [v[1:] for v in values]
 
     k = min(cfg.k, len(points))
     note = None
@@ -161,7 +197,7 @@ def cmd_select(args) -> int:
         "front_size": len(points),
         "k_requested": cfg.k,
         "k_selected": len(chosen),
-        "selected_trials": [int(float(rows[i][header.index("trial")])) for i in chosen],
+        "selected_trials": [trials[i] for i in chosen],
         "hypervolume": subset_hypervolume(normalized, chosen, ref),
         "reference": list(ref),
     }
@@ -194,12 +230,8 @@ def cmd_report(args) -> int:
     acc = None
     if args.accuracy is not None:
         header, rows = _read_front_csv(args.accuracy)
-        if "trial" not in header or "accuracy" not in header:
-            raise ConfigError(f"{args.accuracy}: expected columns trial,accuracy")
-        acc = {
-            int(float(r[header.index("trial")])): float(r[header.index("accuracy")])
-            for r in rows
-        }
+        values = _numeric_columns(args.accuracy, header, rows, ["trial", "accuracy"])
+        acc = {int(t): a for t, a in values}
         joined = [t for t in scored if t["trial"] in acc]
         if len(joined) < 2:
             print("fewer than two trials with accuracy; nothing to correlate", file=sys.stderr)

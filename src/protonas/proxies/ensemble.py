@@ -32,6 +32,12 @@ from ..errors import ConfigError
 from ..tensorcore.engine import ForwardTrace, GradientRecord, ParamSet, backward, forward
 
 _SCORED_KINDS = ("conv", "depthwise-conv", "linear")
+# Columns per block of zico's per-sample gradient statistics: with 16
+# samples a block and its temporaries stay within a few hundred KiB.
+_ZICO_BLOCK = 4096
+# Units per sample in one block of naswot's activation codes (4 MiB of
+# float codes for a batch of 8).
+_CODE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,30 +83,96 @@ def snip(g: ArchitectureGraph, params: ParamSet, batch, labels) -> float:
     return _snip_from_record(params, backward(g, params, batch, labels))
 
 
+def _agreement(blocks) -> np.ndarray:
+    """Code agreement matrix over the columns of all (B, N_k) blocks.
+
+    K[i, j] = c c^T + (1 - c)(1 - c)^T over the concatenated codes c,
+    taken as 2 c c^T + N - s_i - s_j with s the row sums.  For binary
+    codes every partial sum is an integer below 2**53, so summing one
+    product per block gives the same matrix exactly, without building c.
+    """
+    cc = s = 0.0
+    units = 0
+    for block in blocks:
+        c = np.asarray(block, dtype=float)
+        cc = cc + c @ c.T
+        s = s + c.sum(axis=1)
+        units += c.shape[1]
+    return 2.0 * cc + units - s[:, None] - s[None, :]
+
+
+def _logdet(k: np.ndarray, eps: float) -> float:
+    _, logdet = np.linalg.slogdet(k + eps * np.eye(len(k)))
+    return float(logdet)
+
+
 def naswot_from_codes(codes: np.ndarray, eps: float = 1e-6) -> float:
     """Log-determinant of the code agreement matrix, floored by eps*I.
 
     codes: (B, N) binary activation patterns, one row per sample.
     """
-    c = np.asarray(codes, dtype=float)
+    c = np.asarray(codes)
     if c.ndim != 2:
         raise ValueError("codes must be (batch, units)")
-    k = c @ c.T + (1.0 - c) @ (1.0 - c).T
-    _, logdet = np.linalg.slogdet(k + eps * np.eye(len(k)))
-    return float(logdet)
+    return _logdet(_agreement([c]), eps)
 
 
-def _relu_codes(trace: ForwardTrace) -> np.ndarray:
-    """(B, N) activation codes of every relu in the trace, in node order."""
-    rows = [trace.relu_patterns[i].reshape(len(trace.logits), -1)
-            for i in sorted(trace.relu_patterns)]
-    if not rows:
+def _naswot_from_trace(trace: ForwardTrace, eps: float) -> float:
+    """naswot over every relu's activation codes in the trace, in node
+    order, read in blocks of at most _CODE_BLOCK units per sample."""
+    if not trace.relu_patterns:
         raise ConfigError("naswot needs at least one relu layer")
-    return np.concatenate(rows, axis=1)
+    rows = len(trace.logits)
+    codes = [trace.relu_patterns[i].reshape(rows, -1) for i in sorted(trace.relu_patterns)]
+    step = _CODE_BLOCK
+    blocks = (c[:, lo : lo + step] for c in codes for lo in range(0, c.shape[1], step))
+    return _logdet(_agreement(blocks), eps)
 
 
 def naswot(g: ArchitectureGraph, params: ParamSet, batch, eps: float = 1e-6) -> float:
-    return naswot_from_codes(_relu_codes(forward(g, params, batch)), eps)
+    return _naswot_from_trace(forward(g, params, batch), eps)
+
+
+def _zico_ratios(records: list[list[np.ndarray]], eps: float) -> np.ndarray:
+    """mean|g| / (std(g) + eps) per parameter of one layer.
+
+    records: per record, the (S_r, P_k) column parts whose concatenation,
+    parts along axis 1 and records along axis 0, is the layer's (S, P)
+    matrix of per-sample gradients.  That matrix is never built: the
+    statistics are taken on blocks of at most _ZICO_BLOCK columns, and
+    each column is still reduced over the samples in order, so the ratios
+    are bit-identical to the unblocked ones.
+    """
+    samples = sum(len(parts[0]) for parts in records)
+    width = sum(part.shape[1] for part in records[0])
+    # numpy reduces a lone column pairwise and wider blocks row by row,
+    # so a block never has one column unless the layer has one parameter
+    step = max(2, _ZICO_BLOCK)
+    bounds = list(range(0, width, step)) + [width]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    buf = np.empty(samples * min(width, step + 1))
+    ratio = np.empty(width)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = buf[: samples * (hi - lo)].reshape(samples, hi - lo)
+        r0 = 0
+        for parts in records:
+            r1, c0 = r0 + len(parts[0]), 0
+            for part in parts:
+                c1 = c0 + part.shape[1]
+                a, b = max(lo, c0), min(hi, c1)
+                if a < b:
+                    block[r0:r1, a - lo : b - lo] = part[:, a - c0 : b - c0]
+                c0 = c1
+            r0 = r1
+        ratio[lo:hi] = np.abs(block).mean(axis=0) / (block.std(axis=0) + eps)
+    return ratio
+
+
+def _zico_layer(records: list[list[np.ndarray]], eps: float) -> float:
+    """One layer's zico term: log of its summed ratios, floored at eps.
+    The ratio vector is summed whole, as one contiguous array."""
+    return float(np.log(max(_zico_ratios(records, eps).sum(), eps)))
 
 
 def zico_from_sample_grads(per_layer: list[np.ndarray], eps: float = 1e-6) -> float:
@@ -111,34 +183,32 @@ def zico_from_sample_grads(per_layer: list[np.ndarray], eps: float = 1e-6) -> fl
     """
     total = 0.0
     for grads in per_layer:
-        m = np.abs(grads).mean(axis=0)
-        s = grads.std(axis=0)
-        total += float(np.log(max((m / (s + eps)).sum(), eps)))
+        total += _zico_layer([[np.asarray(grads)]], eps)
     return total
 
 
-def _layer_sample_grads(g: ArchitectureGraph, records: list[GradientRecord]) -> list[np.ndarray]:
-    """One (S, P) array per scored layer: its weight and bias gradients,
-    flattened per sample, stacked over the samples of all records."""
-    per_layer = []
+def _zico_from_records(g: ArchitectureGraph, records: list[GradientRecord], eps: float) -> float:
+    """zico over the scored layers' weight and bias gradients, flattened
+    per sample, over the samples of all records."""
+    total = 0.0
     for nid, node in enumerate(g.nodes):
         if node.kind not in _SCORED_KINDS:
             continue
-        chunks = []
+        layer = []
         for rec in records:
             parts = [rec.weight_grads[nid].reshape(rec.weight_grads[nid].shape[0], -1)]
             if nid in rec.bias_grads:
                 parts.append(rec.bias_grads[nid].reshape(rec.bias_grads[nid].shape[0], -1))
-            chunks.append(np.concatenate(parts, axis=1))
-        per_layer.append(np.concatenate(chunks, axis=0))
-    return per_layer
+            layer.append(parts)
+        total += _zico_layer(layer, eps)
+    return total
 
 
 def zico(g: ArchitectureGraph, params: ParamSet, batches, labels_list, eps: float = 1e-6) -> float:
     if len(batches) != len(labels_list) or not batches:
         raise ConfigError("zico needs matching, non-empty batch and label lists")
     records = [backward(g, params, b, l) for b, l in zip(batches, labels_list)]
-    return zico_from_sample_grads(_layer_sample_grads(g, records), eps)
+    return _zico_from_records(g, records, eps)
 
 
 def correlation_min_eigenvalue(channels: np.ndarray, eps: float = 1e-6) -> float:
@@ -195,11 +265,11 @@ def evaluate_ensemble(
         batches.append(rng.standard_normal((cfg.batch_size, *g.input_shape)))
         labels.append(rng.integers(0, g.num_classes, size=cfg.batch_size))
     trace = forward(g, params, batches[0])
-    naswot_v = naswot_from_codes(_relu_codes(trace), cfg.eps_logdet)
+    naswot_v = _naswot_from_trace(trace, cfg.eps_logdet)
     meco_v = _meco_from_trace(g, trace, cfg.eps_var)
     records = [backward(g, params, batches[0], labels[0], trace=trace)]
     del trace  # the activations are the bulk of peak memory; free them first
     records += [backward(g, params, b, l) for b, l in zip(batches[1:], labels[1:])]
     snip_v = _snip_from_record(params, records[0])
-    zico_v = zico_from_sample_grads(_layer_sample_grads(g, records), cfg.eps_std)
+    zico_v = _zico_from_records(g, records, cfg.eps_std)
     return ProxyScores(meco=meco_v, zico=zico_v, naswot=naswot_v, snip=snip_v)

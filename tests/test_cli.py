@@ -204,3 +204,71 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert yaml.safe_load(proc.stdout)["hss"]["k"] == 5
+
+
+GOOD_FRONT = ["trial,obj_flops,obj_neg_meco", "0,1.0,2.0", "1,2.0,1.0", "2,1.5,1.5"]
+
+
+@pytest.mark.parametrize(
+    "lines, where",
+    [
+        (GOOD_FRONT[:2] + ["1,2.0,low"] + GOOD_FRONT[3:], "row 2, column obj_neg_meco"),
+        (GOOD_FRONT[:2] + ["1,,1.0"] + GOOD_FRONT[3:], "row 2, column obj_flops"),
+        (GOOD_FRONT[:3] + ["2,nan,1.5"], "row 3, column obj_flops"),
+        (GOOD_FRONT[:3] + ["2,1.5,inf"], "row 3, column obj_neg_meco"),
+        (GOOD_FRONT[:2] + ["1,2.0"] + GOOD_FRONT[3:], "row 2: expected 3 cells as in the header, found 2"),
+        (GOOD_FRONT[:3] + ["x,1.5,1.5"], "row 3, column trial"),
+        (["id,obj_flops,obj_neg_meco", "0,1.0,2.0", "1,2.0,1.0"], "no trial column"),
+    ],
+)
+def test_select_rejects_malformed_front_before_writing(run_yaml, tmp_path, capsys, lines, where):
+    out = tmp_path / "out"
+    cfg = run_yaml(out)
+    front = tmp_path / "front.csv"
+    front.write_text("\n".join(lines) + "\n")
+    assert main(["select", "--config", str(cfg), "--pareto", str(front), "--k", "2"]) == 1
+    err = capsys.readouterr().err
+    assert f"{front}: {where}" in err
+    assert "Traceback" not in err
+    assert not (out / "selection.csv").exists()
+    assert not (out / "selection_summary.json").exists()
+
+
+def _write_scored_trials(out, count):
+    out.mkdir(parents=True)
+    lines = [
+        json.dumps({
+            "trial": t,
+            "feasible": True,
+            "proxies": {"meco": t, "zico": -t, "naswot": t % 3, "snip": t * t},
+            "costs": {"flops": 100 + t},
+        })
+        for t in range(count)
+    ]
+    (out / "trials.jsonl").write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "lines, where",
+    [
+        (["trial,accuracy", "0,0.5", "one,0.6", "2,0.7"], "row 2, column trial"),
+        (["trial,accuracy", "0,0.5", "1,high", "2,0.7"], "row 2, column accuracy"),
+        (["trial,accuracy", "0,0.5", "1", "2,0.7"], "row 2: expected 2 cells"),
+        (["trial,acc", "0,0.5", "1,0.6"], "no accuracy column"),
+    ],
+)
+def test_report_rejects_malformed_accuracy_csv(run_yaml, tmp_path, capsys, lines, where):
+    out = tmp_path / "out"
+    cfg = run_yaml(out)
+    _write_scored_trials(out, 4)
+    acc = tmp_path / "acc.csv"
+    acc.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--config", str(cfg), "--accuracy", str(acc)]) == 1
+    err = capsys.readouterr().err
+    assert f"{acc}: {where}" in err
+    assert "Traceback" not in err
+    assert not (out / "tau.csv").exists()
+    # the same trials with a well-formed accuracy file are reported
+    acc.write_text("trial,accuracy\n0,0.5\n1,0.6\n2,0.8\n3,0.7\n")
+    assert main(["report", "--config", str(cfg), "--accuracy", str(acc)]) == 0
+    capsys.readouterr()

@@ -239,3 +239,81 @@ def test_ensemble_runs_one_forward_and_one_backward_per_batch(
         evaluate_ensemble(g, params, cfg, np.random.default_rng(seed))
     per_candidate = cfg.batch_size * cfg.num_batches_zico
     assert rows == {"forward": per_candidate * candidates, "backward": per_candidate * candidates}
+
+
+def two_product_naswot(codes, eps=1e-6):
+    """naswot as c c^T + (1 - c)(1 - c)^T, two products over the whole code matrix."""
+    c = np.asarray(codes, dtype=float)
+    k = c @ c.T + (1.0 - c) @ (1.0 - c).T
+    return float(np.linalg.slogdet(k + eps * np.eye(len(k)))[1])
+
+
+def _binary_codes(rng, rows, units):
+    codes = rng.random((rows, units)) < rng.uniform(0.2, 0.8)
+    codes[0] = False
+    codes[1] = True
+    codes[-1] = codes[2]  # a duplicate row
+    return codes
+
+
+def test_naswot_one_product_equals_two_product_formula(monkeypatch):
+    import protonas.proxies.ensemble as ensemble_mod
+    from protonas.tensorcore.engine import ForwardTrace
+
+    rng = np.random.default_rng(21)
+    for rows in (4, 8, 16):
+        for units in (1, 7, 300, 5000):
+            codes = _binary_codes(rng, rows, units)
+            assert naswot_from_codes(codes) == two_product_naswot(codes)
+            assert naswot_from_codes(codes.astype(float)) == two_product_naswot(codes)
+    # from a trace: every relu's codes, in node order, in blocks of 7 units
+    monkeypatch.setattr(ensemble_mod, "_CODE_BLOCK", 7)
+    patterns = {i: rng.random((8, 2 + i, 5 + i)) < 0.5 for i in (4, 1, 9)}
+    patterns[1][0] = False
+    patterns[9][3] = True
+    trace = ForwardTrace(outputs={}, relu_patterns=patterns, logits=np.zeros((8, 3)))
+    codes = np.concatenate([patterns[i].reshape(8, -1) for i in (1, 4, 9)], axis=1)
+    assert ensemble_mod._naswot_from_trace(trace, 1e-6) == two_product_naswot(codes)
+
+
+def unblocked_zico_ratios(grads, eps=1e-6):
+    return np.abs(grads).mean(axis=0) / (grads.std(axis=0) + eps)
+
+
+def unblocked_zico_layer(grads, eps=1e-6):
+    return float(np.log(max(unblocked_zico_ratios(grads, eps).sum(), eps)))
+
+
+def test_blocked_zico_equals_unblocked(monkeypatch):
+    import protonas.proxies.ensemble as ensemble_mod
+
+    rng = np.random.default_rng(22)
+    for block in (2, 5, 64):
+        monkeypatch.setattr(ensemble_mod, "_ZICO_BLOCK", block)
+        for width, bias in ((1, 0), (2, 1), (11, 3), (130, 7), (321, 0), (2 * block + 1, 4)):
+            # two records of 8 samples; the weight/bias boundary falls
+            # inside a block, and some widths leave one column over
+            records = []
+            for _ in range(2):
+                parts = [rng.standard_normal((8, width - bias)) * rng.random(width - bias)]
+                if bias:
+                    parts.append(rng.standard_normal((8, bias)))
+                records.append(parts)
+            full = np.concatenate([np.concatenate(parts, axis=1) for parts in records], axis=0)
+            ratios = ensemble_mod._zico_ratios(records, 1e-6)
+            assert np.array_equal(ratios, unblocked_zico_ratios(full))
+            want = unblocked_zico_layer(full)
+            assert ensemble_mod._zico_layer(records, 1e-6) == want
+            lone = unblocked_zico_layer(full[:, :1])
+            assert zico_from_sample_grads([full, full[:, :1]]) == want + lone
+
+
+def test_ensemble_is_unchanged_by_proxy_block_sizes(space1d, task1d, templates, monkeypatch):
+    import protonas.proxies.ensemble as ensemble_mod
+
+    g = _decoded_1d(space1d, task1d, templates, 4)
+    params = init_params(g, np.random.default_rng(4))
+    want = evaluate_ensemble(g, params, ProxyBatchConfig(), np.random.default_rng(104))
+    monkeypatch.setattr(ensemble_mod, "_ZICO_BLOCK", 3)
+    monkeypatch.setattr(ensemble_mod, "_CODE_BLOCK", 5)
+    assert evaluate_ensemble(g, params, ProxyBatchConfig(), np.random.default_rng(104)) == want

@@ -8,7 +8,16 @@ from protonas.archspace import decode, sample
 from protonas.archspace.graph import ArchitectureGraph, LayerSpec
 from protonas.errors import ShapeMismatch
 from protonas.tensorcore import backward, cross_entropy, forward, init_params
-from protonas.tensorcore.engine import _conv_bwd, _maxpool_fwd, _pad
+import protonas.tensorcore.engine as engine
+from protonas.tensorcore.engine import (
+    _conv_bwd,
+    _interior,
+    _maxpool_fwd,
+    _offsets,
+    _out_extent,
+    _pad,
+    _window,
+)
 
 from conftest import chain_graph, tiny_classifier
 
@@ -288,3 +297,177 @@ def test_forward_on_decoded_candidates(space1d, task1d, templates):
         assert np.isfinite(trace.logits).all()
         grads = backward(g, params, batch, np.array([0, 1]))
         assert all(np.isfinite(v).all() for v in grads.weight_grads.values())
+
+
+# Whole-batch oracles: the spatial kernels as they were before row
+# chunking, one full-batch pass per kernel offset.
+
+
+def whole_conv_fwd(x, w, b, stride, padding):
+    B, cin = x.shape[:2]
+    cout, _, kernel = w.shape[0], w.shape[1], w.shape[2]
+    dims = x.ndim - 2
+    xp = _pad(x, padding)
+    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    length = math.prod(out_sp)
+    acc = np.zeros((B, cout, length))
+    for off in _offsets(kernel, dims):
+        patch = _window(xp, off, stride, out_sp).reshape(B, cin, length)
+        acc += w[(slice(None), slice(None), *off)] @ patch
+    out = acc.reshape(B, cout, *out_sp)
+    if b is not None:
+        out += b.reshape((1, cout) + (1,) * dims)
+    return out
+
+
+def whole_conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
+    B, cin = x.shape[:2]
+    cout, kernel = w.shape[0], w.shape[2]
+    dims = x.ndim - 2
+    xp = _pad(x, padding)
+    out_sp = dout.shape[2:]
+    length = math.prod(out_sp)
+    dflat = dout.reshape(B, cout, length)
+    dxp = np.zeros_like(xp) if want_dx else None
+    dw = np.zeros((B,) + w.shape)
+    for off in _offsets(kernel, dims):
+        patch = _window(xp, off, stride, out_sp).reshape(B, cin, length)
+        dw[(slice(None),) * 3 + off] = dflat @ patch.transpose(0, 2, 1)
+        if want_dx:
+            dpatch = (w[(slice(None), slice(None), *off)].T @ dflat).reshape(B, cin, *out_sp)
+            _window(dxp, off, stride, out_sp)[...] += dpatch
+    dx = dxp if padding == 0 or not want_dx else dxp[_interior(padding, x.shape[2:])]
+    db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
+    return dx, dw, db
+
+
+def whole_dwconv_fwd(x, w, b, stride, padding):
+    B, c = x.shape[:2]
+    kernel = w.shape[2]
+    dims = x.ndim - 2
+    xp = _pad(x, padding)
+    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    out = np.zeros((B, c) + out_sp)
+    for off in _offsets(kernel, dims):
+        coeff = w[(slice(None), 0, *off)].reshape((1, c) + (1,) * dims)
+        out += _window(xp, off, stride, out_sp) * coeff
+    if b is not None:
+        out += b.reshape((1, c) + (1,) * dims)
+    return out
+
+
+def whole_dwconv_bwd(x, w, dout, stride, padding, want_bias):
+    B, c = x.shape[:2]
+    kernel = w.shape[2]
+    dims = x.ndim - 2
+    xp = _pad(x, padding)
+    out_sp = dout.shape[2:]
+    dxp = np.zeros_like(xp)
+    dw = np.zeros((B,) + w.shape)
+    spatial = tuple(range(2, dout.ndim))
+    for off in _offsets(kernel, dims):
+        patch = _window(xp, off, stride, out_sp)
+        dw[(slice(None), slice(None), 0) + off] = (dout * patch).sum(axis=spatial)
+        coeff = w[(slice(None), 0, *off)].reshape((1, c) + (1,) * dims)
+        _window(dxp, off, stride, out_sp)[...] += dout * coeff
+    dx = dxp if padding == 0 else dxp[_interior(padding, x.shape[2:])]
+    db = dout.sum(axis=spatial) if want_bias else None
+    return dx, dw, db
+
+
+def whole_maxpool_fwd(x, kernel, stride, padding):
+    dims = x.ndim - 2
+    xp = _pad(x, padding, value=-np.inf)
+    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    offsets = _offsets(kernel, dims)
+    out = _window(xp, offsets[0], stride, out_sp).copy()
+    arg = np.zeros(out.shape, dtype=np.intp)
+    for idx, off in enumerate(offsets[1:], start=1):
+        win = _window(xp, off, stride, out_sp)
+        np.putmask(arg, win > out, idx)
+        np.maximum(win, out, out=out)
+    return out, arg
+
+
+def whole_maxpool_bwd(x_shape, arg, dout, kernel, stride, padding):
+    dims = len(x_shape) - 2
+    padded = list(x_shape)
+    for ax in range(2, len(x_shape)):
+        padded[ax] += 2 * padding
+    dxp = np.zeros(tuple(padded))
+    out_sp = dout.shape[2:]
+    for idx, off in enumerate(_offsets(kernel, dims)):
+        _window(dxp, off, stride, out_sp)[...] += dout * (arg == idx)
+    return dxp if padding == 0 else dxp[_interior(padding, x_shape[2:])]
+
+
+def assert_same_bits(got, want):
+    """Equal values, signs of zero and memory layout (later reductions
+    depend on the layout of the arrays they read)."""
+    if want is None:
+        assert got is None
+        return
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert got.strides == want.strides
+
+
+@pytest.mark.parametrize("rows_per_chunk", [1, 2, None])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("spatial", [(11,), (9, 10)])
+def test_row_chunked_kernels_equal_whole_batch_kernels(
+    spatial, stride, rows_per_chunk, monkeypatch
+):
+    """Five rows in chunks of one, of two (the last chunk short) or as one
+    chunk give the same bits as one whole-batch pass."""
+    rng = np.random.default_rng(len(spatial) * 10 + stride)
+    B, cin, cout = 5, 3, 4
+    dims = len(spatial)
+    # relu-like inputs: many exact zeros
+    x = np.maximum(rng.standard_normal((B, cin) + spatial), 0.0)
+    # max pooling inputs: five values with 0.0/-0.0 ties, and -inf cells
+    xm = rng.integers(-2, 3, size=x.shape) * 0.5
+    xm[xm == 0.0] *= rng.choice([1.0, -1.0], size=int((xm == 0.0).sum()))
+    xm[rng.random(x.shape) < 0.2] = -np.inf
+    for kernel in (1, 3, 5):
+        for padding in (0, 1, 2):
+            if spatial[0] + 2 * padding < kernel:
+                continue
+            padded_row = 8 * cin * math.prod(n + 2 * padding for n in spatial)
+            budget = padded_row * rows_per_chunk if rows_per_chunk else engine._CHUNK_BYTES
+            monkeypatch.setattr(engine, "_CHUNK_BYTES", budget)
+            if rows_per_chunk:
+                assert len(engine._row_chunks(_pad(x, padding))) == -(-B // rows_per_chunk)
+
+            w = rng.standard_normal((cout, cin) + (kernel,) * dims)
+            b = rng.standard_normal(cout)
+            out = whole_conv_fwd(x, w, b, stride, padding)
+            assert_same_bits(engine._conv_fwd(x, w, b, stride, padding), out)
+            # relu-like gradients: zeros of both signs
+            dout = np.maximum(rng.standard_normal(out.shape), 0.0)
+            dout *= rng.choice([1.0, -1.0], out.shape)
+            for want_dx in (True, False):
+                got = engine._conv_bwd(x, w, dout, stride, padding, True, want_dx)
+                for g_, w_ in zip(got, whole_conv_bwd(x, w, dout, stride, padding, True, want_dx)):
+                    assert_same_bits(g_, w_)
+
+            wd = rng.standard_normal((cin, 1) + (kernel,) * dims)
+            bd = rng.standard_normal(cin)
+            out = whole_dwconv_fwd(x, wd, bd, stride, padding)
+            assert_same_bits(engine._dwconv_fwd(x, wd, bd, stride, padding), out)
+            # a channel slice of a wider gradient, as concat's backward passes on
+            dout = rng.standard_normal((B, 2 * cin) + out.shape[2:])[:, 1 : 1 + cin]
+            got = engine._dwconv_bwd(x, wd, dout, stride, padding, True)
+            for g_, w_ in zip(got, whole_dwconv_bwd(x, wd, dout, stride, padding, True)):
+                assert_same_bits(g_, w_)
+
+            out, arg = whole_maxpool_fwd(xm, kernel, stride, padding)
+            got_out, got_arg = engine._maxpool_fwd(xm, kernel, stride, padding)
+            assert_same_bits(got_out, out)
+            assert_same_bits(got_arg, arg)
+            dout = rng.standard_normal(out.shape)
+            assert_same_bits(
+                engine._maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
+                whole_maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
+            )
