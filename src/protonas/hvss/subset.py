@@ -133,7 +133,10 @@ def _corners(p: np.ndarray) -> np.ndarray:
 
 def _box_volumes(corners: np.ndarray, ref: np.ndarray) -> np.ndarray:
     # Boxes [corner, ref]; a corner outside the reference box bounds nothing.
-    sides = ref - corners
+    # The sides overwrite corners, which every caller builds for this
+    # call: a second temporary of its size made malloc return memory to
+    # the OS and fault it in again, on some heap layouts at every call.
+    sides = np.subtract(ref, corners, out=corners)
     return np.prod(np.clip(sides, 0.0, None, out=sides), axis=-1)
 
 

@@ -1,17 +1,20 @@
 """Double-precision forward/backward engine for architecture graphs.
 
 Runs decoded graphs directly from their LayerSpec nodes on float64
-numpy arrays; convolutions are computed as direct shifted products (no
-im2col buffers or FFT), which keeps the arithmetic order obvious.
+numpy arrays.  Convolutions are lowered to matrix products over im2col
+columns: a row chunk's kernel-offset windows are copied once into a
+(rows, channels, taps, positions) buffer (_columns), and each kernel
+makes one product per chunk for its output and one for its weight
+gradient.  Input gradients are still scattered back one kernel offset
+at a time.
 
 The spatial kernels (convolution, depthwise convolution, max pooling)
-work through the batch in row chunks of about _CHUNK_BYTES of padded
-input, so each chunk's windows, products and gradients stay in cache
-across the kernel offsets; depthwise and pooling products go into one
-reused buffer per call.  A batch that fits, such as any 1-D batch here,
-is one chunk.  Rows never mix, every output element is still
-accumulated in offset order, and every matrix product keeps its per-row
-shape, so the results are the same bits as a whole-batch pass.
+work through the batch in row chunks of about _CHUNK_BYTES (_row_chunks):
+of column buffer for the convolutions, of padded input for pooling.  A
+row whose columns exceed the budget is a chunk of its own.  A batch that
+fits, such as any 1-D batch here, is one chunk.  Rows never mix and
+every matrix product keeps its per-row shape, so the results are the
+same bits as a whole-batch pass.
 
 Backward is reverse-mode over the recorded forward activations.
 Batchnorm runs in initialization-statistics mode (zero mean, unit
@@ -36,10 +39,11 @@ from ..errors import ShapeMismatch
 
 _BN_EPS = 1e-5
 _BN_SCALE = 1.0 / math.sqrt(1.0 + _BN_EPS)
-# Bytes of padded input per row chunk of the spatial kernels: a chunk's
-# windows, products and gradients then stay in cache across the kernel
-# offsets.  Budgets from 128 KiB to 2 MiB time about alike on 64x64
-# depthwise layers; whole 8-row batches of such layers are slower.
+# Bytes of im2col columns (convolutions) or padded input (pooling) per
+# row chunk of the spatial kernels, so a chunk's buffers stay in cache.
+# Budgets from 128 KiB to 2 MiB time within about 20% of each other on
+# the default space's layers; whole 8-row batches are 25-60% slower, and
+# their columns take 8 times the memory.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -133,30 +137,61 @@ def _window(xp: np.ndarray, off: tuple[int, ...], stride: int, out_sp: tuple[int
     return xp[tuple(sl)]
 
 
-def _row_chunks(xp: np.ndarray) -> list[slice]:
-    """Slices over the batch rows of xp, each covering at most _CHUNK_BYTES
-    of it or one row; one slice over the whole batch when it fits."""
-    if xp.nbytes <= _CHUNK_BYTES:
+def _row_chunks(rows: int, row_bytes: int) -> list[slice]:
+    """Slices over `rows` batch rows of row_bytes each, each slice covering
+    at most _CHUNK_BYTES or one row; one slice over the whole batch when it
+    fits."""
+    step = max(1, _CHUNK_BYTES // max(row_bytes, 1))
+    if step >= rows:
         return [slice(None)]
-    step = max(1, _CHUNK_BYTES * len(xp) // xp.nbytes)
-    return [slice(lo, lo + step) for lo in range(0, len(xp), step)]
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _columns(xp: np.ndarray, kernel: int, stride: int, out_sp: tuple[int, ...]):
+    """Yield (rows, cols) per row chunk of the padded input xp.
+
+    cols has shape (n, c, taps, length): cols[:, :, t] is the window of
+    tap t (in _offsets order) flattened over the output positions.  The
+    chunks share one buffer of at most _CHUNK_BYTES, or of one row's
+    columns if that is larger, so each cols is only valid until the next
+    one is yielded.  A 1x1 stride-1 kernel's only window is xp itself,
+    which is yielded whole without a copy.
+    """
+    B, c = xp.shape[:2]
+    dims = xp.ndim - 2
+    taps = kernel**dims
+    length = math.prod(out_sp)
+    if kernel == 1 and stride == 1:
+        yield slice(None), xp.reshape(B, c, 1, length)
+        return
+    # a view of every window: [b, ch, *off, *pos] is xp[b, ch, *(off + stride * pos)]
+    spatial_strides = xp.strides[2:]
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        xp.shape[:2] + (kernel,) * dims + tuple(out_sp),
+        xp.strides[:2] + spatial_strides + tuple(s * stride for s in spatial_strides),
+        writeable=False,
+    )
+    chunks = _row_chunks(B, xp.itemsize * c * taps * length)
+    buf = np.empty(windows[chunks[0]].shape)
+    for rows in chunks:
+        win = windows[rows]
+        n = len(win)
+        np.copyto(buf[:n], win)
+        yield rows, buf[:n].reshape(n, c, taps, length)
 
 
 def _conv_fwd(x, w, b, stride, padding):
-    B, cin = x.shape[:2]
-    cout, _, kernel = w.shape[0], w.shape[1], w.shape[2]
+    B = len(x)
+    cout, kernel = w.shape[0], w.shape[2]
     dims = x.ndim - 2
-    xp = _pad(x, padding)
     out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
     length = math.prod(out_sp)
-    offsets = _offsets(kernel, dims)
-    taps = [w[(slice(None), slice(None), *off)] for off in offsets]
-    acc = np.zeros((B, cout, length))
-    for rows in _row_chunks(xp):
-        xc, ac = xp[rows], acc[rows]
-        for off, tap in zip(offsets, taps):
-            ac += tap @ _window(xc, off, stride, out_sp).reshape(len(xc), cin, length)
-    out = acc.reshape(B, cout, *out_sp)
+    wmat = w.reshape(cout, -1)
+    out = np.empty((B, cout, length))
+    for rows, cols in _columns(_pad(x, padding), kernel, stride, out_sp):
+        np.matmul(wmat, cols.reshape(len(cols), -1, length), out=out[rows])
+    out = out.reshape(B, cout, *out_sp)
     if b is not None:
         out += b.reshape((1, cout) + (1,) * dims)
     return out
@@ -172,18 +207,20 @@ def _conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     length = math.prod(out_sp)
     dflat = dout.reshape(B, cout, length)
     dxp = np.zeros_like(xp) if want_dx else None
-    dw = np.zeros((B,) + w.shape)
+    dw = np.empty((B,) + w.shape)
+    dw_flat = dw.reshape(B, cout, -1)
     offsets = _offsets(kernel, dims)
     taps_t = [w[(slice(None), slice(None), *off)].T for off in offsets]
-    for rows in _row_chunks(xp):
-        xc, dc = xp[rows], dflat[rows]
-        n = len(xc)
-        for off, tap_t in zip(offsets, taps_t):
-            patch = _window(xc, off, stride, out_sp).reshape(n, cin, length)
-            dw[(rows, slice(None), slice(None)) + off] = dc @ patch.transpose(0, 2, 1)
-            if want_dx:
-                dpatch = (tap_t @ dc).reshape(n, cin, *out_sp)
-                _window(dxp[rows], off, stride, out_sp)[...] += dpatch
+    for rows, cols in _columns(xp, kernel, stride, out_sp):
+        dc = dflat[rows]
+        n = len(dc)
+        np.matmul(dc, cols.reshape(n, -1, length).transpose(0, 2, 1), out=dw_flat[rows])
+        if want_dx:
+            # one product per offset: a single (cin*taps, length) product
+            # followed by a scatter of its columns was slower
+            dxc = dxp[rows]
+            for off, tap_t in zip(offsets, taps_t):
+                _window(dxc, off, stride, out_sp)[...] += (tap_t @ dc).reshape(n, cin, *out_sp)
     dx = dxp if padding == 0 or not want_dx else dxp[_interior(padding, x.shape[2:])]
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
@@ -199,19 +236,14 @@ def _dwconv_fwd(x, w, b, stride, padding):
     B, c = x.shape[:2]
     kernel = w.shape[2]
     dims = x.ndim - 2
-    xp = _pad(x, padding)
     out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
-    offsets = _offsets(kernel, dims)
-    coeffs = _dw_coeffs(w, offsets, dims)
-    out = np.zeros((B, c) + out_sp)
-    chunks = _row_chunks(xp)
-    prod = np.empty_like(out[chunks[0]])
-    for rows in chunks:
-        xc, oc = xp[rows], out[rows]
-        tmp = prod[: len(oc)]
-        for off, coeff in zip(offsets, coeffs):
-            np.multiply(_window(xc, off, stride, out_sp), coeff, out=tmp)
-            oc += tmp
+    length = math.prod(out_sp)
+    # per channel, one (1, taps) @ (taps, length) product
+    wrow = w.reshape(c, 1, -1)
+    out = np.empty((B, c, 1, length))
+    for rows, cols in _columns(_pad(x, padding), kernel, stride, out_sp):
+        np.matmul(wrow, cols, out=out[rows])
+    out = out.reshape((B, c) + out_sp)
     if b is not None:
         out += b.reshape((1, c) + (1,) * dims)
     return out
@@ -224,23 +256,23 @@ def _dwconv_bwd(x, w, dout, stride, padding, want_bias):
     dims = x.ndim - 2
     xp = _pad(x, padding)
     out_sp = dout.shape[2:]
+    length = math.prod(out_sp)
     offsets = _offsets(kernel, dims)
     coeffs = _dw_coeffs(w, offsets, dims)
     dxp = np.zeros_like(xp)
-    dw = np.zeros((B,) + w.shape)
-    spatial = tuple(range(2, dout.ndim))
-    chunks = _row_chunks(xp)
-    prod = np.empty(dout[chunks[0]].shape)
-    for rows in chunks:
-        xc, dc, dxc = xp[rows], dout[rows], dxp[rows]
-        tmp = prod[: len(dc)]
+    dw = np.empty((B,) + w.shape)
+    # per channel, one (taps, length) @ (length, 1) product
+    dw_col = dw.reshape(B, c, -1, 1)
+    dcol = dout.reshape(B, c, length, 1)
+    for rows, cols in _columns(xp, kernel, stride, out_sp):
+        np.matmul(cols, dcol[rows], out=dw_col[rows])
+        dc, dxc = dout[rows], dxp[rows]
+        tmp = np.empty(dc.shape)
         for off, coeff in zip(offsets, coeffs):
-            np.multiply(dc, _window(xc, off, stride, out_sp), out=tmp)
-            dw[(rows, slice(None), 0) + off] = tmp.sum(axis=spatial)
             np.multiply(dc, coeff, out=tmp)
             _window(dxc, off, stride, out_sp)[...] += tmp
     dx = dxp if padding == 0 else dxp[_interior(padding, x.shape[2:])]
-    db = dout.sum(axis=spatial) if want_bias else None
+    db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
 
@@ -251,7 +283,7 @@ def _maxpool_fwd(x, kernel, stride, padding):
     offsets = _offsets(kernel, dims)
     out = np.empty(x.shape[:2] + out_sp)
     arg = np.zeros(out.shape, dtype=np.intp)
-    chunks = _row_chunks(xp)
+    chunks = _row_chunks(len(xp), xp.itemsize * math.prod(xp.shape[1:]))
     greater = np.empty(out[chunks[0]].shape, dtype=bool)
     for rows in chunks:
         xc, oc, ac = xp[rows], out[rows], arg[rows]
@@ -276,7 +308,7 @@ def _maxpool_bwd(x_shape, arg, dout, kernel, stride, padding):
     dxp = np.zeros(tuple(padded))
     out_sp = dout.shape[2:]
     offsets = _offsets(kernel, dims)
-    chunks = _row_chunks(dxp)
+    chunks = _row_chunks(len(dxp), dxp.itemsize * math.prod(dxp.shape[1:]))
     prod = np.empty(dout[chunks[0]].shape)
     hit = np.empty(prod.shape, dtype=bool)
     for rows in chunks:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,13 @@ from protonas.hvss import (
     subset_hypervolume,
 )
 from protonas.hvss import _hv_py
-from protonas.hvss.subset import IE_MAX_POINTS, _HvCache, _ie_hypervolume, _repair_population
+from protonas.hvss.subset import (
+    IE_MAX_POINTS,
+    _box_volumes,
+    _HvCache,
+    _ie_hypervolume,
+    _repair_population,
+)
 
 
 def small_cfg(seed=0):
@@ -270,6 +277,24 @@ def oracle_corners(p):
 
 def oracle_volumes(corners, ref):
     return np.prod(np.clip(ref - corners, 0.0, None), axis=-1)
+
+
+def test_box_volumes_make_no_temporary_of_the_corners_size():
+    """The sides overwrite the corners: a second block-sized temporary per
+    call made malloc return memory to the OS and fault it in again."""
+    rng = np.random.default_rng(0)
+    # 256 KiB of corners, some outside the reference box
+    corners = rng.random((64, 32, 16)) * 1.2
+    ref = np.full(16, 1.1)
+    want = oracle_volumes(corners, ref)
+    tracemalloc.start()
+    try:
+        got = _box_volumes(corners, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < corners.nbytes // 2
 
 
 def oracle_hv(pts, idx, ref):

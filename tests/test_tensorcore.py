@@ -299,11 +299,11 @@ def test_forward_on_decoded_candidates(space1d, task1d, templates):
         assert all(np.isfinite(v).all() for v in grads.weight_grads.values())
 
 
-# Whole-batch oracles: the spatial kernels as they were before row
-# chunking, one full-batch pass per kernel offset.
+# Per-offset oracles: the convolution kernels as they were before the
+# column lowering, one whole-batch product or multiply per kernel offset.
 
 
-def whole_conv_fwd(x, w, b, stride, padding):
+def offset_conv_fwd(x, w, b, stride, padding):
     B, cin = x.shape[:2]
     cout, _, kernel = w.shape[0], w.shape[1], w.shape[2]
     dims = x.ndim - 2
@@ -320,7 +320,7 @@ def whole_conv_fwd(x, w, b, stride, padding):
     return out
 
 
-def whole_conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
+def offset_conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     B, cin = x.shape[:2]
     cout, kernel = w.shape[0], w.shape[2]
     dims = x.ndim - 2
@@ -341,7 +341,7 @@ def whole_conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     return dx, dw, db
 
 
-def whole_dwconv_fwd(x, w, b, stride, padding):
+def offset_dwconv_fwd(x, w, b, stride, padding):
     B, c = x.shape[:2]
     kernel = w.shape[2]
     dims = x.ndim - 2
@@ -356,7 +356,7 @@ def whole_dwconv_fwd(x, w, b, stride, padding):
     return out
 
 
-def whole_dwconv_bwd(x, w, dout, stride, padding, want_bias):
+def offset_dwconv_bwd(x, w, dout, stride, padding, want_bias):
     B, c = x.shape[:2]
     kernel = w.shape[2]
     dims = x.ndim - 2
@@ -372,6 +372,160 @@ def whole_dwconv_bwd(x, w, dout, stride, padding, want_bias):
         _window(dxp, off, stride, out_sp)[...] += dout * coeff
     dx = dxp if padding == 0 else dxp[_interior(padding, x.shape[2:])]
     db = dout.sum(axis=spatial) if want_bias else None
+    return dx, dw, db
+
+
+def max_rel_diff(got, want):
+    """Largest absolute difference relative to the largest |want|."""
+    if want is None:
+        assert got is None
+        return 0.0
+    assert got.shape == want.shape
+    return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("spatial", [(13,), (9, 10)])
+def test_column_kernels_match_per_offset_kernels(spatial, stride):
+    """The im2col kernels sum each output in another order than the
+    per-offset kernels, so they agree to rounding, not bit for bit."""
+    rng = np.random.default_rng(len(spatial) * 10 + stride)
+    B, cin, cout = 3, 4, 5
+    dims = len(spatial)
+    x = np.maximum(rng.standard_normal((B, cin) + spatial), 0.0)
+    for kernel in (1, 3, 5, 7):
+        for padding in range(kernel // 2 + 1):
+            for bias in (True, False):
+                w = rng.standard_normal((cout, cin) + (kernel,) * dims)
+                b = rng.standard_normal(cout) if bias else None
+                out = offset_conv_fwd(x, w, b, stride, padding)
+                assert max_rel_diff(engine._conv_fwd(x, w, b, stride, padding), out) <= 1e-12
+                # a channel slice of a wider gradient, as concat's backward passes on
+                dout = rng.standard_normal((B, cout + 2) + out.shape[2:])[:, 1 : 1 + cout]
+                for want_dx in (True, False):
+                    got = engine._conv_bwd(x, w, dout, stride, padding, bias, want_dx)
+                    want = offset_conv_bwd(x, w, dout, stride, padding, bias, want_dx)
+                    assert all(max_rel_diff(g_, w_) <= 1e-12 for g_, w_ in zip(got, want))
+
+                wd = rng.standard_normal((cin, 1) + (kernel,) * dims)
+                bd = rng.standard_normal(cin) if bias else None
+                out = offset_dwconv_fwd(x, wd, bd, stride, padding)
+                assert max_rel_diff(engine._dwconv_fwd(x, wd, bd, stride, padding), out) <= 1e-12
+                dout = rng.standard_normal((B, cin + 2) + out.shape[2:])[:, 1 : 1 + cin]
+                got = engine._dwconv_bwd(x, wd, dout, stride, padding, bias)
+                want = offset_dwconv_bwd(x, wd, dout, stride, padding, bias)
+                assert all(max_rel_diff(g_, w_) <= 1e-12 for g_, w_ in zip(got, want))
+
+
+def buffer_bytes(a):
+    """Bytes of the allocation behind array a."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a.nbytes
+
+
+@pytest.mark.parametrize(
+    "kind, shape, kernel, stride",
+    [
+        ("depthwise-conv", (8, 36, 64, 64), 7, 1),  # the default space's largest taps
+        ("conv", (8, 3, 128, 128), 3, 2),  # the default task's stem
+    ],
+)
+def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, monkeypatch):
+    sizes = []
+    columns = engine._columns
+
+    def recording_columns(xp, kernel, stride, out_sp):
+        for rows, cols in columns(xp, kernel, stride, out_sp):
+            sizes.append(buffer_bytes(cols))
+            yield rows, cols
+
+    monkeypatch.setattr(engine, "_columns", recording_columns)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(shape)
+    padding = kernel // 2
+    if kind == "conv":
+        w = rng.standard_normal((16, shape[1], kernel, kernel))
+        out = engine._conv_fwd(x, w, None, stride, padding)
+        engine._conv_bwd(x, w, out, stride, padding, False)
+    else:
+        w = rng.standard_normal((shape[1], 1, kernel, kernel))
+        out = engine._dwconv_fwd(x, w, None, stride, padding)
+        engine._dwconv_bwd(x, w, out, stride, padding, False)
+    row_columns = 8 * shape[1] * kernel**2 * math.prod(out.shape[2:])
+    assert sizes and max(sizes) <= max(engine._CHUNK_BYTES, row_columns)
+
+
+def test_pointwise_conv_reads_its_input_without_a_column_copy():
+    x = np.random.default_rng(0).standard_normal((4, 3, 5, 6))
+    [(rows, cols)] = engine._columns(x, 1, 1, (5, 6))
+    assert rows == slice(None) and np.shares_memory(cols, x)
+
+
+# Whole-batch references for the row-chunk test: the column formulation
+# of the convolution kernels in one pass over the batch, and the max
+# pooling kernels as they were before row chunking.
+
+
+def im2col(xp, kernel, stride, out_sp):
+    """(B, c, taps, length) columns, tap order as in _offsets."""
+    B, c = xp.shape[:2]
+    wins = [_window(xp, off, stride, out_sp) for off in _offsets(kernel, xp.ndim - 2)]
+    return np.stack(wins, axis=2).reshape(B, c, len(wins), math.prod(out_sp))
+
+
+def whole_conv_fwd(x, w, b, stride, padding):
+    B, cout, kernel = len(x), w.shape[0], w.shape[2]
+    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    length = math.prod(out_sp)
+    cols = im2col(_pad(x, padding), kernel, stride, out_sp).reshape(B, -1, length)
+    out = (w.reshape(cout, -1) @ cols).reshape(B, cout, *out_sp)
+    if b is not None:
+        out += b.reshape((1, cout) + (1,) * len(out_sp))
+    return out
+
+
+def whole_conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
+    B, cout = len(x), w.shape[0]
+    xp = _pad(x, padding)
+    out_sp = dout.shape[2:]
+    length = math.prod(out_sp)
+    dflat = dout.reshape(B, cout, length)
+    cols = im2col(xp, w.shape[2], stride, out_sp).reshape(B, -1, length)
+    dw = (dflat @ cols.transpose(0, 2, 1)).reshape((B,) + w.shape)
+    dx = None
+    if want_dx:
+        dxp = np.zeros_like(xp)
+        for off in _offsets(w.shape[2], len(out_sp)):
+            dpatch = (w[(slice(None), slice(None), *off)].T @ dflat).reshape(x.shape[:2] + out_sp)
+            _window(dxp, off, stride, out_sp)[...] += dpatch
+        dx = dxp if padding == 0 else dxp[_interior(padding, x.shape[2:])]
+    db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
+    return dx, dw, db
+
+
+def whole_dwconv_fwd(x, w, b, stride, padding):
+    B, c, kernel = len(x), w.shape[0], w.shape[2]
+    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    cols = im2col(_pad(x, padding), kernel, stride, out_sp)
+    out = (w.reshape(c, 1, -1) @ cols).reshape((B, c) + out_sp)
+    if b is not None:
+        out += b.reshape((1, c) + (1,) * len(out_sp))
+    return out
+
+
+def whole_dwconv_bwd(x, w, dout, stride, padding, want_bias):
+    B, c, kernel = len(x), w.shape[0], w.shape[2]
+    xp = _pad(x, padding)
+    out_sp = dout.shape[2:]
+    cols = im2col(xp, kernel, stride, out_sp)
+    dw = (cols @ dout.reshape(B, c, -1, 1)).reshape((B,) + w.shape)
+    dxp = np.zeros_like(xp)
+    for off in _offsets(kernel, len(out_sp)):
+        coeff = w[(slice(None), 0, *off)].reshape((1, c) + (1,) * len(out_sp))
+        _window(dxp, off, stride, out_sp)[...] += dout * coeff
+    dx = dxp if padding == 0 else dxp[_interior(padding, x.shape[2:])]
+    db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
 
@@ -430,15 +584,23 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
     xm = rng.integers(-2, 3, size=x.shape) * 0.5
     xm[xm == 0.0] *= rng.choice([1.0, -1.0], size=int((xm == 0.0).sum()))
     xm[rng.random(x.shape) < 0.2] = -np.inf
+    default_budget = engine._CHUNK_BYTES
+
+    def chunk_rows_of(row_bytes):
+        """Set the budget to rows_per_chunk rows of row_bytes (the default
+        budget, which holds the whole batch, when None)."""
+        budget = row_bytes * rows_per_chunk if rows_per_chunk else default_budget
+        monkeypatch.setattr(engine, "_CHUNK_BYTES", budget)
+        want = -(-B // rows_per_chunk) if rows_per_chunk else 1
+        assert len(engine._row_chunks(B, row_bytes)) == want
+
     for kernel in (1, 3, 5):
         for padding in (0, 1, 2):
             if spatial[0] + 2 * padding < kernel:
                 continue
-            padded_row = 8 * cin * math.prod(n + 2 * padding for n in spatial)
-            budget = padded_row * rows_per_chunk if rows_per_chunk else engine._CHUNK_BYTES
-            monkeypatch.setattr(engine, "_CHUNK_BYTES", budget)
-            if rows_per_chunk:
-                assert len(engine._row_chunks(_pad(x, padding))) == -(-B // rows_per_chunk)
+            out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in spatial)
+            # convolution chunks count column bytes, max pooling padded input
+            chunk_rows_of(8 * cin * kernel**dims * math.prod(out_sp))
 
             w = rng.standard_normal((cout, cin) + (kernel,) * dims)
             b = rng.standard_normal(cout)
@@ -462,6 +624,7 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
             for g_, w_ in zip(got, whole_dwconv_bwd(x, wd, dout, stride, padding, True)):
                 assert_same_bits(g_, w_)
 
+            chunk_rows_of(8 * cin * math.prod(n + 2 * padding for n in spatial))
             out, arg = whole_maxpool_fwd(xm, kernel, stride, padding)
             got_out, got_arg = engine._maxpool_fwd(xm, kernel, stride, padding)
             assert_same_bits(got_out, out)
