@@ -17,7 +17,7 @@ import copy
 import math
 
 from ..errors import ConfigError, ShapeMismatch
-from .graph import ArchitectureGraph, LayerSpec, PASSTHROUGH_KINDS, layer_out_shape
+from .graph import ArchitectureGraph, LayerSpec, PASSTHROUGH_KINDS, layer_out_shape, windowed_extent
 from .space import HyperparamVector, SearchSpaceDef, TaskSpec
 from .templates import BaselineTemplate, eval_channel_expr, load_templates
 
@@ -57,11 +57,8 @@ def _resolve(value, ctx: dict) -> int:
 
 
 def _clamped_stride(in_shape: tuple[int, ...], kernel: int, stride: int, padding: int) -> int:
-    if stride == 1:
+    if any(windowed_extent(n, kernel, stride, padding) < 1 for n in in_shape[1:]):
         return 1
-    for n in in_shape[1:]:
-        if (n + 2 * padding - kernel) // stride + 1 < 1:
-            return 1
     return stride
 
 
@@ -101,10 +98,7 @@ def _make_layer(b: _Builder, entry: int, layer: dict, ctx: dict) -> int:
     elif op == "global-avg-pool":
         spec = LayerSpec(op, cin, cin, group=group)
     elif op == "linear":
-        feat = 1
-        for v in in_shape:
-            feat *= v
-        spec = LayerSpec("linear", feat, b.num_classes, bias=True, group=group)
+        spec = LayerSpec("linear", math.prod(in_shape), b.num_classes, bias=True, group=group)
     else:
         raise ConfigError(f"cannot instantiate op '{op}'")
     return b.add(spec, [entry])

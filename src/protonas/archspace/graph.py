@@ -7,6 +7,7 @@ exist.  Spatial shapes use channels-first layout without the batch axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ShapeCollapse, ShapeMismatch
@@ -47,6 +48,12 @@ class LayerSpec:
     group: int | None = None
     block_output: bool = False
     name: str = ""
+
+    @property
+    def group_inputs(self) -> int:
+        """Input channels each output channel reads: one for a depthwise
+        convolution (one group per channel), all of them otherwise."""
+        return 1 if self.kind == "depthwise-conv" else self.in_channels
 
 
 @dataclass
@@ -94,28 +101,24 @@ class ArchitectureGraph:
         return shapes
 
 
-def _windowed_extent(n: int, kernel: int, stride: int, padding: int) -> int:
-    out = (n + 2 * padding - kernel) // stride + 1
-    if out < 1:
-        raise ShapeCollapse(
-            f"spatial extent {n} collapses under kernel {kernel} stride {stride}"
-        )
-    return out
+def windowed_extent(n: int, kernel: int, stride: int, padding: int) -> int:
+    """Output extent of a window sliding over n cells; below 1 when the
+    window does not fit."""
+    return (n + 2 * padding - kernel) // stride + 1
 
 
 def layer_out_shape(node: LayerSpec, in_shapes: list[tuple[int, ...]]) -> tuple[int, ...]:
     """Output shape of one node given its predecessors' output shapes."""
     kind = node.kind
     first = in_shapes[0]
-    if kind == "conv":
-        sp = tuple(_windowed_extent(n, node.kernel, node.stride, node.padding) for n in first[1:])
-        return (node.out_channels,) + sp
-    if kind == "depthwise-conv":
-        sp = tuple(_windowed_extent(n, node.kernel, node.stride, node.padding) for n in first[1:])
-        return (first[0],) + sp
-    if kind == "maxpool":
-        sp = tuple(_windowed_extent(n, node.kernel, node.stride, node.padding) for n in first[1:])
-        return (first[0],) + sp
+    if kind in ("conv", "depthwise-conv", "maxpool"):
+        sp = tuple(windowed_extent(n, node.kernel, node.stride, node.padding) for n in first[1:])
+        for n, m in zip(first[1:], sp):
+            if m < 1:
+                raise ShapeCollapse(
+                    f"spatial extent {n} collapses under kernel {node.kernel} stride {node.stride}"
+                )
+        return (node.out_channels if kind == "conv" else first[0],) + sp
     if kind in ("relu", "batchnorm"):
         return first
     if kind == "global-avg-pool":
@@ -198,7 +201,7 @@ def validate(g: ArchitectureGraph) -> list[str]:
     for i, node in enumerate(g.nodes):
         ins = [shapes[p] for p in g.preds[i]] or [tuple(g.input_shape)]
         if node.kind in ("conv", "depthwise-conv", "linear"):
-            expect = ins[0][0] if node.kind != "linear" else _flat_features(ins[0])
+            expect = ins[0][0] if node.kind != "linear" else math.prod(ins[0])
             if node.in_channels != expect:
                 out.append(
                     f"node {i}: channel mismatch (declares {node.in_channels}, gets {expect})"
@@ -217,9 +220,3 @@ def validate(g: ArchitectureGraph) -> list[str]:
         out.append(f"classifier emits {final.out_channels} logits for {g.num_classes} classes")
     return out
 
-
-def _flat_features(shape: tuple[int, ...]) -> int:
-    total = 1
-    for v in shape:
-        total *= v
-    return total

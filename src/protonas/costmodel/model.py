@@ -10,6 +10,7 @@ estimates are meant to rank candidates and gate clearly oversized ones.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..archspace.graph import ArchitectureGraph
@@ -52,28 +53,17 @@ class Feasibility:
     violation: float
 
 
-def _elements(shape: tuple[int, ...]) -> int:
-    total = 1
-    for v in shape:
-        total *= v
-    return total
-
-
 def count_flops(g: ArchitectureGraph) -> int:
     """Total forward FLOPs for one input sample."""
     shapes = g.shapes or g.infer_shapes()
     total = 0
     for i, node in enumerate(g.nodes):
         out = shapes[i]
-        out_elems = _elements(out)
-        spatial = _elements(out[1:])
+        out_elems = math.prod(out)
+        spatial = math.prod(out[1:])
         dims = len(out) - 1
-        if node.kind == "conv":
-            total += MAC_FLOPS * node.in_channels * node.out_channels * node.kernel ** dims * spatial
-            if node.bias:
-                total += out_elems
-        elif node.kind == "depthwise-conv":
-            total += MAC_FLOPS * node.out_channels * node.kernel ** dims * spatial
+        if node.kind in ("conv", "depthwise-conv"):
+            total += MAC_FLOPS * node.group_inputs * node.out_channels * node.kernel ** dims * spatial
             if node.bias:
                 total += out_elems
         elif node.kind == "linear":
@@ -97,10 +87,8 @@ def estimate_rom(g: ArchitectureGraph, code_overhead: int = 0) -> int:
     total = int(code_overhead)
     for i, node in enumerate(g.nodes):
         dims = len(shapes[i]) - 1
-        if node.kind == "conv":
-            weights = node.in_channels * node.out_channels * node.kernel ** dims
-        elif node.kind == "depthwise-conv":
-            weights = node.out_channels * node.kernel ** dims
+        if node.kind in ("conv", "depthwise-conv"):
+            weights = node.group_inputs * node.out_channels * node.kernel ** dims
         elif node.kind == "linear":
             weights = node.in_channels * node.out_channels
         else:
@@ -121,8 +109,8 @@ def estimate_ram(g: ArchitectureGraph) -> int:
     shapes = g.shapes or g.infer_shapes()
     n = len(g.nodes)
     # buffer ids: 0..n-1 node outputs, n the network input
-    sizes = [_elements(s) * ACTIVATION_BYTES for s in shapes]
-    sizes.append(_elements(tuple(g.input_shape)) * ACTIVATION_BYTES)
+    sizes = [math.prod(s) * ACTIVATION_BYTES for s in shapes]
+    sizes.append(math.prod(tuple(g.input_shape)) * ACTIVATION_BYTES)
     last_use = [i for i in range(n + 1)]
     last_use[n] = -1
     for i in range(n):

@@ -1,4 +1,9 @@
-"""Hypervolume front door: validation, the exact kernel, MC estimator."""
+"""Hypervolume: validation, the exact kernel, a Monte Carlo estimator.
+
+The exact kernel is a pure-Python dimension sweep under minimization:
+sort by the last objective, sweep the slabs between consecutive values,
+and recurse on the dominance-filtered projections of the prefix.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,6 @@ import math
 import numpy as np
 
 from ..errors import DimensionMismatch
-from . import _hv_py
 
 # There is no compiled kernel; the flag stays for callers that report it.
 HAVE_COMPILED = False
@@ -31,6 +35,49 @@ def _checked(points, ref) -> tuple[list[tuple], tuple]:
     return out, ref_t
 
 
+def _insert_filtered(active: list[tuple], p: tuple) -> None:
+    # Keep the active set mutually non-dominated under minimization.
+    keep = []
+    for q in active:
+        if all(qi <= pi for qi, pi in zip(q, p)):
+            return  # q dominates (or equals) p; drop p
+        if not all(pi <= qi for pi, qi in zip(p, q)):
+            keep.append(q)
+    keep.append(p)
+    active[:] = keep
+
+
+def _hv2(pts: list[tuple], ref: tuple) -> float:
+    best = ref[1]
+    vol = 0.0
+    for x, y in sorted(pts):
+        if y < best:
+            vol += (ref[0] - x) * (best - y)
+            best = y
+    return vol
+
+
+def _hv_rec(pts: list[tuple], d: int, ref: tuple) -> float:
+    """Exact hypervolume of pts, all componentwise <= ref, in the first d
+    objectives."""
+    if not pts:
+        return 0.0
+    if d == 1:
+        return ref[0] - min(p[0] for p in pts)
+    if d == 2:
+        return _hv2(pts, ref)
+    order = sorted(pts, key=lambda p: p[d - 1])
+    total = 0.0
+    active: list[tuple] = []
+    for i, p in enumerate(order):
+        z = p[d - 1]
+        z_next = order[i + 1][d - 1] if i + 1 < len(order) else ref[d - 1]
+        _insert_filtered(active, p[: d - 1])
+        if z_next > z:
+            total += (z_next - z) * _hv_rec(active, d - 1, ref)
+    return total
+
+
 def hypervolume(points, ref) -> float:
     """Exact dominated hypervolume under minimization.
 
@@ -38,7 +85,7 @@ def hypervolume(points, ref) -> float:
     dropped.
     """
     pts, ref_t = _checked(points, ref)
-    return _hv_py.hv_exact(pts, ref_t)
+    return _hv_rec(pts, len(ref_t), ref_t)
 
 
 def hv_monte_carlo(points, ref, samples: int = 1_000_000, rng=None) -> float:

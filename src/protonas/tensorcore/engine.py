@@ -3,13 +3,21 @@
 Runs decoded graphs directly from their LayerSpec nodes on float64
 numpy arrays.  Convolutions are lowered to matrix products over im2col
 columns: a row chunk's kernel-offset windows are copied once into a
-(rows, channels, taps, positions) buffer (_columns), and each kernel
-makes one product per chunk for its output and one for its weight
-gradient.  Input gradients are still scattered back one kernel offset
-at a time.
+(rows, channels, taps, positions) buffer (_columns), and the kernel pair
+_conv_fwd/_conv_bwd makes one product per chunk for the output and one
+for the weight gradient.  Input gradients are still scattered back one
+kernel offset at a time.
 
-The spatial kernels (convolution, depthwise convolution, max pooling)
-work through the batch in row chunks of about _CHUNK_BYTES (_row_chunks):
+One kernel pair serves both convolution kinds.  A convolution reads its
+group count from the weight, cin // w.shape[1]: one group for a regular
+convolution, one per channel for a depthwise (c, 1, k...) weight.  Every
+product is batched over the groups.  Where each group has one output
+channel (any depthwise layer), the input gradient's per-offset product
+has an inner dimension of 1 and runs as a broadcast multiply: the same
+bits, and faster than numpy's matmul over stacks of 1x1 matrices.
+
+The spatial kernels (convolution and max pooling) work through the
+batch in row chunks of about _CHUNK_BYTES (_row_chunks):
 of column buffer for the convolutions, of padded input for pooling.  A
 row whose columns exceed the budget is a chunk of its own.  A batch that
 fits, such as any 1-D batch here, is one chunk.  Rows never mix and
@@ -34,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..archspace.graph import ArchitectureGraph
+from ..archspace.graph import ArchitectureGraph, windowed_extent
 from ..errors import ShapeMismatch
 
 _BN_EPS = 1e-5
@@ -87,12 +95,9 @@ def init_params(g: ArchitectureGraph, rng: np.random.Generator) -> ParamSet:
     weights: dict[int, np.ndarray] = {}
     biases: dict[int, np.ndarray] = {}
     for i, node in enumerate(g.nodes):
-        if node.kind == "conv":
-            shape = (node.out_channels, node.in_channels) + (node.kernel,) * dims
-            fan_in = node.in_channels * node.kernel ** dims
-        elif node.kind == "depthwise-conv":
-            shape = (node.out_channels, 1) + (node.kernel,) * dims
-            fan_in = node.kernel ** dims
+        if node.kind in ("conv", "depthwise-conv"):
+            shape = (node.out_channels, node.group_inputs) + (node.kernel,) * dims
+            fan_in = node.group_inputs * node.kernel ** dims
         elif node.kind == "linear":
             shape = (node.out_channels, node.in_channels)
             fan_in = node.in_channels
@@ -118,10 +123,6 @@ def _pad(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
     xp = np.zeros(shape, x.dtype) if value == 0.0 else np.full(shape, value, x.dtype)
     xp[_interior(padding, x.shape[2:])] = x
     return xp
-
-
-def _out_extent(n: int, kernel: int, stride: int, padding: int) -> int:
-    return (n + 2 * padding - kernel) // stride + 1
 
 
 def _offsets(kernel: int, dims: int):
@@ -182,15 +183,16 @@ def _columns(xp: np.ndarray, kernel: int, stride: int, out_sp: tuple[int, ...]):
 
 
 def _conv_fwd(x, w, b, stride, padding):
-    B = len(x)
+    B, cin = x.shape[:2]
     cout, kernel = w.shape[0], w.shape[2]
+    groups = cin // w.shape[1]
     dims = x.ndim - 2
-    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     length = math.prod(out_sp)
-    wmat = w.reshape(cout, -1)
-    out = np.empty((B, cout, length))
+    wmat = w.reshape(groups, cout // groups, -1)
+    out = np.empty((B, groups, cout // groups, length))
     for rows, cols in _columns(_pad(x, padding), kernel, stride, out_sp):
-        np.matmul(wmat, cols.reshape(len(cols), -1, length), out=out[rows])
+        np.matmul(wmat, cols.reshape(len(cols), groups, -1, length), out=out[rows])
     out = out.reshape(B, cout, *out_sp)
     if b is not None:
         out += b.reshape((1, cout) + (1,) * dims)
@@ -201,77 +203,37 @@ def _conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     """Input and per-sample weight and bias gradients; dx is None unless want_dx."""
     B, cin = x.shape[:2]
     cout, kernel = w.shape[0], w.shape[2]
+    groups = cin // w.shape[1]
     dims = x.ndim - 2
     xp = _pad(x, padding)
     out_sp = dout.shape[2:]
     length = math.prod(out_sp)
-    dflat = dout.reshape(B, cout, length)
+    dflat = dout.reshape(B, groups, cout // groups, length)
     dxp = np.zeros_like(xp) if want_dx else None
     dw = np.empty((B,) + w.shape)
-    dw_flat = dw.reshape(B, cout, -1)
+    dw_flat = dw.reshape(B, groups, cout // groups, -1)
     offsets = _offsets(kernel, dims)
-    taps_t = [w[(slice(None), slice(None), *off)].T for off in offsets]
+    # per offset, the (groups, cin/groups, cout/groups) transposed tap;
+    # with one output channel per group its product is a broadcast multiply
+    wg = w.reshape(groups, cout // groups, cin // groups, -1)
+    taps_t = [wg[..., t].transpose(0, 2, 1) for t in range(len(offsets))]
+    tap_product = np.multiply if cout == groups else np.matmul
+    buf = None
     for rows, cols in _columns(xp, kernel, stride, out_sp):
         dc = dflat[rows]
         n = len(dc)
-        np.matmul(dc, cols.reshape(n, -1, length).transpose(0, 2, 1), out=dw_flat[rows])
+        cols_t = cols.reshape(n, groups, -1, length).transpose(0, 1, 3, 2)
+        np.matmul(dc, cols_t, out=dw_flat[rows])
         if want_dx:
             # one product per offset: a single (cin*taps, length) product
             # followed by a scatter of its columns was slower
-            dxc = dxp[rows]
+            if buf is None:  # the first chunk is the largest
+                buf = np.empty((n, groups, cin // groups, length))
+            tmp, dxc = buf[:n], dxp[rows]
             for off, tap_t in zip(offsets, taps_t):
-                _window(dxc, off, stride, out_sp)[...] += (tap_t @ dc).reshape(n, cin, *out_sp)
+                tap_product(tap_t, dc, out=tmp)
+                _window(dxc, off, stride, out_sp)[...] += tmp.reshape(n, cin, *out_sp)
     dx = dxp if padding == 0 or not want_dx else dxp[_interior(padding, x.shape[2:])]
-    db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
-    return dx, dw, db
-
-
-def _dw_coeffs(w, offsets, dims):
-    """Per offset, the depthwise weights shaped to broadcast over (B, c, *spatial)."""
-    c = w.shape[0]
-    return [w[(slice(None), 0, *off)].reshape((1, c) + (1,) * dims) for off in offsets]
-
-
-def _dwconv_fwd(x, w, b, stride, padding):
-    B, c = x.shape[:2]
-    kernel = w.shape[2]
-    dims = x.ndim - 2
-    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
-    length = math.prod(out_sp)
-    # per channel, one (1, taps) @ (taps, length) product
-    wrow = w.reshape(c, 1, -1)
-    out = np.empty((B, c, 1, length))
-    for rows, cols in _columns(_pad(x, padding), kernel, stride, out_sp):
-        np.matmul(wrow, cols, out=out[rows])
-    out = out.reshape((B, c) + out_sp)
-    if b is not None:
-        out += b.reshape((1, c) + (1,) * dims)
-    return out
-
-
-def _dwconv_bwd(x, w, dout, stride, padding, want_bias):
-    """Input and per-sample weight and bias gradients."""
-    B, c = x.shape[:2]
-    kernel = w.shape[2]
-    dims = x.ndim - 2
-    xp = _pad(x, padding)
-    out_sp = dout.shape[2:]
-    length = math.prod(out_sp)
-    offsets = _offsets(kernel, dims)
-    coeffs = _dw_coeffs(w, offsets, dims)
-    dxp = np.zeros_like(xp)
-    dw = np.empty((B,) + w.shape)
-    # per channel, one (taps, length) @ (length, 1) product
-    dw_col = dw.reshape(B, c, -1, 1)
-    dcol = dout.reshape(B, c, length, 1)
-    for rows, cols in _columns(xp, kernel, stride, out_sp):
-        np.matmul(cols, dcol[rows], out=dw_col[rows])
-        dc, dxc = dout[rows], dxp[rows]
-        tmp = np.empty(dc.shape)
-        for off, coeff in zip(offsets, coeffs):
-            np.multiply(dc, coeff, out=tmp)
-            _window(dxc, off, stride, out_sp)[...] += tmp
-    dx = dxp if padding == 0 else dxp[_interior(padding, x.shape[2:])]
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
@@ -279,7 +241,7 @@ def _dwconv_bwd(x, w, dout, stride, padding, want_bias):
 def _maxpool_fwd(x, kernel, stride, padding):
     dims = x.ndim - 2
     xp = _pad(x, padding, value=-np.inf)
-    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     offsets = _offsets(kernel, dims)
     out = np.empty(x.shape[:2] + out_sp)
     arg = np.zeros(out.shape, dtype=np.intp)
@@ -364,10 +326,8 @@ def forward(g: ArchitectureGraph, params: ParamSet, batch: np.ndarray) -> Forwar
         ins = [outputs[p] for p in g.preds[i]] or [x]
         a = ins[0]
         kind = node.kind
-        if kind == "conv":
+        if kind in ("conv", "depthwise-conv"):
             out = _conv_fwd(a, params.weights[i], params.biases.get(i), node.stride, node.padding)
-        elif kind == "depthwise-conv":
-            out = _dwconv_fwd(a, params.weights[i], params.biases.get(i), node.stride, node.padding)
         elif kind == "linear":
             flat = a.reshape(len(a), -1)
             out = flat @ params.weights[i].T
@@ -445,16 +405,10 @@ def backward(
         ins = [trace.outputs[p] for p in g.preds[i]] or [x]
         a = ins[0]
         kind = node.kind
-        if kind == "conv":
-            # a conv reading the graph input has no input gradient to pass on
+        if kind in ("conv", "depthwise-conv"):
+            # a convolution reading the graph input has no input gradient to pass on
             dx, dw, db = _conv_bwd(a, params.weights[i], dout, node.stride, node.padding,
                                    i in params.biases, want_dx=bool(g.preds[i]))
-            wgrads[i] = dw
-            if db is not None:
-                bgrads[i] = db
-        elif kind == "depthwise-conv":
-            dx, dw, db = _dwconv_bwd(a, params.weights[i], dout, node.stride, node.padding,
-                                     i in params.biases)
             wgrads[i] = dw
             if db is not None:
                 bgrads[i] = db

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from protonas.archspace import decode, sample
-from protonas.archspace.graph import ArchitectureGraph, LayerSpec
+from protonas.archspace.graph import ArchitectureGraph, LayerSpec, windowed_extent
 from protonas.errors import ShapeMismatch
 from protonas.tensorcore import backward, cross_entropy, forward, init_params
 import protonas.tensorcore.engine as engine
@@ -14,7 +14,6 @@ from protonas.tensorcore.engine import (
     _interior,
     _maxpool_fwd,
     _offsets,
-    _out_extent,
     _pad,
     _window,
 )
@@ -63,6 +62,37 @@ def test_gradients_match_finite_differences_on_chain():
     batch = rng.standard_normal((3, *g.input_shape))
     labels = np.array([0, 2, 1])
     assert max_rel_error(g, params, batch, labels, rng) < 1e-5
+
+
+def test_gradients_match_finite_differences_on_depthwise_first_chain():
+    """A depthwise conv reading the graph input skips its input gradient;
+    every one of its weight and bias gradients still matches."""
+    g = chain_graph(
+        [
+            LayerSpec(kind="depthwise-conv", in_channels=3, out_channels=3, kernel=3,
+                      stride=2, padding=1, bias=True),
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="conv", in_channels=3, out_channels=4, kernel=1, bias=True),
+            LayerSpec(kind="global-avg-pool"),
+            LayerSpec(kind="linear", in_channels=4, out_channels=3, bias=True),
+        ],
+        (3, 7, 7),
+        3,
+    )
+    rng = np.random.default_rng(3)
+    params = init_params(g, rng)
+    batch = rng.standard_normal((3, *g.input_shape))
+    labels = np.array([2, 0, 1])
+    assert max_rel_error(g, params, batch, labels, rng) < 1e-5
+    grads = backward(g, params, batch, labels)
+    for store, gstore, bias in (
+        (params.weights, grads.weight_grads, False),
+        (params.biases, grads.bias_grads, True),
+    ):
+        ana = gstore[0].mean(axis=0).reshape(-1)
+        for idx in range(store[0].size):
+            num = fd_gradient(g, params, batch, labels, 0, idx, bias=bias)
+            assert abs(num - ana[idx]) <= 1e-5 * max(abs(num), abs(ana[idx]), 1e-8)
 
 
 def branchy_graph():
@@ -185,11 +215,12 @@ def test_pad_matches_np_pad(value, shape, padding):
     assert np.array_equal(got, want)
 
 
-def test_conv_bwd_without_input_gradient_keeps_parameter_gradients():
+@pytest.mark.parametrize("cout, group_inputs", [(4, 2), (2, 1)], ids=["conv", "depthwise-conv"])
+def test_conv_bwd_without_input_gradient_keeps_parameter_gradients(cout, group_inputs):
     rng = np.random.default_rng(1)
     x = rng.normal(size=(3, 2, 7, 7))
-    w = rng.normal(size=(4, 2, 3, 3))
-    dout = rng.normal(size=(3, 4, 4, 4))
+    w = rng.normal(size=(cout, group_inputs, 3, 3))
+    dout = rng.normal(size=(3, cout, 4, 4))
     dx, dw, db = _conv_bwd(x, w, dout, 2, 1, True)
     none, dw_only, db_only = _conv_bwd(x, w, dout, 2, 1, True, want_dx=False)
     assert dx.shape == x.shape and none is None
@@ -308,7 +339,7 @@ def offset_conv_fwd(x, w, b, stride, padding):
     cout, _, kernel = w.shape[0], w.shape[1], w.shape[2]
     dims = x.ndim - 2
     xp = _pad(x, padding)
-    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     length = math.prod(out_sp)
     acc = np.zeros((B, cout, length))
     for off in _offsets(kernel, dims):
@@ -346,7 +377,7 @@ def offset_dwconv_fwd(x, w, b, stride, padding):
     kernel = w.shape[2]
     dims = x.ndim - 2
     xp = _pad(x, padding)
-    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     out = np.zeros((B, c) + out_sp)
     for off in _offsets(kernel, dims):
         coeff = w[(slice(None), 0, *off)].reshape((1, c) + (1,) * dims)
@@ -410,9 +441,9 @@ def test_column_kernels_match_per_offset_kernels(spatial, stride):
                 wd = rng.standard_normal((cin, 1) + (kernel,) * dims)
                 bd = rng.standard_normal(cin) if bias else None
                 out = offset_dwconv_fwd(x, wd, bd, stride, padding)
-                assert max_rel_diff(engine._dwconv_fwd(x, wd, bd, stride, padding), out) <= 1e-12
+                assert max_rel_diff(engine._conv_fwd(x, wd, bd, stride, padding), out) <= 1e-12
                 dout = rng.standard_normal((B, cin + 2) + out.shape[2:])[:, 1 : 1 + cin]
-                got = engine._dwconv_bwd(x, wd, dout, stride, padding, bias)
+                got = engine._conv_bwd(x, wd, dout, stride, padding, bias)
                 want = offset_dwconv_bwd(x, wd, dout, stride, padding, bias)
                 assert all(max_rel_diff(g_, w_) <= 1e-12 for g_, w_ in zip(got, want))
 
@@ -446,12 +477,10 @@ def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, mo
     padding = kernel // 2
     if kind == "conv":
         w = rng.standard_normal((16, shape[1], kernel, kernel))
-        out = engine._conv_fwd(x, w, None, stride, padding)
-        engine._conv_bwd(x, w, out, stride, padding, False)
     else:
         w = rng.standard_normal((shape[1], 1, kernel, kernel))
-        out = engine._dwconv_fwd(x, w, None, stride, padding)
-        engine._dwconv_bwd(x, w, out, stride, padding, False)
+    out = engine._conv_fwd(x, w, None, stride, padding)
+    engine._conv_bwd(x, w, out, stride, padding, False)
     row_columns = 8 * shape[1] * kernel**2 * math.prod(out.shape[2:])
     assert sizes and max(sizes) <= max(engine._CHUNK_BYTES, row_columns)
 
@@ -476,7 +505,7 @@ def im2col(xp, kernel, stride, out_sp):
 
 def whole_conv_fwd(x, w, b, stride, padding):
     B, cout, kernel = len(x), w.shape[0], w.shape[2]
-    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     length = math.prod(out_sp)
     cols = im2col(_pad(x, padding), kernel, stride, out_sp).reshape(B, -1, length)
     out = (w.reshape(cout, -1) @ cols).reshape(B, cout, *out_sp)
@@ -506,7 +535,7 @@ def whole_conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
 
 def whole_dwconv_fwd(x, w, b, stride, padding):
     B, c, kernel = len(x), w.shape[0], w.shape[2]
-    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     cols = im2col(_pad(x, padding), kernel, stride, out_sp)
     out = (w.reshape(c, 1, -1) @ cols).reshape((B, c) + out_sp)
     if b is not None:
@@ -532,7 +561,7 @@ def whole_dwconv_bwd(x, w, dout, stride, padding, want_bias):
 def whole_maxpool_fwd(x, kernel, stride, padding):
     dims = x.ndim - 2
     xp = _pad(x, padding, value=-np.inf)
-    out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     offsets = _offsets(kernel, dims)
     out = _window(xp, offsets[0], stride, out_sp).copy()
     arg = np.zeros(out.shape, dtype=np.intp)
@@ -598,29 +627,32 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
         for padding in (0, 1, 2):
             if spatial[0] + 2 * padding < kernel:
                 continue
-            out_sp = tuple(_out_extent(n, kernel, stride, padding) for n in spatial)
+            out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in spatial)
             # convolution chunks count column bytes, max pooling padded input
             chunk_rows_of(8 * cin * kernel**dims * math.prod(out_sp))
 
-            w = rng.standard_normal((cout, cin) + (kernel,) * dims)
-            b = rng.standard_normal(cout)
-            out = whole_conv_fwd(x, w, b, stride, padding)
-            assert_same_bits(engine._conv_fwd(x, w, b, stride, padding), out)
-            # relu-like gradients: zeros of both signs
-            dout = np.maximum(rng.standard_normal(out.shape), 0.0)
-            dout *= rng.choice([1.0, -1.0], out.shape)
-            for want_dx in (True, False):
-                got = engine._conv_bwd(x, w, dout, stride, padding, True, want_dx)
-                for g_, w_ in zip(got, whole_conv_bwd(x, w, dout, stride, padding, True, want_dx)):
-                    assert_same_bits(g_, w_)
+            # cout = 1 takes the broadcast-product path for dx with one group
+            for outs in (cout, 1):
+                w = rng.standard_normal((outs, cin) + (kernel,) * dims)
+                b = rng.standard_normal(outs)
+                out = whole_conv_fwd(x, w, b, stride, padding)
+                assert_same_bits(engine._conv_fwd(x, w, b, stride, padding), out)
+                # relu-like gradients: zeros of both signs
+                dout = np.maximum(rng.standard_normal(out.shape), 0.0)
+                dout *= rng.choice([1.0, -1.0], out.shape)
+                for want_dx in (True, False):
+                    got = engine._conv_bwd(x, w, dout, stride, padding, True, want_dx)
+                    want = whole_conv_bwd(x, w, dout, stride, padding, True, want_dx)
+                    for g_, w_ in zip(got, want):
+                        assert_same_bits(g_, w_)
 
             wd = rng.standard_normal((cin, 1) + (kernel,) * dims)
             bd = rng.standard_normal(cin)
             out = whole_dwconv_fwd(x, wd, bd, stride, padding)
-            assert_same_bits(engine._dwconv_fwd(x, wd, bd, stride, padding), out)
+            assert_same_bits(engine._conv_fwd(x, wd, bd, stride, padding), out)
             # a channel slice of a wider gradient, as concat's backward passes on
             dout = rng.standard_normal((B, 2 * cin) + out.shape[2:])[:, 1 : 1 + cin]
-            got = engine._dwconv_bwd(x, wd, dout, stride, padding, True)
+            got = engine._conv_bwd(x, wd, dout, stride, padding, True)
             for g_, w_ in zip(got, whole_dwconv_bwd(x, wd, dout, stride, padding, True)):
                 assert_same_bits(g_, w_)
 
