@@ -13,12 +13,15 @@ meco    per superblock tap, the smallest eigenvalue of the channel
 
 All four share one deterministic batch stream in evaluate_ensemble, so
 a candidate's scores depend only on the graph, parameters, and seed.
-They also share the engine work: the first batch is forwarded once, and
-its trace yields the naswot codes and the meco taps (row 0) before one
-backward reuses it.  Every later batch gets one backward, which always
-returns per-sample gradients.  snip is |theta * mean_b g_b| over the
-first batch's gradients, zico reads all of them.  Epsilon floors keep
-every score finite on degenerate inputs.
+They also share the engine work: the num_batches_zico batches are
+stacked into one, and the engine runs one forward and one backward on
+it.  Batch rows never mix in the engine, so each row's activations and
+per-sample gradients are those of a pass over its own batch.  The
+forward trace keeps only what backward and meco read; it yields the
+naswot codes (first batch) and the meco taps (row 0) before backward
+consumes it.  snip is |theta * mean_b g_b| over the first batch's
+gradients, zico reads all of them.  Epsilon floors keep every score
+finite on degenerate inputs.
 """
 
 from __future__ import annotations
@@ -29,7 +32,14 @@ import numpy as np
 
 from ..archspace.graph import ArchitectureGraph
 from ..errors import ConfigError
-from ..tensorcore.engine import ForwardTrace, GradientRecord, ParamSet, backward, forward
+from ..tensorcore.engine import (
+    ForwardTrace,
+    GradientRecord,
+    ParamSet,
+    backward,
+    backward_reads,
+    forward,
+)
 
 _SCORED_KINDS = ("conv", "depthwise-conv", "linear")
 # Columns per block of zico's per-sample gradient statistics: with 16
@@ -42,6 +52,10 @@ _CODE_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class ProxyBatchConfig:
+    """The proxy batch stream: num_batches_zico batches of batch_size
+    samples.  evaluate_ensemble runs them as one engine pass over
+    batch_size * num_batches_zico rows, so its memory grows with both."""
+
     batch_size: int = 8
     num_batches_zico: int = 2
     eps_logdet: float = 1e-6
@@ -68,13 +82,15 @@ class ProxyScores:
         return {"meco": self.meco, "zico": self.zico, "naswot": self.naswot, "snip": self.snip}
 
 
-def _snip_from_record(params: ParamSet, rec: GradientRecord) -> float:
-    """Sum of |theta * mean_b g_b| over every parameter tensor with a gradient."""
+def _snip_from_record(params: ParamSet, rec: GradientRecord, rows: int | None = None) -> float:
+    """Sum of |theta * mean_b g_b| over every parameter tensor with a
+    gradient, the mean taken over the record's first `rows` samples
+    (all of them by default)."""
     total = 0.0
     for nid, grad in rec.weight_grads.items():
-        total += float(np.abs(params.weights[nid] * grad.mean(axis=0)).sum())
+        total += float(np.abs(params.weights[nid] * grad[:rows].mean(axis=0)).sum())
     for nid, grad in rec.bias_grads.items():
-        total += float(np.abs(params.biases[nid] * grad.mean(axis=0)).sum())
+        total += float(np.abs(params.biases[nid] * grad[:rows].mean(axis=0)).sum())
     return total
 
 
@@ -117,13 +133,14 @@ def naswot_from_codes(codes: np.ndarray, eps: float = 1e-6) -> float:
     return _logdet(_agreement([c]), eps)
 
 
-def _naswot_from_trace(trace: ForwardTrace, eps: float) -> float:
-    """naswot over every relu's activation codes in the trace, in node
-    order, read in blocks of at most _CODE_BLOCK units per sample."""
+def _naswot_from_trace(trace: ForwardTrace, eps: float, rows: int | None = None) -> float:
+    """naswot over every relu's activation codes in the trace's first
+    `rows` samples (all of them by default), in node order, read in
+    blocks of at most _CODE_BLOCK units per sample."""
     if not trace.relu_patterns:
         raise ConfigError("naswot needs at least one relu layer")
-    rows = len(trace.logits)
-    codes = [trace.relu_patterns[i].reshape(rows, -1) for i in sorted(trace.relu_patterns)]
+    rows = len(trace.logits) if rows is None else rows
+    codes = [trace.relu_patterns[i][:rows].reshape(rows, -1) for i in sorted(trace.relu_patterns)]
     step = _CODE_BLOCK
     blocks = (c[:, lo : lo + step] for c in codes for lo in range(0, c.shape[1], step))
     return _logdet(_agreement(blocks), eps)
@@ -205,10 +222,11 @@ def _zico_from_records(g: ArchitectureGraph, records: list[GradientRecord], eps:
 
 
 def zico(g: ArchitectureGraph, params: ParamSet, batches, labels_list, eps: float = 1e-6) -> float:
+    """zico over the samples of all batches, run as one stacked backward."""
     if len(batches) != len(labels_list) or not batches:
         raise ConfigError("zico needs matching, non-empty batch and label lists")
-    records = [backward(g, params, b, l) for b, l in zip(batches, labels_list)]
-    return _zico_from_records(g, records, eps)
+    rec = backward(g, params, np.concatenate(batches), np.concatenate(labels_list))
+    return _zico_from_records(g, [rec], eps)
 
 
 def correlation_min_eigenvalue(channels: np.ndarray, eps: float = 1e-6) -> float:
@@ -230,7 +248,7 @@ def correlation_min_eigenvalue(channels: np.ndarray, eps: float = 1e-6) -> float
 
 def _meco_from_trace(g: ArchitectureGraph, trace: ForwardTrace, eps: float) -> float:
     """Sum of per-tap minimum correlation eigenvalues on the first trace row."""
-    taps = [i for i, node in enumerate(g.nodes) if node.block_output]
+    taps = _meco_taps(g)
     if not taps:
         raise ConfigError("meco needs block_output taps in the graph")
     total = 0.0
@@ -246,6 +264,25 @@ def meco(g: ArchitectureGraph, params: ParamSet, sample, eps: float = 1e-6) -> f
     return _meco_from_trace(g, forward(g, params, x[None]), eps)
 
 
+def _meco_taps(g: ArchitectureGraph) -> list[int]:
+    return [i for i, node in enumerate(g.nodes) if node.block_output]
+
+
+def _forward_and_score_first_batch(
+    g: ArchitectureGraph,
+    params: ParamSet,
+    x: np.ndarray,
+    cfg: ProxyBatchConfig,
+    scores: dict[str, float],
+) -> ForwardTrace:
+    """Forward x keeping what backward and meco read; put naswot over the
+    first batch and meco on row 0 into scores, and return the trace."""
+    trace = forward(g, params, x, keep=backward_reads(g).keys() | set(_meco_taps(g)))
+    scores["naswot"] = _naswot_from_trace(trace, cfg.eps_logdet, rows=cfg.batch_size)
+    scores["meco"] = _meco_from_trace(g, trace, cfg.eps_var)
+    return trace
+
+
 def evaluate_ensemble(
     g: ArchitectureGraph,
     params: ParamSet,
@@ -257,19 +294,22 @@ def evaluate_ensemble(
     Draw order is fixed: for each of num_batches_zico batches, first the
     standard-normal inputs, then uniform labels.  snip and naswot use
     the first batch, meco its first sample, zico all batches.  The
-    engine runs one forward and one backward per batch.
+    engine runs one forward and one backward over all batches stacked.
     """
-    batches = []
-    labels = []
-    for _ in range(cfg.num_batches_zico):
-        batches.append(rng.standard_normal((cfg.batch_size, *g.input_shape)))
-        labels.append(rng.integers(0, g.num_classes, size=cfg.batch_size))
-    trace = forward(g, params, batches[0])
-    naswot_v = _naswot_from_trace(trace, cfg.eps_logdet)
-    meco_v = _meco_from_trace(g, trace, cfg.eps_var)
-    records = [backward(g, params, batches[0], labels[0], trace=trace)]
-    del trace  # the activations are the bulk of peak memory; free them first
-    records += [backward(g, params, b, l) for b, l in zip(batches[1:], labels[1:])]
-    snip_v = _snip_from_record(params, records[0])
-    zico_v = _zico_from_records(g, records, cfg.eps_std)
-    return ProxyScores(meco=meco_v, zico=zico_v, naswot=naswot_v, snip=snip_v)
+    bs = cfg.batch_size
+    x = np.empty((bs * cfg.num_batches_zico, *g.input_shape))
+    labels = np.empty(len(x), dtype=np.int64)
+    for lo in range(0, len(x), bs):
+        rng.standard_normal(out=x[lo : lo + bs])
+        labels[lo : lo + bs] = rng.integers(0, g.num_classes, size=bs)
+    scores: dict[str, float] = {}
+    # no name holds the trace, so backward frees it as it goes
+    rec = backward(
+        g, params, x, labels, trace=_forward_and_score_first_batch(g, params, x, cfg, scores)
+    )
+    return ProxyScores(
+        meco=scores["meco"],
+        zico=_zico_from_records(g, [rec], cfg.eps_std),
+        naswot=scores["naswot"],
+        snip=_snip_from_record(params, rec, rows=bs),
+    )

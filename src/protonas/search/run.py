@@ -24,6 +24,7 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,7 +289,8 @@ def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) 
 
     jobs > 1 evaluates each generation in one process pool kept for the
     whole run; trial order, seeds, and therefore all outputs are
-    identical for any jobs value.
+    identical for any jobs value.  If a worker dies, the pool is rebuilt
+    and that generation re-run, once per generation.
     log_path, when given, receives one JSON line per trial, appended in
     trial order.
     """
@@ -303,6 +305,7 @@ def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) 
     pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
 
     def evaluate_batch(genes: list[HyperparamVector], start: int) -> list[CandidateRecord]:
+        nonlocal pool
         args = [
             (x, ctx, trial_seed(cfg.base_seed, start + off), start + off)
             for off, x in enumerate(genes)
@@ -310,7 +313,17 @@ def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) 
         if pool is None or len(args) == 1:
             batch = [_eval_star(a) for a in args]
         else:
-            batch = list(pool.map(_eval_star, args))
+            try:
+                batch = list(pool.map(_eval_star, args))
+            except BrokenProcessPool:
+                # A worker died.  Seeds are per trial index, so re-running
+                # the whole generation on a fresh pool gives the same
+                # records; a second break in it is raised.
+                log.warning("process pool broke in trials %d-%d; rebuilding it once",
+                            start, start + len(args) - 1)
+                pool.shutdown()
+                pool = ProcessPoolExecutor(max_workers=jobs)
+                batch = list(pool.map(_eval_star, args))
         for rec in batch:
             records.append(rec)
             if sink is not None:

@@ -18,13 +18,20 @@ bits, and faster than numpy's matmul over stacks of 1x1 matrices.
 
 The spatial kernels (convolution and max pooling) work through the
 batch in row chunks of about _CHUNK_BYTES (_row_chunks):
-of column buffer for the convolutions, of padded input for pooling.  A
+of column buffer for the convolutions, of padded input for pooling
+(max-pool forward pads each chunk into one reused buffer).  A
 row whose columns exceed the budget is a chunk of its own.  A batch that
 fits, such as any 1-D batch here, is one chunk.  Rows never mix and
 every matrix product keeps its per-row shape, so the results are the
 same bits as a whole-batch pass.
 
-Backward is reverse-mode over the recorded forward activations.
+Backward is reverse-mode over the recorded forward activations.  It
+reads only the inputs of conv and linear nodes (backward_reads), the
+ReLU patterns and the max-pool argmaxes; every other node's output shape
+comes from the trace.  forward can keep just the outputs a caller names
+and drops every other one once its last consumer has run, and backward
+drops each array once the last node that reads it has run, so a trace
+that nobody else holds is freed as backward goes.
 Batchnorm runs in initialization-statistics mode (zero mean, unit
 variance, identity affine) and carries no parameters.
 
@@ -38,6 +45,7 @@ mean loss over the batch.
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,12 +77,15 @@ class ParamSet:
 
 @dataclass
 class ForwardTrace:
-    """All node outputs plus the ReLU activation patterns."""
+    """The kept node outputs, the logits, every ReLU activation pattern
+    and max-pool argmax, and every node's output shape (batch axis
+    first)."""
 
     outputs: dict[int, np.ndarray]
     relu_patterns: dict[int, np.ndarray]
     logits: np.ndarray
     pool_argmax: dict[int, np.ndarray] = field(default_factory=dict)
+    shapes: list[tuple[int, ...]] = field(default_factory=list)
 
 
 @dataclass
@@ -240,16 +251,25 @@ def _conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
 
 def _maxpool_fwd(x, kernel, stride, padding):
     dims = x.ndim - 2
-    xp = _pad(x, padding, value=-np.inf)
     out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     offsets = _offsets(kernel, dims)
     out = np.empty(x.shape[:2] + out_sp)
     arg = np.zeros(out.shape, dtype=np.intp)
-    chunks = _row_chunks(len(xp), xp.itemsize * math.prod(xp.shape[1:]))
+    # each row chunk is padded into one reused buffer, whose -inf border
+    # is written once, rather than padding the whole batch
+    padded = x.shape[1:2] + tuple(n + 2 * padding for n in x.shape[2:])
+    chunks = _row_chunks(len(x), x.itemsize * math.prod(padded))
     greater = np.empty(out[chunks[0]].shape, dtype=bool)
+    xp = np.full((len(greater),) + padded, -np.inf) if padding else None
     for rows in chunks:
-        xc, oc, ac = xp[rows], out[rows], arg[rows]
-        gt = greater[: len(oc)]
+        oc, ac = out[rows], arg[rows]
+        n = len(oc)
+        if padding:
+            xc = xp[:n]
+            xc[_interior(padding, x.shape[2:])] = x[rows]
+        else:
+            xc = x[rows]
+        gt = greater[:n]
         oc[...] = _window(xc, offsets[0], stride, out_sp)
         for idx, off in enumerate(offsets[1:], start=1):
             win = _window(xc, off, stride, out_sp)
@@ -313,13 +333,42 @@ def _as_batch(g: ArchitectureGraph, batch: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward(g: ArchitectureGraph, params: ParamSet, batch: np.ndarray) -> ForwardTrace:
-    """Run the graph on a batch shaped (B, *input_shape)."""
+def backward_reads(g: ArchitectureGraph) -> dict[int, int]:
+    """The nodes whose outputs backward reads: the inputs of conv and
+    linear nodes.  Each maps to the first node in node order that reads
+    it, which is the last reader to run in backward."""
+    reads: dict[int, int] = {}
+    for i, node in enumerate(g.nodes):
+        if node.kind in ("conv", "depthwise-conv", "linear") and g.preds[i]:
+            reads.setdefault(g.preds[i][0], i)
+    return reads
+
+
+def forward(
+    g: ArchitectureGraph,
+    params: ParamSet,
+    batch: np.ndarray,
+    keep: Collection[int] | None = None,
+) -> ForwardTrace:
+    """Run the graph on a batch shaped (B, *input_shape).
+
+    keep names the nodes whose outputs the trace holds; by default it
+    holds all of them.  Any other output is dropped as soon as its last
+    consumer has run.  The logits, ReLU patterns, max-pool argmaxes and
+    output shapes are always recorded.
+    """
     x = _as_batch(g, batch)
     outputs: dict[int, np.ndarray] = {}
     relu_patterns: dict[int, np.ndarray] = {}
     pool_argmax: dict[int, np.ndarray] = {}
-    last = 0
+    shapes: list[tuple[int, ...]] = []
+    # drop_after[i]: the unkept outputs whose last consumer is node i
+    drop_after: list[list[int]] = [[] for _ in g.nodes]
+    if keep is not None:
+        keep = set(keep)
+        for p, succ in enumerate(g.successors()):
+            if p not in keep:
+                drop_after[max(succ, default=p)].append(p)
     for i, node in enumerate(g.nodes):
         if any(p >= i for p in g.preds[i]):
             raise ShapeMismatch("node order is not topological")
@@ -340,7 +389,9 @@ def forward(g: ArchitectureGraph, params: ParamSet, batch: np.ndarray) -> Forwar
             out = a * _BN_SCALE
         elif kind == "maxpool":
             out, arg = _maxpool_fwd(a, node.kernel, node.stride, node.padding)
-            pool_argmax[i] = arg
+            # held until backward reads it: one byte a cell up to 256 taps
+            pool_argmax[i] = arg.astype(np.min_scalar_type(node.kernel ** (a.ndim - 2) - 1))
+            del arg
         elif kind == "global-avg-pool":
             out = a.mean(axis=tuple(range(2, a.ndim)), keepdims=True)
         elif kind == "add":
@@ -352,12 +403,15 @@ def forward(g: ArchitectureGraph, params: ParamSet, batch: np.ndarray) -> Forwar
         else:
             raise ShapeMismatch(f"unknown layer kind '{kind}'")
         outputs[i] = out
-        last = i
+        shapes.append(out.shape)
+        for p in drop_after[i]:
+            del outputs[p]
     return ForwardTrace(
         outputs=outputs,
         relu_patterns=relu_patterns,
-        logits=outputs[last],
+        logits=out,
         pool_argmax=pool_argmax,
+        shapes=shapes,
     )
 
 
@@ -373,8 +427,10 @@ def backward(
     Every array has a leading batch axis, and row b holds the gradient
     of the loss evaluated on sample b alone; the mean over that axis is
     the gradient of the mean loss over the batch.  trace, when given,
-    must be forward(g, params, batch); backward then reuses it instead
-    of running the forward pass again.
+    must be forward(g, params, batch) keeping at least backward_reads(g);
+    backward then reuses it instead of running the forward pass again,
+    and leaves it intact.  Without a trace, the forward pass keeps only
+    what backward reads.
     """
     x = _as_batch(g, batch)
     labels = np.asarray(labels)
@@ -382,12 +438,23 @@ def backward(
         raise ShapeMismatch("labels must be one per batch row")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= g.num_classes:
         raise ShapeMismatch("label outside class range")
+    reads = backward_reads(g)
     if trace is None:
-        trace = forward(g, params, x)
+        trace = forward(g, params, x, keep=reads)
     elif len(trace.logits) != len(x):
         raise ShapeMismatch("trace was not recorded on this batch")
+    elif not reads.keys() <= trace.outputs.keys():
+        raise ShapeMismatch("trace does not keep the outputs backward reads")
+    # Work from copies of the trace's dicts and let go of the trace: the
+    # caller's trace stays intact, and an array that nobody else holds is
+    # freed once the last node that reads it has run.
+    outputs = {p: trace.outputs[p] for p in reads}
+    relu_patterns = dict(trace.relu_patterns)
+    pool_argmax = dict(trace.pool_argmax)
+    shapes = trace.shapes
     n = len(g.nodes)
     douts: dict[int, np.ndarray] = {n - 1: _ce_grad(trace.logits, labels)}
+    del trace
     wgrads: dict[int, np.ndarray] = {}
     bgrads: dict[int, np.ndarray] = {}
 
@@ -397,36 +464,43 @@ def backward(
         else:
             douts[p] = grad
 
+    def node_input(i: int) -> np.ndarray:
+        """The input of conv or linear node i, released after its last reader."""
+        if not g.preds[i]:
+            return x
+        p = g.preds[i][0]
+        return outputs.pop(p) if reads[p] == i else outputs[p]
+
     for i in range(n - 1, -1, -1):
         node = g.nodes[i]
         dout = douts.pop(i, None)
         if dout is None:
             continue
-        ins = [trace.outputs[p] for p in g.preds[i]] or [x]
-        a = ins[0]
+        in_shape = shapes[g.preds[i][0]] if g.preds[i] else x.shape
         kind = node.kind
         if kind in ("conv", "depthwise-conv"):
             # a convolution reading the graph input has no input gradient to pass on
-            dx, dw, db = _conv_bwd(a, params.weights[i], dout, node.stride, node.padding,
-                                   i in params.biases, want_dx=bool(g.preds[i]))
+            dx, dw, db = _conv_bwd(node_input(i), params.weights[i], dout, node.stride,
+                                   node.padding, i in params.biases, want_dx=bool(g.preds[i]))
             wgrads[i] = dw
             if db is not None:
                 bgrads[i] = db
         elif kind == "linear":
-            flat = a.reshape(len(a), -1)
+            flat = node_input(i).reshape(len(x), -1)
             wgrads[i] = dout[:, :, None] * flat[:, None, :]
             if i in params.biases:
                 bgrads[i] = dout
-            dx = (dout @ params.weights[i]).reshape(a.shape)
+            dx = (dout @ params.weights[i]).reshape(in_shape)
         elif kind == "relu":
-            dx = dout * trace.relu_patterns[i]
+            dx = dout * relu_patterns.pop(i)
         elif kind == "batchnorm":
             dx = dout * _BN_SCALE
         elif kind == "maxpool":
-            dx = _maxpool_bwd(a.shape, trace.pool_argmax[i], dout, node.kernel, node.stride, node.padding)
+            dx = _maxpool_bwd(in_shape, pool_argmax.pop(i), dout, node.kernel, node.stride,
+                              node.padding)
         elif kind == "global-avg-pool":
-            spatial = math.prod(a.shape[2:])
-            dx = np.broadcast_to(dout / spatial, a.shape).copy()
+            spatial = math.prod(in_shape[2:])
+            dx = np.broadcast_to(dout / spatial, in_shape).copy()
         elif kind == "add":
             for p in g.preds[i]:
                 push(p, dout)
@@ -434,7 +508,7 @@ def backward(
         elif kind == "concat":
             start = 0
             for p in g.preds[i]:
-                c = trace.outputs[p].shape[1]
+                c = shapes[p][1]
                 push(p, dout[:, start : start + c])
                 start += c
             continue

@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -187,6 +188,37 @@ def test_jobs_flag_matches_serial_output(run_yaml, tmp_path, capsys):
     assert main(["explore", "--config", str(cfg1), "--jobs", "1"]) == 0
     cfg2 = run_yaml(out2)
     assert main(["explore", "--config", str(cfg2), "--jobs", "2"]) == 0
+    for name in ("trials.jsonl", "pareto.csv", "run_summary.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    capsys.readouterr()
+
+
+def dies_once_in_a_worker(evaluate, trial, marker):
+    """evaluate_candidate, except that the first pool worker to reach
+    `trial` exits on the spot (and leaves `marker`, so it happens once)."""
+
+    def hook(x, ctx, seed, trial_index=-1):
+        if trial_index == trial and multiprocessing.parent_process() is not None:
+            if not marker.exists():
+                marker.touch()
+                os._exit(1)
+        return evaluate(x, ctx, seed, trial_index)
+
+    return hook
+
+
+def test_explore_survives_a_dead_pool_worker(run_yaml, tmp_path, capsys, monkeypatch):
+    import protonas.search.run as run_mod
+
+    out1 = tmp_path / "o1"
+    out2 = tmp_path / "o2"
+    assert main(["explore", "--config", str(run_yaml(out1, search={"trials": 15})), "--jobs", "1"]) == 0
+    marker = tmp_path / "died"
+    monkeypatch.setattr(
+        run_mod, "evaluate_candidate", dies_once_in_a_worker(run_mod.evaluate_candidate, 7, marker)
+    )
+    assert main(["explore", "--config", str(run_yaml(out2, search={"trials": 15})), "--jobs", "2"]) == 0
+    assert marker.exists()
     for name in ("trials.jsonl", "pareto.csv", "run_summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
     capsys.readouterr()

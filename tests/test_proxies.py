@@ -1,11 +1,13 @@
 import math
 
 import numpy as np
+import pytest
 
-from protonas.archspace import apply_static_pruning, decode, sample
+from protonas.archspace import HyperparamVector, apply_static_pruning, decode, sample
 from protonas.archspace.graph import LayerSpec
 from protonas.proxies import (
     ProxyBatchConfig,
+    ProxyScores,
     correlation_min_eigenvalue,
     evaluate_ensemble,
     meco,
@@ -317,3 +319,117 @@ def test_ensemble_is_unchanged_by_proxy_block_sizes(space1d, task1d, templates, 
     monkeypatch.setattr(ensemble_mod, "_ZICO_BLOCK", 3)
     monkeypatch.setattr(ensemble_mod, "_CODE_BLOCK", 5)
     assert evaluate_ensemble(g, params, ProxyBatchConfig(), np.random.default_rng(104)) == want
+
+
+def two_pass_ensemble(g, params, cfg, rng):
+    """evaluate_ensemble as one forward and one backward per batch: the
+    first batch's full trace gives naswot and meco, every batch its own
+    gradient record."""
+    import protonas.proxies.ensemble as ensemble_mod
+
+    batches, labels = _drawn_batches(g, cfg, rng)
+    trace = forward(g, params, batches[0])
+    naswot_v = ensemble_mod._naswot_from_trace(trace, cfg.eps_logdet)
+    meco_v = ensemble_mod._meco_from_trace(g, trace, cfg.eps_var)
+    records = [backward(g, params, batches[0], labels[0], trace=trace)]
+    del trace
+    records += [backward(g, params, b, l) for b, l in zip(batches[1:], labels[1:])]
+    return ProxyScores(
+        meco=meco_v,
+        zico=ensemble_mod._zico_from_records(g, records, cfg.eps_std),
+        naswot=naswot_v,
+        snip=ensemble_mod._snip_from_record(params, records[0]),
+    )
+
+
+ONE_PASS_CONFIGS = [
+    ProxyBatchConfig(),
+    ProxyBatchConfig(batch_size=3, num_batches_zico=3),
+    ProxyBatchConfig(num_batches_zico=1),
+]
+
+
+def _decoded_2d(space2d, task2d, templates, seed):
+    x = sample(np.random.default_rng(seed), space2d)
+    g = apply_static_pruning(decode(x, space2d, task2d, templates), x.pruning_sparsity)
+    g.infer_shapes()
+    return g
+
+
+def branchy_ensemble_graph():
+    """The engine tests' branchy graph (add, concat, max-pool) with meco
+    taps on the add and the concat."""
+    from test_tensorcore import branchy_graph
+
+    g = branchy_graph()
+    g.nodes[4].block_output = True
+    g.nodes[6].block_output = True
+    return g
+
+
+@pytest.mark.parametrize("cfg", ONE_PASS_CONFIGS, ids=["default", "3x3", "one-batch"])
+def test_one_pass_ensemble_equals_two_pass_oracle(cfg, space1d, task1d, space2d, task2d, templates):
+    graphs = [_decoded_1d(space1d, task1d, templates, seed) for seed in (3, 8)]
+    graphs += [_decoded_2d(space2d, task2d, templates, seed) for seed in (2, 5)]
+    graphs.append(branchy_ensemble_graph())
+    for k, g in enumerate(graphs):
+        params = init_params(g, np.random.default_rng(k))
+        got = evaluate_ensemble(g, params, cfg, np.random.default_rng(50 + k))
+        want = two_pass_ensemble(g, params, cfg, np.random.default_rng(50 + k))
+        assert got.as_dict() == want.as_dict(), k
+
+
+def test_ensemble_scores_a_candidate_in_one_engine_pass(space1d, task1d, templates, monkeypatch):
+    import protonas.proxies.ensemble as ensemble_mod
+    import protonas.tensorcore.engine as engine_mod
+
+    calls = {"forward": 0, "backward": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        wrapper = counting(name, getattr(engine_mod, name))
+        monkeypatch.setattr(engine_mod, name, wrapper)
+        monkeypatch.setattr(ensemble_mod, name, wrapper)
+    g = _decoded_1d(space1d, task1d, templates, 3)
+    params = init_params(g, np.random.default_rng(3))
+    cfg = ProxyBatchConfig(batch_size=3, num_batches_zico=3)
+    evaluate_ensemble(g, params, cfg, np.random.default_rng(4))
+    assert calls == {"forward": 1, "backward": 1}
+
+
+@pytest.mark.parametrize("architecture", [0, 1], ids=["mbednet", "mobilenetv2"])
+def test_one_pass_ensemble_peaks_no_higher_than_two_pass_oracle(architecture, space2d, templates):
+    """With twice the rows in one pass, the trimmed trace and a backward
+    that frees what it has read keep the traced peak at or below the
+    two-pass one (each alone is not enough on mbednet)."""
+    import tracemalloc
+
+    from protonas.archspace import TaskSpec
+
+    task = TaskSpec(input_shape=(3, 128, 128), num_classes=10)
+    x = HyperparamVector(
+        architecture=architecture,
+        group_depth=(1, 1, 1, 1),
+        kernel_stride=(0, 0, 0, 0),
+        width_multiplier=0.3,
+        pruning_sparsity=(0.5, 0.5, 0.5, 0.5),
+    )
+    g = apply_static_pruning(decode(x, space2d, task, templates), x.pruning_sparsity)
+    g.infer_shapes()
+    params = init_params(g, np.random.default_rng(0))
+    cfg = ProxyBatchConfig()
+    peaks = {}
+    for name, fn in (("one-pass", evaluate_ensemble), ("two-pass", two_pass_ensemble)):
+        tracemalloc.start()
+        try:
+            fn(g, params, cfg, np.random.default_rng(1))
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["one-pass"] <= peaks["two-pass"], peaks

@@ -156,6 +156,27 @@ def test_run_search_deterministic_across_jobs(space1d, task1d, templates, tmp_pa
     assert log1.read_bytes() == log2.read_bytes()
 
 
+def test_run_search_raises_when_the_rebuilt_pool_breaks_too(
+    space1d, task1d, templates, monkeypatch
+):
+    import multiprocessing
+    import os
+    from concurrent.futures.process import BrokenProcessPool
+
+    import protonas.search.run as run_mod
+
+    evaluate = run_mod.evaluate_candidate
+
+    def always_dies(x, ctx, seed, trial_index=-1):
+        if trial_index == 6 and multiprocessing.parent_process() is not None:
+            os._exit(1)
+        return evaluate(x, ctx, seed, trial_index)
+
+    monkeypatch.setattr(run_mod, "evaluate_candidate", always_dies)
+    with pytest.raises(BrokenProcessPool):
+        run_search(small_search(space1d, task1d, trials=10, pop=5, seed=8), jobs=2, templates=templates)
+
+
 def test_run_search_seed_changes_results(space1d, task1d, templates):
     a = run_search(small_search(space1d, task1d, trials=8, pop=4, seed=0), templates=templates)
     b = run_search(small_search(space1d, task1d, trials=8, pop=4, seed=1), templates=templates)

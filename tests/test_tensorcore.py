@@ -666,3 +666,81 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
                 engine._maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
                 whole_maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
             )
+
+
+def depthwise_chain():
+    return chain_graph(
+        [
+            LayerSpec(kind="conv", in_channels=3, out_channels=6, kernel=3, stride=2, padding=1),
+            LayerSpec(kind="batchnorm", in_channels=6, out_channels=6),
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="depthwise-conv", in_channels=6, out_channels=6, kernel=5, padding=2,
+                      bias=True),
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="depthwise-conv", in_channels=6, out_channels=6, kernel=3, stride=2,
+                      padding=1),
+            LayerSpec(kind="conv", in_channels=6, out_channels=4, kernel=1, bias=True),
+            LayerSpec(kind="global-avg-pool"),
+            LayerSpec(kind="linear", in_channels=4, out_channels=3, bias=True),
+        ],
+        (3, 12, 12),
+        3,
+    )
+
+
+def test_forward_trace_holds_exactly_the_kept_outputs():
+    g = branchy_graph()
+    rng = np.random.default_rng(15)
+    params = init_params(g, rng)
+    batch = rng.standard_normal((3, 2, 8, 8))
+    full = forward(g, params, batch)
+    for keep in (set(), {2, 5}, set(engine.backward_reads(g)), {0, len(g.nodes) - 1}):
+        kept = forward(g, params, batch, keep=keep)
+        assert kept.outputs.keys() == keep
+        for i in keep:
+            assert np.array_equal(kept.outputs[i], full.outputs[i])
+        assert np.array_equal(kept.logits, full.logits)
+        assert kept.shapes == [full.outputs[i].shape for i in range(len(g.nodes))]
+        assert kept.relu_patterns.keys() == full.relu_patterns.keys()
+        for i, pattern in full.relu_patterns.items():
+            assert np.array_equal(kept.relu_patterns[i], pattern)
+    # the max-pool argmax is held in one byte a cell, with the kernel's values
+    (node,) = full.pool_argmax
+    arg = full.pool_argmax[node]
+    _, want = _maxpool_fwd(full.outputs[node - 1], 2, 2, 0)
+    assert arg.dtype == np.uint8 and np.array_equal(arg, want)
+
+
+@pytest.mark.parametrize("graph", [branchy_graph, depthwise_chain], ids=["branchy", "depthwise"])
+def test_backward_from_a_kept_trace_equals_backward_from_a_full_trace(graph):
+    g = graph()
+    rng = np.random.default_rng(16)
+    params = init_params(g, rng)
+    for nid in params.biases:
+        params.biases[nid] = rng.standard_normal(params.biases[nid].shape)
+    batch = rng.standard_normal((4, *g.input_shape))
+    labels = rng.integers(0, g.num_classes, 4)
+    want = backward(g, params, batch, labels, trace=forward(g, params, batch))
+    kept = forward(g, params, batch, keep=engine.backward_reads(g))
+    held = dict(kept.outputs)
+    for got in (
+        backward(g, params, batch, labels, trace=kept),
+        backward(g, params, batch, labels),
+    ):
+        pairs = ((got.weight_grads, want.weight_grads), (got.bias_grads, want.bias_grads))
+        for got_grads, want_grads in pairs:
+            assert got_grads.keys() == want_grads.keys()
+            for node in want_grads:
+                assert_same_bits(got_grads[node], want_grads[node])
+    # the caller's trace is left as it was
+    assert kept.outputs.keys() == held.keys()
+    assert all(kept.outputs[i] is held[i] for i in held)
+
+
+def test_backward_rejects_a_trace_without_the_outputs_it_reads():
+    g = branchy_graph()
+    params = init_params(g, np.random.default_rng(0))
+    batch = np.random.default_rng(1).standard_normal((2, 2, 8, 8))
+    trace = forward(g, params, batch, keep=set())
+    with pytest.raises(ShapeMismatch):
+        backward(g, params, batch, np.array([0, 1]), trace=trace)
