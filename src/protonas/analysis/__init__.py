@@ -4,7 +4,6 @@ from .correlation import RankSeries, TauMatrix, kendall_tau_b, tau_matrix
 from .report import (
     FRONT_COLUMNS,
     config_digest,
-    export_report,
     write_front_csv,
     write_summary,
     write_tau_csv,
@@ -15,7 +14,6 @@ __all__ = [
     "RankSeries",
     "TauMatrix",
     "config_digest",
-    "export_report",
     "kendall_tau_b",
     "tau_matrix",
     "write_front_csv",

@@ -98,7 +98,7 @@ def config_digest(echo: dict) -> str:
     ).hexdigest()
 
 
-def write_summary(path, echo: dict, archive: ParetoArchive, extra: dict | None = None) -> dict:
+def write_summary(path, echo: dict, archive: ParetoArchive) -> dict:
     """Run summary: config echo plus result counts; returns the document."""
     feasible = sum(1 for r in archive.records if r.feasibility.feasible)
     doc = {
@@ -111,37 +111,5 @@ def write_summary(path, echo: dict, archive: ParetoArchive, extra: dict | None =
         },
         "no_feasible_candidates": feasible == 0,
     }
-    if extra:
-        doc.update(extra)
     write_json(path, doc)
     return doc
-
-
-def export_report(
-    archive: ParetoArchive,
-    selection: list[int] | None,
-    tau: TauMatrix | None,
-    outdir,
-    echo: dict | None = None,
-) -> dict[str, Path]:
-    """Write the standard artifact set into outdir.
-
-    selection holds indices into archive.pareto_records() order.  Parts
-    that are None are skipped.  Returns the paths written.
-    """
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-    front = archive.pareto_records()
-    write_front_csv(out / "pareto.csv", front)
-    written["pareto"] = out / "pareto.csv"
-    if selection is not None:
-        chosen = sorted(selection)
-        write_front_csv(out / "selection.csv", [front[i] for i in chosen])
-        written["selection"] = out / "selection.csv"
-    if tau is not None:
-        write_tau_csv(out / "tau.csv", tau)
-        written["tau"] = out / "tau.csv"
-    write_summary(out / "run_summary.json", echo or {}, archive)
-    written["summary"] = out / "run_summary.json"
-    return written

@@ -3,7 +3,6 @@
 from .decode import apply_static_pruning, decode, scaled_channels
 from .graph import ArchitectureGraph, LayerSpec, validate
 from .space import (
-    DEFAULT_KERNEL_STRIDE,
     GROUP_COUNT,
     HyperparamVector,
     SearchSpaceDef,
@@ -15,7 +14,6 @@ from .templates import BaselineTemplate, load_templates
 __all__ = [
     "ArchitectureGraph",
     "BaselineTemplate",
-    "DEFAULT_KERNEL_STRIDE",
     "GROUP_COUNT",
     "HyperparamVector",
     "LayerSpec",

@@ -18,7 +18,7 @@ import math
 
 from ..errors import ConfigError, ShapeMismatch
 from .graph import ArchitectureGraph, LayerSpec, PASSTHROUGH_KINDS, layer_out_shape, windowed_extent
-from .space import HyperparamVector, SearchSpaceDef, TaskSpec
+from .space import GROUP_COUNT, HyperparamVector, SearchSpaceDef, TaskSpec
 from .templates import BaselineTemplate, eval_channel_expr, load_templates
 
 
@@ -188,7 +188,7 @@ def decode(
     b = _Builder(task.input_shape, task.num_classes)
     stem_ctx = {"base_channels": 1, "width": x.width_multiplier, "kernel": 1, "stride": 1}
     node = _build_pattern(b, tpl.stem, -1, stem_ctx)
-    for g in range(space.group_count):
+    for g in range(GROUP_COUNT):
         kernel, stride = space.kernel_stride_values[x.kernel_stride[g]]
         for blk in range(1 + x.group_depth[g]):
             ctx = {

@@ -14,10 +14,13 @@ import numpy as np
 from ..errors import ConfigError
 
 GROUP_COUNT = 4
-DEFAULT_DEPTH_VALUES = (0, 1, 2, 3)
-DEFAULT_KERNEL_STRIDE = ((3, 2), (3, 1), (5, 2), (5, 1), (7, 2), (7, 1))
-DEFAULT_WIDTH_RANGE = (0.1, 1.0)
-DEFAULT_SPARSITY_RANGE = (0.1, 0.9)
+
+
+def _sequence(field: str, value) -> tuple:
+    """value as a tuple; a string is refused rather than split into characters."""
+    if isinstance(value, str):
+        raise ConfigError(f"{field}: expected a list, got the string {value!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -28,11 +31,12 @@ class TaskSpec:
     image tasks, (C, L) for time-series tasks.
     """
 
-    input_shape: tuple[int, ...]
-    num_classes: int
+    input_shape: tuple[int, ...] = (3, 128, 128)
+    num_classes: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
+        shape = _sequence("task.input_shape", self.input_shape)
+        object.__setattr__(self, "input_shape", tuple(int(v) for v in shape))
         if len(self.input_shape) not in (2, 3):
             raise ConfigError("task.input_shape: expected (C, L) or (C, H, W)")
         if any(v < 1 for v in self.input_shape):
@@ -51,30 +55,27 @@ class SearchSpaceDef:
 
     The defaults are the production domains; tests may narrow them
     (e.g. a single baseline with depth_values=[0]) without changing the
-    gene layout, which always assumes four groups.
+    gene layout, which always has GROUP_COUNT groups.
     """
 
-    baseline_pool: tuple[str, ...]
-    depth_values: tuple[int, ...] = DEFAULT_DEPTH_VALUES
-    kernel_stride_values: tuple[tuple[int, int], ...] = DEFAULT_KERNEL_STRIDE
-    width_range: tuple[float, float] = DEFAULT_WIDTH_RANGE
-    sparsity_range: tuple[float, float] = DEFAULT_SPARSITY_RANGE
-    group_count: int = GROUP_COUNT
+    baseline_pool: tuple[str, ...] = ("mbednet", "mobilenetv2", "resnet", "squeezenet")
+    depth_values: tuple[int, ...] = (0, 1, 2, 3)
+    kernel_stride_values: tuple[tuple[int, int], ...] = ((3, 2), (3, 1), (5, 2), (5, 1), (7, 2), (7, 1))
+    width_range: tuple[float, float] = (0.1, 1.0)
+    sparsity_range: tuple[float, float] = (0.1, 0.9)
 
     def __post_init__(self):
-        object.__setattr__(self, "baseline_pool", tuple(self.baseline_pool))
-        object.__setattr__(self, "depth_values", tuple(int(v) for v in self.depth_values))
-        object.__setattr__(
-            self,
-            "kernel_stride_values",
-            tuple((int(k), int(s)) for k, s in self.kernel_stride_values),
-        )
-        object.__setattr__(self, "width_range", tuple(float(v) for v in self.width_range))
-        object.__setattr__(self, "sparsity_range", tuple(float(v) for v in self.sparsity_range))
+        def seq(name):
+            return _sequence(f"space.{name}", getattr(self, name))
+
+        pairs = (_sequence("space.kernel_stride_values", p) for p in seq("kernel_stride_values"))
+        object.__setattr__(self, "baseline_pool", seq("baseline_pool"))
+        object.__setattr__(self, "depth_values", tuple(int(v) for v in seq("depth_values")))
+        object.__setattr__(self, "kernel_stride_values", tuple((int(k), int(s)) for k, s in pairs))
+        object.__setattr__(self, "width_range", tuple(float(v) for v in seq("width_range")))
+        object.__setattr__(self, "sparsity_range", tuple(float(v) for v in seq("sparsity_range")))
         if not self.baseline_pool:
             raise ConfigError("space.baseline_pool: must not be empty")
-        if self.group_count != GROUP_COUNT:
-            raise ConfigError("space.group_count: the gene layout is fixed at 4 groups")
         if not self.depth_values or any(d < 0 for d in self.depth_values):
             raise ConfigError("space.depth_values: need at least one value >= 0")
         if not self.kernel_stride_values:
@@ -93,7 +94,7 @@ class SearchSpaceDef:
 
     def gene_count(self) -> int:
         # baseline + depths + kernel/stride choices + width + sparsities
-        return 1 + self.group_count + self.group_count + 1 + self.group_count
+        return 1 + GROUP_COUNT + GROUP_COUNT + 1 + GROUP_COUNT
 
 
 @dataclass(frozen=True)
@@ -163,13 +164,13 @@ def sample(rng: np.random.Generator, space: SearchSpaceDef) -> HyperparamVector:
     arch = int(rng.integers(len(space.baseline_pool)))
     depth = tuple(
         int(space.depth_values[rng.integers(len(space.depth_values))])
-        for _ in range(space.group_count)
+        for _ in range(GROUP_COUNT)
     )
     ks = tuple(
-        int(rng.integers(len(space.kernel_stride_values))) for _ in range(space.group_count)
+        int(rng.integers(len(space.kernel_stride_values))) for _ in range(GROUP_COUNT)
     )
     wlo, whi = space.width_range
     width = float(rng.uniform(wlo, whi))
     slo, shi = space.sparsity_range
-    sparsity = tuple(float(rng.uniform(slo, shi)) for _ in range(space.group_count))
+    sparsity = tuple(float(rng.uniform(slo, shi)) for _ in range(GROUP_COUNT))
     return HyperparamVector(arch, depth, ks, width, sparsity)

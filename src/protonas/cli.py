@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -166,7 +167,7 @@ def _numeric_columns(
 def cmd_select(args) -> int:
     cfg = _resolve(load_config(args.config, seed_flag=args.seed), args)
     if args.seed is not None:
-        cfg.hss.seed = args.seed
+        cfg.hss = dataclasses.replace(cfg.hss, seed=args.seed)
     out = Path(cfg.output_dir)
     front_path = args.pareto if args.pareto is not None else out / "pareto.csv"
     header, rows = _read_front_csv(front_path)

@@ -1,9 +1,15 @@
-"""Run configuration: defaults, YAML loading, validation, echo."""
+"""Run configuration: defaults, YAML loading, validation, echo.
+
+The section dataclasses (TaskSpec, SearchSpaceDef, TargetProfile,
+SearchConfig, ProxyBatchConfig, HssConfig) define every field and its
+default; DEFAULTS, build_config and RunConfig.echo are derived from them.
+"""
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import yaml
@@ -17,42 +23,35 @@ from .search.run import SearchConfig
 
 SEED_ENV_VAR = "PROTONAS_SEED"
 
-DEFAULTS: dict = {
-    "task": {"input_shape": [3, 128, 128], "num_classes": 10},
-    "space": {
-        "baseline_pool": ["mbednet", "mobilenetv2", "resnet", "squeezenet"],
-        "depth_values": [0, 1, 2, 3],
-        "kernel_stride_values": [[3, 2], [3, 1], [5, 2], [5, 1], [7, 2], [7, 1]],
-        "width_range": [0.1, 1.0],
-        "sparsity_range": [0.1, 0.9],
-    },
-    "profile": {
-        "name": "imxrt1062-like",
-        "ram_max": 1048576,
-        "rom_max": 2097152,
-        "flops_max": 200000000,
-        "rom_code_overhead": 0,
-    },
-    "search": {"trials": 500, "population_size": 50, "base_seed": 0},
-    "proxy": {
-        "batch_size": 8,
-        "num_batches_zico": 2,
-        "eps_logdet": 1.0e-6,
-        "eps_std": 1.0e-6,
-        "eps_var": 1.0e-6,
-    },
-    "hss": {
-        "k": 5,
-        "population": 2000,
-        "mutation_rate": 0.3,
-        "generations": 10000,
-        "stagnation": 500,
-        "seed": 0,
-    },
-    "templates": None,
-    "output_dir": "runs/out",
-    "jobs": 1,
+# The document's sections in print-defaults order.  Each dataclass is the
+# one definition of its section's fields and their defaults, so every
+# field needs a default; SearchConfig also holds the other sections,
+# which are built separately.
+SECTIONS = {
+    "task": TaskSpec,
+    "space": SearchSpaceDef,
+    "profile": TargetProfile,
+    "search": SearchConfig,
+    "proxy": ProxyBatchConfig,
+    "hss": HssConfig,
 }
+
+
+def _own_fields(cls) -> list:
+    """The fields of a section's dataclass, less those holding another section."""
+    return [f for f in fields(cls) if f.name not in SECTIONS]
+
+
+def _plain(value):
+    """Tuples as lists, as YAML and JSON documents hold them."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
+DEFAULTS: dict = {
+    name: {f.name: _plain(f.default) for f in _own_fields(cls)} for name, cls in SECTIONS.items()
+}
+DEFAULTS["hss"] = {"k": 5, **DEFAULTS["hss"]}
+DEFAULTS.update(templates=None, output_dir="runs/out", jobs=1)
 
 
 @dataclass
@@ -71,50 +70,17 @@ class RunConfig:
         workers score it do not change its outputs, so they must not
         change run_summary.json or its config_hash either.
         """
-        space = self.search.space
-        return {
-            "task": {
-                "input_shape": list(self.search.task.input_shape),
-                "num_classes": self.search.task.num_classes,
-            },
-            "space": {
-                "baseline_pool": list(space.baseline_pool),
-                "depth_values": list(space.depth_values),
-                "kernel_stride_values": [list(p) for p in space.kernel_stride_values],
-                "width_range": list(space.width_range),
-                "sparsity_range": list(space.sparsity_range),
-                "gene_count": space.gene_count(),
-            },
-            "profile": {
-                "name": self.search.profile.name,
-                "ram_max": self.search.profile.ram_max,
-                "rom_max": self.search.profile.rom_max,
-                "flops_max": self.search.profile.flops_max,
-                "rom_code_overhead": self.search.profile.rom_code_overhead,
-            },
-            "search": {
-                "trials": self.search.trials,
-                "population_size": self.search.population_size,
-                "base_seed": self.search.base_seed,
-                "objective_count": 5,
-            },
-            "proxy": {
-                "batch_size": self.search.proxy.batch_size,
-                "num_batches_zico": self.search.proxy.num_batches_zico,
-                "eps_logdet": self.search.proxy.eps_logdet,
-                "eps_std": self.search.proxy.eps_std,
-                "eps_var": self.search.proxy.eps_var,
-            },
-            "hss": {
-                "k": self.k,
-                "population": self.hss.population,
-                "mutation_rate": self.hss.mutation_rate,
-                "generations": self.hss.generations,
-                "stagnation": self.hss.stagnation,
-                "seed": self.hss.seed,
-            },
-            "templates": self.templates_path,
+        s = self.search
+        parts = (s.task, s.space, s.profile, s, s.proxy, self.hss)  # in SECTIONS order
+        doc = {
+            name: {f.name: _plain(getattr(obj, f.name)) for f in _own_fields(obj)}
+            for name, obj in zip(SECTIONS, parts)
         }
+        doc["space"]["gene_count"] = s.space.gene_count()
+        doc["search"]["objective_count"] = 5
+        doc["hss"]["k"] = self.k
+        doc["templates"] = self.templates_path
+        return doc
 
 
 def default_config_yaml() -> str:
@@ -135,11 +101,31 @@ def _section(doc: dict, name: str) -> dict:
     return merged
 
 
-def _intfield(section: dict, section_name: str, key: str) -> int:
-    v = section[key]
+def _integer(field: str, v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{section_name}.{key}: expected an integer, got {v!r}")
+        raise ConfigError(f"{field}: expected an integer, got {v!r}")
     return v
+
+
+# Scalar fields by annotation; sequence fields go to the dataclass as
+# given, and its __post_init__ converts and checks them.
+_CONVERT = {int: _integer, float: lambda _, v: float(v), str: lambda _, v: str(v)}
+
+
+def _build(doc: dict, name: str, **fixed):
+    """Section `name` of doc merged over the defaults, as its dataclass.
+
+    Keyword arguments set fields outright: the nested sections of
+    SearchConfig, or a base seed taken from the flag or environment.
+    """
+    cls = SECTIONS[name]
+    values = _section(doc, name)
+    hints = typing.get_type_hints(cls)
+    for f in _own_fields(cls):
+        if f.name not in fixed:
+            convert = _CONVERT.get(hints[f.name], lambda _, v: v)
+            fixed[f.name] = convert(f"{name}.{f.name}", values[f.name])
+    return cls(**fixed)
 
 
 def build_config(
@@ -157,75 +143,36 @@ def build_config(
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected a mapping")
     env = os.environ if env is None else env
-    known = set(DEFAULTS)
     for key in doc:
-        if key not in known:
+        if key not in DEFAULTS:
             raise ConfigError(f"top level: unknown field '{key}'")
 
-    task_d = _section(doc, "task")
-    space_d = _section(doc, "space")
-    profile_d = _section(doc, "profile")
-    search_d = _section(doc, "search")
-    proxy_d = _section(doc, "proxy")
-    hss_d = _section(doc, "hss")
-
+    seed = {}
     seed_in_file = isinstance(doc.get("search"), dict) and "base_seed" in doc["search"]
     if seed_flag is not None:
-        base_seed = int(seed_flag)
-    elif seed_in_file:
-        base_seed = _intfield(search_d, "search", "base_seed")
-    elif SEED_ENV_VAR in env:
+        seed["base_seed"] = int(seed_flag)
+    elif not seed_in_file and SEED_ENV_VAR in env:
         try:
-            base_seed = int(env[SEED_ENV_VAR])
+            seed["base_seed"] = int(env[SEED_ENV_VAR])
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR}: expected an integer") from exc
-    else:
-        base_seed = _intfield(search_d, "search", "base_seed")
 
     try:
-        task = TaskSpec(tuple(task_d["input_shape"]), int(task_d["num_classes"]))
-        space = SearchSpaceDef(
-            baseline_pool=tuple(space_d["baseline_pool"]),
-            depth_values=tuple(space_d["depth_values"]),
-            kernel_stride_values=tuple(tuple(p) for p in space_d["kernel_stride_values"]),
-            width_range=tuple(space_d["width_range"]),
-            sparsity_range=tuple(space_d["sparsity_range"]),
+        search = _build(
+            doc,
+            "search",
+            task=_build(doc, "task"),
+            space=_build(doc, "space"),
+            profile=_build(doc, "profile"),
+            proxy=_build(doc, "proxy"),
+            **seed,
         )
-        profile = TargetProfile(
-            name=str(profile_d["name"]),
-            ram_max=_intfield(profile_d, "profile", "ram_max"),
-            rom_max=_intfield(profile_d, "profile", "rom_max"),
-            flops_max=_intfield(profile_d, "profile", "flops_max"),
-            rom_code_overhead=_intfield(profile_d, "profile", "rom_code_overhead"),
-        )
-        proxy = ProxyBatchConfig(
-            batch_size=_intfield(proxy_d, "proxy", "batch_size"),
-            num_batches_zico=_intfield(proxy_d, "proxy", "num_batches_zico"),
-            eps_logdet=float(proxy_d["eps_logdet"]),
-            eps_std=float(proxy_d["eps_std"]),
-            eps_var=float(proxy_d["eps_var"]),
-        )
-        search = SearchConfig(
-            space=space,
-            task=task,
-            profile=profile,
-            proxy=proxy,
-            trials=_intfield(search_d, "search", "trials"),
-            population_size=_intfield(search_d, "search", "population_size"),
-            base_seed=base_seed,
-        )
-        hss = HssConfig(
-            population=_intfield(hss_d, "hss", "population"),
-            mutation_rate=float(hss_d["mutation_rate"]),
-            generations=_intfield(hss_d, "hss", "generations"),
-            stagnation=_intfield(hss_d, "hss", "stagnation"),
-            seed=_intfield(hss_d, "hss", "seed"),
-        )
-        k = _intfield(hss_d, "hss", "k")
-        if k < 1:
-            raise ConfigError("hss.k: must be >= 1")
+        hss = _build(doc, "hss")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
+    k = _integer("hss.k", _section(doc, "hss")["k"])
+    if k < 1:
+        raise ConfigError("hss.k: must be >= 1")
 
     templates = doc.get("templates", DEFAULTS["templates"])
     if templates is not None and not isinstance(templates, str):

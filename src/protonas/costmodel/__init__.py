@@ -1,7 +1,6 @@
 """Static FLOPs / ROM / RAM estimation and budget checking."""
 
 from .model import (
-    EXAMPLE_PROFILE,
     CostEstimate,
     Feasibility,
     TargetProfile,
@@ -13,7 +12,6 @@ from .model import (
 )
 
 __all__ = [
-    "EXAMPLE_PROFILE",
     "CostEstimate",
     "Feasibility",
     "TargetProfile",

@@ -25,12 +25,15 @@ ACTIVATION_BYTES = 1  # int8 activations
 
 @dataclass(frozen=True)
 class TargetProfile:
-    """Deployment budget: peak RAM, ROM image, and per-inference FLOPs."""
+    """Deployment budget: peak RAM, ROM image, and per-inference FLOPs.
 
-    name: str
-    ram_max: int
-    rom_max: int
-    flops_max: int
+    The defaults describe an imxrt1062-class MCU.
+    """
+
+    name: str = "imxrt1062-like"
+    ram_max: int = 1 * 1024 * 1024
+    rom_max: int = 2 * 1024 * 1024
+    flops_max: int = 200_000_000
     rom_code_overhead: int = 0
 
     def __post_init__(self):
@@ -151,11 +154,3 @@ def estimate_costs(g: ArchitectureGraph, profile: TargetProfile | None = None) -
         rom_bytes=estimate_rom(g, overhead),
         ram_bytes=estimate_ram(g),
     )
-
-
-EXAMPLE_PROFILE = TargetProfile(
-    name="imxrt1062-like",
-    ram_max=1 * 1024 * 1024,
-    rom_max=2 * 1024 * 1024,
-    flops_max=200_000_000,
-)

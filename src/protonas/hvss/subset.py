@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DimensionMismatch, InfeasibleK
+from ..errors import ConfigError, DimensionMismatch, InfeasibleK
 from .hv import hypervolume
 
 DEFAULT_REF_VALUE = 1.1
@@ -34,11 +34,13 @@ class HssConfig:
 
     def __post_init__(self):
         if self.population < 2:
-            raise ValueError("population must be >= 2")
+            raise ConfigError("hss.population: must be >= 2")
         if not (0.0 <= self.mutation_rate <= 1.0):
-            raise ValueError("mutation_rate must lie in [0, 1]")
+            raise ConfigError("hss.mutation_rate: must lie in [0, 1]")
         if self.generations < 1 or self.stagnation < 1:
-            raise ValueError("generations and stagnation must be >= 1")
+            raise ConfigError("hss.generations and hss.stagnation: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("hss.seed: must be >= 0")
 
 
 @dataclass

@@ -254,7 +254,8 @@ def _maxpool_fwd(x, kernel, stride, padding):
     out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     offsets = _offsets(kernel, dims)
     out = np.empty(x.shape[:2] + out_sp)
-    arg = np.zeros(out.shape, dtype=np.intp)
+    # one byte a cell up to 256 taps: forward's trace holds it until backward
+    arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(offsets) - 1))
     # each row chunk is padded into one reused buffer, whose -inf border
     # is written once, rather than padding the whole batch
     padded = x.shape[1:2] + tuple(n + 2 * padding for n in x.shape[2:])
@@ -388,10 +389,7 @@ def forward(
         elif kind == "batchnorm":
             out = a * _BN_SCALE
         elif kind == "maxpool":
-            out, arg = _maxpool_fwd(a, node.kernel, node.stride, node.padding)
-            # held until backward reads it: one byte a cell up to 256 taps
-            pool_argmax[i] = arg.astype(np.min_scalar_type(node.kernel ** (a.ndim - 2) - 1))
-            del arg
+            out, pool_argmax[i] = _maxpool_fwd(a, node.kernel, node.stride, node.padding)
         elif kind == "global-avg-pool":
             out = a.mean(axis=tuple(range(2, a.ndim)), keepdims=True)
         elif kind == "add":

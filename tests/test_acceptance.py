@@ -27,7 +27,6 @@ from protonas.archspace import (
 from protonas.archspace.graph import ArchitectureGraph, LayerSpec
 from protonas.config import build_config
 from protonas.costmodel import (
-    EXAMPLE_PROFILE,
     TargetProfile,
     check,
     count_flops,
@@ -355,7 +354,7 @@ def test_criterion_07_determinism(tmp_path):
     cfg = SearchConfig(
         space=SPACE_1D,
         task=TASK_1D,
-        profile=EXAMPLE_PROFILE,
+        profile=TargetProfile(),
         proxy=ProxyBatchConfig(batch_size=4),
         trials=60,
         population_size=12,
@@ -503,7 +502,7 @@ def test_criterion_11_search_effectiveness():
     # self-experiment at a reduced equal budget: 300 evaluations per arm,
     # ten seeds, union-normalized archive hypervolume
     proxy = ProxyBatchConfig(batch_size=2)
-    ctx = EvalContext(space=SPACE_1D, task=TASK_1D, profile=EXAMPLE_PROFILE, proxy=proxy,
+    ctx = EvalContext(space=SPACE_1D, task=TASK_1D, profile=TargetProfile(), proxy=proxy,
                       templates=TEMPLATES)
     trials, pop = 300, 20
     wins = 0
@@ -518,7 +517,7 @@ def test_criterion_11_search_effectiveness():
                                    trial_index=i)
             )
         random_front = [recs[i].objectives for i in compute_pareto_indices(recs)]
-        cfg = SearchConfig(space=SPACE_1D, task=TASK_1D, profile=EXAMPLE_PROFILE, proxy=proxy,
+        cfg = SearchConfig(space=SPACE_1D, task=TASK_1D, profile=TargetProfile(), proxy=proxy,
                            trials=trials, population_size=pop, base_seed=seed)
         nsga_front = [r.objectives for r in run_search(cfg, templates=TEMPLATES).pareto_records()]
         union = normalize_objectives(np.asarray(nsga_front + random_front, dtype=float))

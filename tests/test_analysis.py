@@ -9,7 +9,6 @@ from protonas.analysis import (
     FRONT_COLUMNS,
     RankSeries,
     config_digest,
-    export_report,
     kendall_tau_b,
     tau_matrix,
     write_front_csv,
@@ -17,7 +16,7 @@ from protonas.analysis import (
     write_tau_csv,
 )
 from protonas.analysis.report import write_csv
-from protonas.costmodel import EXAMPLE_PROFILE
+from protonas.costmodel import TargetProfile
 from protonas.errors import DegenerateSeries, DimensionMismatch
 from protonas.proxies import ProxyBatchConfig
 from protonas.search import SearchConfig, run_search
@@ -114,7 +113,7 @@ def tiny_archive(request):
     cfg = SearchConfig(
         space=space,
         task=task,
-        profile=EXAMPLE_PROFILE,
+        profile=TargetProfile(),
         proxy=ProxyBatchConfig(batch_size=2),
         trials=10,
         population_size=5,
@@ -144,13 +143,15 @@ def test_exports_are_idempotent(tiny_archive, tmp_path):
         RankSeries("b", [r.proxies.zico for r in tiny_archive.pareto_records()]),
     ]
     tau = tau_matrix(series)
-    out1 = tmp_path / "one"
-    out2 = tmp_path / "two"
-    paths1 = export_report(tiny_archive, [0], tau, out1, echo={"trials": 10})
-    paths2 = export_report(tiny_archive, [0], tau, out2, echo={"trials": 10})
-    assert set(paths1) == set(paths2)
-    for name in paths1:
-        assert paths1[name].read_bytes() == paths2[name].read_bytes()
+    written = []
+    for out in (tmp_path / "one", tmp_path / "two"):
+        out.mkdir()
+        write_front_csv(out / "pareto.csv", tiny_archive.pareto_records())
+        write_tau_csv(out / "tau.csv", tau)
+        write_summary(out / "run_summary.json", {"trials": 10}, tiny_archive)
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert set(written[0]) == {"pareto.csv", "tau.csv", "run_summary.json"}
+    assert written[0] == written[1]
 
 
 def test_failed_export_keeps_previous_file(tiny_archive, tmp_path):
@@ -164,9 +165,10 @@ def test_failed_export_keeps_previous_file(tiny_archive, tmp_path):
         yield [1] * len(FRONT_COLUMNS)
         raise RuntimeError("export interrupted")
 
-    # json.dump streams, so the unserializable last key fails mid-file
+    # an echo that cannot be serialized fails the summary; the CSV
+    # generator fails after its first row is written
     with pytest.raises(TypeError):
-        write_summary(summary, {"trials": 10}, tiny_archive, extra={"zz": object()})
+        write_summary(summary, {"trials": 10, "zz": object()}, tiny_archive)
     with pytest.raises(RuntimeError):
         write_csv(front, FRONT_COLUMNS, rows_then_failure())
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

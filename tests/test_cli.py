@@ -132,6 +132,24 @@ def test_select_k_larger_than_front(run_yaml, tmp_path, capsys):
     assert len(rows) - 1 == front_rows
 
 
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_select_rejects_a_negative_hss_seed(run_yaml, tmp_path, capsys, where):
+    out = tmp_path / "out"
+    front = tmp_path / "front.csv"
+    # more rows than k, so the genetic algorithm and its generator run
+    rows = "".join(f"{i},{i}.0,{6 - i}.0\n" for i in range(6))
+    front.write_text("trial,obj_flops,obj_neg_meco\n" + rows)
+    if where == "config":
+        cfg = run_yaml(out, hss={"seed": -3})
+        argv = ["select", "--config", str(cfg), "--pareto", str(front)]
+    else:
+        cfg = run_yaml(out)
+        argv = ["select", "--config", str(cfg), "--pareto", str(front), "--seed", "-3"]
+    assert main(argv) == 1
+    assert "error: hss.seed: must be >= 0" in capsys.readouterr().err
+    assert not (out / "selection.csv").exists()
+
+
 def test_report_requires_enough_rows(run_yaml, tmp_path, capsys):
     out = tmp_path / "out"
     cfg = run_yaml(out)

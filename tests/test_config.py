@@ -1,7 +1,15 @@
+import hashlib
+
 import pytest
 
+from protonas.analysis import config_digest
+from protonas.cli import main
 from protonas.config import SEED_ENV_VAR, build_config, default_config_yaml, load_config
 from protonas.errors import ConfigError
+
+# run_summary.json's config_hash of the built-in configuration; a later
+# run can only be recognised as the same configuration while it holds
+DEFAULT_CONFIG_HASH = "bee2af4244472887c1474f88f4b6ea43547cd718df0942c5647e5f5e02b78973"
 
 
 def test_defaults_round_trip():
@@ -78,8 +86,66 @@ def test_load_config_yaml_diagnostics(tmp_path):
 
 
 def test_config_hash_changes_with_content():
-    from protonas.analysis import config_digest
-
     a = config_digest(build_config(None, env={}).echo())
     b = config_digest(build_config({"search": {"trials": 60}}, env={}).echo())
     assert a != b
+
+
+def test_print_defaults_bytes_are_pinned(capsys):
+    assert main(["print-defaults"]) == 0
+    out = capsys.readouterr().out
+    assert out == default_config_yaml()
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "05d874be5b9bb50e02b7770c2835d2b98a37e6d97a5f208f0c8c0e2d97fe0546"
+
+
+def test_default_config_hash_is_pinned():
+    assert config_digest(build_config(None, env={}).echo()) == DEFAULT_CONFIG_HASH
+
+
+@pytest.mark.parametrize(
+    "doc, digest",
+    [
+        ({"space": {"width_range": [1, 1]}},
+         "c8977476d5c803c2c97de8fc87065b92e8be4393052d9df1a6083bef3a92aba8"),
+        ({"hss": {"mutation_rate": 1}},
+         "326c9edefb73987df5171f421ea6e35fbfd88153b1fa5c8e499b766675981e79"),
+        # PyYAML reads 1e-6 (no dot) as a string
+        ({"proxy": {"eps_std": "1e-6"}}, DEFAULT_CONFIG_HASH),
+        ({"profile": {"name": 123}},
+         "267c6379e1a721524cdeb261da7fa6c9b99d98e22fab7478f716c0581eafe87f"),
+        ({"task": {"input_shape": [3, 64.0]}},
+         "dc0e17ba4445b15ae287c3e70aa6cbd8097a4393cf8301b0ad066a573ed2ff8a"),
+        ({"jobs": 2}, DEFAULT_CONFIG_HASH),
+    ],
+)
+def test_accepted_documents_keep_their_digest(doc, digest):
+    assert config_digest(build_config(doc, env={}).echo()) == digest
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"search": {"trials": True}}, "search.trials"),
+        ({"search": {"trials": 500.0}}, "search.trials"),
+        ({"proxy": {"batch_size": "8"}}, "proxy.batch_size"),
+        ({"hss": {"seed": False}}, "hss.seed"),
+        ({"profile": {"ram_max": 1e6}}, "profile.ram_max"),
+        ({"hss": {"k": 5.0}}, "hss.k"),
+        ({"space": {"group_count": 4}}, "space.group_count"),
+        # a list field is never split from a string, and numpy's
+        # generator refuses a negative seed
+        ({"task": {"num_classes": 10.0}}, "task.num_classes"),
+        ({"task": {"num_classes": "10"}}, "task.num_classes"),
+        ({"space": {"baseline_pool": "resnet"}}, "space.baseline_pool: expected a list"),
+        ({"space": {"depth_values": "0123"}}, "space.depth_values: expected a list"),
+        ({"space": {"kernel_stride_values": [[3, 2], "31"]}}, "space.kernel_stride_values"),
+        ({"space": {"width_range": "11"}}, "space.width_range: expected a list"),
+        ({"space": {"sparsity_range": "01"}}, "space.sparsity_range: expected a list"),
+        ({"task": {"input_shape": "364"}}, "task.input_shape: expected a list"),
+        ({"hss": {"seed": -3}}, "hss.seed: must be >= 0"),
+    ],
+)
+def test_rejected_documents_name_the_field(doc, field):
+    with pytest.raises(ConfigError, match=field):
+        build_config(doc, env={})

@@ -3,7 +3,6 @@ import pytest
 from protonas.archspace import decode, sample
 from protonas.archspace.graph import ArchitectureGraph, LayerSpec
 from protonas.costmodel import (
-    EXAMPLE_PROFILE,
     TargetProfile,
     check,
     count_flops,
@@ -163,7 +162,7 @@ def test_profile_validation():
         TargetProfile(name="bad", ram_max=0, rom_max=1, flops_max=1)
     with pytest.raises(ConfigError):
         TargetProfile(name="bad", ram_max=1, rom_max=1, flops_max=1, rom_code_overhead=-1)
-    assert EXAMPLE_PROFILE.ram_max == 1024 * 1024
+    assert TargetProfile().ram_max == 1024 * 1024
 
 
 def test_costs_on_decoded_candidates(space1d, task1d, templates):
@@ -172,5 +171,5 @@ def test_costs_on_decoded_candidates(space1d, task1d, templates):
     rng = np.random.default_rng(12)
     for _ in range(10):
         g = decode(sample(rng, space1d), space1d, task1d, templates)
-        c = estimate_costs(g, EXAMPLE_PROFILE)
+        c = estimate_costs(g, TargetProfile())
         assert c.flops > 0 and c.rom_bytes > 0 and c.ram_bytes > 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from protonas.archspace import sample
-from protonas.costmodel import EXAMPLE_PROFILE, TargetProfile
+from protonas.costmodel import TargetProfile
 from protonas.errors import ConfigError
 from protonas.proxies import ProxyBatchConfig, ProxyScores
 from protonas.search import (
@@ -25,7 +25,7 @@ def small_search(space, task, trials=12, pop=6, seed=0):
     return SearchConfig(
         space=space,
         task=task,
-        profile=EXAMPLE_PROFILE,
+        profile=TargetProfile(),
         proxy=ProxyBatchConfig(batch_size=2),
         trials=trials,
         population_size=pop,
@@ -46,7 +46,7 @@ def test_evaluate_candidate_feasible(space1d, task1d, templates):
     ctx = EvalContext(
         space=space1d,
         task=task1d,
-        profile=EXAMPLE_PROFILE,
+        profile=TargetProfile(),
         proxy=ProxyBatchConfig(batch_size=2),
         templates=templates,
     )
@@ -88,7 +88,7 @@ def test_evaluate_candidate_deterministic(space1d, task1d, templates):
     ctx = EvalContext(
         space=space1d,
         task=task1d,
-        profile=EXAMPLE_PROFILE,
+        profile=TargetProfile(),
         proxy=ProxyBatchConfig(batch_size=2),
         templates=templates,
     )
@@ -104,7 +104,7 @@ def test_log_line_schema(space1d, task1d, templates):
     ctx = EvalContext(
         space=space1d,
         task=task1d,
-        profile=EXAMPLE_PROFILE,
+        profile=TargetProfile(),
         proxy=ProxyBatchConfig(batch_size=2),
         templates=templates,
     )
@@ -203,7 +203,7 @@ def test_run_search_all_infeasible_yields_empty_front(space1d, task1d, templates
 def test_search_config_validation(space1d, task1d):
     with pytest.raises(Exception):
         SearchConfig(
-            space=space1d, task=task1d, profile=EXAMPLE_PROFILE, trials=2, population_size=5
+            space=space1d, task=task1d, profile=TargetProfile(), trials=2, population_size=5
         )
 
 
