@@ -15,36 +15,35 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import astuple, fields
 from pathlib import Path
 
-from ..search.run import CandidateRecord, ParetoArchive
+from ..archspace.space import GROUP_COUNT
+from ..costmodel.model import CostEstimate
+from ..proxies.ensemble import PROXY_NAMES
+from ..search.run import OBJECTIVE_LABELS, CandidateRecord, ParetoArchive
 from .correlation import TauMatrix
 
+# Gene columns in HyperparamVector.to_genes order, under short names.
 GENE_COLUMNS = (
     ["architecture"]
-    + [f"depth_{i}" for i in range(4)]
-    + [f"ks_{i}" for i in range(4)]
+    + [f"depth_{i}" for i in range(GROUP_COUNT)]
+    + [f"ks_{i}" for i in range(GROUP_COUNT)]
     + ["width"]
-    + [f"sparsity_{i}" for i in range(4)]
+    + [f"sparsity_{i}" for i in range(GROUP_COUNT)]
 )
-COST_COLUMNS = ["flops", "rom_bytes", "ram_bytes"]
-OBJECTIVE_COLUMNS = ["obj_flops", "obj_neg_meco", "obj_neg_zico", "obj_neg_naswot", "obj_neg_snip"]
-PROXY_COLUMNS = ["meco", "zico", "naswot", "snip"]
+COST_COLUMNS = [f.name for f in fields(CostEstimate)]
+OBJECTIVE_COLUMNS = [f"obj_{label}" for label in OBJECTIVE_LABELS]
+PROXY_COLUMNS = list(PROXY_NAMES)
 
 FRONT_COLUMNS = ["trial", "seed"] + GENE_COLUMNS + COST_COLUMNS + OBJECTIVE_COLUMNS + PROXY_COLUMNS
 
 
 def _record_row(r: CandidateRecord) -> list:
-    genes = (
-        [r.genes.architecture]
-        + list(r.genes.group_depth)
-        + list(r.genes.kernel_stride)
-        + [r.genes.width_multiplier]
-        + list(r.genes.pruning_sparsity)
-    )
-    costs = [r.costs.flops, r.costs.rom_bytes, r.costs.ram_bytes]
-    proxies = [r.proxies.meco, r.proxies.zico, r.proxies.naswot, r.proxies.snip]
-    return [r.trial_index, r.seed] + genes + costs + list(r.objectives) + proxies
+    return [
+        r.trial_index, r.seed, *r.genes.to_genes(), *astuple(r.costs), *r.objectives,
+        *astuple(r.proxies),
+    ]
 
 
 @contextmanager

@@ -1,13 +1,17 @@
 """Search space definition and hyperparameter vectors.
 
-A candidate is described by 14 genes: one categorical baseline choice,
-four per-group depths, four per-group kernel/stride choices, one global
-width multiplier and four per-group pruning sparsities.
+A candidate is described by 14 genes, in HyperparamVector field order:
+one categorical baseline choice, GROUP_COUNT per-group depths,
+GROUP_COUNT per-group kernel/stride choices, one global width
+multiplier and GROUP_COUNT per-group pruning sparsities.
+SearchSpaceDef.gene_domains is the one table of what each gene may
+take; sampling, membership, the gene count and the search's mutation
+all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,7 +55,7 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class SearchSpaceDef:
-    """Gene domains for the 14-gene candidate encoding.
+    """Gene domains for the candidate encoding.
 
     The defaults are the production domains; tests may narrow them
     (e.g. a single baseline with depth_values=[0]) without changing the
@@ -92,9 +96,18 @@ class SearchSpaceDef:
         if not (0.0 <= lo <= hi < 1.0):
             raise ConfigError("space.sparsity_range: need 0 <= lo <= hi < 1")
 
+    def gene_domains(self) -> list[tuple]:
+        """One domain per gene, in gene order: ("cat", choices) for a
+        categorical gene, ("cont", lo, hi) for a continuous one."""
+        arch = ("cat", range(len(self.baseline_pool)))
+        depth = ("cat", self.depth_values)
+        ks = ("cat", range(len(self.kernel_stride_values)))
+        width = ("cont", *self.width_range)
+        sp = ("cont", *self.sparsity_range)
+        return [arch] + [depth] * GROUP_COUNT + [ks] * GROUP_COUNT + [width] + [sp] * GROUP_COUNT
+
     def gene_count(self) -> int:
-        # baseline + depths + kernel/stride choices + width + sparsities
-        return 1 + GROUP_COUNT + GROUP_COUNT + 1 + GROUP_COUNT
+        return len(self.gene_domains())
 
 
 @dataclass(frozen=True)
@@ -118,59 +131,45 @@ class HyperparamVector:
             self, "pruning_sparsity", tuple(float(v) for v in self.pruning_sparsity)
         )
 
-    def to_genes(self) -> list[float]:
-        """Flatten to the canonical 14-gene list."""
-        return (
-            [float(self.architecture)]
-            + [float(v) for v in self.group_depth]
-            + [float(v) for v in self.kernel_stride]
-            + [float(self.width_multiplier)]
-            + [float(v) for v in self.pruning_sparsity]
-        )
+    def to_genes(self) -> list:
+        """Flatten to the canonical gene list, each gene in its field's type."""
+        genes = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            genes += value if isinstance(value, tuple) else [value]
+        return genes
 
     @classmethod
     def from_genes(cls, genes) -> "HyperparamVector":
         genes = list(genes)
-        if len(genes) != 14:
-            raise ConfigError(f"expected 14 genes, got {len(genes)}")
+        n = GROUP_COUNT
+        if len(genes) != 3 * n + 2:
+            raise ConfigError(f"expected {3 * n + 2} genes, got {len(genes)}")
         return cls(
             architecture=int(round(genes[0])),
-            group_depth=tuple(int(round(g)) for g in genes[1:5]),
-            kernel_stride=tuple(int(round(g)) for g in genes[5:9]),
-            width_multiplier=float(genes[9]),
-            pruning_sparsity=tuple(float(g) for g in genes[10:14]),
+            group_depth=tuple(int(round(g)) for g in genes[1 : 1 + n]),
+            kernel_stride=tuple(int(round(g)) for g in genes[1 + n : 1 + 2 * n]),
+            width_multiplier=float(genes[1 + 2 * n]),
+            pruning_sparsity=tuple(float(g) for g in genes[2 + 2 * n :]),
         )
 
     def in_space(self, space: SearchSpaceDef) -> bool:
-        wlo, whi = space.width_range
-        slo, shi = space.sparsity_range
-        return (
-            0 <= self.architecture < len(space.baseline_pool)
-            and all(d in space.depth_values for d in self.group_depth)
-            and all(0 <= i < len(space.kernel_stride_values) for i in self.kernel_stride)
-            and wlo <= self.width_multiplier <= whi
-            and all(slo <= s <= shi for s in self.pruning_sparsity)
+        genes, domains = self.to_genes(), space.gene_domains()
+        return len(genes) == len(domains) and all(
+            g in dom[1] if dom[0] == "cat" else dom[1] <= g <= dom[2]
+            for g, dom in zip(genes, domains)
         )
 
 
 def sample(rng: np.random.Generator, space: SearchSpaceDef) -> HyperparamVector:
     """Draw one uniform candidate.
 
-    Categorical genes are uniform over their choice lists; width and
-    sparsities are uniform over their closed ranges.  The draw order is
-    fixed (architecture, depths, kernel/stride, width, sparsities) so a
-    seeded generator reproduces the same vector.
+    Each gene is drawn from its domain in gene order: uniform over a
+    categorical gene's choices, uniform over a continuous gene's closed
+    range.  The order is fixed, so a seeded generator reproduces the
+    same vector.
     """
-    arch = int(rng.integers(len(space.baseline_pool)))
-    depth = tuple(
-        int(space.depth_values[rng.integers(len(space.depth_values))])
-        for _ in range(GROUP_COUNT)
+    return HyperparamVector.from_genes(
+        dom[1][rng.integers(len(dom[1]))] if dom[0] == "cat" else rng.uniform(dom[1], dom[2])
+        for dom in space.gene_domains()
     )
-    ks = tuple(
-        int(rng.integers(len(space.kernel_stride_values))) for _ in range(GROUP_COUNT)
-    )
-    wlo, whi = space.width_range
-    width = float(rng.uniform(wlo, whi))
-    slo, shi = space.sparsity_range
-    sparsity = tuple(float(rng.uniform(slo, shi)) for _ in range(GROUP_COUNT))
-    return HyperparamVector(arch, depth, ks, width, sparsity)

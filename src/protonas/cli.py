@@ -28,6 +28,7 @@ from .archspace.templates import load_templates
 from .config import RunConfig, default_config_yaml, load_config
 from .errors import ConfigError, DegenerateSeries, InfeasibleK, ProtonasError
 from .hvss.subset import default_reference, normalize_objectives, select_subset, subset_hypervolume
+from .proxies.ensemble import PROXY_NAMES
 from .search.run import run_search
 
 OK = 0
@@ -98,9 +99,27 @@ def _resolve(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+def _load_catalog(cfg: RunConfig) -> dict:
+    """The template catalog, with every space.baseline_pool entry checked
+    against it: present, and of the task's dimensionality."""
+    templates = load_templates(cfg.templates_path)
+    dim = cfg.search.task.dimensionality
+    for tid in cfg.search.space.baseline_pool:
+        if tid not in templates:
+            raise ConfigError(
+                f"space.baseline_pool: template '{tid}' is not in the template catalog"
+            )
+        if templates[tid].dimensionality != dim:
+            raise ConfigError(
+                f"space.baseline_pool: template '{tid}' is "
+                f"{templates[tid].dimensionality}d but the task input is {dim}d"
+            )
+    return templates
+
+
 def cmd_explore(args) -> int:
     cfg = _resolve(load_config(args.config, seed_flag=args.seed), args)
-    templates = load_templates(cfg.templates_path)
+    templates = _load_catalog(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     archive = run_search(
@@ -136,8 +155,9 @@ def _numeric_columns(
     """Per row, the cells of `columns` as finite floats.
 
     Checks every row before returning, so a command can validate its
-    input before it writes anything.  Raises ConfigError naming the file,
-    the row (1 is the first row after the header) and the column.
+    input before it writes anything.  A `trial` cell must also be an
+    integer.  Raises ConfigError naming the file, the row (1 is the first
+    row after the header) and the column.
     """
     for name in columns:
         if name not in header:
@@ -158,6 +178,10 @@ def _numeric_columns(
             if not math.isfinite(v):
                 raise ConfigError(
                     f"{path}: row {n}, column {name}: expected a finite number, got {row[i]!r}"
+                )
+            if name == "trial" and not v.is_integer():
+                raise ConfigError(
+                    f"{path}: row {n}, column trial: expected an integer, got {row[i]!r}"
                 )
             vals.append(v)
         values.append(vals)
@@ -238,13 +262,8 @@ def cmd_report(args) -> int:
             print("fewer than two trials with accuracy; nothing to correlate", file=sys.stderr)
             return EMPTY_RESULT
         scored = joined
-    series = [
-        RankSeries("meco", [t["proxies"]["meco"] for t in scored]),
-        RankSeries("zico", [t["proxies"]["zico"] for t in scored]),
-        RankSeries("naswot", [t["proxies"]["naswot"] for t in scored]),
-        RankSeries("snip", [t["proxies"]["snip"] for t in scored]),
-        RankSeries("flops", [t["costs"]["flops"] for t in scored]),
-    ]
+    series = [RankSeries(name, [t["proxies"][name] for t in scored]) for name in PROXY_NAMES]
+    series.append(RankSeries("flops", [t["costs"]["flops"] for t in scored]))
     if acc is not None:
         series.append(RankSeries("accuracy", [acc[t["trial"]] for t in scored]))
     try:
@@ -275,6 +294,7 @@ def cmd_print_defaults(_args) -> int:
 
 def cmd_validate_config(args) -> int:
     cfg = load_config(args.config)
+    _load_catalog(cfg)
     print(f"{args.config}: ok ({cfg.search.trials} trials, k={cfg.k})")
     return OK
 

@@ -19,7 +19,7 @@ from .costmodel.model import TargetProfile
 from .errors import ConfigError
 from .hvss.subset import HssConfig
 from .proxies.ensemble import ProxyBatchConfig
-from .search.run import SearchConfig
+from .search.run import OBJECTIVE_LABELS, SearchConfig
 
 SEED_ENV_VAR = "PROTONAS_SEED"
 
@@ -77,7 +77,7 @@ class RunConfig:
             for name, obj in zip(SECTIONS, parts)
         }
         doc["space"]["gene_count"] = s.space.gene_count()
-        doc["search"]["objective_count"] = 5
+        doc["search"]["objective_count"] = len(OBJECTIVE_LABELS)
         doc["hss"]["k"] = self.k
         doc["templates"] = self.templates_path
         return doc

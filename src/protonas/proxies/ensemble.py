@@ -26,7 +26,7 @@ finite on degenerate inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -79,7 +79,12 @@ class ProxyScores:
     snip: float
 
     def as_dict(self) -> dict[str, float]:
-        return {"meco": self.meco, "zico": self.zico, "naswot": self.naswot, "snip": self.snip}
+        return asdict(self)
+
+
+# The proxies in ProxyScores field order: the order of their objectives,
+# log keys, CSV columns and report series.
+PROXY_NAMES = tuple(f.name for f in fields(ProxyScores))
 
 
 def _snip_from_record(params: ParamSet, rec: GradientRecord, rows: int | None = None) -> float:

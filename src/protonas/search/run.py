@@ -9,7 +9,8 @@ candidate whose scoring fails (a linear-algebra error, a MemoryError,
 a package error such as a proxy ConfigError, or a non-finite score) is
 logged as an error record and treated the same way.
 
-Objective vector (all minimized):
+Objective vector (all minimized): flops, then each ProxyScores field
+negated, in field order (OBJECTIVE_LABELS):
     [flops, -meco, -zico, -naswot, -snip]
 
 Determinism: candidate evaluation is seeded per trial index from the
@@ -25,7 +26,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -34,13 +35,13 @@ from ..archspace.space import HyperparamVector, SearchSpaceDef, TaskSpec, sample
 from ..archspace.templates import BaselineTemplate
 from ..costmodel.model import CostEstimate, Feasibility, TargetProfile, check, estimate_costs
 from ..errors import ConfigError, ProtonasError
-from ..proxies.ensemble import ProxyBatchConfig, ProxyScores, evaluate_ensemble
+from ..proxies.ensemble import PROXY_NAMES, ProxyBatchConfig, ProxyScores, evaluate_ensemble
 from ..tensorcore.engine import init_params
 from .moo import constrained_dominates, crowding_distance, nondominated_sort
 
 log = logging.getLogger(__name__)
 
-OBJECTIVE_LABELS = ("flops", "neg_meco", "neg_zico", "neg_naswot", "neg_snip")
+OBJECTIVE_LABELS = ("flops", *(f"neg_{name}" for name in PROXY_NAMES))
 
 CROSSOVER_RATE = 0.9
 
@@ -78,7 +79,7 @@ class CandidateRecord:
     genes: HyperparamVector
     feasibility: Feasibility
     costs: CostEstimate | None
-    objectives: tuple[float, float, float, float, float]
+    objectives: tuple[float, ...]
     proxies: ProxyScores | None
     error: str | None = None
 
@@ -114,7 +115,7 @@ def _unscored(x, seed, trial_index, feasibility, costs, error=None) -> Candidate
         genes=x,
         feasibility=feasibility,
         costs=costs,
-        objectives=(flops, math.inf, math.inf, math.inf, math.inf),
+        objectives=(flops,) + (math.inf,) * len(PROXY_NAMES),
         proxies=None,
         error=error,
     )
@@ -141,7 +142,8 @@ def evaluate_candidate(
     except (np.linalg.LinAlgError, MemoryError, ProtonasError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     else:
-        bad = [name for name, v in scores.as_dict().items() if not math.isfinite(v)]
+        values = scores.as_dict()
+        bad = [name for name, v in values.items() if not math.isfinite(v)]
         error = f"NonFiniteProxy: {', '.join(bad)}" if bad else None
     if error is not None:
         # Scoring failed: log it like a decode error and keep the
@@ -153,39 +155,22 @@ def evaluate_candidate(
         genes=x,
         feasibility=feas,
         costs=costs,
-        objectives=(
-            float(costs.flops),
-            -scores.meco,
-            -scores.zico,
-            -scores.naswot,
-            -scores.snip,
-        ),
+        objectives=(float(costs.flops), *(-v for v in values.values())),
         proxies=scores,
     )
 
 
 def record_to_log_line(r: CandidateRecord) -> str:
     """One canonical JSON line per evaluated trial (stable key order)."""
-    objectives = [
-        v if math.isfinite(v) else None for v in r.objectives
-    ]
     doc = {
         "trial": r.trial_index,
         "seed": r.seed,
-        "genes": {
-            "architecture": r.genes.architecture,
-            "group_depth": list(r.genes.group_depth),
-            "kernel_stride": list(r.genes.kernel_stride),
-            "width_multiplier": r.genes.width_multiplier,
-            "pruning_sparsity": list(r.genes.pruning_sparsity),
-        },
+        "genes": asdict(r.genes),
         "feasible": r.feasibility.feasible,
         "violation": r.feasibility.violation if math.isfinite(r.feasibility.violation) else None,
-        "costs": None
-        if r.costs is None
-        else {"flops": r.costs.flops, "rom_bytes": r.costs.rom_bytes, "ram_bytes": r.costs.ram_bytes},
-        "objectives": objectives,
-        "proxies": None if r.proxies is None else r.proxies.as_dict(),
+        "costs": None if r.costs is None else asdict(r.costs),
+        "objectives": [v if math.isfinite(v) else None for v in r.objectives],
+        "proxies": None if r.proxies is None else asdict(r.proxies),
         "error": r.error,
     }
     return json.dumps(doc, allow_nan=False)
@@ -195,23 +180,14 @@ def _eval_star(args) -> CandidateRecord:
     return evaluate_candidate(*args)
 
 
-def _gene_domains(space: SearchSpaceDef) -> list[tuple]:
-    arch = ("cat", tuple(range(len(space.baseline_pool))))
-    depth = ("cat", space.depth_values)
-    ks = ("cat", tuple(range(len(space.kernel_stride_values))))
-    width = ("cont", *space.width_range)
-    sp = ("cont", *space.sparsity_range)
-    return [arch] + [depth] * 4 + [ks] * 4 + [width] + [sp] * 4
-
-
-def _mutate(genes: list[float], domains, rng: np.random.Generator) -> None:
+def _mutate(genes: list, domains, rng: np.random.Generator) -> None:
     rate = 1.0 / len(genes)
     for gi, dom in enumerate(domains):
         if rng.random() >= rate:
             continue
         if dom[0] == "cat":
             choices = dom[1]
-            genes[gi] = float(choices[rng.integers(len(choices))])
+            genes[gi] = choices[rng.integers(len(choices))]
         else:
             lo, hi = dom[1], dom[2]
             genes[gi] = float(np.clip(genes[gi] + rng.normal(0.0, 0.1 * (hi - lo)), lo, hi))
@@ -240,7 +216,7 @@ def _make_offspring(
             return int(i if crowd[i] > crowd[j] else j)
         return int(i)
 
-    domains = _gene_domains(space)
+    domains = space.gene_domains()
     out = []
     for _ in range(count):
         p1 = population[tournament()].genes.to_genes()

@@ -85,6 +85,25 @@ def test_explore_select_report_pipeline(run_yaml, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "pool, where",
+    [
+        (["mbednet1d", "resnett"], "template 'resnett' is not in the template catalog"),
+        (["mbednet1d", "resnet"], "template 'resnet' is 2d but the task input is 1d"),
+    ],
+)
+def test_baseline_pool_is_checked_against_the_catalog(run_yaml, tmp_path, capsys, pool, where):
+    out = tmp_path / "out"
+    cfg = run_yaml(out, space={"baseline_pool": pool})
+    assert main(["validate-config", "--config", str(cfg)]) == 1
+    assert f"error: space.baseline_pool: {where}" in capsys.readouterr().err
+    assert main(["explore", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: space.baseline_pool: {where}" in err
+    assert "Traceback" not in err
+    assert not (out / "trials.jsonl").exists()
+
+
 def test_explore_is_idempotent(run_yaml, tmp_path, capsys):
     out = tmp_path / "out"
     cfg = run_yaml(out)
@@ -269,6 +288,7 @@ GOOD_FRONT = ["trial,obj_flops,obj_neg_meco", "0,1.0,2.0", "1,2.0,1.0", "2,1.5,1
         (GOOD_FRONT[:2] + ["1,2.0"] + GOOD_FRONT[3:], "row 2: expected 3 cells as in the header, found 2"),
         (GOOD_FRONT[:3] + ["x,1.5,1.5"], "row 3, column trial"),
         (["id,obj_flops,obj_neg_meco", "0,1.0,2.0", "1,2.0,1.0"], "no trial column"),
+        (GOOD_FRONT[:2] + ["0.9,2.0,1.0"] + GOOD_FRONT[3:], "row 2, column trial: expected an integer"),
     ],
 )
 def test_select_rejects_malformed_front_before_writing(run_yaml, tmp_path, capsys, lines, where):
@@ -305,6 +325,7 @@ def _write_scored_trials(out, count):
         (["trial,accuracy", "0,0.5", "1,high", "2,0.7"], "row 2, column accuracy"),
         (["trial,accuracy", "0,0.5", "1", "2,0.7"], "row 2: expected 2 cells"),
         (["trial,acc", "0,0.5", "1,0.6"], "no accuracy column"),
+        (["trial,accuracy", "0,0.5", "0.9,0.6", "2,0.7"], "row 2, column trial: expected an integer"),
     ],
 )
 def test_report_rejects_malformed_accuracy_csv(run_yaml, tmp_path, capsys, lines, where):
