@@ -7,8 +7,9 @@ blocks run at stride 1.  Convolutions use same-style padding (k // 2),
 so spatial extents never collapse; the stride clamp below is defensive.
 
 apply_static_pruning() shrinks the regular convolutions of each group
-by the group's sparsity gene and re-equalizes residual endpoints to the
-minimum of their coupled channel counts.
+by the group's sparsity gene, re-equalizes residual endpoints to the
+minimum of their coupled channel counts, and then reads every node's
+channel counts off one shape pass (ArchitectureGraph.infer_shapes).
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import copy
 import math
 
 from ..errors import ConfigError, ShapeMismatch
-from .graph import ArchitectureGraph, LayerSpec, PASSTHROUGH_KINDS, layer_out_shape, windowed_extent
+from .graph import PASSTHROUGH_KINDS, WEIGHTED_KINDS, WINDOWED_KINDS, ArchitectureGraph, LayerSpec
+from .graph import input_count, layer_out_shape, windowed_extent
 from .space import GROUP_COUNT, HyperparamVector, SearchSpaceDef, TaskSpec
 from .templates import BaselineTemplate, eval_channel_expr, load_templates
 
@@ -65,41 +67,19 @@ def _clamped_stride(in_shape: tuple[int, ...], kernel: int, stride: int, padding
 def _make_layer(b: _Builder, entry: int, layer: dict, ctx: dict) -> int:
     op = layer["op"]
     in_shape = b.shape_of(entry)
-    cin = in_shape[0]
-    group = ctx.get("group")
-    if op == "conv":
-        raw = eval_channel_expr(layer["out"], ctx["base_channels"])
-        cout = scaled_channels(raw, ctx["width"])
+    cin = input_count(op, in_shape)
+    spec = LayerSpec(op, cin, cin, bias=op in WEIGHTED_KINDS, group=ctx.get("group"))
+    if op in WINDOWED_KINDS:
         k = _resolve(layer.get("kernel", 1), ctx)
         s = _resolve(layer.get("stride", 1), ctx)
-        pad = k // 2
-        spec = LayerSpec(
-            "conv", cin, cout, kernel=k, stride=_clamped_stride(in_shape, k, s, pad),
-            padding=pad, bias=True, group=group,
-        )
-    elif op == "depthwise-conv":
-        k = _resolve(layer.get("kernel", 1), ctx)
-        s = _resolve(layer.get("stride", 1), ctx)
-        pad = k // 2
-        spec = LayerSpec(
-            "depthwise-conv", cin, cin, kernel=k, stride=_clamped_stride(in_shape, k, s, pad),
-            padding=pad, bias=True, group=group,
-        )
-    elif op == "maxpool":
-        k = _resolve(layer.get("kernel", 1), ctx)
-        s = _resolve(layer.get("stride", 1), ctx)
-        pad = k // 2
-        spec = LayerSpec(
-            "maxpool", cin, cin, kernel=k, stride=_clamped_stride(in_shape, k, s, pad),
-            padding=pad, group=group,
-        )
-    elif op in ("relu", "batchnorm"):
-        spec = LayerSpec(op, cin, cin, group=group)
-    elif op == "global-avg-pool":
-        spec = LayerSpec(op, cin, cin, group=group)
+        spec.kernel, spec.padding = k, k // 2
+        spec.stride = _clamped_stride(in_shape, k, s, spec.padding)
+        if op == "conv":
+            raw = eval_channel_expr(layer["out"], ctx["base_channels"])
+            spec.out_channels = scaled_channels(raw, ctx["width"])
     elif op == "linear":
-        spec = LayerSpec("linear", math.prod(in_shape), b.num_classes, bias=True, group=group)
-    else:
+        spec.out_channels = b.num_classes
+    elif op not in ("relu", "batchnorm", "global-avg-pool"):
         raise ConfigError(f"cannot instantiate op '{op}'")
     return b.add(spec, [entry])
 
@@ -148,17 +128,6 @@ def _build_branch(b: _Builder, layer: dict, entry: int, ctx: dict) -> int:
     return b.add(spec, joined)
 
 
-def _strip_bias_before_batchnorm(b: _Builder) -> None:
-    # A bias feeding straight into batchnorm is redundant at inference.
-    succ: list[list[int]] = [[] for _ in b.nodes]
-    for i, ps in enumerate(b.preds):
-        for p in ps:
-            succ[p].append(i)
-    for i, node in enumerate(b.nodes):
-        if node.bias and len(succ[i]) == 1 and b.nodes[succ[i][0]].kind == "batchnorm":
-            node.bias = False
-
-
 def decode(
     x: HyperparamVector,
     space: SearchSpaceDef,
@@ -202,9 +171,11 @@ def decode(
             b.nodes[node].block_output = True
     node = _build_pattern(b, tpl.classifier, node, stem_ctx)
 
-    _strip_bias_before_batchnorm(b)
-    graph = ArchitectureGraph(b.nodes, b.preds, tuple(task.input_shape), task.num_classes)
-    graph.infer_shapes()
+    graph = ArchitectureGraph(b.nodes, b.preds, b.input_shape, task.num_classes, b.shapes)
+    # A bias feeding straight into batchnorm is redundant at inference.
+    for node, succ in zip(graph.nodes, graph.successors()):
+        if node.bias and len(succ) == 1 and graph.nodes[succ[0]].kind == "batchnorm":
+            node.bias = False
     return graph
 
 
@@ -227,8 +198,11 @@ def apply_static_pruning(g: ArchitectureGraph, sparsity) -> ArchitectureGraph:
 
     Every pruned width is max(1, c - floor(s * c)).  Residual-add
     endpoints coupled through identity skips are then re-equalized to
-    the minimum width of their coupled group, and channel counts are
-    re-propagated downstream.  Pure: returns a new graph.
+    the minimum width of their coupled group.  One shape pass over the
+    result then gives every node its in/out counts: out_channels is its
+    output's channel count, in_channels is input_count of its first
+    input (every element of it for a linear layer).  Pure: returns a
+    new graph.
     """
     sparsity = tuple(float(s) for s in sparsity)
     if len(sparsity) != 4:
@@ -249,8 +223,10 @@ def apply_static_pruning(g: ArchitectureGraph, sparsity) -> ArchitectureGraph:
             node.out_channels = max(1, c - math.floor(sparsity[node.group] * c))
 
     _equalize_add_endpoints(h)
-    _propagate_channels(h)
-    h.infer_shapes()
+    shapes = h.infer_shapes()
+    for node, preds, shape in zip(h.nodes, h.preds, shapes):
+        node.in_channels = input_count(node.kind, shapes[preds[0]] if preds else h.input_shape)
+        node.out_channels = shape[0]
     return h
 
 
@@ -289,29 +265,3 @@ def _equalize_add_endpoints(h: ArchitectureGraph) -> None:
         target = min(h.nodes[m].out_channels for m in convs)
         for m in convs:
             h.nodes[m].out_channels = target
-
-
-def _propagate_channels(h: ArchitectureGraph) -> None:
-    ch: list[int] = []
-    for i, node in enumerate(h.nodes):
-        ins = [ch[p] for p in h.preds[i]] or [h.input_shape[0]]
-        cin = ins[0]
-        if node.kind == "conv":
-            node.in_channels = cin
-        elif node.kind == "depthwise-conv":
-            node.in_channels = cin
-            node.out_channels = cin
-        elif node.kind == "linear":
-            node.in_channels = cin  # classifier input is pooled to 1 spatially
-        elif node.kind == "add":
-            if any(c != cin for c in ins):
-                raise ShapeMismatch("residual endpoints disagree after pruning")
-            node.in_channels = cin
-            node.out_channels = cin
-        elif node.kind == "concat":
-            node.in_channels = cin
-            node.out_channels = sum(ins)
-        else:
-            node.in_channels = cin
-            node.out_channels = cin
-        ch.append(node.out_channels)

@@ -3,6 +3,10 @@
 A graph is a flat list of layer nodes plus a predecessor list.  Nodes
 with no predecessors read the network input; exactly one such node may
 exist.  Spatial shapes use channels-first layout without the batch axis.
+
+The per-kind rules live here, and decode, pruning, the cost model, the
+engine and zico read them: weights (WEIGHTED_KINDS, LayerSpec.weight_shape),
+inputs read (input_count) and output shapes (layer_out_shape).
 """
 
 from __future__ import annotations
@@ -24,9 +28,22 @@ LAYER_KINDS = (
     "concat",
 )
 
+CONV_KINDS = ("conv", "depthwise-conv")
+# Kinds that carry a weight tensor (shaped by LayerSpec.weight_shape) and,
+# when their bias flag is set, one bias per output channel.
+WEIGHTED_KINDS = CONV_KINDS + ("linear",)
+# Kinds that slide a kernel window over the spatial axes.
+WINDOWED_KINDS = CONV_KINDS + ("maxpool",)
+
 # Kinds that neither create nor mix channels; pruning walks through them
 # when it looks for the node that decides a tensor's channel count.
 PASSTHROUGH_KINDS = ("relu", "batchnorm", "maxpool", "global-avg-pool", "depthwise-conv")
+
+
+def input_count(kind: str, in_shape: tuple[int, ...]) -> int:
+    """The in_channels of a `kind` node reading a tensor of in_shape: every
+    element for linear (it flattens its input), the channel count otherwise."""
+    return math.prod(in_shape) if kind == "linear" else in_shape[0]
 
 
 @dataclass
@@ -49,11 +66,16 @@ class LayerSpec:
     block_output: bool = False
     name: str = ""
 
-    @property
-    def group_inputs(self) -> int:
-        """Input channels each output channel reads: one for a depthwise
-        convolution (one group per channel), all of them otherwise."""
-        return 1 if self.kind == "depthwise-conv" else self.in_channels
+    def weight_shape(self, dims: int) -> tuple[int, ...] | None:
+        """(out, in) for linear; (out, inputs per group, k...) over `dims`
+        spatial axes for a convolution, with one input per group for
+        depthwise; None for kinds without weights."""
+        if self.kind == "linear":
+            return (self.out_channels, self.in_channels)
+        if self.kind not in CONV_KINDS:
+            return None
+        group_inputs = 1 if self.kind == "depthwise-conv" else self.in_channels
+        return (self.out_channels, group_inputs) + (self.kernel,) * dims
 
 
 @dataclass
@@ -111,7 +133,7 @@ def layer_out_shape(node: LayerSpec, in_shapes: list[tuple[int, ...]]) -> tuple[
     """Output shape of one node given its predecessors' output shapes."""
     kind = node.kind
     first = in_shapes[0]
-    if kind in ("conv", "depthwise-conv", "maxpool"):
+    if kind in WINDOWED_KINDS:
         sp = tuple(windowed_extent(n, node.kernel, node.stride, node.padding) for n in first[1:])
         for n, m in zip(first[1:], sp):
             if m < 1:
@@ -174,7 +196,7 @@ def validate(g: ArchitectureGraph) -> list[str]:
             out.append(f"node {i}: unknown kind '{node.kind}'")
         if node.in_channels < 1 or node.out_channels < 1:
             out.append(f"node {i}: channel count below 1")
-        if node.kind in ("conv", "depthwise-conv") and node.kernel % 2 == 0:
+        if node.kind in CONV_KINDS and node.kernel % 2 == 0:
             out.append(f"node {i}: even kernel {node.kernel}")
         if node.stride not in (1, 2):
             out.append(f"node {i}: stride {node.stride} outside {{1, 2}}")
@@ -200,8 +222,8 @@ def validate(g: ArchitectureGraph) -> list[str]:
     shapes: list[tuple[int, ...]] = []
     for i, node in enumerate(g.nodes):
         ins = [shapes[p] for p in g.preds[i]] or [tuple(g.input_shape)]
-        if node.kind in ("conv", "depthwise-conv", "linear"):
-            expect = ins[0][0] if node.kind != "linear" else math.prod(ins[0])
+        if node.kind in WEIGHTED_KINDS:
+            expect = input_count(node.kind, ins[0])
             if node.in_channels != expect:
                 out.append(
                     f"node {i}: channel mismatch (declares {node.in_channels}, gets {expect})"

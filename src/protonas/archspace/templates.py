@@ -9,10 +9,12 @@ from pathlib import Path
 import yaml
 
 from ..errors import ConfigError
+from .graph import LAYER_KINDS
 
 DEFAULT_TEMPLATES_PATH = Path(__file__).with_name("templates.yaml")
 
-_LAYER_OPS = {"conv", "depthwise-conv", "linear", "relu", "batchnorm", "maxpool", "global-avg-pool"}
+# merges are written as branch layers, never as ops of their own
+_LAYER_OPS = frozenset(LAYER_KINDS) - {"add", "concat"}
 
 
 @dataclass(frozen=True)

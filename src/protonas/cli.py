@@ -315,9 +315,6 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except ProtonasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

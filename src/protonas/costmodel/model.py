@@ -59,20 +59,16 @@ class Feasibility:
 def count_flops(g: ArchitectureGraph) -> int:
     """Total forward FLOPs for one input sample."""
     shapes = g.shapes or g.infer_shapes()
+    dims = len(g.input_shape) - 1
     total = 0
-    for i, node in enumerate(g.nodes):
-        out = shapes[i]
+    for node, out in zip(g.nodes, shapes):
         out_elems = math.prod(out)
-        spatial = math.prod(out[1:])
-        dims = len(out) - 1
-        if node.kind in ("conv", "depthwise-conv"):
-            total += MAC_FLOPS * node.group_inputs * node.out_channels * node.kernel ** dims * spatial
+        weight = node.weight_shape(dims)
+        if weight is not None:
+            # one MAC per weight per output position (a linear layer's one)
+            total += MAC_FLOPS * math.prod(weight) * math.prod(out[1:])
             if node.bias:
                 total += out_elems
-        elif node.kind == "linear":
-            total += MAC_FLOPS * node.in_channels * node.out_channels
-            if node.bias:
-                total += node.out_channels
         elif node.kind in ("relu", "batchnorm", "maxpool", "global-avg-pool", "add"):
             total += out_elems
         # concat moves bytes but performs no arithmetic
@@ -86,17 +82,13 @@ def estimate_rom(g: ArchitectureGraph, code_overhead: int = 0) -> int:
     int32 biases where present; batchnorm is folded into the preceding
     convolution at deployment and adds nothing.
     """
-    shapes = g.shapes or g.infer_shapes()
+    dims = len(g.input_shape) - 1
     total = int(code_overhead)
-    for i, node in enumerate(g.nodes):
-        dims = len(shapes[i]) - 1
-        if node.kind in ("conv", "depthwise-conv"):
-            weights = node.group_inputs * node.out_channels * node.kernel ** dims
-        elif node.kind == "linear":
-            weights = node.in_channels * node.out_channels
-        else:
+    for node in g.nodes:
+        weight = node.weight_shape(dims)
+        if weight is None:
             continue
-        total += weights * WEIGHT_BYTES + node.out_channels * CHANNEL_META_BYTES
+        total += math.prod(weight) * WEIGHT_BYTES + node.out_channels * CHANNEL_META_BYTES
         if node.bias:
             total += node.out_channels * BIAS_BYTES
     return total

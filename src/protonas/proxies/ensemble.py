@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ..archspace.graph import ArchitectureGraph
+from ..archspace.graph import WEIGHTED_KINDS, ArchitectureGraph
 from ..errors import ConfigError
 from ..tensorcore.engine import (
     ForwardTrace,
@@ -41,7 +41,6 @@ from ..tensorcore.engine import (
     forward,
 )
 
-_SCORED_KINDS = ("conv", "depthwise-conv", "linear")
 # Columns per block of zico's per-sample gradient statistics: with 16
 # samples a block and its temporaries stay within a few hundred KiB.
 _ZICO_BLOCK = 4096
@@ -214,7 +213,7 @@ def _zico_from_records(g: ArchitectureGraph, records: list[GradientRecord], eps:
     per sample, over the samples of all records."""
     total = 0.0
     for nid, node in enumerate(g.nodes):
-        if node.kind not in _SCORED_KINDS:
+        if node.kind not in WEIGHTED_KINDS:
             continue
         layer = []
         for rec in records:

@@ -1,8 +1,9 @@
 """Double-precision forward/backward engine for architecture graphs.
 
 Runs decoded graphs directly from their LayerSpec nodes on float64
-numpy arrays.  Convolutions are lowered to matrix products over im2col
-columns: a row chunk's kernel-offset windows are copied once into a
+numpy arrays, with archspace/graph.py's kinds and weight shapes.
+Convolutions are lowered to matrix products over im2col columns: a row
+chunk's kernel-offset windows are copied once into a
 (rows, channels, taps, positions) buffer (_columns), and the kernel pair
 _conv_fwd/_conv_bwd makes one product per chunk for the output and one
 for the weight gradient.  Input gradients are still scattered back one
@@ -26,7 +27,7 @@ every matrix product keeps its per-row shape, so the results are the
 same bits as a whole-batch pass.
 
 Backward is reverse-mode over the recorded forward activations.  It
-reads only the inputs of conv and linear nodes (backward_reads), the
+reads only the inputs of weighted nodes (backward_reads), the
 ReLU patterns and the max-pool argmaxes; every other node's output shape
 comes from the trace.  forward can keep just the outputs a caller names
 and drops every other one once its last consumer has run, and backward
@@ -50,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..archspace.graph import ArchitectureGraph, windowed_extent
+from ..archspace.graph import CONV_KINDS, WEIGHTED_KINDS, ArchitectureGraph, windowed_extent
 from ..errors import ShapeMismatch
 
 _BN_EPS = 1e-5
@@ -101,20 +102,16 @@ class GradientRecord:
 
 
 def init_params(g: ArchitectureGraph, rng: np.random.Generator) -> ParamSet:
-    """He fan-in normal weights, zero biases; draw order is node order."""
+    """He fan-in normal weights of each node's weight_shape (fan-in: all
+    axes but the first), zero biases; draw order is node order."""
     dims = len(g.input_shape) - 1
     weights: dict[int, np.ndarray] = {}
     biases: dict[int, np.ndarray] = {}
     for i, node in enumerate(g.nodes):
-        if node.kind in ("conv", "depthwise-conv"):
-            shape = (node.out_channels, node.group_inputs) + (node.kernel,) * dims
-            fan_in = node.group_inputs * node.kernel ** dims
-        elif node.kind == "linear":
-            shape = (node.out_channels, node.in_channels)
-            fan_in = node.in_channels
-        else:
+        shape = node.weight_shape(dims)
+        if shape is None:
             continue
-        weights[i] = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
+        weights[i] = rng.normal(0.0, math.sqrt(2.0 / math.prod(shape[1:])), size=shape)
         if node.bias:
             biases[i] = np.zeros(node.out_channels)
     return ParamSet(weights, biases)
@@ -335,12 +332,12 @@ def _as_batch(g: ArchitectureGraph, batch: np.ndarray) -> np.ndarray:
 
 
 def backward_reads(g: ArchitectureGraph) -> dict[int, int]:
-    """The nodes whose outputs backward reads: the inputs of conv and
-    linear nodes.  Each maps to the first node in node order that reads
+    """The nodes whose outputs backward reads: the inputs of weighted
+    nodes.  Each maps to the first node in node order that reads
     it, which is the last reader to run in backward."""
     reads: dict[int, int] = {}
     for i, node in enumerate(g.nodes):
-        if node.kind in ("conv", "depthwise-conv", "linear") and g.preds[i]:
+        if node.kind in WEIGHTED_KINDS and g.preds[i]:
             reads.setdefault(g.preds[i][0], i)
     return reads
 
@@ -376,7 +373,7 @@ def forward(
         ins = [outputs[p] for p in g.preds[i]] or [x]
         a = ins[0]
         kind = node.kind
-        if kind in ("conv", "depthwise-conv"):
+        if kind in CONV_KINDS:
             out = _conv_fwd(a, params.weights[i], params.biases.get(i), node.stride, node.padding)
         elif kind == "linear":
             flat = a.reshape(len(a), -1)
@@ -476,7 +473,7 @@ def backward(
             continue
         in_shape = shapes[g.preds[i][0]] if g.preds[i] else x.shape
         kind = node.kind
-        if kind in ("conv", "depthwise-conv"):
+        if kind in CONV_KINDS:
             # a convolution reading the graph input has no input gradient to pass on
             dx, dw, db = _conv_bwd(node_input(i), params.weights[i], dout, node.stride,
                                    node.padding, i in params.biases, want_dx=bool(g.preds[i]))
