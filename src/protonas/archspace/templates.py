@@ -80,6 +80,15 @@ def _freeze_pattern(pattern, where: str, allow_markers: bool) -> tuple[dict, ...
     return tuple(out)
 
 
+def _merges_the_input(pattern: tuple[dict, ...]) -> bool:
+    """Whether a pattern that starts at the network input opens with a
+    branch holding an empty (identity) branch, directly or through a
+    branch that opens one of its branches."""
+    if not pattern or pattern[0]["op"] != "branch":
+        return False
+    return any(not br or _merges_the_input(br) for br in pattern[0]["branches"])
+
+
 def _valid_channel_expr(expr: str) -> bool:
     if expr == "C":
         return True
@@ -113,6 +122,13 @@ def _parse_template(tid: str, raw: dict) -> BaselineTemplate:
     stem = _freeze_pattern(raw.get("stem", []), f"templates.{tid}.stem", allow_markers=False)
     if not stem:
         raise ConfigError(f"templates.{tid}.stem: must not be empty")
+    if _merges_the_input(stem):
+        # a node's predecessors cannot name the network input, so such a
+        # merge would lose its skip edge
+        raise ConfigError(
+            f"templates.{tid}.stem: a branch at the network input cannot hold an empty "
+            "(identity) branch"
+        )
     superblock = _freeze_pattern(
         raw.get("superblock", []), f"templates.{tid}.superblock", allow_markers=True
     )

@@ -6,25 +6,31 @@ Convolutions are lowered to matrix products over im2col columns: a row
 chunk's kernel-offset windows are copied once into a
 (rows, channels, taps, positions) buffer (_columns), and the kernel pair
 _conv_fwd/_conv_bwd makes one product per chunk for the output and one
-for the weight gradient.  Input gradients are still scattered back one
-kernel offset at a time.
+for the weight gradient.  A stride-1 input gradient is itself a forward
+convolution (of the output gradient, with the kernel flipped in space
+and its in and out channels swapped), so it runs through the same
+column products.  A strided input gradient is scattered back one kernel
+offset at a time.
 
 One kernel pair serves both convolution kinds.  A convolution reads its
 group count from the weight, cin // w.shape[1]: one group for a regular
 convolution, one per channel for a depthwise (c, 1, k...) weight.  Every
 product is batched over the groups.  Where each group has one output
-channel (any depthwise layer), the input gradient's per-offset product
-has an inner dimension of 1 and runs as a broadcast multiply: the same
-bits, and faster than numpy's matmul over stacks of 1x1 matrices.
+channel (any depthwise layer), the strided input gradient's per-offset
+product has an inner dimension of 1 and runs as a broadcast multiply:
+the same bits, and faster than numpy's matmul over stacks of 1x1
+matrices.
 
 The spatial kernels (convolution and max pooling) work through the
-batch in row chunks of about _CHUNK_BYTES (_row_chunks):
-of column buffer for the convolutions, of padded input for pooling
-(max-pool forward pads each chunk into one reused buffer).  A
-row whose columns exceed the budget is a chunk of its own.  A batch that
-fits, such as any 1-D batch here, is one chunk.  Rows never mix and
-every matrix product keeps its per-row shape, so the results are the
-same bits as a whole-batch pass.
+batch in row chunks of about _CHUNK_BYTES (_row_chunks): of column
+buffer for the convolutions, of padded input for pooling.  A row whose
+columns exceed the budget is a chunk of its own.  A batch that fits,
+such as any 1-D batch here, is one chunk.  No kernel pads the whole
+batch: each pads a chunk into one reused buffer, whose border is
+written once, or accumulates a chunk's gradient into one reused padded
+buffer and copies its interior out.  Rows never mix and every matrix
+product keeps its per-row shape, so the results are the same bits as a
+whole-batch pass.
 
 Backward is reverse-mode over the recorded forward activations.  It
 reads only the inputs of weighted nodes (backward_reads), the
@@ -122,15 +128,27 @@ def _interior(padding: int, spatial: tuple[int, ...]) -> tuple[slice, ...]:
     return (slice(None), slice(None)) + tuple(slice(padding, padding + n) for n in spatial)
 
 
-def _pad(x: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
-    """x with `padding` cells of `value` on both sides of every spatial axis."""
-    if padding == 0:
-        return x
-    shape = x.shape[:2] + tuple(n + 2 * padding for n in x.shape[2:])
-    # np.zeros gets pre-zeroed memory, which is faster than filling
-    xp = np.zeros(shape, x.dtype) if value == 0.0 else np.full(shape, value, x.dtype)
-    xp[_interior(padding, x.shape[2:])] = x
-    return xp
+def _padded_buffer(rows: int, shape: tuple[int, ...], padding: int, value: float = 0.0):
+    """A buffer of `rows` rows of an array of `shape` padded by `padding`
+    cells on both sides of every spatial axis, filled with `value`."""
+    return np.full((rows, shape[1]) + tuple(n + 2 * padding for n in shape[2:]), value)
+
+
+def _padded_rows(x: np.ndarray, padding: int, chunks: list[slice], value: float = 0.0):
+    """Yield (rows, xc) per chunk: x[rows] padded by `padding` cells of
+    `value`.  The chunks are padded into one reused buffer, whose border is
+    written once, so each xc is only valid until the next one is yielded;
+    unpadded chunks are views of x."""
+    if not padding:
+        for rows in chunks:
+            yield rows, x[rows]
+        return
+    buf = _padded_buffer(len(x[chunks[0]]), x.shape, padding, value)
+    inner = _interior(padding, x.shape[2:])
+    for rows in chunks:
+        xc = buf[: len(x[rows])]
+        xc[inner] = x[rows]
+        yield rows, xc
 
 
 def _offsets(kernel: int, dims: int):
@@ -156,38 +174,37 @@ def _row_chunks(rows: int, row_bytes: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _columns(xp: np.ndarray, kernel: int, stride: int, out_sp: tuple[int, ...]):
-    """Yield (rows, cols) per row chunk of the padded input xp.
+def _columns(x: np.ndarray, kernel: int, stride: int, padding: int, out_sp: tuple[int, ...]):
+    """Yield (rows, cols) per row chunk of x padded by `padding` zeros.
 
     cols has shape (n, c, taps, length): cols[:, :, t] is the window of
-    tap t (in _offsets order) flattened over the output positions.  The
-    chunks share one buffer of at most _CHUNK_BYTES, or of one row's
-    columns if that is larger, so each cols is only valid until the next
-    one is yielded.  A 1x1 stride-1 kernel's only window is xp itself,
-    which is yielded whole without a copy.
+    tap t (in _offsets order) flattened over the output positions.  Each
+    padded chunk (_padded_rows) has its windows copied into one reused
+    column buffer of at most _CHUNK_BYTES, or of one row's columns if that
+    is larger, so each cols is only valid until the next one is yielded.
+    An unpadded 1x1 stride-1 kernel's only window is x itself, which is
+    yielded whole without a copy.
     """
-    B, c = xp.shape[:2]
-    dims = xp.ndim - 2
-    taps = kernel**dims
+    B, c = x.shape[:2]
+    dims = x.ndim - 2
     length = math.prod(out_sp)
-    if kernel == 1 and stride == 1:
-        yield slice(None), xp.reshape(B, c, 1, length)
+    if kernel == 1 and stride == 1 and padding == 0:
+        yield slice(None), x.reshape(B, c, 1, length)
         return
-    # a view of every window: [b, ch, *off, *pos] is xp[b, ch, *(off + stride * pos)]
-    spatial_strides = xp.strides[2:]
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        xp.shape[:2] + (kernel,) * dims + tuple(out_sp),
-        xp.strides[:2] + spatial_strides + tuple(s * stride for s in spatial_strides),
-        writeable=False,
-    )
-    chunks = _row_chunks(B, xp.itemsize * c * taps * length)
-    buf = np.empty(windows[chunks[0]].shape)
-    for rows in chunks:
-        win = windows[rows]
-        n = len(win)
-        np.copyto(buf[:n], win)
-        yield rows, buf[:n].reshape(n, c, taps, length)
+    chunks = _row_chunks(B, x.itemsize * c * kernel**dims * length)
+    buf = np.empty((len(x[chunks[0]]), c) + (kernel,) * dims + tuple(out_sp))
+    for rows, xc in _padded_rows(x, padding, chunks):
+        n = len(xc)
+        # a view of every window: [b, ch, *off, *pos] is xc[b, ch, *(off + stride * pos)]
+        spatial_strides = xc.strides[2:]
+        windows = np.lib.stride_tricks.as_strided(
+            xc,
+            buf[:n].shape,
+            xc.strides[:2] + spatial_strides + tuple(s * stride for s in spatial_strides),
+            writeable=False,
+        )
+        np.copyto(buf[:n], windows)
+        yield rows, buf[:n].reshape(n, c, -1, length)
 
 
 def _conv_fwd(x, w, b, stride, padding):
@@ -199,7 +216,7 @@ def _conv_fwd(x, w, b, stride, padding):
     length = math.prod(out_sp)
     wmat = w.reshape(groups, cout // groups, -1)
     out = np.empty((B, groups, cout // groups, length))
-    for rows, cols in _columns(_pad(x, padding), kernel, stride, out_sp):
+    for rows, cols in _columns(x, kernel, stride, padding, out_sp):
         np.matmul(wmat, cols.reshape(len(cols), groups, -1, length), out=out[rows])
     out = out.reshape(B, cout, *out_sp)
     if b is not None:
@@ -213,35 +230,51 @@ def _conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     cout, kernel = w.shape[0], w.shape[2]
     groups = cin // w.shape[1]
     dims = x.ndim - 2
-    xp = _pad(x, padding)
     out_sp = dout.shape[2:]
     length = math.prod(out_sp)
     dflat = dout.reshape(B, groups, cout // groups, length)
-    dxp = np.zeros_like(xp) if want_dx else None
     dw = np.empty((B,) + w.shape)
     dw_flat = dw.reshape(B, groups, cout // groups, -1)
-    offsets = _offsets(kernel, dims)
-    # per offset, the (groups, cin/groups, cout/groups) transposed tap;
-    # with one output channel per group its product is a broadcast multiply
-    wg = w.reshape(groups, cout // groups, cin // groups, -1)
-    taps_t = [wg[..., t].transpose(0, 2, 1) for t in range(len(offsets))]
-    tap_product = np.multiply if cout == groups else np.matmul
-    buf = None
-    for rows, cols in _columns(xp, kernel, stride, out_sp):
+    wg = w.reshape((groups, cout // groups, cin // groups) + w.shape[2:])
+    dx = None
+    scatter = want_dx and stride > 1
+    if want_dx and stride == 1:
+        # a stride-1 input gradient is the forward convolution of dout with
+        # the kernel flipped in space and its in and out channels swapped
+        # within each group, at padding k - 1 - p
+        flipped = np.flip(wg.swapaxes(1, 2), axis=tuple(range(3, 3 + dims)))
+        pad = kernel - 1 - padding
+        # outputs beyond the kernel's reach of the input read only padding
+        reach = dout[(slice(None),) * 2 + (slice(-pad, pad),) * dims] if pad < 0 else dout
+        dx = _conv_fwd(reach, flipped.reshape((cin, cout // groups) + w.shape[2:]), None, 1,
+                       max(pad, 0))
+    elif scatter:
+        # per offset, the (groups, cin/groups, cout/groups) transposed tap;
+        # with one output channel per group its product is a broadcast multiply
+        offsets = _offsets(kernel, dims)
+        taps_t = [wg[(Ellipsis,) + off].transpose(0, 2, 1) for off in offsets]
+        tap_product = np.multiply if cout == groups else np.matmul
+        inner = _interior(padding, x.shape[2:])
+        dx = np.empty(x.shape)
+        acc = tmp = None
+    for rows, cols in _columns(x, kernel, stride, padding, out_sp):
         dc = dflat[rows]
         n = len(dc)
         cols_t = cols.reshape(n, groups, -1, length).transpose(0, 1, 3, 2)
         np.matmul(dc, cols_t, out=dw_flat[rows])
-        if want_dx:
-            # one product per offset: a single (cin*taps, length) product
-            # followed by a scatter of its columns was slower
-            if buf is None:  # the first chunk is the largest
-                buf = np.empty((n, groups, cin // groups, length))
-            tmp, dxc = buf[:n], dxp[rows]
+        if scatter:
+            # one product per offset, accumulated into the padded chunk: a
+            # single (cin*taps, length) product followed by a scatter of its
+            # columns was slower
+            if acc is None:  # the first chunk is the largest
+                acc = _padded_buffer(n, x.shape, padding)
+                tmp = np.empty((n, groups, cin // groups, length))
+            dxc, prod = acc[:n], tmp[:n]
+            dxc.fill(0.0)
             for off, tap_t in zip(offsets, taps_t):
-                tap_product(tap_t, dc, out=tmp)
-                _window(dxc, off, stride, out_sp)[...] += tmp.reshape(n, cin, *out_sp)
-    dx = dxp if padding == 0 or not want_dx else dxp[_interior(padding, x.shape[2:])]
+                tap_product(tap_t, dc, out=prod)
+                _window(dxc, off, stride, out_sp)[...] += prod.reshape(n, cin, *out_sp)
+            dx[rows] = dxc[inner]
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
@@ -253,21 +286,12 @@ def _maxpool_fwd(x, kernel, stride, padding):
     out = np.empty(x.shape[:2] + out_sp)
     # one byte a cell up to 256 taps: forward's trace holds it until backward
     arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(offsets) - 1))
-    # each row chunk is padded into one reused buffer, whose -inf border
-    # is written once, rather than padding the whole batch
     padded = x.shape[1:2] + tuple(n + 2 * padding for n in x.shape[2:])
     chunks = _row_chunks(len(x), x.itemsize * math.prod(padded))
     greater = np.empty(out[chunks[0]].shape, dtype=bool)
-    xp = np.full((len(greater),) + padded, -np.inf) if padding else None
-    for rows in chunks:
+    for rows, xc in _padded_rows(x, padding, chunks, -np.inf):
         oc, ac = out[rows], arg[rows]
-        n = len(oc)
-        if padding:
-            xc = xp[:n]
-            xc[_interior(padding, x.shape[2:])] = x[rows]
-        else:
-            xc = x[rows]
-        gt = greater[:n]
+        gt = greater[: len(oc)]
         oc[...] = _window(xc, offsets[0], stride, out_sp)
         for idx, off in enumerate(offsets[1:], start=1):
             win = _window(xc, off, stride, out_sp)
@@ -282,23 +306,28 @@ def _maxpool_fwd(x, kernel, stride, padding):
 
 def _maxpool_bwd(x_shape, arg, dout, kernel, stride, padding):
     dims = len(x_shape) - 2
-    padded = list(x_shape)
-    for ax in range(2, len(x_shape)):
-        padded[ax] += 2 * padding
-    dxp = np.zeros(tuple(padded))
     out_sp = dout.shape[2:]
     offsets = _offsets(kernel, dims)
-    chunks = _row_chunks(len(dxp), dxp.itemsize * math.prod(dxp.shape[1:]))
+    padded = x_shape[1:2] + tuple(n + 2 * padding for n in x_shape[2:])
+    chunks = _row_chunks(x_shape[0], dout.itemsize * math.prod(padded))
+    dx = np.empty(x_shape)
+    # each row chunk accumulates into one reused padded buffer, whose
+    # interior is then copied into dx
     prod = np.empty(dout[chunks[0]].shape)
     hit = np.empty(prod.shape, dtype=bool)
+    acc = _padded_buffer(len(prod), x_shape, padding)
+    inner = _interior(padding, x_shape[2:])
     for rows in chunks:
-        dc, ac, dxc = dout[rows], arg[rows], dxp[rows]
-        tmp, h = prod[: len(dc)], hit[: len(dc)]
+        dc, ac = dout[rows], arg[rows]
+        n = len(dc)
+        tmp, h, dxc = prod[:n], hit[:n], acc[:n]
+        dxc.fill(0.0)
         for idx, off in enumerate(offsets):
             np.equal(ac, idx, out=h)
             np.multiply(dc, h, out=tmp)
             _window(dxc, off, stride, out_sp)[...] += tmp
-    return dxp if padding == 0 else dxp[_interior(padding, x_shape[2:])]
+        dx[rows] = dxc[inner]
+    return dx
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 
 from protonas.archspace import (
     HyperparamVector,
+    SearchSpaceDef,
+    TaskSpec,
     apply_static_pruning,
     decode,
     load_templates,
@@ -33,6 +36,37 @@ def test_catalog_has_six_baselines(templates):
     assert templates["mbednet1d"].dimensionality == 1
     assert templates["inceptiontime"].dimensionality == 1
     assert templates["resnet"].dimensionality == 2
+
+
+def test_stem_cannot_merge_the_network_input(tmp_path):
+    """A node's predecessors cannot name the network input, so a stem that
+    opens with a branch holding an identity branch is rejected at load
+    time, also one nested in another branch; after a first layer the same
+    branch decodes with its skip edge."""
+    skip = {"op": "branch", "merge": "concat",
+            "branches": [[{"op": "conv", "out": 8, "kernel": 3}], []]}
+    nested = {"op": "branch", "merge": "concat", "branches": [[skip], [{"op": "relu"}]]}
+
+    def load(stem):
+        path = tmp_path / "catalog.yaml"
+        path.write_text(yaml.safe_dump({"version": 1, "templates": {"skip1d": {
+            "dimensionality": 1,
+            "group_channels": [8, 8, 16, 16],
+            "stem": stem,
+            "superblock": [{"op": "conv", "out": "C", "kernel": "K", "stride": "S"}],
+            "classifier": [{"op": "global-avg-pool"}, {"op": "linear"}],
+        }}}))
+        return load_templates(path)
+
+    for stem in ([skip], [nested]):
+        with pytest.raises(ConfigError, match="identity"):
+            load(stem)
+    templates = load([{"op": "relu"}, skip])
+    space = SearchSpaceDef(baseline_pool=("skip1d",))
+    task = TaskSpec(input_shape=(2, 32), num_classes=3)
+    g = decode(sample(np.random.default_rng(0), space), space, task, templates)
+    assert g.preds[2] == [1, 0] and g.shapes[2][0] == g.shapes[1][0] + 2
+    assert validate(g) == []
 
 
 def test_channel_expr():

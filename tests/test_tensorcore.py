@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from protonas.tensorcore.engine import (
     _interior,
     _maxpool_fwd,
     _offsets,
-    _pad,
+    _padded_buffer,
     _window,
 )
 
@@ -207,10 +208,13 @@ def test_backward_rejects_trace_of_another_batch_size():
 @pytest.mark.parametrize("shape", [(2, 3, 5), (2, 3, 4, 5)])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 def test_pad_matches_np_pad(value, shape, padding):
+    """The kernels pad a row chunk by filling a buffer of `value` once and
+    copying the chunk into its interior."""
     x = np.random.default_rng(0).normal(size=shape)
     spec = [(0, 0), (0, 0)] + [(padding, padding)] * (len(shape) - 2)
     want = np.pad(x, spec, constant_values=value)
-    got = _pad(x, padding, value)
+    got = _padded_buffer(len(x), x.shape, padding, value)
+    got[_interior(padding, x.shape[2:])] = x
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
 
@@ -331,6 +335,12 @@ def test_forward_on_decoded_candidates(space1d, task1d, templates):
         assert all(np.isfinite(v).all() for v in grads.weight_grads.values())
 
 
+def pad(x, padding, value=0.0):
+    """x with `padding` cells of `value` on both sides of every spatial axis."""
+    return np.pad(x, [(0, 0), (0, 0)] + [(padding, padding)] * (x.ndim - 2),
+                  constant_values=value)
+
+
 # Per-offset oracles: the convolution kernels as they were before the
 # column lowering, one whole-batch product or multiply per kernel offset.
 
@@ -339,7 +349,7 @@ def offset_conv_fwd(x, w, b, stride, padding):
     B, cin = x.shape[:2]
     cout, _, kernel = w.shape[0], w.shape[1], w.shape[2]
     dims = x.ndim - 2
-    xp = _pad(x, padding)
+    xp = pad(x, padding)
     out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     length = math.prod(out_sp)
     acc = np.zeros((B, cout, length))
@@ -356,7 +366,7 @@ def offset_conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     B, cin = x.shape[:2]
     cout, kernel = w.shape[0], w.shape[2]
     dims = x.ndim - 2
-    xp = _pad(x, padding)
+    xp = pad(x, padding)
     out_sp = dout.shape[2:]
     length = math.prod(out_sp)
     dflat = dout.reshape(B, cout, length)
@@ -377,7 +387,7 @@ def offset_dwconv_fwd(x, w, b, stride, padding):
     B, c = x.shape[:2]
     kernel = w.shape[2]
     dims = x.ndim - 2
-    xp = _pad(x, padding)
+    xp = pad(x, padding)
     out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     out = np.zeros((B, c) + out_sp)
     for off in _offsets(kernel, dims):
@@ -392,7 +402,7 @@ def offset_dwconv_bwd(x, w, dout, stride, padding, want_bias):
     B, c = x.shape[:2]
     kernel = w.shape[2]
     dims = x.ndim - 2
-    xp = _pad(x, padding)
+    xp = pad(x, padding)
     out_sp = dout.shape[2:]
     dxp = np.zeros_like(xp)
     dw = np.zeros((B,) + w.shape)
@@ -467,8 +477,8 @@ def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, mo
     sizes = []
     columns = engine._columns
 
-    def recording_columns(xp, kernel, stride, out_sp):
-        for rows, cols in columns(xp, kernel, stride, out_sp):
+    def recording_columns(x, kernel, stride, padding, out_sp):
+        for rows, cols in columns(x, kernel, stride, padding, out_sp):
             sizes.append(buffer_bytes(cols))
             yield rows, cols
 
@@ -488,13 +498,44 @@ def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, mo
 
 def test_pointwise_conv_reads_its_input_without_a_column_copy():
     x = np.random.default_rng(0).standard_normal((4, 3, 5, 6))
-    [(rows, cols)] = engine._columns(x, 1, 1, (5, 6))
+    [(rows, cols)] = engine._columns(x, 1, 1, 0, (5, 6))
     assert rows == slice(None) and np.shares_memory(cols, x)
 
 
+def traced_peak(call):
+    """call()'s result and the peak bytes traced during it, above what was
+    traced before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("group_inputs", [2, 1], ids=["conv", "depthwise-conv"])
+def test_conv_kernels_pad_row_chunks_not_the_batch(group_inputs, stride, monkeypatch):
+    """Over a batch of many row chunks, neither kernel allocates an array
+    the size of the padded batch: beside its results, a call's traced
+    peak stays below one padded batch."""
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1 << 14)  # one row a chunk
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((32, 2, 16, 16))
+    padded_batch = x.itemsize * 32 * 2 * 18 * 18
+    w = rng.standard_normal((2, group_inputs, 3, 3))
+    out, peak = traced_peak(lambda: engine._conv_fwd(x, w, None, stride, 1))
+    assert peak - out.nbytes < padded_batch
+    grads, peak = traced_peak(lambda: engine._conv_bwd(x, w, out, stride, 1, True))
+    assert peak - sum(g_.nbytes for g_ in grads) < padded_batch
+
+
 # Whole-batch references for the row-chunk test: the column formulation
-# of the convolution kernels in one pass over the batch, and the max
-# pooling kernels as they were before row chunking.
+# of the convolution kernels in one pass over the batch (a stride-1 input
+# gradient as a forward convolution), and the max pooling kernels as they
+# were before row chunking.
 
 
 def im2col(xp, kernel, stride, out_sp):
@@ -508,28 +549,42 @@ def whole_conv_fwd(x, w, b, stride, padding):
     B, cout, kernel = len(x), w.shape[0], w.shape[2]
     out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     length = math.prod(out_sp)
-    cols = im2col(_pad(x, padding), kernel, stride, out_sp).reshape(B, -1, length)
+    cols = im2col(pad(x, padding), kernel, stride, out_sp).reshape(B, -1, length)
     out = (w.reshape(cout, -1) @ cols).reshape(B, cout, *out_sp)
     if b is not None:
         out += b.reshape((1, cout) + (1,) * len(out_sp))
     return out
 
 
+def stride1_input_gradient(conv_fwd, dout, w_t, padding):
+    """A stride-1 convolution's input gradient: the forward convolution
+    conv_fwd of dout with w_t, the kernel flipped in space with its in and
+    out channels swapped, at padding k - 1 - p (dout cropped where that
+    is negative)."""
+    reach = w_t.shape[2] - 1 - padding
+    if reach < 0:
+        dout = dout[(slice(None),) * 2 + (slice(-reach, reach),) * (dout.ndim - 2)]
+    return conv_fwd(dout, w_t, None, 1, max(reach, 0))
+
+
 def whole_conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     B, cout = len(x), w.shape[0]
-    xp = _pad(x, padding)
+    xp = pad(x, padding)
     out_sp = dout.shape[2:]
     length = math.prod(out_sp)
     dflat = dout.reshape(B, cout, length)
     cols = im2col(xp, w.shape[2], stride, out_sp).reshape(B, -1, length)
     dw = (dflat @ cols.transpose(0, 2, 1)).reshape((B,) + w.shape)
     dx = None
-    if want_dx:
+    if want_dx and stride == 1:
+        w_t = np.flip(w.swapaxes(0, 1), axis=tuple(range(2, w.ndim)))
+        dx = stride1_input_gradient(whole_conv_fwd, dout, w_t, padding)
+    elif want_dx:
         dxp = np.zeros_like(xp)
         for off in _offsets(w.shape[2], len(out_sp)):
             dpatch = (w[(slice(None), slice(None), *off)].T @ dflat).reshape(x.shape[:2] + out_sp)
             _window(dxp, off, stride, out_sp)[...] += dpatch
-        dx = dxp if padding == 0 else dxp[_interior(padding, x.shape[2:])]
+        dx = np.ascontiguousarray(dxp[_interior(padding, x.shape[2:])])
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
@@ -537,7 +592,7 @@ def whole_conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
 def whole_dwconv_fwd(x, w, b, stride, padding):
     B, c, kernel = len(x), w.shape[0], w.shape[2]
     out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
-    cols = im2col(_pad(x, padding), kernel, stride, out_sp)
+    cols = im2col(pad(x, padding), kernel, stride, out_sp)
     out = (w.reshape(c, 1, -1) @ cols).reshape((B, c) + out_sp)
     if b is not None:
         out += b.reshape((1, c) + (1,) * len(out_sp))
@@ -546,22 +601,26 @@ def whole_dwconv_fwd(x, w, b, stride, padding):
 
 def whole_dwconv_bwd(x, w, dout, stride, padding, want_bias):
     B, c, kernel = len(x), w.shape[0], w.shape[2]
-    xp = _pad(x, padding)
+    xp = pad(x, padding)
     out_sp = dout.shape[2:]
     cols = im2col(xp, kernel, stride, out_sp)
     dw = (cols @ dout.reshape(B, c, -1, 1)).reshape((B,) + w.shape)
-    dxp = np.zeros_like(xp)
-    for off in _offsets(kernel, len(out_sp)):
-        coeff = w[(slice(None), 0, *off)].reshape((1, c) + (1,) * len(out_sp))
-        _window(dxp, off, stride, out_sp)[...] += dout * coeff
-    dx = dxp if padding == 0 else dxp[_interior(padding, x.shape[2:])]
+    if stride == 1:
+        w_t = np.flip(w, axis=tuple(range(2, w.ndim)))
+        dx = stride1_input_gradient(whole_dwconv_fwd, dout, w_t, padding)
+    else:
+        dxp = np.zeros_like(xp)
+        for off in _offsets(kernel, len(out_sp)):
+            coeff = w[(slice(None), 0, *off)].reshape((1, c) + (1,) * len(out_sp))
+            _window(dxp, off, stride, out_sp)[...] += dout * coeff
+        dx = np.ascontiguousarray(dxp[_interior(padding, x.shape[2:])])
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
 
 def whole_maxpool_fwd(x, kernel, stride, padding):
     dims = x.ndim - 2
-    xp = _pad(x, padding, value=-np.inf)
+    xp = pad(x, padding, value=-np.inf)
     out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
     offsets = _offsets(kernel, dims)
     out = _window(xp, offsets[0], stride, out_sp).copy()
@@ -582,7 +641,7 @@ def whole_maxpool_bwd(x_shape, arg, dout, kernel, stride, padding):
     out_sp = dout.shape[2:]
     for idx, off in enumerate(_offsets(kernel, dims)):
         _window(dxp, off, stride, out_sp)[...] += dout * (arg == idx)
-    return dxp if padding == 0 else dxp[_interior(padding, x_shape[2:])]
+    return np.ascontiguousarray(dxp[_interior(padding, x_shape[2:])])
 
 
 def assert_same_bits(got, want):
