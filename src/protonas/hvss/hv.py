@@ -104,13 +104,24 @@ def hv_monte_carlo(points, ref, samples: int = 1_000_000, rng=None) -> float:
     if not pts:
         return 0.0
     p = np.asarray(pts)
+    d = len(ref_t)
     hits = 0
     done = 0
     chunk = 65536
+    # one point at a time against the chunk's samples, one objective (a
+    # contiguous row of the transposed chunk) at a time, in reused buffers
+    dominated, inside, test = (np.empty(min(chunk, samples), dtype=bool) for _ in range(3))
     while done < samples:
         m = min(chunk, samples - done)
-        u = rng.random((m, len(ref_t))) * ref_a
-        dominated = (p[:, None, :] <= u[None, :, :]).all(axis=2).any(axis=0)
-        hits += int(dominated.sum())
+        ut = np.ascontiguousarray((rng.random((m, d)) * ref_a).T)
+        dom, ins, t = dominated[:m], inside[:m], test[:m]
+        dom.fill(False)
+        for point in p:
+            np.less_equal(point[0], ut[0], out=ins)
+            for v, row in zip(point[1:], ut[1:]):
+                np.less_equal(v, row, out=t)
+                ins &= t
+            dom |= ins
+        hits += int(np.count_nonzero(dom))
         done += m
     return box * hits / samples

@@ -6,20 +6,20 @@ Convolutions are lowered to matrix products over im2col columns: a row
 chunk's kernel-offset windows are copied once into a
 (rows, channels, taps, positions) buffer (_columns), and the kernel pair
 _conv_fwd/_conv_bwd makes one product per chunk for the output and one
-for the weight gradient.  A stride-1 input gradient is itself a forward
-convolution (of the output gradient, with the kernel flipped in space
-and its in and out channels swapped), so it runs through the same
-column products.  A strided input gradient is scattered back one kernel
-offset at a time.
+for the weight gradient.  The input gradient is a forward convolution
+too, at any stride (_phases): input phase r along an axis (the inputs
+r, r + s, r + 2s, ...) reads the output gradient through the taps
+t = r + p (mod s) only, each shifted by whole positions, so every
+phase's gradient is a stride-1 convolution of the output gradient.  The
+phases are stacked as extra output channels of each group, and one
+column product per chunk yields all of them; each is then copied into
+its strided slice of dx.  At stride 1 the one phase's kernel is the
+kernel flipped in space with its in and out channels swapped.
 
 One kernel pair serves both convolution kinds.  A convolution reads its
 group count from the weight, cin // w.shape[1]: one group for a regular
 convolution, one per channel for a depthwise (c, 1, k...) weight.  Every
-product is batched over the groups.  Where each group has one output
-channel (any depthwise layer), the strided input gradient's per-offset
-product has an inner dimension of 1 and runs as a broadcast multiply:
-the same bits, and faster than numpy's matmul over stacks of 1x1
-matrices.
+product is batched over the groups.
 
 The spatial kernels (convolution and max pooling) work through the
 batch in row chunks of about _CHUNK_BYTES (_row_chunks): of column
@@ -27,9 +27,10 @@ buffer for the convolutions, of padded input for pooling.  A row whose
 columns exceed the budget is a chunk of its own.  A batch that fits,
 such as any 1-D batch here, is one chunk.  No kernel pads the whole
 batch: each pads a chunk into one reused buffer, whose border is
-written once, or accumulates a chunk's gradient into one reused padded
-buffer and copies its interior out.  Rows never mix and every matrix
-product keeps its per-row shape, so the results are the same bits as a
+written once.  Max-pool backward adds each output's gradient at its
+argmax with one weighted bincount per chunk over flat padded indices,
+and copies the interior out.  Rows never mix and every matrix product
+keeps its per-row shape, so the results are the same bits as a
 whole-batch pass.
 
 Backward is reverse-mode over the recorded forward activations.  It
@@ -51,6 +52,8 @@ mean loss over the batch.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections.abc import Collection
 from dataclasses import dataclass, field
@@ -123,31 +126,40 @@ def init_params(g: ArchitectureGraph, rng: np.random.Generator) -> ParamSet:
     return ParamSet(weights, biases)
 
 
-def _interior(padding: int, spatial: tuple[int, ...]) -> tuple[slice, ...]:
-    """Index of the unpadded region inside an array padded by `padding`."""
-    return (slice(None), slice(None)) + tuple(slice(padding, padding + n) for n in spatial)
+@functools.lru_cache(maxsize=256)
+def _shift(spatial: tuple[int, ...], padding: int, extent: tuple[int, ...]):
+    """For _padded_rows: the index of x's cells that are kept, and of
+    where they land in the buffer, or None when no cell needs filling
+    (the kept cells are then a view of x)."""
+    src = (slice(None),) * 2 + tuple(slice(max(-padding, 0), e - padding) for e in extent)
+    if padding <= 0 and all(e - padding <= n for e, n in zip(extent, spatial)):
+        return src, None
+    dst = (slice(None),) * 2 + tuple(
+        slice(max(padding, 0), min(e, n + padding)) for e, n in zip(extent, spatial)
+    )
+    return src, dst
 
 
-def _padded_buffer(rows: int, shape: tuple[int, ...], padding: int, value: float = 0.0):
-    """A buffer of `rows` rows of an array of `shape` padded by `padding`
-    cells on both sides of every spatial axis, filled with `value`."""
-    return np.full((rows, shape[1]) + tuple(n + 2 * padding for n in shape[2:]), value)
+def _padded_rows(x, padding: int, extent: tuple[int, ...], chunks: list[slice], value=0.0):
+    """Yield (rows, xc) per chunk: x[rows] shifted by `padding` cells along
+    every spatial axis, cut or filled with `value` to `extent` cells.
 
-
-def _padded_rows(x: np.ndarray, padding: int, chunks: list[slice], value: float = 0.0):
-    """Yield (rows, xc) per chunk: x[rows] padded by `padding` cells of
-    `value`.  The chunks are padded into one reused buffer, whose border is
-    written once, so each xc is only valid until the next one is yielded;
-    unpadded chunks are views of x."""
-    if not padding:
+    A positive padding puts that many cells of `value` before x, a
+    negative one crops that many of x's first cells.  Chunks that need
+    filling are copied into one reused buffer, whose border is written
+    once, so each xc is only valid until the next one is yielded; the
+    others are views of x.
+    """
+    src, dst = _shift(x.shape[2:], padding, extent)
+    if dst is None:
         for rows in chunks:
-            yield rows, x[rows]
+            yield rows, x[rows][src]
         return
-    buf = _padded_buffer(len(x[chunks[0]]), x.shape, padding, value)
-    inner = _interior(padding, x.shape[2:])
+    buf = np.empty((len(x[chunks[0]]), x.shape[1]) + extent)
+    buf.fill(value)
     for rows in chunks:
         xc = buf[: len(x[rows])]
-        xc[inner] = x[rows]
+        xc[dst] = x[rows][src]
         yield rows, xc
 
 
@@ -175,34 +187,36 @@ def _row_chunks(rows: int, row_bytes: int) -> list[slice]:
 
 
 def _columns(x: np.ndarray, kernel: int, stride: int, padding: int, out_sp: tuple[int, ...]):
-    """Yield (rows, cols) per row chunk of x padded by `padding` zeros.
+    """Yield (rows, cols) per row chunk of x with `padding` zeros before
+    every spatial axis (a negative padding crops) and as many after as the
+    windows of out_sp reach.
 
     cols has shape (n, c, taps, length): cols[:, :, t] is the window of
     tap t (in _offsets order) flattened over the output positions.  Each
     padded chunk (_padded_rows) has its windows copied into one reused
     column buffer of at most _CHUNK_BYTES, or of one row's columns if that
     is larger, so each cols is only valid until the next one is yielded.
-    An unpadded 1x1 stride-1 kernel's only window is x itself, which is
-    yielded whole without a copy.
+    An unpadded 1x1 stride-1 kernel over all of x has x itself as its
+    only window, which is yielded whole without a copy.
     """
     B, c = x.shape[:2]
     dims = x.ndim - 2
     length = math.prod(out_sp)
-    if kernel == 1 and stride == 1 and padding == 0:
+    if kernel == 1 and stride == 1 and padding == 0 and tuple(out_sp) == x.shape[2:]:
         yield slice(None), x.reshape(B, c, 1, length)
         return
     chunks = _row_chunks(B, x.itemsize * c * kernel**dims * length)
     buf = np.empty((len(x[chunks[0]]), c) + (kernel,) * dims + tuple(out_sp))
-    for rows, xc in _padded_rows(x, padding, chunks):
+    extent = tuple((n - 1) * stride + kernel for n in out_sp)
+    for rows, xc in _padded_rows(x, padding, extent, chunks):
         n = len(xc)
         # a view of every window: [b, ch, *off, *pos] is xc[b, ch, *(off + stride * pos)]
         spatial_strides = xc.strides[2:]
-        windows = np.lib.stride_tricks.as_strided(
-            xc,
-            buf[:n].shape,
-            xc.strides[:2] + spatial_strides + tuple(s * stride for s in spatial_strides),
-            writeable=False,
-        )
+        strides = xc.strides[:2] + spatial_strides + tuple(s * stride for s in spatial_strides)
+        if xc.flags.c_contiguous:  # as_strided's generic path costs microseconds a call
+            windows = np.ndarray(buf[:n].shape, xc.dtype, xc, 0, strides)
+        else:
+            windows = np.lib.stride_tricks.as_strided(xc, buf[:n].shape, strides, writeable=False)
         np.copyto(buf[:n], windows)
         yield rows, buf[:n].reshape(n, c, -1, length)
 
@@ -224,57 +238,99 @@ def _conv_fwd(x, w, b, stride, padding):
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _phases(spatial: tuple[int, ...], kernel: int, stride: int, padding: int):
+    """The phase-stacked form of a convolution's input gradient.
+
+    Along an axis, input i = r + s*m (phase r, 0 <= r < s) receives the
+    gradient of output m + d through tap t = r + p - s*d.  So phase r's
+    input gradient is a stride-1 convolution of dout over the offsets
+    d = lo..hi whose taps are the kernel's taps r + p - s*d, or zero where
+    that falls outside the kernel.  A phase is reached only if some tap
+    is, that is if (r + p) mod s < k; the others get no gradient.  At
+    stride 1 the one phase's kernel is the whole kernel flipped, at
+    offsets p - k + 1..p.
+
+    Returns (lo, span, taps, extent, copies): the first offset; the
+    offsets' count hi - lo + 1; per stacked phase (one per combination
+    of reached axis phases) and offset (in _offsets order over span), the
+    flat index of its tap in the kernel, or kernel**dims for a zero tap;
+    the phase outputs' extent, ceil(n / s) per axis; and per stacked
+    phase, the index of its inputs in dx and of their gradients in the
+    (rows, groups, phases, group inputs, *extent) product.
+    """
+    dims = len(spatial)
+    reached = [r for r in range(stride) if (r + padding) % stride < kernel]
+    lo = min(-((kernel - 1 - r - padding) // stride) for r in reached)
+    span = max((r + padding) // stride for r in reached) - lo + 1
+    phases = list(itertools.product(reached, repeat=dims))
+    taps = np.full((len(phases), span**dims), kernel**dims)
+    for i, phase in enumerate(phases):
+        for j, off in enumerate(_offsets(span, dims)):
+            tap = [r + padding - stride * (lo + d) for r, d in zip(phase, off)]
+            if all(0 <= t < kernel for t in tap):
+                taps[i, j] = np.ravel_multi_index(tap, (kernel,) * dims)
+    taps.flags.writeable = False  # the cache hands the same array to every caller
+    extent = tuple(-(-n // stride) for n in spatial)
+    copies = tuple(
+        (
+            (Ellipsis,) + tuple(slice(r, None, stride) for r in phase),
+            (slice(None), slice(None), i, Ellipsis)
+            + tuple(slice(0, -(-(n - r) // stride)) for n, r in zip(spatial, phase)),
+        )
+        for i, phase in enumerate(phases)
+    )
+    return lo, span, taps, extent, copies
+
+
+def _input_gradient(w, dout, stride, padding, x_shape):
+    """A convolution's input gradient as one stride-1 convolution of dout
+    with every reached phase's kernel (_phases) stacked as extra output
+    channels of each group: one column product per row chunk of dout,
+    whose phases are copied into dx[..., r::s]."""
+    cin = x_shape[1]
+    cout, group_inputs = w.shape[:2]
+    groups = cin // group_inputs
+    lo, span, taps, extent, copies = _phases(x_shape[2:], w.shape[2], stride, padding)
+    length = math.prod(extent)
+    # the phase kernels in one gather from the taps, with a zero tap appended:
+    # (groups, out, in, phases, offsets) -> (groups, phases * in, out * offsets),
+    # in C order whatever the reshape would leave (a product's bits can
+    # depend on its operands' layout)
+    wg = w.reshape(groups, cout // groups, group_inputs, -1)
+    wz = np.concatenate((wg, np.zeros(wg.shape[:3] + (1,))), axis=3)
+    wphase = np.take(wz, taps, axis=3).transpose(0, 3, 2, 1, 4)
+    wphase = np.ascontiguousarray(wphase.reshape(groups, len(copies) * group_inputs, -1))
+    # inputs of phases that no tap reaches get no gradient
+    dx = np.empty(x_shape) if len(copies) == stride ** len(extent) else np.zeros(x_shape)
+    prod = None
+    for rows, cols in _columns(dout, span, 1, -lo, extent):
+        n = len(cols)
+        if prod is None:  # the first chunk is the largest
+            prod = np.empty((n,) + wphase.shape[:2] + (length,))
+        pc = prod[:n]
+        np.matmul(wphase, cols.reshape(n, groups, -1, length), out=pc)
+        pc = pc.reshape((n, groups, len(copies), group_inputs) + extent)
+        dxc = dx[rows].reshape((n, groups, group_inputs) + x_shape[2:])
+        for dst, src in copies:
+            dxc[dst] = pc[src]
+    return dx
+
+
 def _conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     """Input and per-sample weight and bias gradients; dx is None unless want_dx."""
     B, cin = x.shape[:2]
     cout, kernel = w.shape[0], w.shape[2]
     groups = cin // w.shape[1]
-    dims = x.ndim - 2
     out_sp = dout.shape[2:]
     length = math.prod(out_sp)
     dflat = dout.reshape(B, groups, cout // groups, length)
     dw = np.empty((B,) + w.shape)
     dw_flat = dw.reshape(B, groups, cout // groups, -1)
-    wg = w.reshape((groups, cout // groups, cin // groups) + w.shape[2:])
-    dx = None
-    scatter = want_dx and stride > 1
-    if want_dx and stride == 1:
-        # a stride-1 input gradient is the forward convolution of dout with
-        # the kernel flipped in space and its in and out channels swapped
-        # within each group, at padding k - 1 - p
-        flipped = np.flip(wg.swapaxes(1, 2), axis=tuple(range(3, 3 + dims)))
-        pad = kernel - 1 - padding
-        # outputs beyond the kernel's reach of the input read only padding
-        reach = dout[(slice(None),) * 2 + (slice(-pad, pad),) * dims] if pad < 0 else dout
-        dx = _conv_fwd(reach, flipped.reshape((cin, cout // groups) + w.shape[2:]), None, 1,
-                       max(pad, 0))
-    elif scatter:
-        # per offset, the (groups, cin/groups, cout/groups) transposed tap;
-        # with one output channel per group its product is a broadcast multiply
-        offsets = _offsets(kernel, dims)
-        taps_t = [wg[(Ellipsis,) + off].transpose(0, 2, 1) for off in offsets]
-        tap_product = np.multiply if cout == groups else np.matmul
-        inner = _interior(padding, x.shape[2:])
-        dx = np.empty(x.shape)
-        acc = tmp = None
     for rows, cols in _columns(x, kernel, stride, padding, out_sp):
-        dc = dflat[rows]
-        n = len(dc)
-        cols_t = cols.reshape(n, groups, -1, length).transpose(0, 1, 3, 2)
-        np.matmul(dc, cols_t, out=dw_flat[rows])
-        if scatter:
-            # one product per offset, accumulated into the padded chunk: a
-            # single (cin*taps, length) product followed by a scatter of its
-            # columns was slower
-            if acc is None:  # the first chunk is the largest
-                acc = _padded_buffer(n, x.shape, padding)
-                tmp = np.empty((n, groups, cin // groups, length))
-            dxc, prod = acc[:n], tmp[:n]
-            dxc.fill(0.0)
-            for off, tap_t in zip(offsets, taps_t):
-                tap_product(tap_t, dc, out=prod)
-                _window(dxc, off, stride, out_sp)[...] += prod.reshape(n, cin, *out_sp)
-            dx[rows] = dxc[inner]
+        cols_t = cols.reshape(len(cols), groups, -1, length).transpose(0, 1, 3, 2)
+        np.matmul(dflat[rows], cols_t, out=dw_flat[rows])
+    dx = _input_gradient(w, dout, stride, padding, x.shape) if want_dx else None
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
@@ -286,10 +342,10 @@ def _maxpool_fwd(x, kernel, stride, padding):
     out = np.empty(x.shape[:2] + out_sp)
     # one byte a cell up to 256 taps: forward's trace holds it until backward
     arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(offsets) - 1))
-    padded = x.shape[1:2] + tuple(n + 2 * padding for n in x.shape[2:])
-    chunks = _row_chunks(len(x), x.itemsize * math.prod(padded))
+    extent = tuple((n - 1) * stride + kernel for n in out_sp)
+    chunks = _row_chunks(len(x), x.itemsize * x.shape[1] * math.prod(extent))
     greater = np.empty(out[chunks[0]].shape, dtype=bool)
-    for rows, xc in _padded_rows(x, padding, chunks, -np.inf):
+    for rows, xc in _padded_rows(x, padding, extent, chunks, -np.inf):
         oc, ac = out[rows], arg[rows]
         gt = greater[: len(oc)]
         oc[...] = _window(xc, offsets[0], stride, out_sp)
@@ -304,29 +360,36 @@ def _maxpool_fwd(x, kernel, stride, padding):
     return out, arg
 
 
+@functools.lru_cache(maxsize=64)
+def _pool_taps(padded: tuple[int, ...], out_sp: tuple[int, ...], kernel: int, stride: int):
+    """Flat indices within one padded plane: of each output's window
+    origin, and of each tap (in _offsets order) from its origin."""
+    grid = np.meshgrid(*(np.arange(n) * stride for n in out_sp), indexing="ij")
+    origins = np.ravel_multi_index(grid, padded).ravel()
+    taps = np.ravel_multi_index(np.array(_offsets(kernel, len(padded))).T, padded)
+    # the cache hands the same arrays to every caller
+    origins.flags.writeable = taps.flags.writeable = False
+    return origins, taps
+
+
 def _maxpool_bwd(x_shape, arg, dout, kernel, stride, padding):
-    dims = len(x_shape) - 2
-    out_sp = dout.shape[2:]
-    offsets = _offsets(kernel, dims)
-    padded = x_shape[1:2] + tuple(n + 2 * padding for n in x_shape[2:])
-    chunks = _row_chunks(x_shape[0], dout.itemsize * math.prod(padded))
+    """Each output's gradient goes to its argmax: one weighted bincount per
+    row chunk over the flat padded indices (plane, window origin and tap),
+    whose interior is then copied into dx."""
+    c = x_shape[1]
+    padded = tuple(n + 2 * padding for n in x_shape[2:])
+    plane = math.prod(padded)
+    origins, taps = _pool_taps(padded, dout.shape[2:], kernel, stride)
     dx = np.empty(x_shape)
-    # each row chunk accumulates into one reused padded buffer, whose
-    # interior is then copied into dx
-    prod = np.empty(dout[chunks[0]].shape)
-    hit = np.empty(prod.shape, dtype=bool)
-    acc = _padded_buffer(len(prod), x_shape, padding)
-    inner = _interior(padding, x_shape[2:])
-    for rows in chunks:
-        dc, ac = dout[rows], arg[rows]
-        n = len(dc)
-        tmp, h, dxc = prod[:n], hit[:n], acc[:n]
-        dxc.fill(0.0)
-        for idx, off in enumerate(offsets):
-            np.equal(ac, idx, out=h)
-            np.multiply(dc, h, out=tmp)
-            _window(dxc, off, stride, out_sp)[...] += tmp
-        dx[rows] = dxc[inner]
+    inner = (slice(None),) * 2 + tuple(slice(padding, padding + n) for n in x_shape[2:])
+    for rows in _row_chunks(x_shape[0], dout.itemsize * c * plane):
+        ac = arg[rows]
+        n = len(ac)
+        idx = taps[ac.reshape(n * c, -1)]
+        idx += origins
+        idx += np.arange(0, n * c * plane, plane)[:, None]
+        acc = np.bincount(idx.ravel(), weights=dout[rows].ravel(), minlength=n * c * plane)
+        dx[rows] = acc.reshape((n, c) + padded)[inner]
     return dx
 
 

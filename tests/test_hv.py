@@ -86,6 +86,39 @@ def test_monte_carlo_cross_check():
     assert abs(est - exact) < 0.01
 
 
+def broadcast_monte_carlo(points, ref, samples, rng):
+    """The estimator as one broadcast comparison per chunk of samples: an
+    (n, chunk, d) bool array.  Kept as the oracle of the per-point form."""
+    pts = [p for p in points if all(v <= r for v, r in zip(p, ref))]
+    ref_a = np.asarray(ref, dtype=float)
+    if not pts:
+        return 0.0
+    p = np.asarray(pts, dtype=float)
+    hits = done = 0
+    while done < samples:
+        m = min(65536, samples - done)
+        u = rng.random((m, len(ref))) * ref_a
+        hits += int((p[:, None, :] <= u[None, :, :]).all(axis=2).any(axis=0).sum())
+        done += m
+    return float(np.prod(ref_a)) * hits / samples
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_monte_carlo_equals_broadcast_formulation_bit_for_bit(d):
+    """Same samples, same hit counts: the estimate keeps its bits, on sets
+    with duplicates, ties, dominated and out-of-box points, and on a
+    sample count that ends in a partial chunk."""
+    rng = np.random.default_rng(300 + d)
+    for samples in (1, 1000, 150_001):
+        pts = [tuple(v) for v in np.round(rng.random((int(rng.integers(1, 15)), d)), 1)]
+        pts += [pts[0], tuple(np.minimum(np.array(pts[0]) + 0.1, 1.0)), (1.5,) * d]
+        ref = tuple(np.round(0.8 + rng.random(d), 1))
+        seed = int(rng.integers(2**32))
+        got = hv_monte_carlo(pts, ref, samples=samples, rng=np.random.default_rng(seed))
+        want = broadcast_monte_carlo(pts, ref, samples, np.random.default_rng(seed))
+        assert got == want
+
+
 def test_monte_carlo_empty_and_validation():
     assert hv_monte_carlo([], (1.0, 1.0), samples=10) == 0.0
     with pytest.raises(ValueError):

@@ -12,10 +12,9 @@ from protonas.tensorcore import backward, cross_entropy, forward, init_params
 import protonas.tensorcore.engine as engine
 from protonas.tensorcore.engine import (
     _conv_bwd,
-    _interior,
     _maxpool_fwd,
     _offsets,
-    _padded_buffer,
+    _padded_rows,
     _window,
 )
 
@@ -209,14 +208,22 @@ def test_backward_rejects_trace_of_another_batch_size():
 @pytest.mark.parametrize("padding", [0, 1, 2])
 def test_pad_matches_np_pad(value, shape, padding):
     """The kernels pad a row chunk by filling a buffer of `value` once and
-    copying the chunk into its interior."""
+    copying the chunk into it; a negative padding crops, and an extent
+    short of the padded input cuts its end."""
     x = np.random.default_rng(0).normal(size=shape)
     spec = [(0, 0), (0, 0)] + [(padding, padding)] * (len(shape) - 2)
     want = np.pad(x, spec, constant_values=value)
-    got = _padded_buffer(len(x), x.shape, padding, value)
-    got[_interior(padding, x.shape[2:])] = x
+    extent = want.shape[2:]
+    [(rows, got)] = _padded_rows(x, padding, extent, [slice(None)], value)
+    assert rows == slice(None)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
+    cut = tuple(n - 1 for n in extent)
+    [(_, got)] = _padded_rows(x, padding, cut, [slice(None)], value)
+    assert np.array_equal(got, want[(Ellipsis,) + tuple(slice(0, n) for n in cut)])
+    crop = tuple(n - padding for n in shape[2:])
+    [(_, got)] = _padded_rows(x, -padding, crop, [slice(None)], value)
+    assert np.array_equal(got, x[(Ellipsis,) + (slice(padding, None),) * len(crop)])
 
 
 @pytest.mark.parametrize("cout, group_inputs", [(4, 2), (2, 1)], ids=["conv", "depthwise-conv"])
@@ -335,6 +342,11 @@ def test_forward_on_decoded_candidates(space1d, task1d, templates):
         assert all(np.isfinite(v).all() for v in grads.weight_grads.values())
 
 
+def interior(padding, spatial):
+    """Index of the unpadded region inside an array padded by `padding`."""
+    return (slice(None), slice(None)) + tuple(slice(padding, padding + n) for n in spatial)
+
+
 def pad(x, padding, value=0.0):
     """x with `padding` cells of `value` on both sides of every spatial axis."""
     return np.pad(x, [(0, 0), (0, 0)] + [(padding, padding)] * (x.ndim - 2),
@@ -378,7 +390,7 @@ def offset_conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
         if want_dx:
             dpatch = (w[(slice(None), slice(None), *off)].T @ dflat).reshape(B, cin, *out_sp)
             _window(dxp, off, stride, out_sp)[...] += dpatch
-    dx = dxp if padding == 0 or not want_dx else dxp[_interior(padding, x.shape[2:])]
+    dx = dxp if padding == 0 or not want_dx else dxp[interior(padding, x.shape[2:])]
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
@@ -412,9 +424,17 @@ def offset_dwconv_bwd(x, w, dout, stride, padding, want_bias):
         dw[(slice(None), slice(None), 0) + off] = (dout * patch).sum(axis=spatial)
         coeff = w[(slice(None), 0, *off)].reshape((1, c) + (1,) * dims)
         _window(dxp, off, stride, out_sp)[...] += dout * coeff
-    dx = dxp if padding == 0 else dxp[_interior(padding, x.shape[2:])]
+    dx = dxp if padding == 0 else dxp[interior(padding, x.shape[2:])]
     db = dout.sum(axis=spatial) if want_bias else None
     return dx, dw, db
+
+
+def offset_maxpool_bwd(x_shape, arg, dout, kernel, stride, padding):
+    dxp = np.zeros(x_shape[:2] + tuple(n + 2 * padding for n in x_shape[2:]))
+    out_sp = dout.shape[2:]
+    for idx, off in enumerate(_offsets(kernel, len(out_sp))):
+        _window(dxp, off, stride, out_sp)[...] += dout * (arg == idx)
+    return dxp[interior(padding, x_shape[2:])]
 
 
 def max_rel_diff(got, want):
@@ -426,17 +446,35 @@ def max_rel_diff(got, want):
     return float(np.abs(got - want).max() / max(np.abs(want).max(), 1e-300))
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("spatial", [(13,), (9, 10)])
+def assert_unreached_phases_are_zero(dx, kernel, stride, padding):
+    """Along each axis, the inputs r, r + s, ... of a phase r that no tap
+    reaches ((r + p) mod s >= k) get exactly 0.0."""
+    for axis in range(2, dx.ndim):
+        for r in range(stride):
+            if (r + padding) % stride >= kernel:
+                index = (slice(None),) * axis + (slice(r, None, stride),)
+                assert np.all(dx[index] == 0.0)
+
+
+# odd and even, square and non-square extents
+SPATIAL = [(13,), (9, 10), (8,), (7, 5)]
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("spatial", SPATIAL)
 def test_column_kernels_match_per_offset_kernels(spatial, stride):
     """The im2col kernels sum each output in another order than the
-    per-offset kernels, so they agree to rounding, not bit for bit."""
+    per-offset kernels, so they agree to rounding, not bit for bit.
+    Kernels run from smaller than the stride to 7, and paddings up to
+    more than k - 1."""
     rng = np.random.default_rng(len(spatial) * 10 + stride)
     B, cin, cout = 3, 4, 5
     dims = len(spatial)
     x = np.maximum(rng.standard_normal((B, cin) + spatial), 0.0)
-    for kernel in (1, 3, 5, 7):
-        for padding in range(kernel // 2 + 1):
+    for kernel in (1, 2, 3, 5, 7):
+        for padding in sorted({*range(kernel // 2 + 1), kernel}):
+            if min(spatial) + 2 * padding < kernel:
+                continue
             for bias in (True, False):
                 w = rng.standard_normal((cout, cin) + (kernel,) * dims)
                 b = rng.standard_normal(cout) if bias else None
@@ -444,10 +482,11 @@ def test_column_kernels_match_per_offset_kernels(spatial, stride):
                 assert max_rel_diff(engine._conv_fwd(x, w, b, stride, padding), out) <= 1e-12
                 # a channel slice of a wider gradient, as concat's backward passes on
                 dout = rng.standard_normal((B, cout + 2) + out.shape[2:])[:, 1 : 1 + cout]
-                for want_dx in (True, False):
+                for want_dx in (False, True):
                     got = engine._conv_bwd(x, w, dout, stride, padding, bias, want_dx)
                     want = offset_conv_bwd(x, w, dout, stride, padding, bias, want_dx)
                     assert all(max_rel_diff(g_, w_) <= 1e-12 for g_, w_ in zip(got, want))
+                assert_unreached_phases_are_zero(got[0], kernel, stride, padding)
 
                 wd = rng.standard_normal((cin, 1) + (kernel,) * dims)
                 bd = rng.standard_normal(cin) if bias else None
@@ -457,6 +496,28 @@ def test_column_kernels_match_per_offset_kernels(spatial, stride):
                 got = engine._conv_bwd(x, wd, dout, stride, padding, bias)
                 want = offset_dwconv_bwd(x, wd, dout, stride, padding, bias)
                 assert all(max_rel_diff(g_, w_) <= 1e-12 for g_, w_ in zip(got, want))
+                assert_unreached_phases_are_zero(got[0], kernel, stride, padding)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("spatial", SPATIAL)
+def test_maxpool_bwd_matches_per_offset_kernel(spatial, stride):
+    """Max-pool backward adds each output's gradient at its argmax in
+    another order than the per-offset kernel, where windows overlap."""
+    rng = np.random.default_rng(len(spatial) * 10 + stride)
+    # five distinct values and -inf cells: many ties
+    x = rng.integers(-2, 3, size=(3, 4) + spatial) * 0.5
+    x[rng.random(x.shape) < 0.2] = -np.inf
+    for kernel in (1, 2, 3, 5):
+        # at padding k some windows read only padding
+        for padding in range(kernel + 1):
+            if min(spatial) + 2 * padding < kernel:
+                continue
+            out, arg = _maxpool_fwd(x, kernel, stride, padding)
+            dout = rng.standard_normal((3, 6) + out.shape[2:])[:, 1:5]
+            got = engine._maxpool_bwd(x.shape, arg, dout, kernel, stride, padding)
+            want = offset_maxpool_bwd(x.shape, arg, dout, kernel, stride, padding)
+            assert max_rel_diff(got, want) <= 1e-12
 
 
 def buffer_bytes(a):
@@ -474,12 +535,16 @@ def buffer_bytes(a):
     ],
 )
 def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, monkeypatch):
-    sizes = []
+    """Every column buffer holds at most the chunk budget, or one row's
+    columns where that is larger: of the input for the output and weight
+    gradient, of dout for the input gradient."""
+    excess = []
     columns = engine._columns
 
     def recording_columns(x, kernel, stride, padding, out_sp):
+        row_columns = 8 * x.shape[1] * kernel ** (x.ndim - 2) * math.prod(out_sp)
         for rows, cols in columns(x, kernel, stride, padding, out_sp):
-            sizes.append(buffer_bytes(cols))
+            excess.append(buffer_bytes(cols) - max(engine._CHUNK_BYTES, row_columns))
             yield rows, cols
 
     monkeypatch.setattr(engine, "_columns", recording_columns)
@@ -492,8 +557,7 @@ def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, mo
         w = rng.standard_normal((shape[1], 1, kernel, kernel))
     out = engine._conv_fwd(x, w, None, stride, padding)
     engine._conv_bwd(x, w, out, stride, padding, False)
-    row_columns = 8 * shape[1] * kernel**2 * math.prod(out.shape[2:])
-    assert sizes and max(sizes) <= max(engine._CHUNK_BYTES, row_columns)
+    assert excess and max(excess) <= 0
 
 
 def test_pointwise_conv_reads_its_input_without_a_column_copy():
@@ -515,12 +579,12 @@ def traced_peak(call):
     return result, peak
 
 
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("group_inputs", [2, 1], ids=["conv", "depthwise-conv"])
 def test_conv_kernels_pad_row_chunks_not_the_batch(group_inputs, stride, monkeypatch):
-    """Over a batch of many row chunks, neither kernel allocates an array
-    the size of the padded batch: beside its results, a call's traced
-    peak stays below one padded batch."""
+    """Over a batch of many row chunks, no convolution or max pooling
+    kernel allocates an array the size of the padded batch: beside its
+    results, a call's traced peak stays below one padded batch."""
     monkeypatch.setattr(engine, "_CHUNK_BYTES", 1 << 14)  # one row a chunk
     rng = np.random.default_rng(0)
     x = rng.standard_normal((32, 2, 16, 16))
@@ -530,12 +594,14 @@ def test_conv_kernels_pad_row_chunks_not_the_batch(group_inputs, stride, monkeyp
     assert peak - out.nbytes < padded_batch
     grads, peak = traced_peak(lambda: engine._conv_bwd(x, w, out, stride, 1, True))
     assert peak - sum(g_.nbytes for g_ in grads) < padded_batch
+    (out, arg), peak = traced_peak(lambda: engine._maxpool_fwd(x, 3, stride, 1))
+    assert peak - out.nbytes - arg.nbytes < padded_batch
+    dx, peak = traced_peak(lambda: engine._maxpool_bwd(x.shape, arg, out, 3, stride, 1))
+    assert peak - dx.nbytes < padded_batch
 
 
-# Whole-batch references for the row-chunk test: the column formulation
-# of the convolution kernels in one pass over the batch (a stride-1 input
-# gradient as a forward convolution), and the max pooling kernels as they
-# were before row chunking.
+# Whole-batch references for the row-chunk test: the kernels' column
+# and gather formulations in one pass over the batch.
 
 
 def im2col(xp, kernel, stride, out_sp):
@@ -556,35 +622,70 @@ def whole_conv_fwd(x, w, b, stride, padding):
     return out
 
 
-def stride1_input_gradient(conv_fwd, dout, w_t, padding):
-    """A stride-1 convolution's input gradient: the forward convolution
-    conv_fwd of dout with w_t, the kernel flipped in space with its in and
-    out channels swapped, at padding k - 1 - p (dout cropped where that
-    is negative)."""
-    reach = w_t.shape[2] - 1 - padding
-    if reach < 0:
-        dout = dout[(slice(None),) * 2 + (slice(-reach, reach),) * (dout.ndim - 2)]
-    return conv_fwd(dout, w_t, None, 1, max(reach, 0))
+def phase_kernels(w, groups, stride, padding):
+    """A convolution's input gradient split by phase: along an axis, input
+    r + s*m (phase r) gets output m + d's gradient through tap r + p - s*d.
+    Returns the phases that some tap reaches (one residue per axis), the
+    first offset lo, and their stride-1 kernels over offsets lo..hi,
+    shaped (groups, phases, group inputs, group outputs, offsets...)."""
+    cout, group_inputs, kernel = w.shape[:3]
+    dims = w.ndim - 2
+    reached = [r for r in range(stride) if (r + padding) % stride < kernel]
+    lo = min(math.ceil((r + padding - kernel + 1) / stride) for r in reached)
+    hi = max((r + padding) // stride for r in reached)
+    phases = list(itertools.product(reached, repeat=dims))
+    wg = w.reshape((groups, cout // groups) + w.shape[1:])
+    kernels = np.zeros((groups, len(phases), group_inputs, cout // groups)
+                       + (hi - lo + 1,) * dims)
+    for i, phase in enumerate(phases):
+        for d in itertools.product(range(lo, hi + 1), repeat=dims):
+            tap = tuple(r + padding - stride * d_ for r, d_ in zip(phase, d))
+            if all(0 <= t < kernel for t in tap):
+                at = (slice(None), i, slice(None), slice(None)) + tuple(d_ - lo for d_ in d)
+                kernels[at] = wg[(Ellipsis,) + tap].transpose(0, 2, 1)
+    return phases, lo, kernels
+
+
+def phase_input_gradient(w, dout, stride, padding, x_shape):
+    """The input gradient as one stride-1 convolution of dout with the
+    phase kernels stacked as output channels of each group, each phase
+    then copied into dx[..., r::s]."""
+    B, cin = x_shape[:2]
+    groups = cin // w.shape[1]
+    phases, lo, kernels = phase_kernels(w, groups, stride, padding)
+    span = kernels.shape[-1]
+    extent = tuple(-(-n // stride) for n in x_shape[2:])
+    # dout after -lo zeros (cropped by lo where lo > 0), zero-filled or cut to the windows
+    reach = tuple(m + span - 1 for m in extent)
+    spec = [(max(-lo, 0), max(e + lo - n, 0)) for e, n in zip(reach, dout.shape[2:])]
+    dp = np.pad(dout, [(0, 0), (0, 0)] + spec)
+    dp = dp[(Ellipsis,) + tuple(slice(max(lo, 0), max(lo, 0) + e) for e in reach)]
+    cols = im2col(dp, span, 1, extent).reshape(B, groups, -1, math.prod(extent))
+    prod = kernels.reshape(groups, len(phases) * w.shape[1], -1) @ cols
+    prod = prod.reshape((B, groups, len(phases), w.shape[1]) + extent)
+    dx = np.zeros(x_shape)
+    dxg = dx.reshape((B, groups, w.shape[1]) + x_shape[2:])
+    for i, phase in enumerate(phases):
+        dst = dxg[(Ellipsis,) + tuple(slice(r, None, stride) for r in phase)]
+        dst[...] = prod[:, :, i][(Ellipsis,) + tuple(slice(0, m) for m in dst.shape[3:])]
+    return dx
+
+
+def phase_column_bytes(w, stride, padding, x_shape):
+    """Bytes of one row's columns of dout in the phase formulation."""
+    _, lo, kernels = phase_kernels(w, x_shape[1] // w.shape[1], stride, padding)
+    extent = tuple(-(-n // stride) for n in x_shape[2:])
+    return 8 * w.shape[0] * kernels.shape[-1] ** len(extent) * math.prod(extent)
 
 
 def whole_conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     B, cout = len(x), w.shape[0]
-    xp = pad(x, padding)
     out_sp = dout.shape[2:]
     length = math.prod(out_sp)
     dflat = dout.reshape(B, cout, length)
-    cols = im2col(xp, w.shape[2], stride, out_sp).reshape(B, -1, length)
+    cols = im2col(pad(x, padding), w.shape[2], stride, out_sp).reshape(B, -1, length)
     dw = (dflat @ cols.transpose(0, 2, 1)).reshape((B,) + w.shape)
-    dx = None
-    if want_dx and stride == 1:
-        w_t = np.flip(w.swapaxes(0, 1), axis=tuple(range(2, w.ndim)))
-        dx = stride1_input_gradient(whole_conv_fwd, dout, w_t, padding)
-    elif want_dx:
-        dxp = np.zeros_like(xp)
-        for off in _offsets(w.shape[2], len(out_sp)):
-            dpatch = (w[(slice(None), slice(None), *off)].T @ dflat).reshape(x.shape[:2] + out_sp)
-            _window(dxp, off, stride, out_sp)[...] += dpatch
-        dx = np.ascontiguousarray(dxp[_interior(padding, x.shape[2:])])
+    dx = phase_input_gradient(w, dout, stride, padding, x.shape) if want_dx else None
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
@@ -601,19 +702,10 @@ def whole_dwconv_fwd(x, w, b, stride, padding):
 
 def whole_dwconv_bwd(x, w, dout, stride, padding, want_bias):
     B, c, kernel = len(x), w.shape[0], w.shape[2]
-    xp = pad(x, padding)
     out_sp = dout.shape[2:]
-    cols = im2col(xp, kernel, stride, out_sp)
+    cols = im2col(pad(x, padding), kernel, stride, out_sp)
     dw = (cols @ dout.reshape(B, c, -1, 1)).reshape((B,) + w.shape)
-    if stride == 1:
-        w_t = np.flip(w, axis=tuple(range(2, w.ndim)))
-        dx = stride1_input_gradient(whole_dwconv_fwd, dout, w_t, padding)
-    else:
-        dxp = np.zeros_like(xp)
-        for off in _offsets(kernel, len(out_sp)):
-            coeff = w[(slice(None), 0, *off)].reshape((1, c) + (1,) * len(out_sp))
-            _window(dxp, off, stride, out_sp)[...] += dout * coeff
-        dx = np.ascontiguousarray(dxp[_interior(padding, x.shape[2:])])
+    dx = phase_input_gradient(w, dout, stride, padding, x.shape)
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
@@ -633,15 +725,17 @@ def whole_maxpool_fwd(x, kernel, stride, padding):
 
 
 def whole_maxpool_bwd(x_shape, arg, dout, kernel, stride, padding):
-    dims = len(x_shape) - 2
-    padded = list(x_shape)
-    for ax in range(2, len(x_shape)):
-        padded[ax] += 2 * padding
-    dxp = np.zeros(tuple(padded))
-    out_sp = dout.shape[2:]
-    for idx, off in enumerate(_offsets(kernel, dims)):
-        _window(dxp, off, stride, out_sp)[...] += dout * (arg == idx)
-    return np.ascontiguousarray(dxp[_interior(padding, x_shape[2:])])
+    """Each output's gradient added at its argmax's padded coordinates, by
+    one bincount over the batch."""
+    padded = x_shape[:2] + tuple(n + 2 * padding for n in x_shape[2:])
+    offsets = np.array(_offsets(kernel, len(x_shape) - 2))
+    grid = np.indices(arg.shape)
+    coords = [grid[0], grid[1]] + [
+        grid[2 + a] * stride + offsets[arg, a] for a in range(len(x_shape) - 2)
+    ]
+    flat = np.ravel_multi_index(coords, padded)
+    dxp = np.bincount(flat.ravel(), weights=dout.ravel(), minlength=math.prod(padded))
+    return np.ascontiguousarray(dxp.reshape(padded)[interior(padding, x_shape[2:])])
 
 
 def assert_same_bits(got, want):
@@ -657,13 +751,15 @@ def assert_same_bits(got, want):
 
 
 @pytest.mark.parametrize("rows_per_chunk", [1, 2, None])
-@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("spatial", [(11,), (9, 10)])
 def test_row_chunked_kernels_equal_whole_batch_kernels(
     spatial, stride, rows_per_chunk, monkeypatch
 ):
     """Five rows in chunks of one, of two (the last chunk short) or as one
-    chunk give the same bits as one whole-batch pass."""
+    chunk give the same bits as one whole-batch pass.  A convolution's
+    backward is chunked twice: by the columns of its input for the weight
+    gradient, and by the columns of dout for the input gradient."""
     rng = np.random.default_rng(len(spatial) * 10 + stride)
     B, cin, cout = 5, 3, 4
     dims = len(spatial)
@@ -689,39 +785,49 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
                 continue
             out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in spatial)
             # convolution chunks count column bytes, max pooling padded input
-            chunk_rows_of(8 * cin * kernel**dims * math.prod(out_sp))
+            x_columns = 8 * cin * kernel**dims * math.prod(out_sp)
 
-            # cout = 1 takes the broadcast-product path for dx with one group
+            # one output channel, as well as several
             for outs in (cout, 1):
                 w = rng.standard_normal((outs, cin) + (kernel,) * dims)
                 b = rng.standard_normal(outs)
                 out = whole_conv_fwd(x, w, b, stride, padding)
+                chunk_rows_of(x_columns)
                 assert_same_bits(engine._conv_fwd(x, w, b, stride, padding), out)
                 # relu-like gradients: zeros of both signs
                 dout = np.maximum(rng.standard_normal(out.shape), 0.0)
                 dout *= rng.choice([1.0, -1.0], out.shape)
                 for want_dx in (True, False):
-                    got = engine._conv_bwd(x, w, dout, stride, padding, True, want_dx)
                     want = whole_conv_bwd(x, w, dout, stride, padding, True, want_dx)
-                    for g_, w_ in zip(got, want):
-                        assert_same_bits(g_, w_)
+                    for row_bytes in (x_columns, phase_column_bytes(w, stride, padding, x.shape)):
+                        chunk_rows_of(row_bytes)
+                        got = engine._conv_bwd(x, w, dout, stride, padding, True, want_dx)
+                        for g_, w_ in zip(got, want):
+                            assert_same_bits(g_, w_)
 
             wd = rng.standard_normal((cin, 1) + (kernel,) * dims)
             bd = rng.standard_normal(cin)
             out = whole_dwconv_fwd(x, wd, bd, stride, padding)
+            chunk_rows_of(x_columns)
             assert_same_bits(engine._conv_fwd(x, wd, bd, stride, padding), out)
             # a channel slice of a wider gradient, as concat's backward passes on
             dout = rng.standard_normal((B, 2 * cin) + out.shape[2:])[:, 1 : 1 + cin]
-            got = engine._conv_bwd(x, wd, dout, stride, padding, True)
-            for g_, w_ in zip(got, whole_dwconv_bwd(x, wd, dout, stride, padding, True)):
-                assert_same_bits(g_, w_)
+            want = whole_dwconv_bwd(x, wd, dout, stride, padding, True)
+            for row_bytes in (x_columns, phase_column_bytes(wd, stride, padding, x.shape)):
+                chunk_rows_of(row_bytes)
+                got = engine._conv_bwd(x, wd, dout, stride, padding, True)
+                for g_, w_ in zip(got, want):
+                    assert_same_bits(g_, w_)
 
-            chunk_rows_of(8 * cin * math.prod(n + 2 * padding for n in spatial))
+            # forward pads each chunk to the windows' extent
+            extent = tuple((n - 1) * stride + kernel for n in out_sp)
+            chunk_rows_of(8 * cin * math.prod(extent))
             out, arg = whole_maxpool_fwd(xm, kernel, stride, padding)
             got_out, got_arg = engine._maxpool_fwd(xm, kernel, stride, padding)
             assert_same_bits(got_out, out)
             assert_same_bits(got_arg, arg)
             dout = rng.standard_normal(out.shape)
+            chunk_rows_of(8 * cin * math.prod(n + 2 * padding for n in spatial))
             assert_same_bits(
                 engine._maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
                 whole_maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
