@@ -24,7 +24,9 @@ product is batched over the groups.
 The spatial kernels (convolution and max pooling) work through the
 batch in row chunks of about _CHUNK_BYTES (_row_chunks): of column
 buffer for the convolutions, of padded input for pooling.  A row whose
-columns exceed the budget is a chunk of its own.  A batch that fits,
+columns exceed the budget is a chunk of its own; the input gradient's
+columns of dout are cut further, into blocks of lines, where a row of
+them outgrows a row of x's columns.  A batch that fits,
 such as any 1-D batch here, is one chunk.  No kernel pads the whole
 batch: each pads a chunk into one reused buffer, whose border is
 written once.  Max-pool backward adds each output's gradient at its
@@ -126,23 +128,24 @@ def init_params(g: ArchitectureGraph, rng: np.random.Generator) -> ParamSet:
     return ParamSet(weights, biases)
 
 
-@functools.lru_cache(maxsize=256)
-def _shift(spatial: tuple[int, ...], padding: int, extent: tuple[int, ...]):
+@functools.cache  # keyed by geometry, like _phases
+def _shift(spatial: tuple[int, ...], pads: tuple[int, ...], extent: tuple[int, ...]):
     """For _padded_rows: the index of x's cells that are kept, and of
     where they land in the buffer, or None when no cell needs filling
     (the kept cells are then a view of x)."""
-    src = (slice(None),) * 2 + tuple(slice(max(-padding, 0), e - padding) for e in extent)
-    if padding <= 0 and all(e - padding <= n for e, n in zip(extent, spatial)):
+    src = (slice(None),) * 2 + tuple(slice(max(-p, 0), e - p) for p, e in zip(pads, extent))
+    if all(p <= 0 and e - p <= n for p, e, n in zip(pads, extent, spatial)):
         return src, None
     dst = (slice(None),) * 2 + tuple(
-        slice(max(padding, 0), min(e, n + padding)) for e, n in zip(extent, spatial)
+        slice(max(p, 0), min(e, n + p)) for p, e, n in zip(pads, extent, spatial)
     )
     return src, dst
 
 
-def _padded_rows(x, padding: int, extent: tuple[int, ...], chunks: list[slice], value=0.0):
+def _padded_rows(x, padding, extent: tuple[int, ...], chunks: list[slice], value=0.0):
     """Yield (rows, xc) per chunk: x[rows] shifted by `padding` cells along
-    every spatial axis, cut or filled with `value` to `extent` cells.
+    every spatial axis (by padding[a] along axis a, if a tuple), cut or
+    filled with `value` to `extent` cells.
 
     A positive padding puts that many cells of `value` before x, a
     negative one crops that many of x's first cells.  Chunks that need
@@ -150,7 +153,9 @@ def _padded_rows(x, padding: int, extent: tuple[int, ...], chunks: list[slice], 
     once, so each xc is only valid until the next one is yielded; the
     others are views of x.
     """
-    src, dst = _shift(x.shape[2:], padding, extent)
+    spatial = x.shape[2:]
+    pads = padding if isinstance(padding, tuple) else (padding,) * len(spatial)
+    src, dst = _shift(spatial, pads, extent)
     if dst is None:
         for rows in chunks:
             yield rows, x[rows][src]
@@ -186,10 +191,10 @@ def _row_chunks(rows: int, row_bytes: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _columns(x: np.ndarray, kernel: int, stride: int, padding: int, out_sp: tuple[int, ...]):
+def _columns(x: np.ndarray, kernel: int, stride: int, padding, out_sp: tuple[int, ...]):
     """Yield (rows, cols) per row chunk of x with `padding` zeros before
-    every spatial axis (a negative padding crops) and as many after as the
-    windows of out_sp reach.
+    every spatial axis (padding[a] before axis a, if a tuple; a negative
+    padding crops) and as many after as the windows of out_sp reach.
 
     cols has shape (n, c, taps, length): cols[:, :, t] is the window of
     tap t (in _offsets order) flattened over the output positions.  Each
@@ -202,13 +207,14 @@ def _columns(x: np.ndarray, kernel: int, stride: int, padding: int, out_sp: tupl
     B, c = x.shape[:2]
     dims = x.ndim - 2
     length = math.prod(out_sp)
-    if kernel == 1 and stride == 1 and padding == 0 and tuple(out_sp) == x.shape[2:]:
+    pads = padding if isinstance(padding, tuple) else (padding,) * dims
+    if kernel == 1 and stride == 1 and not any(pads) and tuple(out_sp) == x.shape[2:]:
         yield slice(None), x.reshape(B, c, 1, length)
         return
     chunks = _row_chunks(B, x.itemsize * c * kernel**dims * length)
     buf = np.empty((len(x[chunks[0]]), c) + (kernel,) * dims + tuple(out_sp))
     extent = tuple((n - 1) * stride + kernel for n in out_sp)
-    for rows, xc in _padded_rows(x, padding, extent, chunks):
+    for rows, xc in _padded_rows(x, pads, extent, chunks):
         n = len(xc)
         # a view of every window: [b, ch, *off, *pos] is xc[b, ch, *(off + stride * pos)]
         spatial_strides = xc.strides[2:]
@@ -238,7 +244,11 @@ def _conv_fwd(x, w, b, stride, padding):
     return out
 
 
-@functools.lru_cache(maxsize=256)
+# The engine's table caches are keyed by layer geometry, which a search
+# bounds: per process, at most 17-19 keys a cache on the benchmark's
+# explore-2d commands and 32-35 on explore-1d's, 29-41 over 16 trials of
+# the default space (max-pool taps: 1, 9 and 1).
+@functools.cache
 def _phases(spatial: tuple[int, ...], kernel: int, stride: int, padding: int):
     """The phase-stacked form of a convolution's input gradient.
 
@@ -251,19 +261,18 @@ def _phases(spatial: tuple[int, ...], kernel: int, stride: int, padding: int):
     stride 1 the one phase's kernel is the whole kernel flipped, at
     offsets p - k + 1..p.
 
-    Returns (lo, span, taps, extent, copies): the first offset; the
-    offsets' count hi - lo + 1; per stacked phase (one per combination
-    of reached axis phases) and offset (in _offsets order over span), the
-    flat index of its tap in the kernel, or kernel**dims for a zero tap;
-    the phase outputs' extent, ceil(n / s) per axis; and per stacked
-    phase, the index of its inputs in dx and of their gradients in the
-    (rows, groups, phases, group inputs, *extent) product.
+    Returns (lo, span, taps, extent, phases): the first offset; the
+    offsets' count hi - lo + 1; per stacked phase and offset (in _offsets
+    order over span), the flat index of its tap in the kernel, or
+    kernel**dims for a zero tap; the phase outputs' extent, ceil(n / s)
+    per axis; and the stacked phases, one per combination of reached
+    axis phases.
     """
     dims = len(spatial)
     reached = [r for r in range(stride) if (r + padding) % stride < kernel]
     lo = min(-((kernel - 1 - r - padding) // stride) for r in reached)
     span = max((r + padding) // stride for r in reached) - lo + 1
-    phases = list(itertools.product(reached, repeat=dims))
+    phases = tuple(itertools.product(reached, repeat=dims))
     taps = np.full((len(phases), span**dims), kernel**dims)
     for i, phase in enumerate(phases):
         for j, off in enumerate(_offsets(span, dims)):
@@ -272,27 +281,58 @@ def _phases(spatial: tuple[int, ...], kernel: int, stride: int, padding: int):
                 taps[i, j] = np.ravel_multi_index(tap, (kernel,) * dims)
     taps.flags.writeable = False  # the cache hands the same array to every caller
     extent = tuple(-(-n // stride) for n in spatial)
-    copies = tuple(
-        (
-            (Ellipsis,) + tuple(slice(r, None, stride) for r in phase),
-            (slice(None), slice(None), i, Ellipsis)
-            + tuple(slice(0, -(-(n - r) // stride)) for n, r in zip(spatial, phase)),
-        )
-        for i, phase in enumerate(phases)
-    )
-    return lo, span, taps, extent, copies
+    return lo, span, taps, extent, phases
+
+
+@functools.cache  # keyed by geometry, like _phases
+def _phase_blocks(spatial: tuple[int, ...], kernel: int, stride: int, padding: int, lines: int):
+    """_phases' outputs cut along their first axis into blocks of `lines`
+    lines (the last one shorter where they do not divide).
+
+    Per block: the padding of dout before each axis for the block's
+    columns (a negative one crops), the block's extent, and per stacked
+    phase the index of its inputs on the block's lines in dx and of their
+    gradients in the (rows, groups, phases, group inputs, *block) product.
+    """
+    dims = len(spatial)
+    lo, _, _, extent, phases = _phases(spatial, kernel, stride, padding)
+    blocks = []
+    for start in range(0, extent[0], lines):
+        block = (min(lines, extent[0] - start),) + extent[1:]
+        at = (start,) + (0,) * (dims - 1)
+        copies = []
+        for i, phase in enumerate(phases):
+            inputs = [
+                range(r + stride * o, min(n, r + stride * (o + m)), stride)
+                for r, o, m, n in zip(phase, at, block, spatial)
+            ]
+            copies.append((
+                (Ellipsis,) + tuple(slice(q.start, q.stop, stride) for q in inputs),
+                (slice(None), slice(None), i, Ellipsis) + tuple(slice(0, len(q)) for q in inputs),
+            ))
+        blocks.append((tuple(-lo - o for o in at), block, tuple(copies)))
+    return tuple(blocks)
 
 
 def _input_gradient(w, dout, stride, padding, x_shape):
     """A convolution's input gradient as one stride-1 convolution of dout
     with every reached phase's kernel (_phases) stacked as extra output
     channels of each group: one column product per row chunk of dout,
-    whose phases are copied into dx[..., r::s]."""
+    whose phases are copied into dx[..., r::s].
+
+    A row of dout's columns (cout channels over the phase offsets) can
+    outgrow a row of x's (cin channels over the taps), so the phase
+    outputs are cut along their first axis into blocks of whole lines
+    that keep a row's columns within the budget or a row of x's columns,
+    the bound forward's columns keep (one line, if even that is larger).
+    The blocks depend on a row's shapes only, so every product keeps its
+    per-row shape whatever the batch.
+    """
     cin = x_shape[1]
-    cout, group_inputs = w.shape[:2]
+    cout, group_inputs, kernel = w.shape[:3]
     groups = cin // group_inputs
-    lo, span, taps, extent, copies = _phases(x_shape[2:], w.shape[2], stride, padding)
-    length = math.prod(extent)
+    dims = len(x_shape) - 2
+    _, span, taps, extent, phases = _phases(x_shape[2:], kernel, stride, padding)
     # the phase kernels in one gather from the taps, with a zero tap appended:
     # (groups, out, in, phases, offsets) -> (groups, phases * in, out * offsets),
     # in C order whatever the reshape would leave (a product's bits can
@@ -300,20 +340,25 @@ def _input_gradient(w, dout, stride, padding, x_shape):
     wg = w.reshape(groups, cout // groups, group_inputs, -1)
     wz = np.concatenate((wg, np.zeros(wg.shape[:3] + (1,))), axis=3)
     wphase = np.take(wz, taps, axis=3).transpose(0, 3, 2, 1, 4)
-    wphase = np.ascontiguousarray(wphase.reshape(groups, len(copies) * group_inputs, -1))
+    wphase = np.ascontiguousarray(wphase.reshape(groups, len(phases) * group_inputs, -1))
     # inputs of phases that no tap reaches get no gradient
-    dx = np.empty(x_shape) if len(copies) == stride ** len(extent) else np.zeros(x_shape)
-    prod = None
-    for rows, cols in _columns(dout, span, 1, -lo, extent):
-        n = len(cols)
-        if prod is None:  # the first chunk is the largest
-            prod = np.empty((n,) + wphase.shape[:2] + (length,))
-        pc = prod[:n]
-        np.matmul(wphase, cols.reshape(n, groups, -1, length), out=pc)
-        pc = pc.reshape((n, groups, len(copies), group_inputs) + extent)
-        dxc = dx[rows].reshape((n, groups, group_inputs) + x_shape[2:])
-        for dst, src in copies:
-            dxc[dst] = pc[src]
+    dx = np.empty(x_shape) if len(phases) == stride**dims else np.zeros(x_shape)
+    line_bytes = dout.itemsize * cout * span**dims * math.prod(extent[1:])
+    x_columns = dout.itemsize * cin * kernel**dims * math.prod(dout.shape[2:])
+    lines = min(extent[0], max(1, max(_CHUNK_BYTES, x_columns) // line_bytes))
+    for pads, block, copies in _phase_blocks(x_shape[2:], kernel, stride, padding, lines):
+        length = math.prod(block)
+        prod = None
+        for rows, cols in _columns(dout, span, 1, pads, block):
+            n = len(cols)
+            if prod is None:  # the first chunk is the largest
+                prod = np.empty((n,) + wphase.shape[:2] + (length,))
+            pc = prod[:n]
+            np.matmul(wphase, cols.reshape(n, groups, -1, length), out=pc)
+            pc = pc.reshape((n, groups, len(phases), group_inputs) + block)
+            dxc = dx[rows].reshape((n, groups, group_inputs) + x_shape[2:])
+            for dst, src in copies:
+                dxc[dst] = pc[src]
     return dx
 
 
@@ -360,7 +405,7 @@ def _maxpool_fwd(x, kernel, stride, padding):
     return out, arg
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache  # keyed by geometry, like _phases
 def _pool_taps(padded: tuple[int, ...], out_sp: tuple[int, ...], kernel: int, stride: int):
     """Flat indices within one padded plane: of each output's window
     origin, and of each tap (in _offsets order) from its origin."""

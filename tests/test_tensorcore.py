@@ -501,6 +501,50 @@ def test_column_kernels_match_per_offset_kernels(spatial, stride):
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("spatial", SPATIAL)
+def test_input_gradient_in_line_blocks_matches_per_offset_kernel(spatial, stride, monkeypatch):
+    """With more output than input channels, dout's columns outgrow x's,
+    and the input gradient goes in blocks of lines of the phase outputs,
+    the last one short where they do not divide: one line a block at the
+    smallest budget.  The blocks agree with the per-offset kernel."""
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
+    blocks = []
+    columns = engine._columns
+
+    def recording_columns(x, kernel, stride, padding, out_sp):
+        blocks.append(out_sp)
+        yield from columns(x, kernel, stride, padding, out_sp)
+
+    monkeypatch.setattr(engine, "_columns", recording_columns)
+    rng = np.random.default_rng(len(spatial) * 10 + stride)
+    B, cin, cout = 3, 1, 6
+    dims = len(spatial)
+    x = rng.standard_normal((B, cin) + spatial)
+    blocked = 0
+    for kernel in (1, 2, 3, 5):
+        for padding in sorted({*range(kernel // 2 + 1), kernel}):
+            if min(spatial) + 2 * padding < kernel:
+                continue
+            w = rng.standard_normal((cout, cin) + (kernel,) * dims)
+            out = offset_conv_fwd(x, w, None, stride, padding)
+            dout = rng.standard_normal(out.shape)
+            blocks.clear()
+            got = engine._conv_bwd(x, w, dout, stride, padding, False)
+            want = offset_conv_bwd(x, w, dout, stride, padding, False)
+            assert max_rel_diff(got[0], want[0]) <= 1e-12
+            assert_unreached_phases_are_zero(got[0], kernel, stride, padding)
+            # the weight gradient's columns, then one call a block: equal
+            # blocks of whole lines, but for a shorter last one
+            extent = tuple(-(-n // stride) for n in spatial)
+            lines = [b[0] for b in blocks[1:]]
+            assert sum(lines) == extent[0] and set(lines[:-1]) <= {lines[0]}
+            assert lines[-1] <= lines[0]
+            assert all(b[1:] == extent[1:] for b in blocks[1:])
+            blocked += len(lines) > 1
+    assert blocked >= 5
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("spatial", SPATIAL)
 def test_maxpool_bwd_matches_per_offset_kernel(spatial, stride):
     """Max-pool backward adds each output's gradient at its argmax in
     another order than the per-offset kernel, where windows overlap."""
@@ -535,16 +579,12 @@ def buffer_bytes(a):
     ],
 )
 def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, monkeypatch):
-    """Every column buffer holds at most the chunk budget, or one row's
-    columns where that is larger: of the input for the output and weight
-    gradient, of dout for the input gradient."""
-    excess = []
+    sizes = []
     columns = engine._columns
 
     def recording_columns(x, kernel, stride, padding, out_sp):
-        row_columns = 8 * x.shape[1] * kernel ** (x.ndim - 2) * math.prod(out_sp)
         for rows, cols in columns(x, kernel, stride, padding, out_sp):
-            excess.append(buffer_bytes(cols) - max(engine._CHUNK_BYTES, row_columns))
+            sizes.append(buffer_bytes(cols))
             yield rows, cols
 
     monkeypatch.setattr(engine, "_columns", recording_columns)
@@ -557,7 +597,8 @@ def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, mo
         w = rng.standard_normal((shape[1], 1, kernel, kernel))
     out = engine._conv_fwd(x, w, None, stride, padding)
     engine._conv_bwd(x, w, out, stride, padding, False)
-    assert excess and max(excess) <= 0
+    row_columns = 8 * shape[1] * kernel**2 * math.prod(out.shape[2:])
+    assert sizes and max(sizes) <= max(engine._CHUNK_BYTES, row_columns)
 
 
 def test_pointwise_conv_reads_its_input_without_a_column_copy():
@@ -649,8 +690,11 @@ def phase_kernels(w, groups, stride, padding):
 def phase_input_gradient(w, dout, stride, padding, x_shape):
     """The input gradient as one stride-1 convolution of dout with the
     phase kernels stacked as output channels of each group, each phase
-    then copied into dx[..., r::s]."""
+    then copied into dx[..., r::s].  The phase outputs' lines go in the
+    engine's blocks: as many as fit the budget or a row of x's columns
+    per row of dout's columns, each block one product over the batch."""
     B, cin = x_shape[:2]
+    cout, kernel = w.shape[0], w.shape[2]
     groups = cin // w.shape[1]
     phases, lo, kernels = phase_kernels(w, groups, stride, padding)
     span = kernels.shape[-1]
@@ -660,9 +704,19 @@ def phase_input_gradient(w, dout, stride, padding, x_shape):
     spec = [(max(-lo, 0), max(e + lo - n, 0)) for e, n in zip(reach, dout.shape[2:])]
     dp = np.pad(dout, [(0, 0), (0, 0)] + spec)
     dp = dp[(Ellipsis,) + tuple(slice(max(lo, 0), max(lo, 0) + e) for e in reach)]
-    cols = im2col(dp, span, 1, extent).reshape(B, groups, -1, math.prod(extent))
-    prod = kernels.reshape(groups, len(phases) * w.shape[1], -1) @ cols
-    prod = prod.reshape((B, groups, len(phases), w.shape[1]) + extent)
+    cols = im2col(dp, span, 1, extent).reshape(B, groups, -1, extent[0], math.prod(extent[1:]))
+    x_columns = 8 * cin * kernel ** len(extent) * math.prod(dout.shape[2:])
+    line_bytes = 8 * cout * span ** len(extent) * math.prod(extent[1:])
+    lines = max(1, max(engine._CHUNK_BYTES, x_columns) // line_bytes)
+    kmat = kernels.reshape(groups, len(phases) * w.shape[1], -1)
+    # each block's columns in C order, as the engine's (a product's bits
+    # can depend on its operands' layout)
+    blocks = []
+    for a in range(0, extent[0], lines):
+        block = np.ascontiguousarray(cols[:, :, :, a : a + lines])
+        block = kmat @ block.reshape(B, groups, cols.shape[2], -1)
+        blocks.append(block.reshape(B, groups, kmat.shape[1], -1, cols.shape[-1]))
+    prod = np.concatenate(blocks, axis=3).reshape((B, groups, len(phases), w.shape[1]) + extent)
     dx = np.zeros(x_shape)
     dxg = dx.reshape((B, groups, w.shape[1]) + x_shape[2:])
     for i, phase in enumerate(phases):
@@ -798,9 +852,9 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
                 dout = np.maximum(rng.standard_normal(out.shape), 0.0)
                 dout *= rng.choice([1.0, -1.0], out.shape)
                 for want_dx in (True, False):
-                    want = whole_conv_bwd(x, w, dout, stride, padding, True, want_dx)
                     for row_bytes in (x_columns, phase_column_bytes(w, stride, padding, x.shape)):
                         chunk_rows_of(row_bytes)
+                        want = whole_conv_bwd(x, w, dout, stride, padding, True, want_dx)
                         got = engine._conv_bwd(x, w, dout, stride, padding, True, want_dx)
                         for g_, w_ in zip(got, want):
                             assert_same_bits(g_, w_)
@@ -812,9 +866,9 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
             assert_same_bits(engine._conv_fwd(x, wd, bd, stride, padding), out)
             # a channel slice of a wider gradient, as concat's backward passes on
             dout = rng.standard_normal((B, 2 * cin) + out.shape[2:])[:, 1 : 1 + cin]
-            want = whole_dwconv_bwd(x, wd, dout, stride, padding, True)
             for row_bytes in (x_columns, phase_column_bytes(wd, stride, padding, x.shape)):
                 chunk_rows_of(row_bytes)
+                want = whole_dwconv_bwd(x, wd, dout, stride, padding, True)
                 got = engine._conv_bwd(x, wd, dout, stride, padding, True)
                 for g_, w_ in zip(got, want):
                     assert_same_bits(g_, w_)
