@@ -29,11 +29,14 @@ columns of dout are cut further, into blocks of lines, where a row of
 them outgrows a row of x's columns.  A batch that fits,
 such as any 1-D batch here, is one chunk.  No kernel pads the whole
 batch: each pads a chunk into one reused buffer, whose border is
-written once.  Max-pool backward adds each output's gradient at its
-argmax with one weighted bincount per chunk over flat padded indices,
-and copies the interior out.  Rows never mix and every matrix product
-keeps its per-row shape, so the results are the same bits as a
-whole-batch pass.
+written once.  Max-pool forward visits the kernel offsets in increasing
+order and updates the argmax with maximum(argmax, (window > out) * idx):
+idx exceeds every offset recorded before it, so the maximum takes it
+exactly where the window is strictly greater.  Max-pool backward adds
+each output's gradient at its argmax with one weighted bincount per
+chunk over flat padded indices, and copies the interior out.  Rows never
+mix and every matrix product keeps its per-row shape, so the results are
+the same bits as a whole-batch pass.
 
 Backward is reverse-mode over the recorded forward activations.  It
 reads only the inputs of weighted nodes (backward_reads), the
@@ -44,6 +47,17 @@ drops each array once the last node that reads it has run, so a trace
 that nobody else holds is freed as backward goes.
 Batchnorm runs in initialization-statistics mode (zero mean, unit
 variance, identity affine) and carries no parameters.
+
+The elementwise nodes (relu, batchnorm, add) make no new array where
+they can reuse one.  In forward, such a node writes its result over its
+first input when that input is neither the batch nor a kept output and
+the node is its last reader; nothing is overwritten when forward keeps
+every output.  In backward, relu and batchnorm scale their output
+gradient in place, and a gradient reaching an input that already has
+one is added into the other, whenever the array written is exclusive:
+shared with no other pending gradient (see backward).  Backward never
+writes the trace.  Every ufunc gets the same operands in the same order
+as with fresh outputs, so the bits do not change.
 
 Loss is softmax cross-entropy.  Batch rows never mix (batchnorm uses
 fixed statistics), so one backward pass yields per-sample gradients:
@@ -390,9 +404,10 @@ def _maxpool_fwd(x, kernel, stride, padding):
     extent = tuple((n - 1) * stride + kernel for n in out_sp)
     chunks = _row_chunks(len(x), x.itemsize * x.shape[1] * math.prod(extent))
     greater = np.empty(out[chunks[0]].shape, dtype=bool)
+    moved = np.empty(greater.shape, dtype=arg.dtype)
     for rows, xc in _padded_rows(x, padding, extent, chunks, -np.inf):
         oc, ac = out[rows], arg[rows]
-        gt = greater[: len(oc)]
+        gt, mv = greater[: len(oc)], moved[: len(oc)]
         oc[...] = _window(xc, offsets[0], stride, out_sp)
         for idx, off in enumerate(offsets[1:], start=1):
             win = _window(xc, off, stride, out_sp)
@@ -400,7 +415,10 @@ def _maxpool_fwd(x, kernel, stride, padding):
             # maximum(win, out) returns out on a tie, so a tie keeps the
             # first offset's value too
             np.greater(win, oc, out=gt)
-            np.putmask(ac, gt, idx)
+            # the offsets come in increasing order, so idx exceeds every
+            # argmax so far and the maximum sets it exactly where gt holds
+            np.multiply(gt, arg.dtype.type(idx), out=mv)
+            np.maximum(ac, mv, out=ac)
             np.maximum(win, oc, out=oc)
     return out, arg
 
@@ -489,8 +507,11 @@ def forward(
 
     keep names the nodes whose outputs the trace holds; by default it
     holds all of them.  Any other output is dropped as soon as its last
-    consumer has run.  The logits, ReLU patterns, max-pool argmaxes and
-    output shapes are always recorded.
+    consumer has run, and a relu, batchnorm or add that is that last
+    consumer writes its result over it (an add only if no other operand
+    is the same output).  The batch and the kept outputs are never
+    written.  The logits, ReLU patterns, max-pool argmaxes and output
+    shapes are always recorded.
     """
     x = _as_batch(g, batch)
     outputs: dict[int, np.ndarray] = {}
@@ -509,6 +530,8 @@ def forward(
             raise ShapeMismatch("node order is not topological")
         ins = [outputs[p] for p in g.preds[i]] or [x]
         a = ins[0]
+        # a may be written over: it is not the batch, not kept, and read by no later node
+        free = bool(g.preds[i]) and g.preds[i][0] in drop_after[i]
         kind = node.kind
         if kind in CONV_KINDS:
             out = _conv_fwd(a, params.weights[i], params.biases.get(i), node.stride, node.padding)
@@ -519,15 +542,16 @@ def forward(
                 out = out + params.biases[i]
         elif kind == "relu":
             relu_patterns[i] = a > 0
-            out = np.maximum(a, 0.0)
+            out = np.maximum(a, 0.0, out=a if free else None)
         elif kind == "batchnorm":
-            out = a * _BN_SCALE
+            out = np.multiply(a, _BN_SCALE, out=a if free else None)
         elif kind == "maxpool":
             out, pool_argmax[i] = _maxpool_fwd(a, node.kernel, node.stride, node.padding)
         elif kind == "global-avg-pool":
             out = a.mean(axis=tuple(range(2, a.ndim)), keepdims=True)
         elif kind == "add":
-            out = ins[0].copy()
+            reread = g.preds[i][0] in g.preds[i][1:]
+            out = a if free and not reread else a.copy()
             for other in ins[1:]:
                 out += other
         elif kind == "concat":
@@ -563,6 +587,14 @@ def backward(
     backward then reuses it instead of running the forward pass again,
     and leaves it intact.  Without a trace, the forward pass keeps only
     what backward reads.
+
+    A pending output gradient is exclusive when no other pending gradient
+    shares its memory: an add hands the same array to each of its inputs,
+    which makes it shared; a concat's disjoint views of an exclusive
+    gradient stay exclusive; every kernel's input gradient and every sum
+    is exclusive.  relu and batchnorm scale an exclusive gradient in
+    place, and a gradient arriving at an input that already has one is
+    added into whichever of the two is exclusive.
     """
     x = _as_batch(g, batch)
     labels = np.asarray(labels)
@@ -586,15 +618,22 @@ def backward(
     shapes = trace.shapes
     n = len(g.nodes)
     douts: dict[int, np.ndarray] = {n - 1: _ce_grad(trace.logits, labels)}
+    exclusive = {n - 1}  # the nodes in douts whose gradient may be written over
     del trace
     wgrads: dict[int, np.ndarray] = {}
     bgrads: dict[int, np.ndarray] = {}
 
-    def push(p: int, grad: np.ndarray) -> None:
-        if p in douts:
-            douts[p] = douts[p] + grad
-        else:
+    def push(p: int, grad: np.ndarray, own: bool = True) -> None:
+        """Add grad to p's pending gradient; own: grad is exclusive."""
+        if p not in douts:
             douts[p] = grad
+        elif p in exclusive:
+            douts[p] += grad
+        else:
+            douts[p] = np.add(douts[p], grad, out=grad if own else None)
+            own = True
+        if own:
+            exclusive.add(p)
 
     def node_input(i: int) -> np.ndarray:
         """The input of conv or linear node i, released after its last reader."""
@@ -608,6 +647,7 @@ def backward(
         dout = douts.pop(i, None)
         if dout is None:
             continue
+        own = i in exclusive
         in_shape = shapes[g.preds[i][0]] if g.preds[i] else x.shape
         kind = node.kind
         if kind in CONV_KINDS:
@@ -624,9 +664,9 @@ def backward(
                 bgrads[i] = dout
             dx = (dout @ params.weights[i]).reshape(in_shape)
         elif kind == "relu":
-            dx = dout * relu_patterns.pop(i)
+            dx = np.multiply(dout, relu_patterns.pop(i), out=dout if own else None)
         elif kind == "batchnorm":
-            dx = dout * _BN_SCALE
+            dx = np.multiply(dout, _BN_SCALE, out=dout if own else None)
         elif kind == "maxpool":
             dx = _maxpool_bwd(in_shape, pool_argmax.pop(i), dout, node.kernel, node.stride,
                               node.padding)
@@ -635,13 +675,13 @@ def backward(
             dx = np.broadcast_to(dout / spatial, in_shape).copy()
         elif kind == "add":
             for p in g.preds[i]:
-                push(p, dout)
+                push(p, dout, own and len(g.preds[i]) == 1)
             continue
         elif kind == "concat":
             start = 0
             for p in g.preds[i]:
                 c = shapes[p][1]
-                push(p, dout[:, start : start + c])
+                push(p, dout[:, start : start + c], own)
                 start += c
             continue
         else:

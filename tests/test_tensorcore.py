@@ -116,6 +116,40 @@ def branchy_graph():
     return g
 
 
+def sharing_graph():
+    """Elementwise nodes on arrays that are shared or read twice: a relu
+    on the graph input; a batchnorm reading last an output that a
+    convolution reads too (so a kept trace holds it); adds handing one
+    gradient to a relu and a batchnorm, where the later one runs first in
+    backward; an add whose first input gets another gradient after it
+    ran; an add and a concat that read one node twice, the concat's
+    gradient shared with a convolution's by the add after them."""
+    bn = LayerSpec(kind="batchnorm", in_channels=4, out_channels=4)
+    relu, add = LayerSpec(kind="relu"), LayerSpec(kind="add")
+    nodes = [
+        relu,
+        LayerSpec(kind="conv", in_channels=2, out_channels=4, kernel=3, padding=1, bias=True),
+        LayerSpec(kind="conv", in_channels=4, out_channels=4, kernel=1, bias=True),
+        bn, relu, relu, add, add,
+        bn, relu, add,
+        relu, bn, add,
+        LayerSpec(kind="conv", in_channels=4, out_channels=8, kernel=1, bias=True),
+        LayerSpec(kind="concat"),
+        add,
+        LayerSpec(kind="global-avg-pool"),
+        LayerSpec(kind="linear", in_channels=8, out_channels=3, bias=True),
+    ]
+    preds = [
+        [], [0], [1], [1], [2], [3], [3, 4], [6, 5, 6],
+        [7], [7], [8, 9],
+        [10], [10], [11, 12],
+        [13], [13, 13], [14, 15], [16], [17],
+    ]
+    g = ArchitectureGraph(nodes=nodes, preds=preds, input_shape=(2, 6, 6), num_classes=3)
+    g.infer_shapes()
+    return g
+
+
 def test_gradients_match_finite_differences_on_branchy_graph():
     g = branchy_graph()
     rng = np.random.default_rng(7)
@@ -123,6 +157,21 @@ def test_gradients_match_finite_differences_on_branchy_graph():
     batch = rng.standard_normal((2, 2, 8, 8))
     labels = np.array([1, 3])
     assert max_rel_error(g, params, batch, labels, rng) < 1e-5
+
+
+def test_gradients_match_finite_differences_on_sharing_graph():
+    g = sharing_graph()
+    rng = np.random.default_rng(17)
+    params = init_params(g, rng)
+    # nonzero biases: with zero ones, a convolution window of the relu'd
+    # batch that is all zeros gives an exact 0, a kink for finite differences
+    for nid in params.biases:
+        params.biases[nid] = rng.standard_normal(params.biases[nid].shape)
+    batch = rng.standard_normal((3, 2, 6, 6))
+    labels = np.array([1, 0, 2])
+    # tighter than the other graphs' bound: a gradient scaled by batchnorm
+    # (1 - 5e-6) once too often shows
+    assert max_rel_error(g, params, batch, labels, rng, probes=24) < 1e-7
 
 
 def test_forward_shapes_match_graph():
@@ -156,13 +205,13 @@ def _assert_per_sample_matches_rows(g, params, batch, labels):
 
 
 def test_batched_per_sample_gradients_equal_one_row_backward():
-    g = branchy_graph()
-    rng = np.random.default_rng(11)
-    params = init_params(g, rng)
-    for nid in params.biases:
-        params.biases[nid] = rng.standard_normal(params.biases[nid].shape)
-    batch = rng.standard_normal((5, 2, 8, 8))
-    _assert_per_sample_matches_rows(g, params, batch, np.array([0, 3, 1, 2, 3]))
+    for g, labels in ((branchy_graph(), [0, 3, 1, 2, 3]), (sharing_graph(), [2, 0, 1, 1, 0])):
+        rng = np.random.default_rng(11)
+        params = init_params(g, rng)
+        for nid in params.biases:
+            params.biases[nid] = rng.standard_normal(params.biases[nid].shape)
+        batch = rng.standard_normal((5, *g.input_shape))
+        _assert_per_sample_matches_rows(g, params, batch, np.array(labels))
 
 
 def test_batched_per_sample_gradients_on_decoded_candidate(space1d, task1d, templates):
@@ -179,20 +228,21 @@ def test_batched_per_sample_gradients_on_decoded_candidate(space1d, task1d, temp
 def test_backward_reuses_a_given_trace_exactly(reuse_twice):
     """A given trace yields the gradients of a fresh forward; with reuse_twice
     a second backward from the same trace checks the first left it intact."""
-    g = branchy_graph()
-    rng = np.random.default_rng(14)
-    params = init_params(g, rng)
-    batch = rng.standard_normal((3, 2, 8, 8))
-    labels = np.array([2, 0, 1])
-    fresh = backward(g, params, batch, labels)
-    trace = forward(g, params, batch)
-    reused = backward(g, params, batch, labels, trace=trace)
-    if reuse_twice:
+    for g in (branchy_graph(), sharing_graph()):
+        rng = np.random.default_rng(14)
+        params = init_params(g, rng)
+        batch = rng.standard_normal((3, *g.input_shape))
+        labels = np.array([2, 0, 1])
+        fresh = backward(g, params, batch, labels)
+        trace = forward(g, params, batch)
         reused = backward(g, params, batch, labels, trace=trace)
-    for got, want in ((reused.weight_grads, fresh.weight_grads), (reused.bias_grads, fresh.bias_grads)):
-        assert got.keys() == want.keys()
-        for node in want:
-            assert np.array_equal(got[node], want[node])
+        if reuse_twice:
+            reused = backward(g, params, batch, labels, trace=trace)
+        pairs = ((reused.weight_grads, fresh.weight_grads), (reused.bias_grads, fresh.bias_grads))
+        for got, want in pairs:
+            assert got.keys() == want.keys()
+            for node in want:
+                assert np.array_equal(got[node], want[node])
 
 
 def test_backward_rejects_trace_of_another_batch_size():
@@ -292,20 +342,33 @@ def stacked_maxpool(x, kernel, stride, padding):
     return np.take_along_axis(stack, arg[None], axis=0)[0], arg
 
 
+def tied_input(rng, shape, levels):
+    """2 * levels + 1 distinct values, so many windows tie, also between
+    0.0 and -0.0; a fifth of the cells -inf."""
+    x = rng.integers(-levels, levels + 1, size=shape) * 0.5
+    x[x == 0.0] *= rng.choice([1.0, -1.0], size=int((x == 0.0).sum()))
+    x[rng.random(shape) < 0.2] = -np.inf
+    return x
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 9), (2, 3, 7, 8)])
 @pytest.mark.parametrize("stride", [1, 2])
 @pytest.mark.parametrize("padding", [0, 1])
 def test_maxpool_fwd_matches_stacked_argmax(shape, stride, padding):
     rng = np.random.default_rng(len(shape) + 2 * stride + padding)
-    # five distinct values: most windows tie, also between 0.0 and -0.0
-    x = rng.integers(-2, 3, size=shape) * 0.5
-    x[x == 0.0] *= rng.choice([1.0, -1.0], size=int((x == 0.0).sum()))
-    x[rng.random(shape) < 0.2] = -np.inf
-    for kernel in (2, 3):
+    x = tied_input(rng, shape, 2)
+    cases = [(x, 2), (x, 3)]
+    if len(shape) == 4:
+        # 289 taps: the argmax no longer fits in a byte; more values, so
+        # that windows peak at taps above 255 too
+        cases.append((tied_input(rng, (2, 3, 24, 25), 200), 17))
+    for x, kernel in cases:
         want_out, want_arg = stacked_maxpool(x, kernel, stride, padding)
         got_out, got_arg = _maxpool_fwd(x, kernel, stride, padding)
         # the argmax is kept in the smallest type that holds kernel**dims - 1
-        assert got_arg.dtype == np.uint8 and np.array_equal(got_arg, want_arg)
+        assert got_arg.dtype == (np.uint16 if kernel == 17 else np.uint8)
+        assert np.array_equal(got_arg, want_arg)
+        assert kernel < 17 or (got_arg > 255).any()
         assert np.array_equal(got_out, want_out)
         assert np.array_equal(np.signbit(got_out), np.signbit(want_out))
 
@@ -620,6 +683,34 @@ def traced_peak(call):
     return result, peak
 
 
+def test_elementwise_nodes_make_no_fresh_activation():
+    """On conv -> batchnorm -> relu -> global-avg-pool -> linear, batchnorm
+    and relu write over the convolution's output in forward and over
+    their output gradient in backward: neither pass holds much more than
+    one activation (with a fresh array per node, both peak above two)."""
+    g = chain_graph(
+        [
+            LayerSpec(kind="conv", in_channels=4, out_channels=8, kernel=1),
+            LayerSpec(kind="batchnorm", in_channels=8, out_channels=8),
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="global-avg-pool"),
+            LayerSpec(kind="linear", in_channels=8, out_channels=3),
+        ],
+        (4, 64, 64),
+        3,
+    )
+    rng = np.random.default_rng(0)
+    params = init_params(g, rng)
+    batch = rng.standard_normal((8, 4, 64, 64))
+    labels = rng.integers(0, 3, 8)
+    activation = 8 * 8 * 64 * 64 * 8
+    trace, peak = traced_peak(lambda: forward(g, params, batch, keep=engine.backward_reads(g)))
+    assert peak < 1.5 * activation
+    for given in (trace, None):  # without a trace, backward runs forward too
+        _, peak = traced_peak(lambda: backward(g, params, batch, labels, trace=given))
+        assert peak < 1.5 * activation
+
+
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("group_inputs", [2, 1], ids=["conv", "depthwise-conv"])
 def test_conv_kernels_pad_row_chunks_not_the_batch(group_inputs, stride, monkeypatch):
@@ -909,29 +1000,44 @@ def depthwise_chain():
 
 
 def test_forward_trace_holds_exactly_the_kept_outputs():
-    g = branchy_graph()
-    rng = np.random.default_rng(15)
-    params = init_params(g, rng)
-    batch = rng.standard_normal((3, 2, 8, 8))
-    full = forward(g, params, batch)
-    for keep in (set(), {2, 5}, set(engine.backward_reads(g)), {0, len(g.nodes) - 1}):
-        kept = forward(g, params, batch, keep=keep)
-        assert kept.outputs.keys() == keep
-        for i in keep:
-            assert np.array_equal(kept.outputs[i], full.outputs[i])
-        assert np.array_equal(kept.logits, full.logits)
-        assert kept.shapes == [full.outputs[i].shape for i in range(len(g.nodes))]
-        assert kept.relu_patterns.keys() == full.relu_patterns.keys()
-        for i, pattern in full.relu_patterns.items():
-            assert np.array_equal(kept.relu_patterns[i], pattern)
-    # the max-pool argmax is held in one byte a cell, with the kernel's values
-    (node,) = full.pool_argmax
-    arg = full.pool_argmax[node]
-    _, want = _maxpool_fwd(full.outputs[node - 1], 2, 2, 0)
-    assert arg.dtype == np.uint8 and np.array_equal(arg, want)
+    """Whatever forward keeps, the kept outputs, logits and ReLU patterns
+    are the full trace's, bit for bit, and the caller's batch keeps its
+    bytes; the full trace's outputs share no memory, so nothing in it was
+    written over.  sharing_graph has a relu on the batch, an add reading
+    one node twice, and a batchnorm reading last an output that a
+    convolution reads too."""
+    for g, keeps in ((branchy_graph(), [{2, 5}]), (sharing_graph(), [{3, 6}, {4, 9, 12}])):
+        rng = np.random.default_rng(15)
+        params = init_params(g, rng)
+        batch = rng.standard_normal((3, *g.input_shape))
+        held = batch.copy()
+        full = forward(g, params, batch)
+        assert batch.tobytes() == held.tobytes()
+        for i, j in itertools.combinations(full.outputs, 2):
+            assert not np.shares_memory(full.outputs[i], full.outputs[j])
+        for keep in [set()] + keeps + [set(engine.backward_reads(g)), {0, len(g.nodes) - 1}]:
+            kept = forward(g, params, batch, keep=keep)
+            assert batch.tobytes() == held.tobytes()
+            assert kept.outputs.keys() == keep
+            for i in keep:
+                assert_same_bits(kept.outputs[i], full.outputs[i])
+            assert_same_bits(kept.logits, full.logits)
+            assert kept.shapes == [full.outputs[i].shape for i in range(len(g.nodes))]
+            assert kept.relu_patterns.keys() == full.relu_patterns.keys()
+            for i, pattern in full.relu_patterns.items():
+                assert np.array_equal(kept.relu_patterns[i], pattern)
+        # the max-pool argmax is held in one byte a cell, with the kernel's values
+        pools = [i for i, node in enumerate(g.nodes) if node.kind == "maxpool"]
+        assert list(full.pool_argmax) == pools
+        for i in pools:
+            node = g.nodes[i]
+            _, want = _maxpool_fwd(full.outputs[g.preds[i][0]], node.kernel, node.stride, node.padding)
+            assert full.pool_argmax[i].dtype == np.uint8 and np.array_equal(full.pool_argmax[i], want)
 
 
-@pytest.mark.parametrize("graph", [branchy_graph, depthwise_chain], ids=["branchy", "depthwise"])
+@pytest.mark.parametrize(
+    "graph", [branchy_graph, depthwise_chain, sharing_graph], ids=["branchy", "depthwise", "sharing"]
+)
 def test_backward_from_a_kept_trace_equals_backward_from_a_full_trace(graph):
     g = graph()
     rng = np.random.default_rng(16)
