@@ -36,7 +36,7 @@ from ..archspace.templates import BaselineTemplate
 from ..costmodel.model import CostEstimate, Feasibility, TargetProfile, check, estimate_costs
 from ..errors import ConfigError, ProtonasError
 from ..proxies.ensemble import PROXY_NAMES, ProxyBatchConfig, ProxyScores, evaluate_ensemble
-from ..tensorcore.engine import init_params
+from ..tensorcore.engine import init_params, retain_freed_memory
 from .moo import constrained_dominates, crowding_distance, nondominated_sort
 
 log = logging.getLogger(__name__)
@@ -278,7 +278,13 @@ def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) 
 
     records: list[CandidateRecord] = []
     sink = open(log_path, "w", encoding="utf-8") if log_path is not None else None
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    # Workers take the allocator setting from the initializer under any
+    # start method, not only by inheriting it through fork.
+    retain_freed_memory()
+    pool = (
+        ProcessPoolExecutor(max_workers=jobs, initializer=retain_freed_memory)
+        if jobs > 1 else None
+    )
 
     def evaluate_batch(genes: list[HyperparamVector], start: int) -> list[CandidateRecord]:
         nonlocal pool
@@ -298,7 +304,7 @@ def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) 
                 log.warning("process pool broke in trials %d-%d; rebuilding it once",
                             start, start + len(args) - 1)
                 pool.shutdown()
-                pool = ProcessPoolExecutor(max_workers=jobs)
+                pool = ProcessPoolExecutor(max_workers=jobs, initializer=retain_freed_memory)
                 batch = list(pool.map(_eval_star, args))
         for rec in batch:
             records.append(rec)

@@ -68,9 +68,11 @@ mean loss over the batch.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import math
+import platform
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
@@ -87,6 +89,32 @@ _BN_SCALE = 1.0 / math.sqrt(1.0 + _BN_EPS)
 # the default space's layers; whole 8-row batches are 25-60% slower, and
 # their columns take 8 times the memory.
 _CHUNK_BYTES = 1 << 20
+# glibc's mallopt parameter numbers.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def retain_freed_memory() -> None:
+    """Keep the memory the engine frees mapped in this process.
+
+    Every candidate allocates and frees activations, gradients, column
+    and product buffers of up to several MB.  By default glibc serves
+    such blocks with mmap and unmaps them on free, or trims them off the
+    heap top, so the next candidate faults its whole working set in
+    again page by page.  Pinning the mmap threshold at its cap (which
+    also stops glibc's dynamic adjustment of it) and raising the trim
+    threshold keeps those pages for reuse.  No result changes.  Does
+    nothing off glibc; calling it again is harmless.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # the largest glibc takes on 64-bit hosts
+    mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
 @dataclass

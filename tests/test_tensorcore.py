@@ -1,6 +1,12 @@
 import itertools
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1070,3 +1076,68 @@ def test_backward_rejects_a_trace_without_the_outputs_it_reads():
     trace = forward(g, params, batch, keep=set())
     with pytest.raises(ShapeMismatch):
         backward(g, params, batch, np.array([0, 1]), trace=trace)
+
+
+# Scores one seeded 3x128x128 candidate twice in a fresh process and
+# prints the minor page faults each call took.
+_FAULTS_PER_CALL = textwrap.dedent("""
+    import resource
+
+    import numpy as np
+
+    from protonas.archspace import (
+        HyperparamVector, SearchSpaceDef, TaskSpec, apply_static_pruning, decode, load_templates,
+    )
+    from protonas.proxies import ProxyBatchConfig, evaluate_ensemble
+    from protonas.tensorcore import init_params
+    from protonas.tensorcore.engine import retain_freed_memory
+
+    retain_freed_memory()
+    space = SearchSpaceDef(baseline_pool=("mbednet", "mobilenetv2", "resnet", "squeezenet"))
+    task = TaskSpec(input_shape=(3, 128, 128), num_classes=10)
+    x = HyperparamVector(
+        architecture=1,
+        group_depth=(1, 1, 1, 1),
+        kernel_stride=(0, 0, 0, 0),
+        width_multiplier=0.3,
+        pruning_sparsity=(0.5, 0.5, 0.5, 0.5),
+    )
+    g = apply_static_pruning(decode(x, space, task, load_templates()), x.pruning_sparsity)
+    g.infer_shapes()
+    params = init_params(g, np.random.default_rng(0))
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        evaluate_ensemble(g, params, ProxyBatchConfig(), np.random.default_rng(1))
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_scoring_a_candidate_again_faults_in_no_working_set():
+    # by default glibc unmaps or trims the multi-MB buffers a candidate
+    # frees, and the second call faults them in again page by page
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_CALL], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, second = map(int, proc.stdout.split())
+    assert second < 0.1 * first, (first, second)
+
+
+@pytest.mark.parametrize("libc", ["glibc", "glibc-without-mallopt", "other"])
+def test_retain_freed_memory_is_harmless_anywhere(libc, monkeypatch):
+    if libc == "other":
+        def no_ctypes(*args, **kwargs):
+            raise AssertionError("ctypes called off glibc")
+
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("", ""))
+        monkeypatch.setattr(engine.ctypes, "CDLL", no_ctypes)
+    elif libc == "glibc-without-mallopt":
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("glibc", "2.0"))
+        monkeypatch.setattr(engine.ctypes, "CDLL", lambda name: object())
+    elif platform.libc_ver()[0] != "glibc":
+        pytest.skip("mallopt is glibc's")
+    engine.retain_freed_memory()
+    engine.retain_freed_memory()
