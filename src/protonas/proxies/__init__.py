@@ -7,10 +7,8 @@ from .ensemble import (
     evaluate_ensemble,
     meco,
     naswot,
-    naswot_from_codes,
     snip,
     zico,
-    zico_from_sample_grads,
 )
 
 __all__ = [
@@ -20,8 +18,6 @@ __all__ = [
     "evaluate_ensemble",
     "meco",
     "naswot",
-    "naswot_from_codes",
     "snip",
     "zico",
-    "zico_from_sample_grads",
 ]

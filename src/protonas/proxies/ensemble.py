@@ -1,27 +1,33 @@
 """Training-free candidate scoring.
 
-Four proxies evaluated at initialization, higher is better for all:
+Four proxies evaluated at initialization, higher is better for all.
+Each is one function that reduces what a single engine pass over the
+candidate's proxy batches leaves behind, a ForwardTrace or a
+GradientRecord:
 
-snip    sum of |w * dL/dw| over every parameter tensor.
-naswot  log-determinant of the ReLU code agreement matrix: K[i, j]
-        counts the activation-pattern bits samples i and j share.
-zico    per layer, log of the summed per-parameter ratio of the mean
-        absolute per-sample gradient to its standard deviation across
-        samples, accumulated over conv and linear layers.
-meco    per superblock tap, the smallest eigenvalue of the channel
-        Pearson correlation matrix on a single input, summed over taps.
+snip(params, rec, rows)    sum of |theta * mean_b g_b| over every
+                           parameter tensor, on the first `rows` samples.
+naswot(trace, eps, rows)   log-determinant of the ReLU code agreement
+                           matrix of the first `rows` samples: K[i, j]
+                           counts the activation-pattern bits samples i
+                           and j share.
+zico(rec, eps)             per weighted layer, log of the summed
+                           per-parameter ratio of the mean absolute
+                           per-sample gradient to its standard deviation
+                           across samples, summed in node order.
+meco(g, trace, eps)        per superblock tap, the smallest eigenvalue of
+                           the channel Pearson correlation matrix on the
+                           first sample, summed over taps.
 
-All four share one deterministic batch stream in evaluate_ensemble, so
-a candidate's scores depend only on the graph, parameters, and seed.
-They also share the engine work: the num_batches_zico batches are
-stacked into one, and the engine runs one forward and one backward on
-it.  Batch rows never mix in the engine, so each row's activations and
-per-sample gradients are those of a pass over its own batch.  The
-forward trace keeps only what backward and meco read; it yields the
-naswot codes (first batch) and the meco taps (row 0) before backward
-consumes it.  snip is |theta * mean_b g_b| over the first batch's
-gradients, zico reads all of them.  Epsilon floors keep every score
-finite on degenerate inputs.
+evaluate_ensemble draws one deterministic batch stream, so a candidate's
+scores depend only on the graph, parameters, and seed.  It stacks the
+num_batches_zico batches into one, and the engine runs one forward and
+one backward on it.  Batch rows never mix in the engine, so each row's
+activations and per-sample gradients are those of a pass over its own
+batch.  The forward trace keeps only what backward and meco read;
+naswot (first batch) and meco (row 0) read it before backward consumes
+it.  snip reads the first batch's gradients, zico all of them.  Epsilon
+floors keep every score finite on degenerate inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ..archspace.graph import WEIGHTED_KINDS, ArchitectureGraph
+from ..archspace.graph import ArchitectureGraph
 from ..errors import ConfigError
 from ..tensorcore.engine import (
     ForwardTrace,
@@ -86,21 +92,16 @@ class ProxyScores:
 PROXY_NAMES = tuple(f.name for f in fields(ProxyScores))
 
 
-def _snip_from_record(params: ParamSet, rec: GradientRecord, rows: int | None = None) -> float:
-    """Sum of |theta * mean_b g_b| over every parameter tensor with a
-    gradient, the mean taken over the record's first `rows` samples
-    (all of them by default)."""
+def snip(params: ParamSet, rec: GradientRecord, rows: int | None = None) -> float:
+    """Connection-sensitivity mass: sum of |theta * mean_b g_b| over every
+    parameter tensor with a gradient in rec, the mean taken over its first
+    `rows` samples (all of them by default)."""
     total = 0.0
     for nid, grad in rec.weight_grads.items():
         total += float(np.abs(params.weights[nid] * grad[:rows].mean(axis=0)).sum())
     for nid, grad in rec.bias_grads.items():
         total += float(np.abs(params.biases[nid] * grad[:rows].mean(axis=0)).sum())
     return total
-
-
-def snip(g: ArchitectureGraph, params: ParamSet, batch, labels) -> float:
-    """Connection-sensitivity mass: sum of |theta * dL/dtheta|."""
-    return _snip_from_record(params, backward(g, params, batch, labels))
 
 
 def _agreement(blocks) -> np.ndarray:
@@ -121,51 +122,33 @@ def _agreement(blocks) -> np.ndarray:
     return 2.0 * cc + units - s[:, None] - s[None, :]
 
 
-def _logdet(k: np.ndarray, eps: float) -> float:
-    _, logdet = np.linalg.slogdet(k + eps * np.eye(len(k)))
-    return float(logdet)
-
-
-def naswot_from_codes(codes: np.ndarray, eps: float = 1e-6) -> float:
-    """Log-determinant of the code agreement matrix, floored by eps*I.
-
-    codes: (B, N) binary activation patterns, one row per sample.
-    """
-    c = np.asarray(codes)
-    if c.ndim != 2:
-        raise ValueError("codes must be (batch, units)")
-    return _logdet(_agreement([c]), eps)
-
-
-def _naswot_from_trace(trace: ForwardTrace, eps: float, rows: int | None = None) -> float:
-    """naswot over every relu's activation codes in the trace's first
-    `rows` samples (all of them by default), in node order, read in
-    blocks of at most _CODE_BLOCK units per sample."""
+def naswot(trace: ForwardTrace, eps: float = 1e-6, rows: int | None = None) -> float:
+    """Log-determinant of the code agreement matrix, floored by eps*I,
+    over every relu's activation codes in the trace's first `rows`
+    samples (all of them by default), in node order, read in blocks of
+    at most _CODE_BLOCK units per sample."""
     if not trace.relu_patterns:
         raise ConfigError("naswot needs at least one relu layer")
     rows = len(trace.logits) if rows is None else rows
     codes = [trace.relu_patterns[i][:rows].reshape(rows, -1) for i in sorted(trace.relu_patterns)]
     step = _CODE_BLOCK
     blocks = (c[:, lo : lo + step] for c in codes for lo in range(0, c.shape[1], step))
-    return _logdet(_agreement(blocks), eps)
+    k = _agreement(blocks)
+    return float(np.linalg.slogdet(k + eps * np.eye(len(k)))[1])
 
 
-def naswot(g: ArchitectureGraph, params: ParamSet, batch, eps: float = 1e-6) -> float:
-    return _naswot_from_trace(forward(g, params, batch), eps)
-
-
-def _zico_ratios(records: list[list[np.ndarray]], eps: float) -> np.ndarray:
+def _zico_ratios(parts: list[np.ndarray], eps: float) -> np.ndarray:
     """mean|g| / (std(g) + eps) per parameter of one layer.
 
-    records: per record, the (S_r, P_k) column parts whose concatenation,
-    parts along axis 1 and records along axis 0, is the layer's (S, P)
-    matrix of per-sample gradients.  That matrix is never built: the
-    statistics are taken on blocks of at most _ZICO_BLOCK columns, and
-    each column is still reduced over the samples in order, so the ratios
-    are bit-identical to the unblocked ones.
+    parts: the (S, P_k) column parts whose concatenation along axis 1 is
+    the layer's (S, P) matrix of per-sample gradients.  That matrix is
+    never built: the statistics are taken on blocks of at most
+    _ZICO_BLOCK columns, and each column is still reduced over the
+    samples in order, so the ratios are bit-identical to the unblocked
+    ones.
     """
-    samples = sum(len(parts[0]) for parts in records)
-    width = sum(part.shape[1] for part in records[0])
+    samples = len(parts[0])
+    width = sum(part.shape[1] for part in parts)
     # numpy reduces a lone column pairwise and wider blocks row by row,
     # so a block never has one column unless the layer has one parameter
     step = max(2, _ZICO_BLOCK)
@@ -176,61 +159,30 @@ def _zico_ratios(records: list[list[np.ndarray]], eps: float) -> np.ndarray:
     ratio = np.empty(width)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         block = buf[: samples * (hi - lo)].reshape(samples, hi - lo)
-        r0 = 0
-        for parts in records:
-            r1, c0 = r0 + len(parts[0]), 0
-            for part in parts:
-                c1 = c0 + part.shape[1]
-                a, b = max(lo, c0), min(hi, c1)
-                if a < b:
-                    block[r0:r1, a - lo : b - lo] = part[:, a - c0 : b - c0]
-                c0 = c1
-            r0 = r1
+        c0 = 0
+        for part in parts:
+            c1 = c0 + part.shape[1]
+            a, b = max(lo, c0), min(hi, c1)
+            if a < b:
+                block[:, a - lo : b - lo] = part[:, a - c0 : b - c0]
+            c0 = c1
         ratio[lo:hi] = np.abs(block).mean(axis=0) / (block.std(axis=0) + eps)
     return ratio
 
 
-def _zico_layer(records: list[list[np.ndarray]], eps: float) -> float:
-    """One layer's zico term: log of its summed ratios, floored at eps.
-    The ratio vector is summed whole, as one contiguous array."""
-    return float(np.log(max(_zico_ratios(records, eps).sum(), eps)))
-
-
-def zico_from_sample_grads(per_layer: list[np.ndarray], eps: float = 1e-6) -> float:
-    """Sum over layers of log(sum_theta mean|g| / (std(g) + eps)).
-
-    per_layer: one (S, P) array per layer, S per-sample gradients of its
-    P parameters.  Each layer's sum is floored at eps before the log.
-    """
+def zico(rec: GradientRecord, eps: float = 1e-6) -> float:
+    """Sum over the weighted layers, in node order, of
+    log(sum_theta mean|g| / (std(g) + eps)) over each layer's weight and
+    bias gradients, flattened per sample.  Each layer's sum is floored at
+    eps before the log, and its ratio vector is summed whole, as one
+    contiguous array."""
     total = 0.0
-    for grads in per_layer:
-        total += _zico_layer([[np.asarray(grads)]], eps)
+    for nid in sorted(rec.weight_grads):
+        parts = [rec.weight_grads[nid].reshape(len(rec.weight_grads[nid]), -1)]
+        if nid in rec.bias_grads:
+            parts.append(rec.bias_grads[nid].reshape(len(rec.bias_grads[nid]), -1))
+        total += float(np.log(max(_zico_ratios(parts, eps).sum(), eps)))
     return total
-
-
-def _zico_from_records(g: ArchitectureGraph, records: list[GradientRecord], eps: float) -> float:
-    """zico over the scored layers' weight and bias gradients, flattened
-    per sample, over the samples of all records."""
-    total = 0.0
-    for nid, node in enumerate(g.nodes):
-        if node.kind not in WEIGHTED_KINDS:
-            continue
-        layer = []
-        for rec in records:
-            parts = [rec.weight_grads[nid].reshape(rec.weight_grads[nid].shape[0], -1)]
-            if nid in rec.bias_grads:
-                parts.append(rec.bias_grads[nid].reshape(rec.bias_grads[nid].shape[0], -1))
-            layer.append(parts)
-        total += _zico_layer(layer, eps)
-    return total
-
-
-def zico(g: ArchitectureGraph, params: ParamSet, batches, labels_list, eps: float = 1e-6) -> float:
-    """zico over the samples of all batches, run as one stacked backward."""
-    if len(batches) != len(labels_list) or not batches:
-        raise ConfigError("zico needs matching, non-empty batch and label lists")
-    rec = backward(g, params, np.concatenate(batches), np.concatenate(labels_list))
-    return _zico_from_records(g, [rec], eps)
 
 
 def correlation_min_eigenvalue(channels: np.ndarray, eps: float = 1e-6) -> float:
@@ -250,8 +202,9 @@ def correlation_min_eigenvalue(channels: np.ndarray, eps: float = 1e-6) -> float
     return float(np.linalg.eigvalsh(corr)[0])
 
 
-def _meco_from_trace(g: ArchitectureGraph, trace: ForwardTrace, eps: float) -> float:
-    """Sum of per-tap minimum correlation eigenvalues on the first trace row."""
+def meco(g: ArchitectureGraph, trace: ForwardTrace, eps: float = 1e-6) -> float:
+    """Sum of per-tap minimum correlation eigenvalues on the trace's first
+    row; the taps are g's block outputs, which the trace must keep."""
     taps = _meco_taps(g)
     if not taps:
         raise ConfigError("meco needs block_output taps in the graph")
@@ -260,12 +213,6 @@ def _meco_from_trace(g: ArchitectureGraph, trace: ForwardTrace, eps: float) -> f
         fm = trace.outputs[i][0]
         total += correlation_min_eigenvalue(fm.reshape(fm.shape[0], -1), eps)
     return total
-
-
-def meco(g: ArchitectureGraph, params: ParamSet, sample, eps: float = 1e-6) -> float:
-    """Sum of per-tap minimum correlation eigenvalues on one input."""
-    x = np.asarray(sample, dtype=float)
-    return _meco_from_trace(g, forward(g, params, x[None]), eps)
 
 
 def _meco_taps(g: ArchitectureGraph) -> list[int]:
@@ -282,8 +229,8 @@ def _forward_and_score_first_batch(
     """Forward x keeping what backward and meco read; put naswot over the
     first batch and meco on row 0 into scores, and return the trace."""
     trace = forward(g, params, x, keep=backward_reads(g).keys() | set(_meco_taps(g)))
-    scores["naswot"] = _naswot_from_trace(trace, cfg.eps_logdet, rows=cfg.batch_size)
-    scores["meco"] = _meco_from_trace(g, trace, cfg.eps_var)
+    scores["naswot"] = naswot(trace, cfg.eps_logdet, rows=cfg.batch_size)
+    scores["meco"] = meco(g, trace, cfg.eps_var)
     return trace
 
 
@@ -313,7 +260,7 @@ def evaluate_ensemble(
     )
     return ProxyScores(
         meco=scores["meco"],
-        zico=_zico_from_records(g, [rec], cfg.eps_std),
+        zico=zico(rec, cfg.eps_std),
         naswot=scores["naswot"],
-        snip=_snip_from_record(params, rec, rows=bs),
+        snip=snip(params, rec, rows=bs),
     )

@@ -281,9 +281,12 @@ def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) 
     # Workers take the allocator setting from the initializer under any
     # start method, not only by inheriting it through fork.
     retain_freed_memory()
+    # A generation holds at most population_size candidates, and the pool
+    # may start all of its workers at once, so ask for no more than that.
+    workers = min(jobs, cfg.population_size)
     pool = (
-        ProcessPoolExecutor(max_workers=jobs, initializer=retain_freed_memory)
-        if jobs > 1 else None
+        ProcessPoolExecutor(max_workers=workers, initializer=retain_freed_memory)
+        if workers > 1 else None
     )
 
     def evaluate_batch(genes: list[HyperparamVector], start: int) -> list[CandidateRecord]:
@@ -304,7 +307,7 @@ def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) 
                 log.warning("process pool broke in trials %d-%d; rebuilding it once",
                             start, start + len(args) - 1)
                 pool.shutdown()
-                pool = ProcessPoolExecutor(max_workers=jobs, initializer=retain_freed_memory)
+                pool = ProcessPoolExecutor(max_workers=workers, initializer=retain_freed_memory)
                 batch = list(pool.map(_eval_star, args))
         for rec in batch:
             records.append(rec)

@@ -49,7 +49,7 @@ from protonas.proxies import (
     ProxyBatchConfig,
     evaluate_ensemble,
     meco,
-    naswot_from_codes,
+    naswot,
     snip,
 )
 from protonas.search import (
@@ -61,7 +61,7 @@ from protonas.search import (
     evaluate_candidate,
     run_search,
 )
-from protonas.tensorcore import backward, cross_entropy, forward, init_params
+from protonas.tensorcore import ForwardTrace, backward, cross_entropy, forward, init_params
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -464,18 +464,19 @@ def test_criterion_10_proxy_sanity():
     params.weights[1] = eye.copy()
     # channels with exactly zero sample correlation at both taps
     x = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]]).reshape(2, 2, 2)
-    meco_val = meco(g, params, x)
+    meco_val = meco(g, forward(g, params, x[None]))
     meco_ok = abs(meco_val - 2.0) <= 1e-9
 
     codes = np.array([[1.0, 1, 1, 1], [0, 0, 0, 0]])
-    naswot_ok = abs(naswot_from_codes(codes) - 2 * math.log(4)) <= 1e-6
+    codes_trace = ForwardTrace(outputs={}, relu_patterns={0: codes}, logits=np.zeros((2, 1)))
+    naswot_ok = abs(naswot(codes_trace) - 2 * math.log(4)) <= 1e-6
 
     zg = conftest.tiny_classifier()
     zp = init_params(zg, np.random.default_rng(1))
     for node in zp.weights:
         zp.weights[node] = np.zeros_like(zp.weights[node])
-    snip_ok = snip(zg, zp, np.random.default_rng(2).standard_normal((2, *zg.input_shape)),
-                   np.array([0, 1])) == 0.0
+    zbatch = np.random.default_rng(2).standard_normal((2, *zg.input_shape))
+    snip_ok = snip(zp, backward(zg, zp, zbatch, np.array([0, 1]))) == 0.0
 
     rng = np.random.default_rng(1010)
     cfg = ProxyBatchConfig(batch_size=2)

@@ -12,54 +12,63 @@ from protonas.proxies import (
     evaluate_ensemble,
     meco,
     naswot,
-    naswot_from_codes,
     snip,
     zico,
-    zico_from_sample_grads,
 )
-from protonas.tensorcore import backward, forward, init_params
+from protonas.tensorcore import ForwardTrace, GradientRecord, backward, forward, init_params
 
 from conftest import chain_graph, tiny_classifier
+
+
+def code_trace(codes):
+    """A trace whose only relu pattern is codes, one row per sample."""
+    codes = np.asarray(codes)
+    return ForwardTrace(outputs={}, relu_patterns={0: codes}, logits=np.zeros((len(codes), 1)))
+
+
+def weight_record(per_layer):
+    """A record with one (S, P) weight gradient per layer and no biases."""
+    return GradientRecord(weight_grads=dict(enumerate(per_layer)), bias_grads={})
 
 
 def test_naswot_complementary_codes():
     # two samples with disjoint activation codes over four units:
     # the kernel is 4*I, so logdet is 2 ln 4
     codes = np.array([[1.0, 1, 1, 1], [0, 0, 0, 0]])
-    assert abs(naswot_from_codes(codes) - 2 * math.log(4)) < 1e-6
+    assert abs(naswot(code_trace(codes)) - 2 * math.log(4)) < 1e-6
 
 
 def test_naswot_identical_codes_stay_finite():
     # rank-deficient kernel; the diagonal shift keeps logdet defined
     codes = np.ones((4, 6))
-    v = naswot_from_codes(codes)
+    v = naswot(code_trace(codes))
     assert math.isfinite(v)
 
 
 def test_naswot_more_distinct_codes_score_higher():
     same = np.ones((3, 8))
     mixed = np.array([[1.0] * 8, [0.0] * 8, [1, 0, 1, 0, 1, 0, 1, 0]])
-    assert naswot_from_codes(mixed) > naswot_from_codes(same)
+    assert naswot(code_trace(mixed)) > naswot(code_trace(same))
 
 
 def test_zico_constant_gradients():
     # one parameter, identical per-sample gradients: std 0, mean 1,
     # so the layer sums to 1/eps and the score is log(1e6)
     per_layer = [np.ones((3, 1))]
-    assert math.isclose(zico_from_sample_grads(per_layer), math.log(1e6), rel_tol=1e-12)
+    assert math.isclose(zico(weight_record(per_layer)), math.log(1e6), rel_tol=1e-12)
 
 
 def test_zico_sums_over_layers():
     a = [np.ones((3, 1))]
     b = [np.ones((3, 1)), np.ones((3, 1))]
-    assert math.isclose(zico_from_sample_grads(b), 2 * zico_from_sample_grads(a), rel_tol=1e-12)
+    assert math.isclose(zico(weight_record(b)), 2 * zico(weight_record(a)), rel_tol=1e-12)
 
 
 def test_zico_noise_scores_below_constant():
     rng = np.random.default_rng(0)
     noisy = [rng.standard_normal((16, 4))]
     const = [np.ones((16, 4))]
-    assert zico_from_sample_grads(noisy) < zico_from_sample_grads(const)
+    assert zico(weight_record(noisy)) < zico(weight_record(const))
 
 
 def _pearson(x, y):
@@ -125,7 +134,7 @@ def test_snip_matches_softmax_regression_oracle():
     gw = (p[:, :, None] * x[:, None, :]).mean(axis=0)
     gb = p.mean(axis=0)
     want = np.abs(w * gw).sum() + np.abs(params.biases[1] * gb).sum()
-    got = snip(g, params, batch, labels)
+    got = snip(params, backward(g, params, batch, labels))
     assert math.isclose(got, want, rel_tol=1e-9)
 
 
@@ -135,7 +144,7 @@ def test_snip_zero_weights_score_zero():
     for node in params.weights:
         params.weights[node] = np.zeros_like(params.weights[node])
     batch = np.random.default_rng(1).standard_normal((2, *g.input_shape))
-    assert snip(g, params, batch, np.array([0, 1])) == 0.0
+    assert snip(params, backward(g, params, batch, np.array([0, 1]))) == 0.0
 
 
 def test_full_scores_on_small_network():
@@ -145,10 +154,11 @@ def test_full_scores_on_small_network():
     params = init_params(g, rng)
     batch = rng.standard_normal((4, *g.input_shape))
     labels = np.array([0, 1, 2, 0])
-    assert math.isfinite(snip(g, params, batch, labels))
-    assert math.isfinite(naswot(g, params, batch))
-    assert math.isfinite(zico(g, params, [batch, batch + 0.1], [labels, labels]))
-    assert math.isfinite(meco(g, params, batch[0]))
+    assert math.isfinite(snip(params, backward(g, params, batch, labels)))
+    assert math.isfinite(naswot(forward(g, params, batch)))
+    two = backward(g, params, np.concatenate([batch, batch + 0.1]), np.concatenate([labels, labels]))
+    assert math.isfinite(zico(two))
+    assert math.isfinite(meco(g, forward(g, params, batch[:1])))
 
 
 def test_ensemble_deterministic(space1d, task1d, templates):
@@ -202,11 +212,13 @@ def test_ensemble_matches_standalone_proxies(space1d, task1d, templates):
         params = init_params(g, np.random.default_rng(seed))
         got = evaluate_ensemble(g, params, cfg, np.random.default_rng(seed + 100)).as_dict()
         batches, labels = _drawn_batches(g, cfg, np.random.default_rng(seed + 100))
+        # one engine pass per proxy, each on only the rows it reads
+        stacked = backward(g, params, np.concatenate(batches), np.concatenate(labels))
         want = {
-            "snip": snip(g, params, batches[0], labels[0]),
-            "naswot": naswot(g, params, batches[0], cfg.eps_logdet),
-            "zico": zico(g, params, batches, labels, cfg.eps_std),
-            "meco": meco(g, params, batches[0][0], cfg.eps_var),
+            "snip": snip(params, backward(g, params, batches[0], labels[0])),
+            "naswot": naswot(forward(g, params, batches[0]), cfg.eps_logdet),
+            "zico": zico(stacked, cfg.eps_std),
+            "meco": meco(g, forward(g, params, batches[0][:1]), cfg.eps_var),
         }
         for name, v in want.items():
             assert math.isclose(got[name], v, rel_tol=1e-12), name
@@ -260,14 +272,13 @@ def _binary_codes(rng, rows, units):
 
 def test_naswot_one_product_equals_two_product_formula(monkeypatch):
     import protonas.proxies.ensemble as ensemble_mod
-    from protonas.tensorcore.engine import ForwardTrace
 
     rng = np.random.default_rng(21)
     for rows in (4, 8, 16):
         for units in (1, 7, 300, 5000):
             codes = _binary_codes(rng, rows, units)
-            assert naswot_from_codes(codes) == two_product_naswot(codes)
-            assert naswot_from_codes(codes.astype(float)) == two_product_naswot(codes)
+            assert naswot(code_trace(codes)) == two_product_naswot(codes)
+            assert naswot(code_trace(codes.astype(float))) == two_product_naswot(codes)
     # from a trace: every relu's codes, in node order, in blocks of 7 units
     monkeypatch.setattr(ensemble_mod, "_CODE_BLOCK", 7)
     patterns = {i: rng.random((8, 2 + i, 5 + i)) < 0.5 for i in (4, 1, 9)}
@@ -275,7 +286,7 @@ def test_naswot_one_product_equals_two_product_formula(monkeypatch):
     patterns[9][3] = True
     trace = ForwardTrace(outputs={}, relu_patterns=patterns, logits=np.zeros((8, 3)))
     codes = np.concatenate([patterns[i].reshape(8, -1) for i in (1, 4, 9)], axis=1)
-    assert ensemble_mod._naswot_from_trace(trace, 1e-6) == two_product_naswot(codes)
+    assert naswot(trace, 1e-6) == two_product_naswot(codes)
 
 
 def unblocked_zico_ratios(grads, eps=1e-6):
@@ -293,21 +304,20 @@ def test_blocked_zico_equals_unblocked(monkeypatch):
     for block in (2, 5, 64):
         monkeypatch.setattr(ensemble_mod, "_ZICO_BLOCK", block)
         for width, bias in ((1, 0), (2, 1), (11, 3), (130, 7), (321, 0), (2 * block + 1, 4)):
-            # two records of 8 samples; the weight/bias boundary falls
+            # one record of 16 samples; the weight/bias boundary falls
             # inside a block, and some widths leave one column over
-            records = []
-            for _ in range(2):
-                parts = [rng.standard_normal((8, width - bias)) * rng.random(width - bias)]
-                if bias:
-                    parts.append(rng.standard_normal((8, bias)))
-                records.append(parts)
-            full = np.concatenate([np.concatenate(parts, axis=1) for parts in records], axis=0)
-            ratios = ensemble_mod._zico_ratios(records, 1e-6)
+            parts = [rng.standard_normal((16, width - bias)) * rng.random(width - bias)]
+            if bias:
+                parts.append(rng.standard_normal((16, bias)))
+            full = np.concatenate(parts, axis=1)
+            ratios = ensemble_mod._zico_ratios(parts, 1e-6)
             assert np.array_equal(ratios, unblocked_zico_ratios(full))
             want = unblocked_zico_layer(full)
-            assert ensemble_mod._zico_layer(records, 1e-6) == want
             lone = unblocked_zico_layer(full[:, :1])
-            assert zico_from_sample_grads([full, full[:, :1]]) == want + lone
+            # layer 0 split into weight and bias, then a one-parameter layer
+            rec = GradientRecord(weight_grads={0: parts[0], 1: full[:, :1]},
+                                 bias_grads={0: parts[1]} if bias else {})
+            assert zico(rec, 1e-6) == want + lone
 
 
 def test_ensemble_is_unchanged_by_proxy_block_sizes(space1d, task1d, templates, monkeypatch):
@@ -324,22 +334,21 @@ def test_ensemble_is_unchanged_by_proxy_block_sizes(space1d, task1d, templates, 
 def two_pass_ensemble(g, params, cfg, rng):
     """evaluate_ensemble as one forward and one backward per batch: the
     first batch's full trace gives naswot and meco, every batch its own
-    gradient record."""
-    import protonas.proxies.ensemble as ensemble_mod
-
+    gradient record, and zico reads their rows concatenated into one."""
     batches, labels = _drawn_batches(g, cfg, rng)
     trace = forward(g, params, batches[0])
-    naswot_v = ensemble_mod._naswot_from_trace(trace, cfg.eps_logdet)
-    meco_v = ensemble_mod._meco_from_trace(g, trace, cfg.eps_var)
+    naswot_v = naswot(trace, cfg.eps_logdet)
+    meco_v = meco(g, trace, cfg.eps_var)
     records = [backward(g, params, batches[0], labels[0], trace=trace)]
     del trace
     records += [backward(g, params, b, l) for b, l in zip(batches[1:], labels[1:])]
-    return ProxyScores(
-        meco=meco_v,
-        zico=ensemble_mod._zico_from_records(g, records, cfg.eps_std),
-        naswot=naswot_v,
-        snip=ensemble_mod._snip_from_record(params, records[0]),
-    )
+    snip_v = snip(params, records[0])
+    # concatenate one tensor at a time, letting go of the per-batch parts
+    rec = GradientRecord(weight_grads={}, bias_grads={})
+    for name in ("weight_grads", "bias_grads"):
+        for nid in list(getattr(records[0], name)):
+            getattr(rec, name)[nid] = np.concatenate([getattr(r, name).pop(nid) for r in records])
+    return ProxyScores(meco=meco_v, zico=zico(rec, cfg.eps_std), naswot=naswot_v, snip=snip_v)
 
 
 ONE_PASS_CONFIGS = [

@@ -177,6 +177,40 @@ def test_run_search_raises_when_the_rebuilt_pool_breaks_too(
         run_search(small_search(space1d, task1d, trials=10, pop=5, seed=8), jobs=2, templates=templates)
 
 
+def test_run_search_caps_the_pool_at_the_population_size(
+    space1d, task1d, templates, monkeypatch, tmp_path
+):
+    from concurrent.futures.process import BrokenProcessPool
+
+    import protonas.search.run as run_mod
+
+    asked = []
+
+    class FakePool:
+        """Records max_workers and maps in this process; the first pool
+        breaks on its first map, so run_search builds a second one."""
+
+        def __init__(self, max_workers, initializer=None):
+            asked.append(max_workers)
+            self.first = len(asked) == 1
+
+        def map(self, fn, args):
+            if self.first:
+                self.first = False
+                raise BrokenProcessPool("fake worker death")
+            return [fn(a) for a in args]
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(run_mod, "ProcessPoolExecutor", FakePool)
+    cfg = small_search(space1d, task1d, trials=10, pop=5, seed=8)
+    run_search(cfg, jobs=10000, log_path=tmp_path / "many.jsonl", templates=templates)
+    assert asked == [5, 5]
+    run_search(cfg, jobs=1, log_path=tmp_path / "one.jsonl", templates=templates)
+    assert (tmp_path / "many.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
+
+
 def test_run_search_seed_changes_results(space1d, task1d, templates):
     a = run_search(small_search(space1d, task1d, trials=8, pop=4, seed=0), templates=templates)
     b = run_search(small_search(space1d, task1d, trials=8, pop=4, seed=1), templates=templates)

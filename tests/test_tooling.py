@@ -41,3 +41,39 @@ def test_benchmark_scripts_import_existing_names():
                         importlib.import_module(alias.name)
     # child.py imports its loaders and protonas.hvss.HAVE_COMPILED this way
     assert "protonas.config.load_config" in imported
+
+
+def test_trace_records_each_scoring_stage_once_per_candidate(
+    space1d, task1d, templates, monkeypatch
+):
+    """A traced candidate shows one span per proxy and per engine pass,
+    so `--trace 1` attributes the scoring time to the proxies."""
+    import numpy as np
+
+    from protonas.archspace import sample
+    from protonas.costmodel import TargetProfile
+    from protonas.proxies import ProxyBatchConfig
+    from protonas.search import EvalContext
+
+    tracing = _load_tracing()
+    for sites in tracing.TARGETS.values():
+        for site in sites:
+            module_name, attr = site.split(":")
+            module = importlib.import_module(module_name)
+            # monkeypatch puts every original back after the test
+            monkeypatch.setattr(module, attr, getattr(module, attr))
+    tracer = tracing.Tracer()
+    tracer.install()
+
+    import protonas.search.run as run_mod
+
+    ctx = EvalContext(space1d, task1d, TargetProfile(), ProxyBatchConfig(batch_size=2), templates)
+    rec = run_mod.evaluate_candidate(sample(np.random.default_rng(0), space1d), ctx, seed=1)
+    assert rec.proxies is not None, rec.error
+    counts = {}
+    for span in tracer.spans:
+        name = tracer.names[span[0]]
+        counts[name] = counts.get(name, 0) + 1
+    stages = ["proxies.snip", "proxies.naswot", "proxies.zico", "proxies.meco",
+              "tensorcore.forward", "tensorcore.backward"]
+    assert {name: counts.get(name, 0) for name in stages} == dict.fromkeys(stages, 1)
