@@ -1,20 +1,23 @@
 """Training-free candidate scoring.
 
 Four proxies evaluated at initialization, higher is better for all.
-Each is one function that reduces what a single engine pass over the
-candidate's proxy batches leaves behind, a ForwardTrace or a
-GradientRecord:
+Each is one function over what a single engine pass over the
+candidate's proxy batches makes: a ForwardTrace, or one parameter
+tensor's or one weighted layer's per-sample gradients.
 
-snip(params, rec, rows)    sum of |theta * mean_b g_b| over every
-                           parameter tensor, on the first `rows` samples.
+snip(theta, grad, rows)    one parameter tensor's connection sensitivity,
+                           sum of |theta * mean_b g_b| on the first
+                           `rows` samples; the score sums it over every
+                           weight tensor, then every bias tensor.
 naswot(trace, eps, rows)   log-determinant of the ReLU code agreement
                            matrix of the first `rows` samples: K[i, j]
                            counts the activation-pattern bits samples i
                            and j share.
-zico(rec, eps)             per weighted layer, log of the summed
+zico(grads, eps)           one weighted layer's log of the summed
                            per-parameter ratio of the mean absolute
                            per-sample gradient to its standard deviation
-                           across samples, summed in node order.
+                           across samples; the score sums it over the
+                           layers in node order.
 meco(g, trace, eps)        per superblock tap, the smallest eigenvalue of
                            the channel Pearson correlation matrix on the
                            first sample, summed over taps.
@@ -26,8 +29,11 @@ one backward on it.  Batch rows never mix in the engine, so each row's
 activations and per-sample gradients are those of a pass over its own
 batch.  The forward trace keeps only what backward and meco read;
 naswot (first batch) and meco (row 0) read it before backward consumes
-it.  snip reads the first batch's gradients, zico all of them.  Epsilon
-floors keep every score finite on degenerate inputs.
+it.  Backward hands each weighted layer's gradients to snip (first
+batch) and zico (all of them) as it makes them and keeps none, so no
+more than one layer's gradients are held at a time; the terms are
+summed in the order above.  Epsilon floors keep every score finite on
+degenerate inputs.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ from ..archspace.graph import ArchitectureGraph
 from ..errors import ConfigError
 from ..tensorcore.engine import (
     ForwardTrace,
-    GradientRecord,
     ParamSet,
     backward,
     backward_reads,
@@ -92,16 +97,13 @@ class ProxyScores:
 PROXY_NAMES = tuple(f.name for f in fields(ProxyScores))
 
 
-def snip(params: ParamSet, rec: GradientRecord, rows: int | None = None) -> float:
-    """Connection-sensitivity mass: sum of |theta * mean_b g_b| over every
-    parameter tensor with a gradient in rec, the mean taken over its first
-    `rows` samples (all of them by default)."""
-    total = 0.0
-    for nid, grad in rec.weight_grads.items():
-        total += float(np.abs(params.weights[nid] * grad[:rows].mean(axis=0)).sum())
-    for nid, grad in rec.bias_grads.items():
-        total += float(np.abs(params.biases[nid] * grad[:rows].mean(axis=0)).sum())
-    return total
+def snip(theta: np.ndarray, grad: np.ndarray, rows: int | None = None) -> float:
+    """One parameter tensor's connection-sensitivity mass: the sum of
+    |theta * mean_b g_b|, the mean taken over the first `rows` samples of
+    its per-sample gradients grad (all of them by default)."""
+    grad = grad[:rows]
+    # grad.mean(axis=0)'s arithmetic, without its Python wrapper
+    return float(np.abs(theta * (np.add.reduce(grad, axis=0) / len(grad))).sum())
 
 
 def _agreement(blocks) -> np.ndarray:
@@ -130,7 +132,8 @@ def naswot(trace: ForwardTrace, eps: float = 1e-6, rows: int | None = None) -> f
     if not trace.relu_patterns:
         raise ConfigError("naswot needs at least one relu layer")
     rows = len(trace.logits) if rows is None else rows
-    codes = [trace.relu_patterns[i][:rows].reshape(rows, -1) for i in sorted(trace.relu_patterns)]
+    # one relu's codes at a time: a pattern read from a kept output is made here
+    codes = (trace.relu_mask(i, rows).reshape(rows, -1) for i in sorted(trace.relu_patterns))
     step = _CODE_BLOCK
     blocks = (c[:, lo : lo + step] for c in codes for lo in range(0, c.shape[1], step))
     k = _agreement(blocks)
@@ -156,6 +159,7 @@ def _zico_ratios(parts: list[np.ndarray], eps: float) -> np.ndarray:
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
     buf = np.empty(samples * min(width, step + 1))
+    scratch = np.empty_like(buf)  # a block's |g|, then its squared deviations
     ratio = np.empty(width)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         block = buf[: samples * (hi - lo)].reshape(samples, hi - lo)
@@ -166,23 +170,30 @@ def _zico_ratios(parts: list[np.ndarray], eps: float) -> np.ndarray:
             if a < b:
                 block[:, a - lo : b - lo] = part[:, a - c0 : b - c0]
             c0 = c1
-        ratio[lo:hi] = np.abs(block).mean(axis=0) / (block.std(axis=0) + eps)
+        work = scratch[: block.size].reshape(block.shape)
+        # numpy's mean and std arithmetic (sums over the samples divided
+        # by their count), without the Python wrappers of ndarray.mean and
+        # ndarray.std, which cost more than the sums on small layers
+        mean_abs = np.add.reduce(np.abs(block, out=work), axis=0)
+        mean_abs /= samples
+        mean = np.add.reduce(block, axis=0)
+        mean /= samples
+        np.square(np.subtract(block, mean, out=work), out=work)
+        std = np.add.reduce(work, axis=0)
+        std /= samples
+        np.sqrt(std, out=std)
+        std += eps
+        np.divide(mean_abs, std, out=ratio[lo:hi])
     return ratio
 
 
-def zico(rec: GradientRecord, eps: float = 1e-6) -> float:
-    """Sum over the weighted layers, in node order, of
-    log(sum_theta mean|g| / (std(g) + eps)) over each layer's weight and
-    bias gradients, flattened per sample.  Each layer's sum is floored at
-    eps before the log, and its ratio vector is summed whole, as one
-    contiguous array."""
-    total = 0.0
-    for nid in sorted(rec.weight_grads):
-        parts = [rec.weight_grads[nid].reshape(len(rec.weight_grads[nid]), -1)]
-        if nid in rec.bias_grads:
-            parts.append(rec.bias_grads[nid].reshape(len(rec.bias_grads[nid]), -1))
-        total += float(np.log(max(_zico_ratios(parts, eps).sum(), eps)))
-    return total
+def zico(grads: list[np.ndarray], eps: float = 1e-6) -> float:
+    """One weighted layer's term: log(sum_theta mean|g| / (std(g) + eps))
+    over its per-sample weight and bias gradients grads, flattened per
+    sample.  The sum is floored at eps before the log, and the ratio
+    vector is summed whole, as one contiguous array."""
+    parts = [grad.reshape(len(grad), -1) for grad in grads]
+    return float(np.log(max(_zico_ratios(parts, eps).sum(), eps)))
 
 
 def correlation_min_eigenvalue(channels: np.ndarray, eps: float = 1e-6) -> float:
@@ -245,7 +256,8 @@ def evaluate_ensemble(
     Draw order is fixed: for each of num_batches_zico batches, first the
     standard-normal inputs, then uniform labels.  snip and naswot use
     the first batch, meco its first sample, zico all batches.  The
-    engine runs one forward and one backward over all batches stacked.
+    engine runs one forward and one backward over all batches stacked,
+    and backward hands each weighted layer to snip and zico as it goes.
     """
     bs = cfg.batch_size
     x = np.empty((bs * cfg.num_batches_zico, *g.input_shape))
@@ -254,13 +266,26 @@ def evaluate_ensemble(
         rng.standard_normal(out=x[lo : lo + bs])
         labels[lo : lo + bs] = rng.integers(0, g.num_classes, size=bs)
     scores: dict[str, float] = {}
+    snip_weights = 0.0
+    snip_biases: list[float] = []
+    zico_terms: dict[int, float] = {}
+
+    def reduce(i: int, dw: np.ndarray, db: np.ndarray | None) -> None:
+        nonlocal snip_weights
+        snip_weights += snip(params.weights[i], dw, bs)
+        if db is not None:
+            snip_biases.append(snip(params.biases[i], db, bs))
+        zico_terms[i] = zico([dw] if db is None else [dw, db], cfg.eps_std)
+
     # no name holds the trace, so backward frees it as it goes
-    rec = backward(
-        g, params, x, labels, trace=_forward_and_score_first_batch(g, params, x, cfg, scores)
-    )
-    return ProxyScores(
-        meco=scores["meco"],
-        zico=zico(rec, cfg.eps_std),
-        naswot=scores["naswot"],
-        snip=snip(params, rec, rows=bs),
-    )
+    backward(g, params, x, labels, trace=_forward_and_score_first_batch(g, params, x, cfg, scores),
+             consumer=reduce)
+    # the weight terms in backward's order, then the bias terms; the
+    # layers' zico terms in node order
+    scores["snip"] = snip_weights
+    for term in snip_biases:
+        scores["snip"] += term
+    scores["zico"] = 0.0
+    for i in sorted(zico_terms):
+        scores["zico"] += zico_terms[i]
+    return ProxyScores(**scores)

@@ -39,12 +39,19 @@ mix and every matrix product keeps its per-row shape, so the results are
 the same bits as a whole-batch pass.
 
 Backward is reverse-mode over the recorded forward activations.  It
-reads only the inputs of weighted nodes (backward_reads), the
-ReLU patterns and the max-pool argmaxes; every other node's output shape
+reads only the inputs of weighted nodes (backward_reads), the ReLU
+patterns and the max-pool argmaxes; every other node's output shape
 comes from the trace.  forward can keep just the outputs a caller names
-and drops every other one once its last consumer has run, and backward
-drops each array once the last node that reads it has run, so a trace
-that nobody else holds is freed as backward goes.
+and drops every other one once its last consumer has run.  The trace
+holds those outputs, the logits, the argmaxes, every shape, and each
+relu's pattern a > 0 except where it keeps the relu's output and
+backward reads that output: there max(a, 0) > 0 is the same pattern
+(ForwardTrace.relu_mask), so it is not stored twice.  Backward drops
+each array once the last node that reads it has run (such a relu's
+output at the relu's own step), so a trace that nobody else holds is
+freed as backward goes.  It hands each weighted node's per-sample
+gradients to a consumer as soon as they are made, or collects them all
+into a GradientRecord.
 Batchnorm runs in initialization-statistics mode (zero mean, unit
 variance, identity affine) and carries no parameters.
 
@@ -73,7 +80,7 @@ import functools
 import itertools
 import math
 import platform
-from collections.abc import Collection
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,20 +138,37 @@ class ParamSet:
 
 @dataclass
 class ForwardTrace:
-    """The kept node outputs, the logits, every ReLU activation pattern
-    and max-pool argmax, and every node's output shape (batch axis
-    first)."""
+    """The kept node outputs, the logits, every relu's activation
+    pattern and max-pool argmax, and every node's output shape (batch
+    axis first).
+
+    relu_patterns maps every relu node to its pattern, or to None where
+    the pattern is read from the relu's kept output (relu_mask).
+    """
 
     outputs: dict[int, np.ndarray]
-    relu_patterns: dict[int, np.ndarray]
+    relu_patterns: dict[int, np.ndarray | None]
     logits: np.ndarray
     pool_argmax: dict[int, np.ndarray] = field(default_factory=dict)
     shapes: list[tuple[int, ...]] = field(default_factory=list)
 
+    def relu_mask(self, i: int, rows: int | None = None) -> np.ndarray:
+        """Relu node i's activation pattern a > 0 on the first `rows`
+        samples (all of them by default): the stored one, or its kept
+        output's max(a, 0) > 0, which is the same exactly (NaN and -0.0
+        give False either way)."""
+        pattern = self.relu_patterns.get(i)
+        if pattern is not None:
+            return pattern[:rows]
+        if i not in self.relu_patterns or i not in self.outputs:
+            raise ShapeMismatch(f"trace holds no activation pattern of node {i}")
+        return self.outputs[i][:rows] > 0
+
 
 @dataclass
 class GradientRecord:
-    """Per-sample loss gradients per parameter tensor.
+    """Per-sample loss gradients per parameter tensor, in the order
+    backward makes them.
 
     Each array has a leading batch axis; row b is the gradient of the
     loss on sample b alone.
@@ -152,6 +176,12 @@ class GradientRecord:
 
     weight_grads: dict[int, np.ndarray]
     bias_grads: dict[int, np.ndarray]
+
+    def add(self, i: int, dw: np.ndarray, db: np.ndarray | None) -> None:
+        """Collect node i's gradients: backward's consumer by default."""
+        self.weight_grads[i] = dw
+        if db is not None:
+            self.bias_grads[i] = db
 
 
 def init_params(g: ArchitectureGraph, rng: np.random.Generator) -> ParamSet:
@@ -538,18 +568,23 @@ def forward(
     consumer has run, and a relu, batchnorm or add that is that last
     consumer writes its result over it (an add only if no other operand
     is the same output).  The batch and the kept outputs are never
-    written.  The logits, ReLU patterns, max-pool argmaxes and output
-    shapes are always recorded.
+    written.  The logits, max-pool argmaxes and output shapes are always
+    recorded, and so is each relu's pattern, except that of a relu whose
+    output is kept and read by backward (backward_reads): relu_mask reads
+    that one from the output.
     """
     x = _as_batch(g, batch)
     outputs: dict[int, np.ndarray] = {}
-    relu_patterns: dict[int, np.ndarray] = {}
+    relu_patterns: dict[int, np.ndarray | None] = {}
+    # the relus whose pattern their kept output holds
+    derived = backward_reads(g).keys()
     pool_argmax: dict[int, np.ndarray] = {}
     shapes: list[tuple[int, ...]] = []
     # drop_after[i]: the unkept outputs whose last consumer is node i
     drop_after: list[list[int]] = [[] for _ in g.nodes]
     if keep is not None:
         keep = set(keep)
+        derived = derived & keep
         for p, succ in enumerate(g.successors()):
             if p not in keep:
                 drop_after[max(succ, default=p)].append(p)
@@ -569,7 +604,7 @@ def forward(
             if i in params.biases:
                 out = out + params.biases[i]
         elif kind == "relu":
-            relu_patterns[i] = a > 0
+            relu_patterns[i] = None if i in derived else a > 0
             out = np.maximum(a, 0.0, out=a if free else None)
         elif kind == "batchnorm":
             out = np.multiply(a, _BN_SCALE, out=a if free else None)
@@ -605,7 +640,8 @@ def backward(
     batch: np.ndarray,
     labels: np.ndarray,
     trace: ForwardTrace | None = None,
-) -> GradientRecord:
+    consumer: Callable[[int, np.ndarray, np.ndarray | None], None] | None = None,
+) -> GradientRecord | None:
     """Per-sample cross-entropy gradients w.r.t. all parameters.
 
     Every array has a leading batch axis, and row b holds the gradient
@@ -615,6 +651,12 @@ def backward(
     backward then reuses it instead of running the forward pass again,
     and leaves it intact.  Without a trace, the forward pass keeps only
     what backward reads.
+
+    consumer, when given, is called as consumer(i, dw, db) as soon as
+    weighted node i's gradients are made, in decreasing node order, with
+    db None for a node without a bias; backward keeps neither array and
+    returns None.  Without a consumer, every gradient is collected into
+    the GradientRecord returned.
 
     A pending output gradient is exclusive when no other pending gradient
     shares its memory: an add hands the same array to each of its inputs,
@@ -635,12 +677,16 @@ def backward(
         trace = forward(g, params, x, keep=reads)
     elif len(trace.logits) != len(x):
         raise ShapeMismatch("trace was not recorded on this batch")
-    elif not reads.keys() <= trace.outputs.keys():
+    # the relus whose pattern is read from their output, at their own step
+    derived = {i for i, pattern in trace.relu_patterns.items() if pattern is None}
+    if not (reads.keys() | derived) <= trace.outputs.keys():
         raise ShapeMismatch("trace does not keep the outputs backward reads")
+    if any(node.kind == "relu" and i not in trace.relu_patterns for i, node in enumerate(g.nodes)):
+        raise ShapeMismatch("trace holds no activation pattern of a relu")
     # Work from copies of the trace's dicts and let go of the trace: the
     # caller's trace stays intact, and an array that nobody else holds is
     # freed once the last node that reads it has run.
-    outputs = {p: trace.outputs[p] for p in reads}
+    outputs = {p: trace.outputs[p] for p in reads.keys() | derived}
     relu_patterns = dict(trace.relu_patterns)
     pool_argmax = dict(trace.pool_argmax)
     shapes = trace.shapes
@@ -648,8 +694,10 @@ def backward(
     douts: dict[int, np.ndarray] = {n - 1: _ce_grad(trace.logits, labels)}
     exclusive = {n - 1}  # the nodes in douts whose gradient may be written over
     del trace
-    wgrads: dict[int, np.ndarray] = {}
-    bgrads: dict[int, np.ndarray] = {}
+    rec = None
+    if consumer is None:
+        rec = GradientRecord(weight_grads={}, bias_grads={})
+        consumer = rec.add
 
     def push(p: int, grad: np.ndarray, own: bool = True) -> None:
         """Add grad to p's pending gradient; own: grad is exclusive."""
@@ -668,7 +716,7 @@ def backward(
         if not g.preds[i]:
             return x
         p = g.preds[i][0]
-        return outputs.pop(p) if reads[p] == i else outputs[p]
+        return outputs.pop(p) if reads[p] == i and p not in derived else outputs[p]
 
     for i in range(n - 1, -1, -1):
         node = g.nodes[i]
@@ -682,17 +730,18 @@ def backward(
             # a convolution reading the graph input has no input gradient to pass on
             dx, dw, db = _conv_bwd(node_input(i), params.weights[i], dout, node.stride,
                                    node.padding, i in params.biases, want_dx=bool(g.preds[i]))
-            wgrads[i] = dw
-            if db is not None:
-                bgrads[i] = db
+            consumer(i, dw, db)
+            del dw, db  # freed here, unless the consumer keeps them
         elif kind == "linear":
-            flat = node_input(i).reshape(len(x), -1)
-            wgrads[i] = dout[:, :, None] * flat[:, None, :]
-            if i in params.biases:
-                bgrads[i] = dout
+            consumer(i, dout[:, :, None] * node_input(i).reshape(len(x), 1, -1),
+                     dout if i in params.biases else None)
             dx = (dout @ params.weights[i]).reshape(in_shape)
         elif kind == "relu":
-            dx = np.multiply(dout, relu_patterns.pop(i), out=dout if own else None)
+            mask = relu_patterns.pop(i)
+            if mask is None:
+                mask = outputs.pop(i) > 0
+            dx = np.multiply(dout, mask, out=dout if own else None)
+            del mask
         elif kind == "batchnorm":
             dx = np.multiply(dout, _BN_SCALE, out=dout if own else None)
         elif kind == "maxpool":
@@ -716,4 +765,4 @@ def backward(
             raise ShapeMismatch(f"unknown layer kind '{kind}'")
         if g.preds[i]:
             push(g.preds[i][0], dx)
-    return GradientRecord(weight_grads=wgrads, bias_grads=bgrads)
+    return rec

@@ -90,5 +90,31 @@ def tiny_classifier(in_shape=(2, 6, 6), classes=3, hidden=4):
     )
 
 
+def record_snip(params, rec, rows=None):
+    """snip over a collected GradientRecord: every weight term, then every
+    bias term, in the record's order (the order backward makes them)."""
+    from protonas.proxies import snip
+
+    total = 0.0
+    for nid, grad in rec.weight_grads.items():
+        total += snip(params.weights[nid], grad, rows)
+    for nid, grad in rec.bias_grads.items():
+        total += snip(params.biases[nid], grad, rows)
+    return total
+
+
+def record_zico(rec, eps=1e-6):
+    """zico over a collected GradientRecord: the layers' terms in node order."""
+    from protonas.proxies import zico
+
+    total = 0.0
+    for nid in sorted(rec.weight_grads):
+        grads = [rec.weight_grads[nid]]
+        if nid in rec.bias_grads:
+            grads.append(rec.bias_grads[nid])
+        total += zico(grads, eps)
+    return total
+
+
 def rng(seed=0):
     return np.random.default_rng(seed)

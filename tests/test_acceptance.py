@@ -50,7 +50,6 @@ from protonas.proxies import (
     evaluate_ensemble,
     meco,
     naswot,
-    snip,
 )
 from protonas.search import (
     EvalContext,
@@ -476,7 +475,7 @@ def test_criterion_10_proxy_sanity():
     for node in zp.weights:
         zp.weights[node] = np.zeros_like(zp.weights[node])
     zbatch = np.random.default_rng(2).standard_normal((2, *zg.input_shape))
-    snip_ok = snip(zp, backward(zg, zp, zbatch, np.array([0, 1]))) == 0.0
+    snip_ok = conftest.record_snip(zp, backward(zg, zp, zbatch, np.array([0, 1]))) == 0.0
 
     rng = np.random.default_rng(1010)
     cfg = ProxyBatchConfig(batch_size=2)

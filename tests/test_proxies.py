@@ -5,6 +5,7 @@ import pytest
 
 from protonas.archspace import HyperparamVector, apply_static_pruning, decode, sample
 from protonas.archspace.graph import LayerSpec
+from protonas.errors import ConfigError
 from protonas.proxies import (
     ProxyBatchConfig,
     ProxyScores,
@@ -12,12 +13,11 @@ from protonas.proxies import (
     evaluate_ensemble,
     meco,
     naswot,
-    snip,
     zico,
 )
 from protonas.tensorcore import ForwardTrace, GradientRecord, backward, forward, init_params
 
-from conftest import chain_graph, tiny_classifier
+from conftest import chain_graph, record_snip, record_zico, tiny_classifier
 
 
 def code_trace(codes):
@@ -54,21 +54,21 @@ def test_naswot_more_distinct_codes_score_higher():
 def test_zico_constant_gradients():
     # one parameter, identical per-sample gradients: std 0, mean 1,
     # so the layer sums to 1/eps and the score is log(1e6)
-    per_layer = [np.ones((3, 1))]
-    assert math.isclose(zico(weight_record(per_layer)), math.log(1e6), rel_tol=1e-12)
+    assert math.isclose(zico([np.ones((3, 1))]), math.log(1e6), rel_tol=1e-12)
 
 
 def test_zico_sums_over_layers():
     a = [np.ones((3, 1))]
     b = [np.ones((3, 1)), np.ones((3, 1))]
-    assert math.isclose(zico(weight_record(b)), 2 * zico(weight_record(a)), rel_tol=1e-12)
+    assert math.isclose(record_zico(weight_record(b)), 2 * record_zico(weight_record(a)),
+                        rel_tol=1e-12)
 
 
 def test_zico_noise_scores_below_constant():
     rng = np.random.default_rng(0)
     noisy = [rng.standard_normal((16, 4))]
     const = [np.ones((16, 4))]
-    assert zico(weight_record(noisy)) < zico(weight_record(const))
+    assert zico(noisy) < zico(const)
 
 
 def _pearson(x, y):
@@ -134,7 +134,7 @@ def test_snip_matches_softmax_regression_oracle():
     gw = (p[:, :, None] * x[:, None, :]).mean(axis=0)
     gb = p.mean(axis=0)
     want = np.abs(w * gw).sum() + np.abs(params.biases[1] * gb).sum()
-    got = snip(params, backward(g, params, batch, labels))
+    got = record_snip(params, backward(g, params, batch, labels))
     assert math.isclose(got, want, rel_tol=1e-9)
 
 
@@ -144,7 +144,7 @@ def test_snip_zero_weights_score_zero():
     for node in params.weights:
         params.weights[node] = np.zeros_like(params.weights[node])
     batch = np.random.default_rng(1).standard_normal((2, *g.input_shape))
-    assert snip(params, backward(g, params, batch, np.array([0, 1]))) == 0.0
+    assert record_snip(params, backward(g, params, batch, np.array([0, 1]))) == 0.0
 
 
 def test_full_scores_on_small_network():
@@ -154,10 +154,10 @@ def test_full_scores_on_small_network():
     params = init_params(g, rng)
     batch = rng.standard_normal((4, *g.input_shape))
     labels = np.array([0, 1, 2, 0])
-    assert math.isfinite(snip(params, backward(g, params, batch, labels)))
+    assert math.isfinite(record_snip(params, backward(g, params, batch, labels)))
     assert math.isfinite(naswot(forward(g, params, batch)))
     two = backward(g, params, np.concatenate([batch, batch + 0.1]), np.concatenate([labels, labels]))
-    assert math.isfinite(zico(two))
+    assert math.isfinite(record_zico(two))
     assert math.isfinite(meco(g, forward(g, params, batch[:1])))
 
 
@@ -215,9 +215,9 @@ def test_ensemble_matches_standalone_proxies(space1d, task1d, templates):
         # one engine pass per proxy, each on only the rows it reads
         stacked = backward(g, params, np.concatenate(batches), np.concatenate(labels))
         want = {
-            "snip": snip(params, backward(g, params, batches[0], labels[0])),
+            "snip": record_snip(params, backward(g, params, batches[0], labels[0])),
             "naswot": naswot(forward(g, params, batches[0]), cfg.eps_logdet),
-            "zico": zico(stacked, cfg.eps_std),
+            "zico": record_zico(stacked, cfg.eps_std),
             "meco": meco(g, forward(g, params, batches[0][:1]), cfg.eps_var),
         }
         for name, v in want.items():
@@ -317,7 +317,8 @@ def test_blocked_zico_equals_unblocked(monkeypatch):
             # layer 0 split into weight and bias, then a one-parameter layer
             rec = GradientRecord(weight_grads={0: parts[0], 1: full[:, :1]},
                                  bias_grads={0: parts[1]} if bias else {})
-            assert zico(rec, 1e-6) == want + lone
+            assert zico(parts, 1e-6) == want
+            assert record_zico(rec, 1e-6) == want + lone
 
 
 def test_ensemble_is_unchanged_by_proxy_block_sizes(space1d, task1d, templates, monkeypatch):
@@ -342,13 +343,14 @@ def two_pass_ensemble(g, params, cfg, rng):
     records = [backward(g, params, batches[0], labels[0], trace=trace)]
     del trace
     records += [backward(g, params, b, l) for b, l in zip(batches[1:], labels[1:])]
-    snip_v = snip(params, records[0])
+    snip_v = record_snip(params, records[0])
     # concatenate one tensor at a time, letting go of the per-batch parts
     rec = GradientRecord(weight_grads={}, bias_grads={})
     for name in ("weight_grads", "bias_grads"):
         for nid in list(getattr(records[0], name)):
             getattr(rec, name)[nid] = np.concatenate([getattr(r, name).pop(nid) for r in records])
-    return ProxyScores(meco=meco_v, zico=zico(rec, cfg.eps_std), naswot=naswot_v, snip=snip_v)
+    zico_v = record_zico(rec, cfg.eps_std)
+    return ProxyScores(meco=meco_v, zico=zico_v, naswot=naswot_v, snip=snip_v)
 
 
 ONE_PASS_CONFIGS = [
@@ -383,6 +385,10 @@ def test_one_pass_ensemble_equals_two_pass_oracle(cfg, space1d, task1d, space2d,
     graphs.append(branchy_ensemble_graph())
     for k, g in enumerate(graphs):
         params = init_params(g, np.random.default_rng(k))
+        # nonzero biases, so the order of snip's bias terms shows in its bits
+        bias_rng = np.random.default_rng(70 + k)
+        for nid in params.biases:
+            params.biases[nid] = bias_rng.standard_normal(params.biases[nid].shape)
         got = evaluate_ensemble(g, params, cfg, np.random.default_rng(50 + k))
         want = two_pass_ensemble(g, params, cfg, np.random.default_rng(50 + k))
         assert got.as_dict() == want.as_dict(), k
@@ -442,3 +448,88 @@ def test_one_pass_ensemble_peaks_no_higher_than_two_pass_oracle(architecture, sp
         finally:
             tracemalloc.stop()
     assert peaks["one-pass"] <= peaks["two-pass"], peaks
+
+
+def equal_layers_graph(layers, channels=96, length=8):
+    """A stem conv and `layers` equal k3 convolutions, each after a relu,
+    on a 1-D input: one layer's per-sample weight gradients are about 36
+    times the activations the trace keeps for it."""
+    specs = [LayerSpec(kind="conv", in_channels=3, out_channels=channels, kernel=1)]
+    for _ in range(layers):
+        specs += [
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="conv", in_channels=channels, out_channels=channels, kernel=3,
+                      padding=1),
+        ]
+    specs += [
+        LayerSpec(kind="relu", block_output=True),
+        LayerSpec(kind="global-avg-pool"),
+        LayerSpec(kind="linear", in_channels=channels, out_channels=4, bias=True),
+    ]
+    return chain_graph(specs, (3, length), 4)
+
+
+def test_ensemble_peak_grows_with_one_layers_gradients_not_the_layer_count():
+    """Scoring holds at most one layer's per-sample gradients: six more
+    equal layers raise evaluate_ensemble's traced peak by less than one
+    layer's gradients (holding them all would add six)."""
+    import tracemalloc
+
+    cfg = ProxyBatchConfig()
+    peaks = {}
+    for layers in (2, 8):
+        g = equal_layers_graph(layers)
+        params = init_params(g, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            evaluate_ensemble(g, params, cfg, np.random.default_rng(1))
+            peaks[layers] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    rows = cfg.batch_size * cfg.num_batches_zico
+    layer_bytes = rows * params.weights[2].nbytes
+    assert peaks[8] - peaks[2] < layer_bytes, (peaks, layer_bytes)
+
+
+def test_naswot_reads_masks_from_kept_outputs_as_from_stored_patterns(
+    space1d, task1d, space2d, task2d, templates
+):
+    """naswot over a trace that derives its relu masks from the outputs
+    backward reads equals naswot over every pattern a > 0 stored, bit for
+    bit; a relu whose mask is derived counts as a relu."""
+    from protonas.tensorcore.engine import backward_reads
+
+    graphs = [_decoded_1d(space1d, task1d, templates, seed) for seed in (3, 8)]
+    graphs += [_decoded_2d(space2d, task2d, templates, seed) for seed in (2, 5)]
+    for k, g in enumerate(graphs):
+        params = init_params(g, np.random.default_rng(k))
+        batch = np.random.default_rng(60 + k).standard_normal((6, *g.input_shape))
+        full = forward(g, params, batch)
+        relus = [i for i, node in enumerate(g.nodes) if node.kind == "relu"]
+        stored = ForwardTrace(
+            outputs={}, logits=full.logits,
+            relu_patterns={i: (full.outputs[g.preds[i][0]] if g.preds[i] else batch) > 0
+                           for i in relus},
+        )
+        kept = forward(g, params, batch, keep=backward_reads(g))
+        assert any(kept.relu_patterns[i] is None for i in relus)
+        for rows in (None, 4):
+            assert naswot(kept, 1e-6, rows) == naswot(stored, 1e-6, rows)
+    # the only relu reads the batch, and a convolution reads it
+    g = chain_graph(
+        [
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="conv", in_channels=3, out_channels=4, kernel=1),
+            LayerSpec(kind="global-avg-pool"),
+            LayerSpec(kind="linear", in_channels=4, out_channels=2),
+        ],
+        (3, 5),
+        2,
+    )
+    params = init_params(g, np.random.default_rng(0))
+    batch = np.random.default_rng(1).standard_normal((4, 3, 5))
+    trace = forward(g, params, batch, keep=backward_reads(g))
+    assert trace.relu_patterns == {0: None}
+    assert naswot(trace) == naswot(code_trace((batch > 0).reshape(4, -1)))
+    with pytest.raises(ConfigError):
+        naswot(ForwardTrace(outputs={}, relu_patterns={}, logits=trace.logits))

@@ -985,7 +985,9 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
             )
 
 
-def depthwise_chain():
+def depthwise_chain(spatial=(12, 12)):
+    """A conv reading the graph input, depthwise layers with and without
+    a bias, and a linear layer with a bias."""
     return chain_graph(
         [
             LayerSpec(kind="conv", in_channels=3, out_channels=6, kernel=3, stride=2, padding=1),
@@ -1000,7 +1002,7 @@ def depthwise_chain():
             LayerSpec(kind="global-avg-pool"),
             LayerSpec(kind="linear", in_channels=4, out_channels=3, bias=True),
         ],
-        (3, 12, 12),
+        (3, *spatial),
         3,
     )
 
@@ -1030,8 +1032,8 @@ def test_forward_trace_holds_exactly_the_kept_outputs():
             assert_same_bits(kept.logits, full.logits)
             assert kept.shapes == [full.outputs[i].shape for i in range(len(g.nodes))]
             assert kept.relu_patterns.keys() == full.relu_patterns.keys()
-            for i, pattern in full.relu_patterns.items():
-                assert np.array_equal(kept.relu_patterns[i], pattern)
+            for i in full.relu_patterns:
+                assert np.array_equal(kept.relu_mask(i), full.relu_mask(i))
         # the max-pool argmax is held in one byte a cell, with the kernel's values
         pools = [i for i, node in enumerate(g.nodes) if node.kind == "maxpool"]
         assert list(full.pool_argmax) == pools
@@ -1067,6 +1069,144 @@ def test_backward_from_a_kept_trace_equals_backward_from_a_full_trace(graph):
     # the caller's trace is left as it was
     assert kept.outputs.keys() == held.keys()
     assert all(kept.outputs[i] is held[i] for i in held)
+
+
+@pytest.mark.parametrize("spatial", [(12,), (12, 12)], ids=["1d", "2d"])
+def test_backward_hands_each_weighted_node_to_the_consumer_once(spatial):
+    """With a consumer, backward passes each weighted node's gradients once,
+    in decreasing node order, with the bits, shapes and dtypes it would
+    collect, and returns nothing."""
+    g = depthwise_chain(spatial)
+    rng = np.random.default_rng(17)
+    params = init_params(g, rng)
+    for nid in params.biases:
+        params.biases[nid] = rng.standard_normal(params.biases[nid].shape)
+    batch = rng.standard_normal((5, *g.input_shape))
+    labels = rng.integers(0, g.num_classes, 5)
+    want = backward(g, params, batch, labels)
+    assert list(want.weight_grads) == sorted(params.weights, reverse=True)
+    for trace in (None, forward(g, params, batch, keep=engine.backward_reads(g))):
+        seen = []
+        got = backward(g, params, batch, labels, trace=trace,
+                       consumer=lambda i, dw, db: seen.append((i, dw, db)))
+        assert got is None
+        assert [i for i, _, _ in seen] == sorted(params.weights, reverse=True)
+        for i, dw, db in seen:
+            assert_same_bits(dw, want.weight_grads[i])
+            if i in params.biases:
+                assert_same_bits(db, want.bias_grads[i])
+            else:
+                assert db is None
+
+
+def relu_probe_graph(spatial=(2, 5)):
+    """Relus on the batch and after a conv, each read by a conv; a relu
+    read by a max-pool only; a relu tapped for meco."""
+    g = chain_graph(
+        [
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="conv", in_channels=3, out_channels=4, kernel=1, bias=True),
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="conv", in_channels=4, out_channels=4, kernel=1),
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="maxpool", kernel=1),
+            LayerSpec(kind="relu"),
+            LayerSpec(kind="global-avg-pool"),
+            LayerSpec(kind="linear", in_channels=4, out_channels=2, bias=True),
+        ],
+        (3, *spatial),
+        2,
+    )
+    g.nodes[6].block_output = True
+    return g
+
+
+def special_values_batch(rng, shape):
+    """A batch whose entries include NaN, both zeros, infinities and
+    subnormals beside normal draws."""
+    batch = rng.standard_normal(shape)
+    flat = batch.reshape(-1)
+    special = [np.nan, -0.0, 0.0, np.inf, -np.inf, 5e-324, -5e-324, -np.nan]
+    flat[: len(special)] = special
+    rng.shuffle(flat)
+    return batch
+
+
+def test_relu_masks_are_read_from_kept_outputs():
+    """relu_mask is a > 0 of the relu's input in a keep-all forward, for
+    every relu and keep set, NaN and -0.0 included.  No pattern is stored
+    for a relu whose output is kept and read by backward; backward reads
+    it from that output, leaves it as it was, and gives the gradients of a
+    trace that stores every pattern."""
+    graphs = (relu_probe_graph(), branchy_graph(), sharing_graph(), depthwise_chain())
+    for g in graphs:
+        rng = np.random.default_rng(18)
+        params = init_params(g, rng)
+        batch = rng.standard_normal((4, *g.input_shape))
+        labels = rng.integers(0, g.num_classes, 4)
+        inputs = forward(g, params, batch).outputs
+        relus = [i for i, node in enumerate(g.nodes) if node.kind == "relu"]
+        want = {i: (inputs[g.preds[i][0]] if g.preds[i] else batch) > 0 for i in relus}
+        reads = engine.backward_reads(g)
+        for keep in (None, set(reads), set(reads) | set(relus), set()):
+            trace = forward(g, params, batch, keep=keep)
+            assert list(trace.relu_patterns) == relus
+            for i in relus:
+                derived = i in reads and (keep is None or i in keep)
+                assert (trace.relu_patterns[i] is None) == derived
+                assert np.array_equal(trace.relu_mask(i), want[i])
+                assert np.array_equal(trace.relu_mask(i, rows=2), want[i][:2])
+        # backward from a trace deriving its masks equals one storing them all
+        kept = forward(g, params, batch, keep=reads)
+        held = {i: a.copy() for i, a in kept.outputs.items()}
+        stored = engine.ForwardTrace(
+            outputs=dict(kept.outputs), relu_patterns=want, logits=kept.logits,
+            pool_argmax=kept.pool_argmax, shapes=kept.shapes,
+        )
+        got = backward(g, params, batch, labels, trace=kept)
+        ref = backward(g, params, batch, labels, trace=stored)
+        for got_grads, ref_grads in ((got.weight_grads, ref.weight_grads),
+                                     (got.bias_grads, ref.bias_grads)):
+            assert list(got_grads) == list(ref_grads)
+            for i in ref_grads:
+                assert_same_bits(got_grads[i], ref_grads[i])
+        for i, a in held.items():
+            assert_same_bits(kept.outputs[i], a)
+    # special values: the pattern read from max(a, 0) is a > 0 exactly
+    g = relu_probe_graph((4, 6))
+    params = init_params(g, np.random.default_rng(19))
+    batch = special_values_batch(np.random.default_rng(20), (3, *g.input_shape))
+    with np.errstate(invalid="ignore"):  # the NaN reaches every later layer
+        trace = forward(g, params, batch, keep=engine.backward_reads(g))
+        full = forward(g, params, batch)
+    assert trace.relu_patterns[0] is None
+    assert np.array_equal(trace.relu_mask(0), batch > 0)
+    assert np.array_equal(full.relu_mask(0), batch > 0)
+
+
+def test_a_trace_without_a_relu_mask_is_rejected():
+    g = relu_probe_graph()
+    params = init_params(g, np.random.default_rng(21))
+    batch = np.random.default_rng(22).standard_normal((2, *g.input_shape))
+    trace = forward(g, params, batch, keep=engine.backward_reads(g))
+    assert trace.relu_patterns[2] is None
+    # the output holding relu 2's pattern is gone
+    lacking = engine.ForwardTrace(
+        outputs={i: a for i, a in trace.outputs.items() if i != 2},
+        relu_patterns=trace.relu_patterns, logits=trace.logits, shapes=trace.shapes,
+    )
+    for bad, node in ((lacking, 2), (trace, 1), (trace, 99)):
+        with pytest.raises(ShapeMismatch):
+            bad.relu_mask(node)
+    with pytest.raises(ShapeMismatch):
+        backward(g, params, batch, np.array([0, 1]), trace=lacking)
+    # no entry at all for relu 4
+    missing = engine.ForwardTrace(
+        outputs=trace.outputs, logits=trace.logits, shapes=trace.shapes,
+        relu_patterns={i: p for i, p in trace.relu_patterns.items() if i != 4},
+    )
+    with pytest.raises(ShapeMismatch):
+        backward(g, params, batch, np.array([0, 1]), trace=missing)
 
 
 def test_backward_rejects_a_trace_without_the_outputs_it_reads():

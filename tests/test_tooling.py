@@ -46,14 +46,16 @@ def test_benchmark_scripts_import_existing_names():
 def test_trace_records_each_scoring_stage_once_per_candidate(
     space1d, task1d, templates, monkeypatch
 ):
-    """A traced candidate shows one span per proxy and per engine pass,
+    """A traced candidate shows one span per engine pass and for naswot
+    and meco, and snip and zico spans per weighted layer inside backward's,
     so `--trace 1` attributes the scoring time to the proxies."""
     import numpy as np
 
-    from protonas.archspace import sample
+    from protonas.archspace import apply_static_pruning, decode, sample
     from protonas.costmodel import TargetProfile
     from protonas.proxies import ProxyBatchConfig
     from protonas.search import EvalContext
+    from protonas.tensorcore import init_params
 
     tracing = _load_tracing()
     for sites in tracing.TARGETS.values():
@@ -68,12 +70,26 @@ def test_trace_records_each_scoring_stage_once_per_candidate(
     import protonas.search.run as run_mod
 
     ctx = EvalContext(space1d, task1d, TargetProfile(), ProxyBatchConfig(batch_size=2), templates)
-    rec = run_mod.evaluate_candidate(sample(np.random.default_rng(0), space1d), ctx, seed=1)
+    x = sample(np.random.default_rng(0), space1d)
+    rec = run_mod.evaluate_candidate(x, ctx, seed=1)
     assert rec.proxies is not None, rec.error
     counts = {}
+    parents = {}
     for span in tracer.spans:
         name = tracer.names[span[0]]
         counts[name] = counts.get(name, 0) + 1
-    stages = ["proxies.snip", "proxies.naswot", "proxies.zico", "proxies.meco",
-              "tensorcore.forward", "tensorcore.backward"]
+        parent = tracer.names[tracer.spans[span[3]][0]] if span[3] >= 0 else None
+        parents.setdefault(name, set()).add(parent)
+    stages = ["proxies.naswot", "proxies.meco", "tensorcore.forward", "tensorcore.backward"]
     assert {name: counts.get(name, 0) for name in stages} == dict.fromkeys(stages, 1)
+    # backward hands each weighted layer to zico, and each of its weight
+    # and bias tensors to snip, inside its own span
+    g = apply_static_pruning(decode(x, space1d, task1d, templates), x.pruning_sparsity)
+    g.infer_shapes()
+    params = init_params(g, np.random.default_rng(0))
+    per_layer = {"proxies.snip": len(params.weights) + len(params.biases),
+                 "proxies.zico": len(params.weights)}
+    assert {name: counts.get(name, 0) for name in per_layer} == per_layer
+    assert {name: parents[name] for name in per_layer} == dict.fromkeys(
+        per_layer, {"tensorcore.backward"}
+    )
