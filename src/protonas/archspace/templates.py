@@ -12,6 +12,9 @@ from ..errors import ConfigError
 from .graph import LAYER_KINDS
 
 DEFAULT_TEMPLATES_PATH = Path(__file__).with_name("templates.yaml")
+# libyaml's parser where PyYAML was built with it, PyYAML's own otherwise:
+# the same documents, about eight times faster on the packaged catalog
+SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # merges are written as branch layers, never as ops of their own
 _LAYER_OPS = frozenset(LAYER_KINDS) - {"add", "concat"}
@@ -161,14 +164,21 @@ def _load_default() -> dict[str, BaselineTemplate]:
     return _load(DEFAULT_TEMPLATES_PATH)
 
 
-def _load(path: Path) -> dict[str, BaselineTemplate]:
+def read_yaml(path: str | Path):
+    """The YAML document in the file at path, read with SAFE_LOADER.  A
+    file that cannot be read or parsed raises ConfigError; a parse error
+    carries the parser's line/column mark."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            return yaml.load(fh, Loader=SAFE_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _load(path: Path) -> dict[str, BaselineTemplate]:
+    doc = read_yaml(path)
     if not isinstance(doc, dict) or "templates" not in doc:
         raise ConfigError(f"{path}: expected a mapping with a 'templates' key")
     if doc.get("version") != 1:

@@ -15,6 +15,7 @@ from pathlib import Path
 import yaml
 
 from .archspace.space import SearchSpaceDef, TaskSpec
+from .archspace.templates import read_yaml
 from .costmodel.model import TargetProfile
 from .errors import ConfigError
 from .hvss.subset import HssConfig
@@ -206,11 +207,4 @@ def load_config(
     """
     if path is None:
         return build_config(None, seed_flag, env)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"{path}: invalid YAML ({exc})") from exc
-    except OSError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return build_config(doc, seed_flag, env)
+    return build_config(read_yaml(path), seed_flag, env)

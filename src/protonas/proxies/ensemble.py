@@ -12,7 +12,11 @@ snip(theta, grad, rows)    one parameter tensor's connection sensitivity,
 naswot(trace, eps, rows)   log-determinant of the ReLU code agreement
                            matrix of the first `rows` samples: K[i, j]
                            counts the activation-pattern bits samples i
-                           and j share.
+                           and j share.  The patterns are packed 8 units
+                           a byte, a block at a time, and K comes from
+                           exact integer counts of each pair's common
+                           set bits (AND, then bitwise_count), so no
+                           float code array is built.
 zico(grads, eps)           one weighted layer's log of the summed
                            per-parameter ratio of the mean absolute
                            per-sample gradient to its standard deviation
@@ -38,6 +42,7 @@ degenerate inputs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -55,9 +60,11 @@ from ..tensorcore.engine import (
 # Columns per block of zico's per-sample gradient statistics: with 16
 # samples a block and its temporaries stay within a few hundred KiB.
 _ZICO_BLOCK = 4096
-# Units per sample in one block of naswot's activation codes (4 MiB of
-# float codes for a batch of 8).
-_CODE_BLOCK = 1 << 16
+# Units per sample in one block of naswot's activation patterns: a block
+# made from a kept output takes rows * _CODE_BLOCK bytes (256 KiB for a
+# batch of 8), and the packed blocks are counted _CODE_BLOCK bytes, or
+# 8 * _CODE_BLOCK units, per sample at a time.
+_CODE_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -106,21 +113,49 @@ def snip(theta: np.ndarray, grad: np.ndarray, rows: int | None = None) -> float:
     return float(np.abs(theta * (np.add.reduce(grad, axis=0) / len(grad))).sum())
 
 
-def _agreement(blocks) -> np.ndarray:
-    """Code agreement matrix over the columns of all (B, N_k) blocks.
+def _agreement(blocks, rows: int) -> np.ndarray:
+    """Code agreement matrix over the columns of all (rows, N_k) boolean
+    blocks, N_k <= _CODE_BLOCK.
 
-    K[i, j] = c c^T + (1 - c)(1 - c)^T over the concatenated codes c,
-    taken as 2 c c^T + N - s_i - s_j with s the row sums.  For binary
-    codes every partial sum is an integer below 2**53, so summing one
-    product per block gives the same matrix exactly, without building c.
+    K[i, j] = c c^T + (1 - c)(1 - c)^T over the concatenated binary codes
+    c, taken as 2 cc + N - s_i - s_j from exact integer counts: cc[i, j]
+    the units at which rows i and j are both set, s = diag(cc) each row's
+    set units.  Each block is packed 8 units a byte (np.packbits, whose
+    zero padding sets no bit), and the packed blocks are staged, one
+    after another, in 64-bit words.  When the stage is full, each row is
+    ANDed with itself and the rows after it, and the bits of the result
+    counted (np.bitwise_count): the upper triangle of cc.  Every count is
+    an integer below 2**53, so K is formed from the same float64 values,
+    in the same order, as the float product c c^T would give it.
     """
-    cc = s = 0.0
-    units = 0
+    words = max(1, _CODE_BLOCK // 8)
+    stage = np.zeros((rows, words), dtype=np.uint64)
+    staged = stage.view(np.uint8)
+    both = np.empty_like(stage)
+    set_bits = np.empty(stage.shape, dtype=np.uint8)
+    cc = np.zeros((rows, rows), dtype=np.uint64)
+    filled = units = 0
+
+    def count():
+        used = -(-filled // 8)
+        staged[:, filled : 8 * used] = 0
+        for i in range(rows):
+            pairs = np.bitwise_and(stage[i, :used], stage[i:, :used], out=both[: rows - i, :used])
+            cc[i, i:] += np.bitwise_count(pairs, out=set_bits[: rows - i, :used]).sum(axis=1)
+
     for block in blocks:
-        c = np.asarray(block, dtype=float)
-        cc = cc + c @ c.T
-        s = s + c.sum(axis=1)
-        units += c.shape[1]
+        units += block.shape[1]
+        packed = np.packbits(block, axis=1)
+        width = packed.shape[1]
+        if filled + width > staged.shape[1]:
+            count()
+            filled = 0
+        staged[:, filled : filled + width] = packed
+        filled += width
+        del block, packed  # freed before the next block is made
+    count()
+    cc = (cc + np.triu(cc, 1).T).astype(float)
+    s = cc.diagonal()
     return 2.0 * cc + units - s[:, None] - s[None, :]
 
 
@@ -132,11 +167,11 @@ def naswot(trace: ForwardTrace, eps: float = 1e-6, rows: int | None = None) -> f
     if not trace.relu_patterns:
         raise ConfigError("naswot needs at least one relu layer")
     rows = len(trace.logits) if rows is None else rows
-    # one relu's codes at a time: a pattern read from a kept output is made here
-    codes = (trace.relu_mask(i, rows).reshape(rows, -1) for i in sorted(trace.relu_patterns))
-    step = _CODE_BLOCK
-    blocks = (c[:, lo : lo + step] for c in codes for lo in range(0, c.shape[1], step))
-    k = _agreement(blocks)
+    # chain keeps no block it has handed on, so each is freed before the next is made
+    blocks = itertools.chain.from_iterable(
+        trace.relu_mask_blocks(i, rows, _CODE_BLOCK) for i in sorted(trace.relu_patterns)
+    )
+    k = _agreement(blocks, rows)
     return float(np.linalg.slogdet(k + eps * np.eye(len(k)))[1])
 
 

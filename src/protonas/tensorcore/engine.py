@@ -14,7 +14,10 @@ phase's gradient is a stride-1 convolution of the output gradient.  The
 phases are stacked as extra output channels of each group, and one
 column product per chunk yields all of them; each is then copied into
 its strided slice of dx.  At stride 1 the one phase's kernel is the
-kernel flipped in space with its in and out channels swapped.
+kernel flipped in space with its in and out channels swapped, and the
+phase is dx itself: where one block of lines (below) covers the input,
+the product is written straight into dx, with no product buffer and no
+copy.
 
 One kernel pair serves both convolution kinds.  A convolution reads its
 group count from the weight, cin // w.shape[1]: one group for a regular
@@ -26,13 +29,20 @@ batch in row chunks of about _CHUNK_BYTES (_row_chunks): of column
 buffer for the convolutions, of padded input for pooling.  A row whose
 columns exceed the budget is a chunk of its own; the input gradient's
 columns of dout are cut further, into blocks of lines, where a row of
-them outgrows a row of x's columns.  A batch that fits,
-such as any 1-D batch here, is one chunk.  No kernel pads the whole
-batch: each pads a chunk into one reused buffer, whose border is
-written once.  Max-pool forward visits the kernel offsets in increasing
-order and updates the argmax with maximum(argmax, (window > out) * idx):
-idx exceeds every offset recorded before it, so the maximum takes it
-exactly where the window is strictly greater.  Max-pool backward adds
+them outgrows a row of x's columns.  Such a row of a grouped
+convolution (a depthwise layer) is also cut into blocks of whole groups
+(_group_blocks): as few as keep a block's columns within the budget,
+one group at least, their sizes at most one group apart.  Each block is
+padded and copied on its own and has its own product over its groups,
+so its columns stay in cache: a k7 depthwise row of (36, 64, 64) holds
+58 MB of columns.  A row that fits, and every regular convolution, has
+one product per row chunk.  A batch that fits, such as any 1-D batch
+here, is one chunk.  No kernel pads the whole batch: each pads a chunk
+into one reused buffer, whose border is written once.  Max-pool forward
+visits the kernel offsets in increasing order and updates the argmax
+with maximum(argmax, (window > out) * idx): idx exceeds every offset
+recorded before it, so the maximum takes it exactly where the window is
+strictly greater.  Max-pool backward adds
 each output's gradient at its argmax with one weighted bincount per
 chunk over flat padded indices, and copies the interior out.  Rows never
 mix and every matrix product keeps its per-row shape, so the results are
@@ -160,9 +170,28 @@ class ForwardTrace:
         pattern = self.relu_patterns.get(i)
         if pattern is not None:
             return pattern[:rows]
+        return self._relu_output(i)[:rows] > 0
+
+    def relu_mask_blocks(self, i: int, rows: int, units: int):
+        """Yield relu node i's pattern on the first `rows` samples,
+        flattened per sample, in blocks of at most `units` columns, as
+        truth values: views of a stored boolean pattern, and otherwise
+        made a block at a time (a stored pattern's nonzero entries, or the
+        kept output's positive ones, as relu_mask reads it)."""
+        pattern = self.relu_patterns.get(i)
+        src = self._relu_output(i) if pattern is None else pattern
+        flat = src[:rows].reshape(rows, -1)
+        for lo in range(0, flat.shape[1], units):
+            block = flat[:, lo : lo + units]
+            if pattern is None:
+                yield block > 0
+            else:
+                yield block if block.dtype == bool else block != 0
+
+    def _relu_output(self, i: int) -> np.ndarray:
         if i not in self.relu_patterns or i not in self.outputs:
             raise ShapeMismatch(f"trace holds no activation pattern of node {i}")
-        return self.outputs[i][:rows] > 0
+        return self.outputs[i]
 
 
 @dataclass
@@ -263,40 +292,71 @@ def _row_chunks(rows: int, row_bytes: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
-def _columns(x: np.ndarray, kernel: int, stride: int, padding, out_sp: tuple[int, ...]):
-    """Yield (rows, cols) per row chunk of x with `padding` zeros before
-    every spatial axis (padding[a] before axis a, if a tuple; a negative
-    padding crops) and as many after as the windows of out_sp reach.
+def _group_blocks(groups: int, row_bytes: int) -> list[slice] | None:
+    """Blocks of whole groups for _columns: None where one row's columns
+    (row_bytes) fit _CHUNK_BYTES or there is one group; otherwise slices
+    over the groups, as few as keep each block within _CHUNK_BYTES (one
+    group at least), the first ones one group larger where they do not
+    divide evenly."""
+    if groups == 1 or row_bytes <= _CHUNK_BYTES:
+        return None
+    fit = max(1, _CHUNK_BYTES * groups // row_bytes)
+    count = -(-groups // fit)
+    size, larger = divmod(groups, count)
+    bounds = [k * size + min(k, larger) for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    cols has shape (n, c, taps, length): cols[:, :, t] is the window of
-    tap t (in _offsets order) flattened over the output positions.  Each
-    padded chunk (_padded_rows) has its windows copied into one reused
-    column buffer of at most _CHUNK_BYTES, or of one row's columns if that
-    is larger, so each cols is only valid until the next one is yielded.
-    An unpadded 1x1 stride-1 kernel over all of x has x itself as its
-    only window, which is yielded whole without a copy.
+
+def _columns(x: np.ndarray, kernel: int, stride: int, padding, out_sp: tuple[int, ...],
+             groups: int = 1):
+    """Yield (rows, gs, cols) per row chunk of x with `padding` zeros
+    before every spatial axis (padding[a] before axis a, if a tuple; a
+    negative padding crops) and as many after as the windows of out_sp
+    reach.
+
+    cols has shape (n, groups, group channels * taps, length), its
+    channels split into `groups` equal groups: cols[:, g, ch * taps + t]
+    is group g's channel ch's window of tap t (in _offsets order),
+    flattened over the output positions.  Each padded chunk
+    (_padded_rows) has its windows copied into one reused column buffer
+    of at most _CHUNK_BYTES, or of one row's columns if that is larger,
+    so each cols is only valid until the next one is yielded.  gs is None
+    then.  Where one row's columns exceed the budget and there are
+    several groups, the row is also cut into blocks of whole groups
+    (_group_blocks): gs is then the slice of groups whose columns cols
+    holds.  An unpadded 1x1 stride-1 kernel over all of x has x itself
+    as its only window, which is yielded whole without a copy.
     """
     B, c = x.shape[:2]
     dims = x.ndim - 2
     length = math.prod(out_sp)
     pads = padding if isinstance(padding, tuple) else (padding,) * dims
     if kernel == 1 and stride == 1 and not any(pads) and tuple(out_sp) == x.shape[2:]:
-        yield slice(None), x.reshape(B, c, 1, length)
+        yield slice(None), None, x.reshape(B, groups, -1, length)
         return
-    chunks = _row_chunks(B, x.itemsize * c * kernel**dims * length)
-    buf = np.empty((len(x[chunks[0]]), c) + (kernel,) * dims + tuple(out_sp))
+    row_bytes = x.itemsize * c * kernel**dims * length
+    chunks = _row_chunks(B, row_bytes)
+    blocks = _group_blocks(groups, row_bytes)
+    if blocks is None:
+        parts = [(None, groups, x)]
+    else:  # a row a chunk; each block of groups is padded on its own
+        cg = c // groups
+        parts = [(gs, gs.stop - gs.start, x[:, cg * gs.start : cg * gs.stop]) for gs in blocks]
+    buf = np.empty((len(x[chunks[0]]), parts[0][2].shape[1]) + (kernel,) * dims + tuple(out_sp))
     extent = tuple((n - 1) * stride + kernel for n in out_sp)
-    for rows, xc in _padded_rows(x, pads, extent, chunks):
-        n = len(xc)
-        # a view of every window: [b, ch, *off, *pos] is xc[b, ch, *(off + stride * pos)]
-        spatial_strides = xc.strides[2:]
-        strides = xc.strides[:2] + spatial_strides + tuple(s * stride for s in spatial_strides)
-        if xc.flags.c_contiguous:  # as_strided's generic path costs microseconds a call
-            windows = np.ndarray(buf[:n].shape, xc.dtype, xc, 0, strides)
-        else:
-            windows = np.lib.stride_tricks.as_strided(xc, buf[:n].shape, strides, writeable=False)
-        np.copyto(buf[:n], windows)
-        yield rows, buf[:n].reshape(n, c, -1, length)
+    for gs, count, xs in parts:
+        for rows, xc in _padded_rows(xs, pads, extent, chunks):
+            n, width = xc.shape[:2]
+            cols = buf[:n, :width]
+            # a view of every window: [b, ch, *off, *pos] is xc[b, ch, *(off + stride * pos)]
+            spatial_strides = xc.strides[2:]
+            strides = xc.strides[:2] + spatial_strides + tuple(s * stride for s in spatial_strides)
+            if xc.flags.c_contiguous:  # as_strided's generic path costs microseconds a call
+                windows = np.ndarray(cols.shape, xc.dtype, xc, 0, strides)
+            else:
+                windows = np.lib.stride_tricks.as_strided(xc, cols.shape, strides, writeable=False)
+            np.copyto(cols, windows)
+            yield rows, gs, cols.reshape(n, count, -1, length)
 
 
 def _conv_fwd(x, w, b, stride, padding):
@@ -308,8 +368,11 @@ def _conv_fwd(x, w, b, stride, padding):
     length = math.prod(out_sp)
     wmat = w.reshape(groups, cout // groups, -1)
     out = np.empty((B, groups, cout // groups, length))
-    for rows, cols in _columns(x, kernel, stride, padding, out_sp):
-        np.matmul(wmat, cols.reshape(len(cols), groups, -1, length), out=out[rows])
+    for rows, gs, cols in _columns(x, kernel, stride, padding, out_sp, groups):
+        if gs is None:
+            np.matmul(wmat, cols, out=out[rows])
+        else:
+            np.matmul(wmat[gs], cols, out=out[rows, gs])
     out = out.reshape(B, cout, *out_sp)
     if b is not None:
         out += b.reshape((1, cout) + (1,) * dims)
@@ -389,22 +452,25 @@ def _phase_blocks(spatial: tuple[int, ...], kernel: int, stride: int, padding: i
 def _input_gradient(w, dout, stride, padding, x_shape):
     """A convolution's input gradient as one stride-1 convolution of dout
     with every reached phase's kernel (_phases) stacked as extra output
-    channels of each group: one column product per row chunk of dout,
-    whose phases are copied into dx[..., r::s].
+    channels of each group: one column product per row chunk (and block
+    of groups) of dout, whose phases are copied into dx[..., r::s].
 
     A row of dout's columns (cout channels over the phase offsets) can
     outgrow a row of x's (cin channels over the taps), so the phase
     outputs are cut along their first axis into blocks of whole lines
     that keep a row's columns within the budget or a row of x's columns,
-    the bound forward's columns keep (one line, if even that is larger).
-    The blocks depend on a row's shapes only, so every product keeps its
-    per-row shape whatever the batch.
+    the bound forward's columns keep (one line, if even that is larger);
+    _columns cuts a block's row into blocks of groups under the same
+    budget, as it does x's.  The blocks depend on a row's shapes only, so
+    every product keeps its per-row shape whatever the batch.  At stride
+    1 with one block of lines, the one phase is dx itself, and the
+    product is written straight into dx.
     """
     cin = x_shape[1]
     cout, group_inputs, kernel = w.shape[:3]
     groups = cin // group_inputs
     dims = len(x_shape) - 2
-    _, span, taps, extent, phases = _phases(x_shape[2:], kernel, stride, padding)
+    lo, span, taps, extent, phases = _phases(x_shape[2:], kernel, stride, padding)
     # the phase kernels in one gather from the taps, with a zero tap appended:
     # (groups, out, in, phases, offsets) -> (groups, phases * in, out * offsets),
     # in C order whatever the reshape would leave (a product's bits can
@@ -418,17 +484,31 @@ def _input_gradient(w, dout, stride, padding, x_shape):
     line_bytes = dout.itemsize * cout * span**dims * math.prod(extent[1:])
     x_columns = dout.itemsize * cin * kernel**dims * math.prod(dout.shape[2:])
     lines = min(extent[0], max(1, max(_CHUNK_BYTES, x_columns) // line_bytes))
+    if stride == 1 and lines == extent[0]:
+        # dx's rows, (rows, groups, group inputs, positions), are the product
+        dxg = dx.reshape(len(dx), groups, group_inputs, -1)
+        for rows, gs, cols in _columns(dout, span, 1, -lo, x_shape[2:], groups):
+            if gs is None:
+                np.matmul(wphase, cols, out=dxg[rows])
+            else:
+                np.matmul(wphase[gs], cols, out=dxg[rows, gs])
+        return dx
     for pads, block, copies in _phase_blocks(x_shape[2:], kernel, stride, padding, lines):
         length = math.prod(block)
         prod = None
-        for rows, cols in _columns(dout, span, 1, pads, block):
+        for rows, gs, cols in _columns(dout, span, 1, pads, block, groups):
             n = len(cols)
-            if prod is None:  # the first chunk is the largest
-                prod = np.empty((n,) + wphase.shape[:2] + (length,))
-            pc = prod[:n]
-            np.matmul(wphase, cols.reshape(n, groups, -1, length), out=pc)
-            pc = pc.reshape((n, groups, len(phases), group_inputs) + block)
+            if prod is None:  # the first chunk (and block of groups) is the largest
+                prod = np.empty((n, cols.shape[1], wphase.shape[1], length))
             dxc = dx[rows].reshape((n, groups, group_inputs) + x_shape[2:])
+            if gs is None:
+                pc = prod[:n]
+                np.matmul(wphase, cols, out=pc)
+            else:
+                pc = prod[:, : gs.stop - gs.start]
+                np.matmul(wphase[gs], cols, out=pc)
+                dxc = dxc[:, gs]
+            pc = pc.reshape(pc.shape[:2] + (len(phases), group_inputs) + block)
             for dst, src in copies:
                 dxc[dst] = pc[src]
     return dx
@@ -444,9 +524,12 @@ def _conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     dflat = dout.reshape(B, groups, cout // groups, length)
     dw = np.empty((B,) + w.shape)
     dw_flat = dw.reshape(B, groups, cout // groups, -1)
-    for rows, cols in _columns(x, kernel, stride, padding, out_sp):
-        cols_t = cols.reshape(len(cols), groups, -1, length).transpose(0, 1, 3, 2)
-        np.matmul(dflat[rows], cols_t, out=dw_flat[rows])
+    for rows, gs, cols in _columns(x, kernel, stride, padding, out_sp, groups):
+        cols_t = cols.transpose(0, 1, 3, 2)
+        if gs is None:
+            np.matmul(dflat[rows], cols_t, out=dw_flat[rows])
+        else:
+            np.matmul(dflat[rows, gs], cols_t, out=dw_flat[rows, gs])
     dx = _input_gradient(w, dout, stride, padding, x.shape) if want_dx else None
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db

@@ -72,10 +72,27 @@ def test_type_errors_name_the_field():
         build_config({"task": {"num_classes": 1}}, env={})
 
 
+def test_packaged_catalog_and_defaults_load_equal_under_both_yaml_loaders(tmp_path):
+    """libyaml's loader, where PyYAML has it, and PyYAML's own give equal
+    documents: the packaged template catalog and print-defaults' output
+    (with the pure-Python loader only, both reads are that loader's)."""
+    import yaml
+
+    from protonas.archspace.templates import DEFAULT_TEMPLATES_PATH, SAFE_LOADER, read_yaml
+
+    assert SAFE_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    defaults = tmp_path / "defaults.yaml"
+    defaults.write_text(default_config_yaml(), encoding="utf-8")
+    for path in (DEFAULT_TEMPLATES_PATH, defaults):
+        text = path.read_text(encoding="utf-8")
+        assert read_yaml(path) == yaml.load(text, Loader=yaml.SafeLoader)
+    assert load_config(defaults, env={}).echo() == build_config(None, env={}).echo()
+
+
 def test_load_config_yaml_diagnostics(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("search: [unclosed\n")
-    with pytest.raises(ConfigError, match="invalid YAML"):
+    with pytest.raises(ConfigError, match=r"(?s)invalid YAML .*line 1, column \d+"):
         load_config(bad)
     missing = tmp_path / "missing.yaml"
     with pytest.raises(ConfigError):

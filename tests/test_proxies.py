@@ -289,6 +289,85 @@ def test_naswot_one_product_equals_two_product_formula(monkeypatch):
     assert naswot(trace, 1e-6) == two_product_naswot(codes)
 
 
+def float_agreement(codes):
+    """The code agreement matrix as c c^T + (1 - c)(1 - c)^T in float64."""
+    c = np.asarray(codes, dtype=float)
+    return c @ c.T + (1.0 - c) @ (1.0 - c).T
+
+
+def test_naswot_packed_counts_equal_float_agreement(monkeypatch):
+    """K from packed bit counts equals the float64 two-product formula bit
+    for bit: 2-16 rows, unit counts that are not multiples of 8, all-zero,
+    all-one and duplicate rows, blocks and stage flushes at many
+    boundaries; naswot reads float 0/1 codes as their truth values."""
+    import protonas.proxies.ensemble as ensemble_mod
+
+    rng = np.random.default_rng(23)
+    for code_block in (7, 8, 64, 1 << 15):
+        monkeypatch.setattr(ensemble_mod, "_CODE_BLOCK", code_block)
+        for rows in (2, 3, 8, 16):
+            for units in (1, 5, 8, 63, 130, 1001):
+                codes = rng.random((rows, units)) < rng.uniform(0.2, 0.8)
+                codes[0] = False
+                codes[-1] = True
+                if rows > 3:
+                    codes[2] = codes[1]  # a duplicate row
+                cuts = np.sort(rng.integers(0, units + 1, size=3))
+                blocks = [piece[:, lo : lo + code_block]
+                          for piece in np.split(codes, cuts, axis=1)
+                          for lo in range(0, piece.shape[1], code_block)]
+                got = ensemble_mod._agreement(blocks, rows)
+                want = float_agreement(codes)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                trace = code_trace(codes.astype(float))
+                assert naswot(trace) == two_product_naswot(codes)
+
+
+def test_naswot_reads_relus_in_node_order_from_any_pattern_source(monkeypatch):
+    """Stored boolean and float 0/1 patterns and patterns read from kept
+    outputs (zeros of both signs, NaN) count as their truth values, every
+    relu in node order, the first `rows` samples only."""
+    import protonas.proxies.ensemble as ensemble_mod
+
+    monkeypatch.setattr(ensemble_mod, "_CODE_BLOCK", 9)
+    rng = np.random.default_rng(24)
+    out = rng.standard_normal((10, 3, 7))
+    out[rng.random(out.shape) < 0.2] = 0.0
+    out[rng.random(out.shape) < 0.1] = -0.0
+    out[0, 0, :2] = np.nan
+    stored = rng.random((10, 2, 5, 3)) < 0.5
+    floats = (rng.random((10, 13)) < 0.5).astype(float)
+    trace = ForwardTrace(outputs={4: out}, relu_patterns={7: floats, 4: None, 1: stored},
+                         logits=np.zeros((10, 3)))
+    for rows in (None, 2, 8):
+        n = 10 if rows is None else rows
+        codes = np.concatenate([stored[:n].reshape(n, -1), out[:n].reshape(n, -1) > 0,
+                                floats[:n] != 0], axis=1)
+        assert naswot(trace, 1e-6, rows) == two_product_naswot(codes)
+
+
+@pytest.mark.parametrize("source", ["stored", "kept output"])
+def test_naswot_transient_stays_under_a_megabyte(source):
+    """naswot over one (8, 64, 64, 64) relu allocates under 1 MB beside
+    the trace, its pattern stored or read from the kept output: no float
+    code array and no whole-relu mask is built."""
+    import tracemalloc
+
+    out = np.random.default_rng(25).standard_normal((8, 64, 64, 64))
+    if source == "stored":
+        trace = ForwardTrace(outputs={}, relu_patterns={0: out > 0}, logits=np.zeros((8, 3)))
+    else:
+        trace = ForwardTrace(outputs={0: out}, relu_patterns={0: None}, logits=np.zeros((8, 3)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        naswot(trace)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 def unblocked_zico_ratios(grads, eps=1e-6):
     return np.abs(grads).mean(axis=0) / (grads.std(axis=0) + eps)
 

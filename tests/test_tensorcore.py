@@ -531,15 +531,17 @@ SPATIAL = [(13,), (9, 10), (8,), (7, 5)]
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("spatial", SPATIAL)
-def test_column_kernels_match_per_offset_kernels(spatial, stride):
+def test_column_kernels_match_per_offset_kernels(spatial, stride, monkeypatch):
     """The im2col kernels sum each output in another order than the
     per-offset kernels, so they agree to rounding, not bit for bit.
     Kernels run from smaller than the stride to 7, and paddings up to
-    more than k - 1."""
+    more than k - 1.  A five-channel depthwise layer also runs under a
+    budget of two channels' columns, in blocks of 2, 2 and 1 groups."""
     rng = np.random.default_rng(len(spatial) * 10 + stride)
     B, cin, cout = 3, 4, 5
     dims = len(spatial)
     x = np.maximum(rng.standard_normal((B, cin) + spatial), 0.0)
+    x5 = np.maximum(rng.standard_normal((B, 5) + spatial), 0.0)
     for kernel in (1, 2, 3, 5, 7):
         for padding in sorted({*range(kernel // 2 + 1), kernel}):
             if min(spatial) + 2 * padding < kernel:
@@ -567,6 +569,23 @@ def test_column_kernels_match_per_offset_kernels(spatial, stride):
                 assert all(max_rel_diff(g_, w_) <= 1e-12 for g_, w_ in zip(got, want))
                 assert_unreached_phases_are_zero(got[0], kernel, stride, padding)
 
+                w5 = rng.standard_normal((5, 1) + (kernel,) * dims)
+                b5 = rng.standard_normal(5) if bias else None
+                out = offset_dwconv_fwd(x5, w5, b5, stride, padding)
+                dout = rng.standard_normal(out.shape)
+                want = offset_dwconv_bwd(x5, w5, dout, stride, padding, bias)
+                row = 8 * 5 * kernel**dims * math.prod(out.shape[2:])
+                with monkeypatch.context() as m:
+                    m.setattr(engine, "_CHUNK_BYTES", -(-2 * row // 5))
+                    assert len(engine._group_blocks(5, row)) == 3
+                    got_out = engine._conv_fwd(x5, w5, b5, stride, padding)
+                    assert max_rel_diff(got_out, out) <= 1e-12
+                    for want_dx in (True, False):
+                        got = engine._conv_bwd(x5, w5, dout, stride, padding, bias, want_dx)
+                        assert (got[0] is None) != want_dx
+                        pairs = list(zip(got, want))[0 if want_dx else 1 :]
+                        assert all(max_rel_diff(g_, w_) <= 1e-12 for g_, w_ in pairs)
+
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("spatial", SPATIAL)
@@ -579,9 +598,9 @@ def test_input_gradient_in_line_blocks_matches_per_offset_kernel(spatial, stride
     blocks = []
     columns = engine._columns
 
-    def recording_columns(x, kernel, stride, padding, out_sp):
+    def recording_columns(x, kernel, stride, padding, out_sp, groups=1):
         blocks.append(out_sp)
-        yield from columns(x, kernel, stride, padding, out_sp)
+        yield from columns(x, kernel, stride, padding, out_sp, groups)
 
     monkeypatch.setattr(engine, "_columns", recording_columns)
     rng = np.random.default_rng(len(spatial) * 10 + stride)
@@ -645,16 +664,20 @@ def buffer_bytes(a):
     [
         ("depthwise-conv", (8, 36, 64, 64), 7, 1),  # the default space's largest taps
         ("conv", (8, 3, 128, 128), 3, 2),  # the default task's stem
+        ("depthwise-conv", (8, 36, 64, 64), 5, 1),  # a group's row fits the budget
+        ("depthwise-conv", (16, 29, 64, 64), 3, 2),  # explore-2d's stride-2 depthwise layers
     ],
 )
 def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, monkeypatch):
+    """No column buffer exceeds the budget or one row's columns; with
+    several groups, the budget or one group's share of a row."""
     sizes = []
     columns = engine._columns
 
-    def recording_columns(x, kernel, stride, padding, out_sp):
-        for rows, cols in columns(x, kernel, stride, padding, out_sp):
+    def recording_columns(x, kernel, stride, padding, out_sp, groups=1):
+        for rows, gs, cols in columns(x, kernel, stride, padding, out_sp, groups):
             sizes.append(buffer_bytes(cols))
-            yield rows, cols
+            yield rows, gs, cols
 
     monkeypatch.setattr(engine, "_columns", recording_columns)
     rng = np.random.default_rng(0)
@@ -664,16 +687,17 @@ def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, mo
         w = rng.standard_normal((16, shape[1], kernel, kernel))
     else:
         w = rng.standard_normal((shape[1], 1, kernel, kernel))
+    groups = shape[1] // w.shape[1]
     out = engine._conv_fwd(x, w, None, stride, padding)
     engine._conv_bwd(x, w, out, stride, padding, False)
     row_columns = 8 * shape[1] * kernel**2 * math.prod(out.shape[2:])
-    assert sizes and max(sizes) <= max(engine._CHUNK_BYTES, row_columns)
+    assert sizes and max(sizes) <= max(engine._CHUNK_BYTES, row_columns // groups)
 
 
 def test_pointwise_conv_reads_its_input_without_a_column_copy():
     x = np.random.default_rng(0).standard_normal((4, 3, 5, 6))
-    [(rows, cols)] = engine._columns(x, 1, 1, 0, (5, 6))
-    assert rows == slice(None) and np.shares_memory(cols, x)
+    [(rows, gs, cols)] = engine._columns(x, 1, 1, 0, (5, 6))
+    assert rows == slice(None) and gs is None and np.shares_memory(cols, x)
 
 
 def traced_peak(call):
@@ -983,6 +1007,134 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
                 engine._maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
                 whole_maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
             )
+
+
+def test_group_blocks_are_as_few_and_as_even_as_the_budget_allows(monkeypatch):
+    """A row over the budget is cut into the fewest blocks of whole groups
+    that fit (one group at least), whose sizes differ by one group at
+    most, the larger ones first; a row that fits, or one group, is not
+    cut."""
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1000)
+    assert engine._group_blocks(1, 10**6) is None
+    assert engine._group_blocks(36, 1000) is None
+    for groups in (2, 7, 10, 16, 29, 36):
+        for group_bytes in (1, 90, 100, 333, 999, 1000, 1001, 5000):
+            row = groups * group_bytes
+            if row <= 1000:
+                continue
+            blocks = engine._group_blocks(groups, row)
+            sizes = [gs.stop - gs.start for gs in blocks]
+            fit = max(1, 1000 // group_bytes)
+            assert blocks[0].start == 0 and blocks[-1].stop == groups
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert len(blocks) == -(-groups // fit)
+            assert max(sizes) <= fit and sorted(sizes, reverse=True) == sizes
+            assert max(sizes) - min(sizes) <= 1
+
+
+def whole_grouped_conv_fwd(x, w, stride, padding):
+    """A grouped convolution as one column product per group over the batch."""
+    B, cin = x.shape[:2]
+    cout, kernel = w.shape[0], w.shape[2]
+    groups = cin // w.shape[1]
+    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
+    length = math.prod(out_sp)
+    cols = im2col(pad(x, padding), kernel, stride, out_sp).reshape(B, groups, -1, length)
+    return (w.reshape(groups, cout // groups, -1) @ cols).reshape(B, cout, *out_sp)
+
+
+def whole_grouped_conv_bwd(x, w, dout, stride, padding, want_dx):
+    B, cin = x.shape[:2]
+    cout, kernel = w.shape[0], w.shape[2]
+    groups = cin // w.shape[1]
+    length = math.prod(dout.shape[2:])
+    cols = im2col(pad(x, padding), kernel, stride, dout.shape[2:])
+    cols = cols.reshape(B, groups, -1, length)
+    dflat = dout.reshape(B, groups, cout // groups, length)
+    dw = (dflat @ cols.transpose(0, 1, 3, 2)).reshape((B,) + w.shape)
+    dx = phase_input_gradient(w, dout, stride, padding, x.shape) if want_dx else None
+    return dx, dw
+
+
+@pytest.mark.parametrize("want_dx", [True, False])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("spatial", [(11,), (9, 10)])
+def test_group_blocked_kernels_equal_whole_batch_kernels(spatial, stride, want_dx, monkeypatch):
+    """Where a row's columns exceed the budget, the convolutions run a
+    product per block of whole groups, and give the same bits as one
+    whole-batch pass: a seven-channel depthwise layer in blocks of 2, 2,
+    2 and 1 channels, and a three-group convolution in blocks of 2 and
+    1 groups."""
+    rng = np.random.default_rng(len(spatial) * 10 + stride)
+    dims = len(spatial)
+    x = np.maximum(rng.standard_normal((3, 7) + spatial), 0.0)
+    blocks = []
+    columns = engine._columns
+
+    def recording_columns(x, kernel, stride, padding, out_sp, groups=1):
+        for rows, gs, cols in columns(x, kernel, stride, padding, out_sp, groups):
+            blocks.append(gs)
+            yield rows, gs, cols
+
+    monkeypatch.setattr(engine, "_columns", recording_columns)
+    for kernel in (3, 5):
+        for padding in (0, kernel // 2):
+            for xs, w in (
+                (x, rng.standard_normal((7, 1) + (kernel,) * dims)),
+                (x[:, :6], rng.standard_normal((6, 2) + (kernel,) * dims)),
+            ):
+                groups = xs.shape[1] // w.shape[1]
+                out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in spatial)
+                row = 8 * xs.shape[1] * kernel**dims * math.prod(out_sp)
+                monkeypatch.setattr(engine, "_CHUNK_BYTES", -(-2 * row // groups))
+                out = whole_grouped_conv_fwd(xs, w, stride, padding)
+                blocks.clear()
+                assert_same_bits(engine._conv_fwd(xs, w, None, stride, padding), out)
+                spans = sorted({(gs.start, gs.stop) for gs in blocks})
+                assert [b - a for a, b in spans] == [2] * (groups // 2) + [1] * (groups % 2)
+                assert len(blocks) == len(xs) * len(spans)
+                dout = np.maximum(rng.standard_normal(out.shape), 0.0)
+                dout *= rng.choice([1.0, -1.0], out.shape)
+                got = engine._conv_bwd(xs, w, dout, stride, padding, False, want_dx)
+                want = whole_grouped_conv_bwd(xs, w, dout, stride, padding, want_dx)
+                for g_, w_ in zip(got, want):
+                    assert_same_bits(g_, w_)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_depthwise_rows_that_fit_make_the_same_column_calls(stride, monkeypatch):
+    """A depthwise layer whose row of columns fits the budget is cut into
+    row chunks only, as a regular convolution is: one _columns call per
+    operand, one yield per row chunk, each over every group."""
+    calls = []
+    columns = engine._columns
+
+    def recording_columns(x, kernel, stride, padding, out_sp, groups=1):
+        yields = []
+        calls.append((x.shape, kernel, stride, padding, tuple(out_sp), groups, yields))
+        for rows, gs, cols in columns(x, kernel, stride, padding, out_sp, groups):
+            yields.append((rows, gs, cols.shape))
+            yield rows, gs, cols
+
+    monkeypatch.setattr(engine, "_columns", recording_columns)
+    rng = np.random.default_rng(stride)
+    x = rng.standard_normal((16, 12, 32, 32))
+    w = rng.standard_normal((12, 1, 3, 3))
+    out = engine._conv_fwd(x, w, None, stride, 1)
+    engine._conv_bwd(x, w, out, stride, 1, False)
+    length = math.prod(out.shape[2:])
+    row = 8 * 12 * 9 * length
+    assert row <= engine._CHUNK_BYTES
+    chunks = engine._row_chunks(16, row)
+    assert len(chunks) > 1
+    want = [(rows, None, (len(range(16)[rows]), 12, 9, length)) for rows in chunks]
+    assert calls[0] == (x.shape, 3, stride, 1, out.shape[2:], 12, want)
+    assert calls[1] == calls[0]
+    # the input gradient's columns of dout: one call, all groups in each chunk
+    (shape, span, _, _, extent, groups, yields), = calls[2:]
+    assert shape == out.shape and groups == 12
+    assert [gs for _, gs, _ in yields] == [None] * len(yields)
+    assert [cols[1] for _, _, cols in yields] == [12] * len(yields)
 
 
 def depthwise_chain(spatial=(12, 12)):
