@@ -4,18 +4,19 @@ Times forward (_conv_fwd) and backward with the input gradient
 (_conv_bwd) of the depthwise layers that dominate 2-D scoring: the
 default space's k5/k7 stride-1 layers and explore-2d's k3 layers.  Each
 layer runs on standard-normal data with He weights; the time of a
-kernel is the best of --repeat calls.
+kernel is the best of REPEAT calls in each of ROUNDS runs.
 
 Run from the root of a checkout:
 
     python3 scripts/layer_timings.py                       # this checkout's src/
-    python3 scripts/layer_timings.py --src OTHER/src --src src --rounds 3
+    python3 scripts/layer_timings.py --src OTHER/src --src src
 
-With several --src trees, each is timed in its own process, the trees
-alternate within every round, and each layer's best time over the rounds
-is reported per tree, with the last tree's speedup over the first
-(forward plus backward) and whether the trees' outputs, dx and dw have
-the same bits (a sha256 of their bytes).  BLAS is pinned to one thread.
+Each tree is timed in its own process, ROUNDS times; with several --src
+trees, the trees alternate within every round.  Each layer's best time
+over the rounds is reported per tree, with the last tree's speedup over
+the first (forward plus backward) and whether the trees' outputs, dx and
+dw have the same bits (a sha256 of their bytes).  BLAS is pinned to one
+thread.
 The last line of standard output is one JSON object with every number.
 """
 
@@ -32,6 +33,8 @@ import time
 from pathlib import Path
 
 PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+REPEAT = 7  # calls per kernel in one run; the best is kept
+ROUNDS = 6  # runs of every tree, alternating which tree goes first
 
 # (batch, channels, *spatial), kernel, stride; padding is kernel // 2
 LAYERS = [
@@ -49,9 +52,9 @@ def label(shape, kernel, stride) -> str:
     return f"{tuple(shape)} k{kernel} s{stride}"
 
 
-def time_layers(repeat: int) -> dict:
-    """Best-of-`repeat` forward and backward seconds per layer, with a
-    digest of the bits of the output, dx and dw."""
+def time_layers() -> dict:
+    """Best-of-REPEAT forward and backward milliseconds per layer, with
+    a digest of the bits of the output, dx and dw."""
     import numpy as np
 
     from protonas.tensorcore import engine
@@ -74,7 +77,7 @@ def time_layers(repeat: int) -> dict:
             ("backward_ms", lambda: engine._conv_bwd(x, w, dout, stride, padding, False)),
         ):
             best = math.inf
-            for _ in range(repeat):
+            for _ in range(REPEAT):
                 t0 = time.perf_counter()
                 call()
                 best = min(best, time.perf_counter() - t0)
@@ -83,9 +86,9 @@ def time_layers(repeat: int) -> dict:
     return results
 
 
-def run_child(src: Path, repeat: int) -> dict:
+def run_child(src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), **PINNED_THREADS)
-    cmd = [sys.executable, __file__, "--child", "--repeat", str(repeat)]
+    cmd = [sys.executable, __file__, "--child"]
     done = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -94,19 +97,17 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", action="append", type=Path,
                     help="a tree's src/ directory (repeatable; default: this checkout's src/)")
-    ap.add_argument("--rounds", type=int, default=1, help="runs of every tree, alternating")
-    ap.add_argument("--repeat", type=int, default=7, help="calls per kernel; the best is kept")
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(time_layers(args.repeat)))
+        print(json.dumps(time_layers()))
         return 0
     srcs = args.src or [Path(__file__).resolve().parent.parent / "src"]
     best: dict[str, dict] = {str(s): {} for s in srcs}
-    for k in range(args.rounds):
+    for k in range(ROUNDS):
         # alternate which tree runs first
         for src in srcs if k % 2 == 0 else srcs[::-1]:
-            for layer, res in run_child(src.resolve(), args.repeat).items():
+            for layer, res in run_child(src.resolve()).items():
                 kept = best[str(src)].setdefault(layer, dict(res))
                 for key in ("forward_ms", "backward_ms"):
                     kept[key] = min(kept[key], res[key])
@@ -126,8 +127,8 @@ def main(argv=None) -> int:
         print(line + f"  {total:>19.2f}x  {same}")
     for i, src in enumerate(srcs):
         print(f"tree {i}: {src}")
-    print(json.dumps({"trees": [str(s) for s in srcs], "rounds": args.rounds,
-                      "repeat": args.repeat, "layers": best}))
+    print(json.dumps({"trees": [str(s) for s in srcs], "rounds": ROUNDS,
+                      "repeat": REPEAT, "layers": best}))
     return 0
 
 

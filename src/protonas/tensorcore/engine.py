@@ -56,8 +56,8 @@ and drops every other one once its last consumer has run.  The trace
 holds those outputs, the logits, the argmaxes, every shape, and each
 relu's pattern a > 0 except where it keeps the relu's output and
 backward reads that output: there max(a, 0) > 0 is the same pattern
-(ForwardTrace.relu_mask), so it is not stored twice.  Backward drops
-each array once the last node that reads it has run (such a relu's
+(ForwardTrace.relu_mask_blocks), so it is not stored twice.  Backward
+drops each array once the last node that reads it has run (such a relu's
 output at the relu's own step), so a trace that nobody else holds is
 freed as backward goes.  It hands each weighted node's per-sample
 gradients to a consumer as soon as they are made, or collects them all
@@ -153,7 +153,7 @@ class ForwardTrace:
     axis first).
 
     relu_patterns maps every relu node to its pattern, or to None where
-    the pattern is read from the relu's kept output (relu_mask).
+    the pattern is read from the relu's kept output (relu_mask_blocks).
     """
 
     outputs: dict[int, np.ndarray]
@@ -162,22 +162,13 @@ class ForwardTrace:
     pool_argmax: dict[int, np.ndarray] = field(default_factory=dict)
     shapes: list[tuple[int, ...]] = field(default_factory=list)
 
-    def relu_mask(self, i: int, rows: int | None = None) -> np.ndarray:
-        """Relu node i's activation pattern a > 0 on the first `rows`
-        samples (all of them by default): the stored one, or its kept
-        output's max(a, 0) > 0, which is the same exactly (NaN and -0.0
-        give False either way)."""
-        pattern = self.relu_patterns.get(i)
-        if pattern is not None:
-            return pattern[:rows]
-        return self._relu_output(i)[:rows] > 0
-
     def relu_mask_blocks(self, i: int, rows: int, units: int):
-        """Yield relu node i's pattern on the first `rows` samples,
-        flattened per sample, in blocks of at most `units` columns, as
-        truth values: views of a stored boolean pattern, and otherwise
-        made a block at a time (a stored pattern's nonzero entries, or the
-        kept output's positive ones, as relu_mask reads it)."""
+        """Yield relu node i's activation pattern a > 0 on the first
+        `rows` samples, flattened per sample, in blocks of at most `units`
+        columns, as truth values: views of a stored boolean pattern, and
+        otherwise made a block at a time: a stored pattern's nonzero
+        entries, or the kept output's max(a, 0) > 0, which is the same
+        exactly (NaN and -0.0 give False either way)."""
         pattern = self.relu_patterns.get(i)
         src = self._relu_output(i) if pattern is None else pattern
         flat = src[:rows].reshape(rows, -1)
@@ -320,31 +311,31 @@ def _columns(x: np.ndarray, kernel: int, stride: int, padding, out_sp: tuple[int
     flattened over the output positions.  Each padded chunk
     (_padded_rows) has its windows copied into one reused column buffer
     of at most _CHUNK_BYTES, or of one row's columns if that is larger,
-    so each cols is only valid until the next one is yielded.  gs is None
-    then.  Where one row's columns exceed the budget and there are
-    several groups, the row is also cut into blocks of whole groups
-    (_group_blocks): gs is then the slice of groups whose columns cols
-    holds.  An unpadded 1x1 stride-1 kernel over all of x has x itself
-    as its only window, which is yielded whole without a copy.
+    so each cols is only valid until the next one is yielded.  gs is the
+    slice of groups whose columns cols holds: all of them, unless one
+    row's columns exceed the budget and there are several groups, where
+    the row is also cut into blocks of whole groups (_group_blocks).  An
+    unpadded 1x1 stride-1 kernel over all of x has x itself as its only
+    window, which is yielded whole without a copy.
     """
     B, c = x.shape[:2]
     dims = x.ndim - 2
     length = math.prod(out_sp)
     pads = padding if isinstance(padding, tuple) else (padding,) * dims
     if kernel == 1 and stride == 1 and not any(pads) and tuple(out_sp) == x.shape[2:]:
-        yield slice(None), None, x.reshape(B, groups, -1, length)
+        yield slice(None), slice(0, groups), x.reshape(B, groups, -1, length)
         return
     row_bytes = x.itemsize * c * kernel**dims * length
     chunks = _row_chunks(B, row_bytes)
     blocks = _group_blocks(groups, row_bytes)
     if blocks is None:
-        parts = [(None, groups, x)]
+        parts = [(slice(0, groups), x)]
     else:  # a row a chunk; each block of groups is padded on its own
         cg = c // groups
-        parts = [(gs, gs.stop - gs.start, x[:, cg * gs.start : cg * gs.stop]) for gs in blocks]
-    buf = np.empty((len(x[chunks[0]]), parts[0][2].shape[1]) + (kernel,) * dims + tuple(out_sp))
+        parts = [(gs, x[:, cg * gs.start : cg * gs.stop]) for gs in blocks]
+    buf = np.empty((len(x[chunks[0]]), parts[0][1].shape[1]) + (kernel,) * dims + tuple(out_sp))
     extent = tuple((n - 1) * stride + kernel for n in out_sp)
-    for gs, count, xs in parts:
+    for gs, xs in parts:
         for rows, xc in _padded_rows(xs, pads, extent, chunks):
             n, width = xc.shape[:2]
             cols = buf[:n, :width]
@@ -356,7 +347,7 @@ def _columns(x: np.ndarray, kernel: int, stride: int, padding, out_sp: tuple[int
             else:
                 windows = np.lib.stride_tricks.as_strided(xc, cols.shape, strides, writeable=False)
             np.copyto(cols, windows)
-            yield rows, gs, cols.reshape(n, count, -1, length)
+            yield rows, gs, cols.reshape(n, gs.stop - gs.start, -1, length)
 
 
 def _conv_fwd(x, w, b, stride, padding):
@@ -369,10 +360,7 @@ def _conv_fwd(x, w, b, stride, padding):
     wmat = w.reshape(groups, cout // groups, -1)
     out = np.empty((B, groups, cout // groups, length))
     for rows, gs, cols in _columns(x, kernel, stride, padding, out_sp, groups):
-        if gs is None:
-            np.matmul(wmat, cols, out=out[rows])
-        else:
-            np.matmul(wmat[gs], cols, out=out[rows, gs])
+        np.matmul(wmat[gs], cols, out=out[rows, gs])
     out = out.reshape(B, cout, *out_sp)
     if b is not None:
         out += b.reshape((1, cout) + (1,) * dims)
@@ -488,10 +476,7 @@ def _input_gradient(w, dout, stride, padding, x_shape):
         # dx's rows, (rows, groups, group inputs, positions), are the product
         dxg = dx.reshape(len(dx), groups, group_inputs, -1)
         for rows, gs, cols in _columns(dout, span, 1, -lo, x_shape[2:], groups):
-            if gs is None:
-                np.matmul(wphase, cols, out=dxg[rows])
-            else:
-                np.matmul(wphase[gs], cols, out=dxg[rows, gs])
+            np.matmul(wphase[gs], cols, out=dxg[rows, gs])
         return dx
     for pads, block, copies in _phase_blocks(x_shape[2:], kernel, stride, padding, lines):
         length = math.prod(block)
@@ -500,14 +485,9 @@ def _input_gradient(w, dout, stride, padding, x_shape):
             n = len(cols)
             if prod is None:  # the first chunk (and block of groups) is the largest
                 prod = np.empty((n, cols.shape[1], wphase.shape[1], length))
-            dxc = dx[rows].reshape((n, groups, group_inputs) + x_shape[2:])
-            if gs is None:
-                pc = prod[:n]
-                np.matmul(wphase, cols, out=pc)
-            else:
-                pc = prod[:, : gs.stop - gs.start]
-                np.matmul(wphase[gs], cols, out=pc)
-                dxc = dxc[:, gs]
+            pc = prod[:n, : gs.stop - gs.start]
+            np.matmul(wphase[gs], cols, out=pc)
+            dxc = dx[rows].reshape((n, groups, group_inputs) + x_shape[2:])[:, gs]
             pc = pc.reshape(pc.shape[:2] + (len(phases), group_inputs) + block)
             for dst, src in copies:
                 dxc[dst] = pc[src]
@@ -525,11 +505,7 @@ def _conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     dw = np.empty((B,) + w.shape)
     dw_flat = dw.reshape(B, groups, cout // groups, -1)
     for rows, gs, cols in _columns(x, kernel, stride, padding, out_sp, groups):
-        cols_t = cols.transpose(0, 1, 3, 2)
-        if gs is None:
-            np.matmul(dflat[rows], cols_t, out=dw_flat[rows])
-        else:
-            np.matmul(dflat[rows, gs], cols_t, out=dw_flat[rows, gs])
+        np.matmul(dflat[rows, gs], cols.transpose(0, 1, 3, 2), out=dw_flat[rows, gs])
     dx = _input_gradient(w, dout, stride, padding, x.shape) if want_dx else None
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
@@ -653,8 +629,8 @@ def forward(
     is the same output).  The batch and the kept outputs are never
     written.  The logits, max-pool argmaxes and output shapes are always
     recorded, and so is each relu's pattern, except that of a relu whose
-    output is kept and read by backward (backward_reads): relu_mask reads
-    that one from the output.
+    output is kept and read by backward (backward_reads): relu_mask_blocks
+    reads that one from the output.
     """
     x = _as_batch(g, batch)
     outputs: dict[int, np.ndarray] = {}

@@ -697,7 +697,7 @@ def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, mo
 def test_pointwise_conv_reads_its_input_without_a_column_copy():
     x = np.random.default_rng(0).standard_normal((4, 3, 5, 6))
     [(rows, gs, cols)] = engine._columns(x, 1, 1, 0, (5, 6))
-    assert rows == slice(None) and gs is None and np.shares_memory(cols, x)
+    assert rows == slice(None) and gs == slice(0, 1) and np.shares_memory(cols, x)
 
 
 def traced_peak(call):
@@ -1127,13 +1127,13 @@ def test_depthwise_rows_that_fit_make_the_same_column_calls(stride, monkeypatch)
     assert row <= engine._CHUNK_BYTES
     chunks = engine._row_chunks(16, row)
     assert len(chunks) > 1
-    want = [(rows, None, (len(range(16)[rows]), 12, 9, length)) for rows in chunks]
+    want = [(rows, slice(0, 12), (len(range(16)[rows]), 12, 9, length)) for rows in chunks]
     assert calls[0] == (x.shape, 3, stride, 1, out.shape[2:], 12, want)
     assert calls[1] == calls[0]
     # the input gradient's columns of dout: one call, all groups in each chunk
     (shape, span, _, _, extent, groups, yields), = calls[2:]
     assert shape == out.shape and groups == 12
-    assert [gs for _, gs, _ in yields] == [None] * len(yields)
+    assert [gs for _, gs, _ in yields] == [slice(0, 12)] * len(yields)
     assert [cols[1] for _, _, cols in yields] == [12] * len(yields)
 
 
@@ -1185,7 +1185,7 @@ def test_forward_trace_holds_exactly_the_kept_outputs():
             assert kept.shapes == [full.outputs[i].shape for i in range(len(g.nodes))]
             assert kept.relu_patterns.keys() == full.relu_patterns.keys()
             for i in full.relu_patterns:
-                assert np.array_equal(kept.relu_mask(i), full.relu_mask(i))
+                assert np.array_equal(relu_mask(kept, i), relu_mask(full, i))
         # the max-pool argmax is held in one byte a cell, with the kernel's values
         pools = [i for i, node in enumerate(g.nodes) if node.kind == "maxpool"]
         assert list(full.pool_argmax) == pools
@@ -1273,6 +1273,14 @@ def relu_probe_graph(spatial=(2, 5)):
     return g
 
 
+def relu_mask(trace, i, rows=None):
+    """Relu node i's pattern on the first `rows` samples (all of them by
+    default), flattened per sample: ForwardTrace.relu_mask_blocks' blocks
+    of 7 units (a size that divides no layer here) put back together."""
+    rows = len(trace.logits) if rows is None else rows
+    return np.concatenate(list(trace.relu_mask_blocks(i, rows, 7)), axis=1)
+
+
 def special_values_batch(rng, shape):
     """A batch whose entries include NaN, both zeros, infinities and
     subnormals beside normal draws."""
@@ -1285,8 +1293,9 @@ def special_values_batch(rng, shape):
 
 
 def test_relu_masks_are_read_from_kept_outputs():
-    """relu_mask is a > 0 of the relu's input in a keep-all forward, for
-    every relu and keep set, NaN and -0.0 included.  No pattern is stored
+    """relu_mask_blocks reads a > 0 of the relu's input in a keep-all
+    forward, as truth values in blocks of any size, for every relu and
+    keep set, NaN and -0.0 included.  No pattern is stored
     for a relu whose output is kept and read by backward; backward reads
     it from that output, leaves it as it was, and gives the gradients of a
     trace that stores every pattern."""
@@ -1306,8 +1315,13 @@ def test_relu_masks_are_read_from_kept_outputs():
             for i in relus:
                 derived = i in reads and (keep is None or i in keep)
                 assert (trace.relu_patterns[i] is None) == derived
-                assert np.array_equal(trace.relu_mask(i), want[i])
-                assert np.array_equal(trace.relu_mask(i, rows=2), want[i][:2])
+                flat = want[i].reshape(len(batch), -1)
+                for rows in (None, 2):
+                    got = relu_mask(trace, i, rows)
+                    assert got.dtype == bool and np.array_equal(got, flat[:rows])
+                # one block holds all the units
+                whole = list(trace.relu_mask_blocks(i, 2, flat.shape[1]))
+                assert len(whole) == 1 and np.array_equal(whole[0], flat[:2])
         # backward from a trace deriving its masks equals one storing them all
         kept = forward(g, params, batch, keep=reads)
         held = {i: a.copy() for i, a in kept.outputs.items()}
@@ -1332,8 +1346,8 @@ def test_relu_masks_are_read_from_kept_outputs():
         trace = forward(g, params, batch, keep=engine.backward_reads(g))
         full = forward(g, params, batch)
     assert trace.relu_patterns[0] is None
-    assert np.array_equal(trace.relu_mask(0), batch > 0)
-    assert np.array_equal(full.relu_mask(0), batch > 0)
+    assert np.array_equal(relu_mask(trace, 0), (batch > 0).reshape(3, -1))
+    assert np.array_equal(relu_mask(full, 0), (batch > 0).reshape(3, -1))
 
 
 def test_a_trace_without_a_relu_mask_is_rejected():
@@ -1349,7 +1363,7 @@ def test_a_trace_without_a_relu_mask_is_rejected():
     )
     for bad, node in ((lacking, 2), (trace, 1), (trace, 99)):
         with pytest.raises(ShapeMismatch):
-            bad.relu_mask(node)
+            relu_mask(bad, node)
     with pytest.raises(ShapeMismatch):
         backward(g, params, batch, np.array([0, 1]), trace=lacking)
     # no entry at all for relu 4
