@@ -1,43 +1,24 @@
 """Training-free candidate scoring.
 
-Four proxies evaluated at initialization, higher is better for all.
-Each is one function over what a single engine pass over the
-candidate's proxy batches makes: a ForwardTrace, or one parameter
-tensor's or one weighted layer's per-sample gradients.
+Four proxies evaluated at initialization, higher is better for each:
+snip (connection sensitivity), naswot (log-determinant of the ReLU code
+agreement matrix), zico (gradient mean over spread, per layer) and meco
+(smallest channel-correlation eigenvalue per superblock tap).  Each is
+one function over what one engine pass over a candidate's proxy batches
+makes: a ForwardTrace, or one weighted layer's per-sample gradients.
 
-snip(theta, grad, rows)    one parameter tensor's connection sensitivity,
-                           sum of |theta * mean_b g_b| on the first
-                           `rows` samples; the score sums it over every
-                           weight tensor, then every bias tensor.
-naswot(trace, eps, rows)   log-determinant of the ReLU code agreement
-                           matrix of the first `rows` samples: K[i, j]
-                           counts the activation-pattern bits samples i
-                           and j share.  The patterns are packed 8 units
-                           a byte, a block at a time, and K comes from
-                           exact integer counts of each pair's common
-                           set bits (AND, then bitwise_count), so no
-                           float code array is built.
-zico(grads, eps)           one weighted layer's log of the summed
-                           per-parameter ratio of the mean absolute
-                           per-sample gradient to its standard deviation
-                           across samples; the score sums it over the
-                           layers in node order.
-meco(g, trace, eps)        per superblock tap, the smallest eigenvalue of
-                           the channel Pearson correlation matrix on the
-                           first sample, summed over taps.
+Bits: a candidate's scores depend only on the graph, the parameters and
+the seed.  Batch rows never mix in the engine, so each row's activations
+and gradients are those of a pass over its own batch, and each score
+sums its terms in a fixed order (snip: the weight terms in backward's
+order, then the bias terms; zico and meco: node order).  naswot counts
+shared pattern bits exactly, in integers.  Epsilon floors keep every
+score finite.
 
-evaluate_ensemble draws one deterministic batch stream, so a candidate's
-scores depend only on the graph, parameters, and seed.  It stacks the
-num_batches_zico batches into one, and the engine runs one forward and
-one backward on it.  Batch rows never mix in the engine, so each row's
-activations and per-sample gradients are those of a pass over its own
-batch.  The forward trace keeps only what backward and meco read;
-naswot (first batch) and meco (row 0) read it before backward consumes
-it.  Backward hands each weighted layer's gradients to snip (first
-batch) and zico (all of them) as it makes them and keeps none, so no
-more than one layer's gradients are held at a time; the terms are
-summed in the order above.  Epsilon floors keep every score finite on
-degenerate inputs.
+Memory: the forward trace keeps only what backward and meco read, and
+naswot and meco read it before backward consumes it.  Backward hands
+each layer's gradients to snip and zico as it makes them, so no more
+than one layer's gradients are held at a time.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from ..costmodel.model import CostEstimate, Feasibility, TargetProfile, check, e
 from ..errors import ConfigError, ProtonasError
 from ..proxies.ensemble import PROXY_NAMES, ProxyBatchConfig, ProxyScores, evaluate_ensemble
 from ..tensorcore.engine import init_params, retain_freed_memory
-from .moo import constrained_dominates, crowding_distance, nondominated_sort
+from .moo import crowding_distance, nondominated_sort
 
 log = logging.getLogger(__name__)
 
@@ -249,15 +249,10 @@ def _select_survivors(
 
 
 def compute_pareto_indices(records: list[CandidateRecord]) -> list[int]:
-    """Feasible records not constrained-dominated by any other record."""
-    feasible = [i for i, r in enumerate(records) if r.feasibility.feasible]
-    out = []
-    for i in feasible:
-        if not any(
-            constrained_dominates(records[j], records[i]) for j in feasible if j != i
-        ):
-            out.append(i)
-    return out
+    """Feasible records not constrained-dominated by any other record: the
+    feasible members of the first non-dominated front, in index order."""
+    first = next(iter(nondominated_sort(records)), [])
+    return [i for i in first if records[i].feasibility.feasible]
 
 
 def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) -> ParetoArchive:

@@ -1,90 +1,33 @@
 """Double-precision forward/backward engine for architecture graphs.
 
-Runs decoded graphs directly from their LayerSpec nodes on float64
-numpy arrays, with archspace/graph.py's kinds and weight shapes.
-Convolutions are lowered to matrix products over im2col columns: a row
-chunk's kernel-offset windows are copied once into a
-(rows, channels, taps, positions) buffer (_columns), and the kernel pair
-_conv_fwd/_conv_bwd makes one product per chunk for the output and one
-for the weight gradient.  The input gradient is a forward convolution
-too, at any stride (_phases): input phase r along an axis (the inputs
-r, r + s, r + 2s, ...) reads the output gradient through the taps
-t = r + p (mod s) only, each shifted by whole positions, so every
-phase's gradient is a stride-1 convolution of the output gradient.  The
-phases are stacked as extra output channels of each group, and one
-column product per chunk yields all of them; each is then copied into
-its strided slice of dx.  At stride 1 the one phase's kernel is the
-kernel flipped in space with its in and out channels swapped, and the
-phase is dx itself: where one block of lines (below) covers the input,
-the product is written straight into dx, with no product buffer and no
-copy.
+Runs decoded graphs from their LayerSpec nodes on float64 numpy arrays,
+with archspace/graph.py's kinds and weight shapes.  A convolution, with
+cin // w.shape[1] groups (one per channel for a depthwise layer), is
+lowered to im2col column products batched over its groups (_columns):
+for the output, the weight gradient and the input gradient, a stride-1
+convolution of dout with the phases' kernels stacked (_phases).
 
-One kernel pair serves both convolution kinds.  A convolution reads its
-group count from the weight, cin // w.shape[1]: one group for a regular
-convolution, one per channel for a depthwise (c, 1, k...) weight.  Every
-product is batched over the groups.
+Bits: batch rows never mix, and every product keeps its per-row shape,
+its operands' layout and its order, so the results are those of one
+whole-batch pass.  The nodes that work in place give every ufunc the
+operands and order of fresh outputs.  Memory: convolution and max
+pooling work in the blocks of one plan per layer geometry (_plan),
+whose buffers stay within _CHUNK_BYTES where they can.
 
-The spatial kernels (convolution and max pooling) work through the
-batch in row chunks of about _CHUNK_BYTES (_row_chunks): of column
-buffer for the convolutions, of padded input for pooling.  A row whose
-columns exceed the budget is a chunk of its own; the input gradient's
-columns of dout are cut further, into blocks of lines, where a row of
-them outgrows a row of x's columns.  Such a row of a grouped
-convolution (a depthwise layer) is also cut into blocks of whole groups
-(_group_blocks): as few as keep a block's columns within the budget,
-one group at least, their sizes at most one group apart.  Each block is
-padded and copied on its own and has its own product over its groups,
-so its columns stay in cache: a k7 depthwise row of (36, 64, 64) holds
-58 MB of columns.  A row that fits, and every regular convolution, has
-one product per row chunk.  A batch that fits, such as any 1-D batch
-here, is one chunk.  No kernel pads the whole batch: each pads a chunk
-into one reused buffer, whose border is written once.  Max-pool forward
-visits the kernel offsets in increasing order and updates the argmax
-with maximum(argmax, (window > out) * idx): idx exceeds every offset
-recorded before it, so the maximum takes it exactly where the window is
-strictly greater.  Max-pool backward adds
-each output's gradient at its argmax with one weighted bincount per
-chunk over flat padded indices, and copies the interior out.  Rows never
-mix and every matrix product keeps its per-row shape, so the results are
-the same bits as a whole-batch pass.
-
-Backward is reverse-mode over the recorded forward activations.  It
-reads only the inputs of weighted nodes (backward_reads), the ReLU
-patterns and the max-pool argmaxes; every other node's output shape
-comes from the trace.  forward can keep just the outputs a caller names
-and drops every other one once its last consumer has run.  The trace
-holds those outputs, the logits, the argmaxes, every shape, and each
-relu's pattern a > 0 except where it keeps the relu's output and
-backward reads that output: there max(a, 0) > 0 is the same pattern
-(ForwardTrace.relu_mask_blocks), so it is not stored twice.  Backward
-drops each array once the last node that reads it has run (such a relu's
-output at the relu's own step), so a trace that nobody else holds is
-freed as backward goes.  It hands each weighted node's per-sample
-gradients to a consumer as soon as they are made, or collects them all
-into a GradientRecord.
-Batchnorm runs in initialization-statistics mode (zero mean, unit
-variance, identity affine) and carries no parameters.
-
-The elementwise nodes (relu, batchnorm, add) make no new array where
-they can reuse one.  In forward, such a node writes its result over its
-first input when that input is neither the batch nor a kept output and
-the node is its last reader; nothing is overwritten when forward keeps
-every output.  In backward, relu and batchnorm scale their output
-gradient in place, and a gradient reaching an input that already has
-one is added into the other, whenever the array written is exclusive:
-shared with no other pending gradient (see backward).  Backward never
-writes the trace.  Every ufunc gets the same operands in the same order
-as with fresh outputs, so the bits do not change.
-
-Loss is softmax cross-entropy.  Batch rows never mix (batchnorm uses
-fixed statistics), so one backward pass yields per-sample gradients:
-the loss gradient is seeded per row and every weight/bias gradient keeps
-the leading batch axis.  Averaging that axis gives the gradient of the
-mean loss over the batch.
+Forward keeps the outputs a caller names, drops the others after their
+last consumer (a relu, batchnorm or add may write over them), and keeps
+the logits, max-pool argmaxes, shapes and relu patterns, but not the
+pattern of a relu whose kept output holds it.  Backward keeps nothing
+it has read: it drops each array after its last reader, never writes
+the trace, and hands each weighted node's per-sample gradients to a
+consumer as soon as they are made.  The loss is softmax cross-entropy
+seeded per row; batchnorm uses fixed statistics (zero mean, unit
+variance, identity affine) and has no parameters.
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import itertools
@@ -100,11 +43,8 @@ from ..errors import ShapeMismatch
 
 _BN_EPS = 1e-5
 _BN_SCALE = 1.0 / math.sqrt(1.0 + _BN_EPS)
-# Bytes of im2col columns (convolutions) or padded input (pooling) per
-# row chunk of the spatial kernels, so a chunk's buffers stay in cache.
-# Budgets from 128 KiB to 2 MiB time within about 20% of each other on
-# the default space's layers; whole 8-row batches are 25-60% slower, and
-# their columns take 8 times the memory.
+# Bytes of a block's buffer (_plan), to stay in cache: budgets of 128 KiB
+# to 2 MiB time within 20% on the default space, whole batches 25-60% slower.
 _CHUNK_BYTES = 1 << 20
 # glibc's mallopt parameter numbers.
 _M_TRIM_THRESHOLD = -1
@@ -170,19 +110,15 @@ class ForwardTrace:
         entries, or the kept output's max(a, 0) > 0, which is the same
         exactly (NaN and -0.0 give False either way)."""
         pattern = self.relu_patterns.get(i)
-        src = self._relu_output(i) if pattern is None else pattern
-        flat = src[:rows].reshape(rows, -1)
+        if pattern is None and (i not in self.relu_patterns or i not in self.outputs):
+            raise ShapeMismatch(f"trace holds no activation pattern of node {i}")
+        flat = (self.outputs[i] if pattern is None else pattern)[:rows].reshape(rows, -1)
         for lo in range(0, flat.shape[1], units):
             block = flat[:, lo : lo + units]
             if pattern is None:
                 yield block > 0
             else:
                 yield block if block.dtype == bool else block != 0
-
-    def _relu_output(self, i: int) -> np.ndarray:
-        if i not in self.relu_patterns or i not in self.outputs:
-            raise ShapeMismatch(f"trace holds no activation pattern of node {i}")
-        return self.outputs[i]
 
 
 @dataclass
@@ -220,50 +156,8 @@ def init_params(g: ArchitectureGraph, rng: np.random.Generator) -> ParamSet:
     return ParamSet(weights, biases)
 
 
-@functools.cache  # keyed by geometry, like _phases
-def _shift(spatial: tuple[int, ...], pads: tuple[int, ...], extent: tuple[int, ...]):
-    """For _padded_rows: the index of x's cells that are kept, and of
-    where they land in the buffer, or None when no cell needs filling
-    (the kept cells are then a view of x)."""
-    src = (slice(None),) * 2 + tuple(slice(max(-p, 0), e - p) for p, e in zip(pads, extent))
-    if all(p <= 0 and e - p <= n for p, e, n in zip(pads, extent, spatial)):
-        return src, None
-    dst = (slice(None),) * 2 + tuple(
-        slice(max(p, 0), min(e, n + p)) for p, e, n in zip(pads, extent, spatial)
-    )
-    return src, dst
-
-
-def _padded_rows(x, padding, extent: tuple[int, ...], chunks: list[slice], value=0.0):
-    """Yield (rows, xc) per chunk: x[rows] shifted by `padding` cells along
-    every spatial axis (by padding[a] along axis a, if a tuple), cut or
-    filled with `value` to `extent` cells.
-
-    A positive padding puts that many cells of `value` before x, a
-    negative one crops that many of x's first cells.  Chunks that need
-    filling are copied into one reused buffer, whose border is written
-    once, so each xc is only valid until the next one is yielded; the
-    others are views of x.
-    """
-    spatial = x.shape[2:]
-    pads = padding if isinstance(padding, tuple) else (padding,) * len(spatial)
-    src, dst = _shift(spatial, pads, extent)
-    if dst is None:
-        for rows in chunks:
-            yield rows, x[rows][src]
-        return
-    buf = np.empty((len(x[chunks[0]]), x.shape[1]) + extent)
-    buf.fill(value)
-    for rows in chunks:
-        xc = buf[: len(x[rows])]
-        xc[dst] = x[rows][src]
-        yield rows, xc
-
-
 def _offsets(kernel: int, dims: int):
-    if dims == 1:
-        return [(d,) for d in range(kernel)]
-    return [(dy, dx) for dy in range(kernel) for dx in range(kernel)]
+    return list(itertools.product(range(kernel), repeat=dims))
 
 
 def _window(xp: np.ndarray, off: tuple[int, ...], stride: int, out_sp: tuple[int, ...]):
@@ -273,104 +167,10 @@ def _window(xp: np.ndarray, off: tuple[int, ...], stride: int, out_sp: tuple[int
     return xp[tuple(sl)]
 
 
-def _row_chunks(rows: int, row_bytes: int) -> list[slice]:
-    """Slices over `rows` batch rows of row_bytes each, each slice covering
-    at most _CHUNK_BYTES or one row; one slice over the whole batch when it
-    fits."""
-    step = max(1, _CHUNK_BYTES // max(row_bytes, 1))
-    if step >= rows:
-        return [slice(None)]
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
-def _group_blocks(groups: int, row_bytes: int) -> list[slice] | None:
-    """Blocks of whole groups for _columns: None where one row's columns
-    (row_bytes) fit _CHUNK_BYTES or there is one group; otherwise slices
-    over the groups, as few as keep each block within _CHUNK_BYTES (one
-    group at least), the first ones one group larger where they do not
-    divide evenly."""
-    if groups == 1 or row_bytes <= _CHUNK_BYTES:
-        return None
-    fit = max(1, _CHUNK_BYTES * groups // row_bytes)
-    count = -(-groups // fit)
-    size, larger = divmod(groups, count)
-    bounds = [k * size + min(k, larger) for k in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def _columns(x: np.ndarray, kernel: int, stride: int, padding, out_sp: tuple[int, ...],
-             groups: int = 1):
-    """Yield (rows, gs, cols) per row chunk of x with `padding` zeros
-    before every spatial axis (padding[a] before axis a, if a tuple; a
-    negative padding crops) and as many after as the windows of out_sp
-    reach.
-
-    cols has shape (n, groups, group channels * taps, length), its
-    channels split into `groups` equal groups: cols[:, g, ch * taps + t]
-    is group g's channel ch's window of tap t (in _offsets order),
-    flattened over the output positions.  Each padded chunk
-    (_padded_rows) has its windows copied into one reused column buffer
-    of at most _CHUNK_BYTES, or of one row's columns if that is larger,
-    so each cols is only valid until the next one is yielded.  gs is the
-    slice of groups whose columns cols holds: all of them, unless one
-    row's columns exceed the budget and there are several groups, where
-    the row is also cut into blocks of whole groups (_group_blocks).  An
-    unpadded 1x1 stride-1 kernel over all of x has x itself as its only
-    window, which is yielded whole without a copy.
-    """
-    B, c = x.shape[:2]
-    dims = x.ndim - 2
-    length = math.prod(out_sp)
-    pads = padding if isinstance(padding, tuple) else (padding,) * dims
-    if kernel == 1 and stride == 1 and not any(pads) and tuple(out_sp) == x.shape[2:]:
-        yield slice(None), slice(0, groups), x.reshape(B, groups, -1, length)
-        return
-    row_bytes = x.itemsize * c * kernel**dims * length
-    chunks = _row_chunks(B, row_bytes)
-    blocks = _group_blocks(groups, row_bytes)
-    if blocks is None:
-        parts = [(slice(0, groups), x)]
-    else:  # a row a chunk; each block of groups is padded on its own
-        cg = c // groups
-        parts = [(gs, x[:, cg * gs.start : cg * gs.stop]) for gs in blocks]
-    buf = np.empty((len(x[chunks[0]]), parts[0][1].shape[1]) + (kernel,) * dims + tuple(out_sp))
-    extent = tuple((n - 1) * stride + kernel for n in out_sp)
-    for gs, xs in parts:
-        for rows, xc in _padded_rows(xs, pads, extent, chunks):
-            n, width = xc.shape[:2]
-            cols = buf[:n, :width]
-            # a view of every window: [b, ch, *off, *pos] is xc[b, ch, *(off + stride * pos)]
-            spatial_strides = xc.strides[2:]
-            strides = xc.strides[:2] + spatial_strides + tuple(s * stride for s in spatial_strides)
-            if xc.flags.c_contiguous:  # as_strided's generic path costs microseconds a call
-                windows = np.ndarray(cols.shape, xc.dtype, xc, 0, strides)
-            else:
-                windows = np.lib.stride_tricks.as_strided(xc, cols.shape, strides, writeable=False)
-            np.copyto(cols, windows)
-            yield rows, gs, cols.reshape(n, gs.stop - gs.start, -1, length)
-
-
-def _conv_fwd(x, w, b, stride, padding):
-    B, cin = x.shape[:2]
-    cout, kernel = w.shape[0], w.shape[2]
-    groups = cin // w.shape[1]
-    dims = x.ndim - 2
-    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
-    length = math.prod(out_sp)
-    wmat = w.reshape(groups, cout // groups, -1)
-    out = np.empty((B, groups, cout // groups, length))
-    for rows, gs, cols in _columns(x, kernel, stride, padding, out_sp, groups):
-        np.matmul(wmat[gs], cols, out=out[rows, gs])
-    out = out.reshape(B, cout, *out_sp)
-    if b is not None:
-        out += b.reshape((1, cout) + (1,) * dims)
-    return out
-
-
-# The engine's table caches are keyed by layer geometry, which a search
-# bounds: per process, at most 17-19 keys a cache on the benchmark's
-# explore-2d commands and 32-35 on explore-1d's, 29-41 over 16 trials of
-# the default space (max-pool taps: 1, 9 and 1).
+# _phases and _window_cells are keyed by layer geometry, which a search
+# bounds: on pipebench's seed-2031 inputs an explore-2d command makes at
+# most 18 and 25 keys, an explore-1d command 29 and 36, and 16
+# default-space trials (base seeds 5, 6) 24-33 and 58-61.
 @functools.cache
 def _phases(spatial: tuple[int, ...], kernel: int, stride: int, padding: int):
     """The phase-stacked form of a convolution's input gradient.
@@ -408,57 +208,167 @@ def _phases(spatial: tuple[int, ...], kernel: int, stride: int, padding: int):
 
 
 @functools.cache  # keyed by geometry, like _phases
-def _phase_blocks(spatial: tuple[int, ...], kernel: int, stride: int, padding: int, lines: int):
-    """_phases' outputs cut along their first axis into blocks of `lines`
-    lines (the last one shorter where they do not divide).
+def _window_cells(sp, k, s, pads, out):
+    """For _plan: the padded extent that k-tap windows at stride s read for
+    `out` outputs over `sp` cells with pads[a] before axis a (negative
+    crops), the index of the cells it holds and of where they land in
+    it, and whether any of its cells get none."""
+    ext = tuple((m - 1) * s + k for m in out)
+    src = tuple(slice(max(-q, 0), e - q) for q, e in zip(pads, ext))
+    dst = tuple(slice(max(q, 0), min(e, n + q)) for q, e, n in zip(pads, ext, sp))
+    border = any(q > 0 or e - q > n for q, e, n in zip(pads, ext, sp))
+    return ext, src, (slice(None),) * 2 + dst, border
 
-    Per block: the padding of dout before each axis for the block's
-    columns (a negative one crops), the block's extent, and per stacked
-    phase the index of its inputs on the block's lines in dx and of their
-    gradients in the (rows, groups, phases, group inputs, *block) product.
+
+# One line block of a pass over a layer's input (_plan).
+_Lines = collections.namedtuple("_Lines", "out_sp copies rows groups src dst padded border")
+
+
+# _plan's key holds rows and channels too: those commands make 50, 478
+# and 170 keys, one candidate at most 38, a plan 1-21 KB; it keeps 128.
+@functools.lru_cache(maxsize=128)
+def _plan(shape: tuple[int, ...], kernel: int, stride: int, padding: int, groups: int = 1,
+          cout: int = 0) -> tuple:
+    """The blocks in which a layer's spatial kernels work, over an input
+    of `shape`: a convolution of cout outputs in `groups` groups, or max
+    pooling where cout is 0.
+
+    A block needs a buffer a batch row (float64): im2col columns for a
+    convolution (of x in forward and the weight gradient, of dout in the
+    input gradient), the padded input for max-pool forward, the padded
+    planes for max-pool backward.  The one blocking rule keeps it within
+    _CHUNK_BYTES where it can.  The input gradient's phase outputs
+    (_phases) are cut along their first axis into blocks of as many whole
+    lines as keep a row of dout's columns within the budget or within a
+    row of x's columns, forward's bound (one line at least).  A row still
+    over the budget is cut into the fewest blocks of whole groups that
+    fit (one at least), their sizes at most one apart, the larger first.
+    The batch goes in chunks of as many rows as fit (one at least).
+    Blocks come by line block, then group block, then row chunk, so each
+    line block starts with its largest block, whose buffers serve it all.
+    The blocks depend on a row's shapes only, so every product keeps its
+    per-row shape and operand layout: the bits of a whole-batch pass.
+
+    Returns (out_sp, blocks, grad): the output extent and the line
+    blocks of the passes over x and over dout (or max-pool backward's
+    padded planes), each with its output positions, copies, row chunks,
+    group blocks with their channels, and _window_cells' index (src is
+    None where the input is its own columns: 1x1, stride 1, unpadded);
+    its buffer is shaped for its first block.  An input gradient's
+    copies hold, per stacked phase, the index of its inputs in dx and of
+    their gradients in the (rows, groups, phases, group inputs, *lines)
+    product; at stride 1 with one line block they are None: it is dx.
     """
+    B, c = shape[:2]
+    spatial = shape[2:]
     dims = len(spatial)
-    lo, _, _, extent, phases = _phases(spatial, kernel, stride, padding)
-    blocks = []
-    for start in range(0, extent[0], lines):
-        block = (min(lines, extent[0] - start),) + extent[1:]
-        at = (start,) + (0,) * (dims - 1)
-        copies = []
+    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in spatial)
+
+    def cut(channels, sp, k, s, pads, out, lines=None, copies=lambda a, o: None):
+        parts = []
+        lines = lines or out[0]
+        for a in range(0, out[0], lines):
+            o = (min(lines, out[0] - a),) + out[1:]
+            p = (pads[0] - a * s,) + pads[1:]
+            ext, src, dst, border = _window_cells(sp, k, s, p, o)
+            own = cout and k == 1 and s == 1 and not any(p) and o == sp  # its own columns
+            row = max(1, 8 * channels * (k**dims * math.prod(o) if cout else math.prod(ext)))
+            step = B if own else min(B, max(1, _CHUNK_BYTES // row))
+            count = 1 if own else -(-groups // max(1, _CHUNK_BYTES * groups // row))
+            size, larger = divmod(groups, count)
+            bounds = [j * size + min(j, larger) for j in range(count + 1)]
+            width = channels // groups
+            cuts = tuple((slice(g0, g1), slice(width * g0, width * g1))
+                         for g0, g1 in zip(bounds, bounds[1:]))
+            rows = tuple(slice(r, r + step) for r in range(0, B, step))
+            padded = (step, width * (bounds[1] - bounds[0])) + ext
+            parts.append(_Lines(o, copies(a, o), rows, cuts, None if own else src, dst, padded,
+                                border))
+        return tuple(parts)
+
+    pads = (padding,) * dims
+    blocks = cut(c, spatial, kernel, stride, pads, out_sp)
+    if not cout:  # max pooling; backward's blocks are of padded planes
+        padded = tuple(n + 2 * padding for n in spatial)
+        return out_sp, blocks, cut(c, spatial, 1, 1, pads, padded)
+    lo, span, _, extent, phases = _phases(spatial, kernel, stride, padding)
+    x_columns = 8 * c * kernel**dims * math.prod(out_sp)
+    line = 8 * cout * span**dims * math.prod(extent[1:])
+    lines = min(extent[0], max(1, max(_CHUNK_BYTES, x_columns) // line))
+
+    def copies(a, block):
+        if stride == 1 and block[0] == extent[0]:
+            return None
+        index = []
         for i, phase in enumerate(phases):
-            inputs = [
-                range(r + stride * o, min(n, r + stride * (o + m)), stride)
-                for r, o, m, n in zip(phase, at, block, spatial)
-            ]
-            copies.append((
-                (Ellipsis,) + tuple(slice(q.start, q.stop, stride) for q in inputs),
-                (slice(None), slice(None), i, Ellipsis) + tuple(slice(0, len(q)) for q in inputs),
-            ))
-        blocks.append((tuple(-lo - o for o in at), block, tuple(copies)))
-    return tuple(blocks)
+            dst = tuple(slice(r + stride * o, r + stride * (o + m), stride)
+                        for r, o, m in zip(phase, (a,) + (0,) * (dims - 1), block))
+            src = tuple(slice(0, len(range(n)[d])) for d, n in zip(dst, spatial))
+            index.append(((Ellipsis,) + dst, (slice(None), slice(None), i, Ellipsis) + src))
+        return tuple(index)
+
+    return out_sp, blocks, cut(cout, out_sp, span, 1, (-lo,) * dims, extent, lines, copies)
+
+
+def _padded(x, lines: _Lines, value=0.0):
+    """Yield (rows, groups, xc) per block of a line block (_plan): the
+    cells of x the block reads in the line block's padded buffer, `value`
+    around them; each xc is only valid until the next one is yielded."""
+    buf = np.full(lines.padded, value) if lines.border else np.empty(lines.padded)
+    for gs, chans in lines.groups:
+        for rows in lines.rows:
+            xs = x[(rows, chans) + lines.src]
+            xc = buf[: len(xs), : xs.shape[1]]
+            xc[lines.dst] = xs
+            yield rows, gs, xc
+
+
+def _columns(x: np.ndarray, kernel: int, stride: int, blocks: tuple[_Lines, ...]):
+    """Yield (line block, rows, groups, cols) per block of x (_plan):
+    cols[:, g, ch * taps + t] is the block's group g's channel ch's window
+    of tap t (in _offsets order) over its output positions, copied from
+    the padded block into a buffer per line block, and only valid until
+    the next yield; a block that is its own columns yields x."""
+    for lines in blocks:
+        length = math.prod(lines.out_sp)
+        if lines.src is None:
+            (gs, _), = lines.groups
+            yield lines, lines.rows[0], gs, x.reshape(len(x), gs.stop, -1, length)
+            continue
+        buf = np.empty(lines.padded[:2] + (kernel,) * (x.ndim - 2) + lines.out_sp)
+        for rows, gs, xc in _padded(x, lines):
+            cols = buf[: len(xc), : xc.shape[1]]
+            # a view of every window: [b, ch, *off, *pos] is xc[b, ch, *(off + stride * pos)]
+            # (xc is contiguous, so np.ndarray takes it without as_strided's overhead)
+            spatial = xc.strides[2:]
+            strides = xc.strides[:2] + spatial + tuple(s * stride for s in spatial)
+            np.copyto(cols, np.ndarray(cols.shape, xc.dtype, xc, 0, strides))
+            yield lines, rows, gs, cols.reshape(len(cols), gs.stop - gs.start, -1, length)
+
+
+def _conv_fwd(x, w, b, stride, padding):
+    B, cin = x.shape[:2]
+    cout, kernel = w.shape[0], w.shape[2]
+    groups = cin // w.shape[1]
+    out_sp, blocks, _ = _plan(x.shape, kernel, stride, padding, groups, cout)
+    wmat = w.reshape(groups, cout // groups, -1)
+    out = np.empty((B, groups, cout // groups, math.prod(out_sp)))
+    for _, rows, gs, cols in _columns(x, kernel, stride, blocks):
+        np.matmul(wmat[gs], cols, out=out[rows, gs])
+    out = out.reshape(B, cout, *out_sp)
+    if b is not None:
+        out += b.reshape((1, cout) + (1,) * len(out_sp))
+    return out
 
 
 def _input_gradient(w, dout, stride, padding, x_shape):
     """A convolution's input gradient as one stride-1 convolution of dout
     with every reached phase's kernel (_phases) stacked as extra output
-    channels of each group: one column product per row chunk (and block
-    of groups) of dout, whose phases are copied into dx[..., r::s].
-
-    A row of dout's columns (cout channels over the phase offsets) can
-    outgrow a row of x's (cin channels over the taps), so the phase
-    outputs are cut along their first axis into blocks of whole lines
-    that keep a row's columns within the budget or a row of x's columns,
-    the bound forward's columns keep (one line, if even that is larger);
-    _columns cuts a block's row into blocks of groups under the same
-    budget, as it does x's.  The blocks depend on a row's shapes only, so
-    every product keeps its per-row shape whatever the batch.  At stride
-    1 with one block of lines, the one phase is dx itself, and the
-    product is written straight into dx.
-    """
-    cin = x_shape[1]
+    channels of each group: one product per block of dout (_plan), whose
+    phases are copied into dx[..., r::s] unless it is dx itself."""
     cout, group_inputs, kernel = w.shape[:3]
-    groups = cin // group_inputs
-    dims = len(x_shape) - 2
-    lo, span, taps, extent, phases = _phases(x_shape[2:], kernel, stride, padding)
+    groups = x_shape[1] // group_inputs
+    _, span, taps, extent, phases = _phases(x_shape[2:], kernel, stride, padding)
     # the phase kernels in one gather from the taps, with a zero tap appended:
     # (groups, out, in, phases, offsets) -> (groups, phases * in, out * offsets),
     # in C order whatever the reshape would leave (a product's bits can
@@ -468,29 +378,21 @@ def _input_gradient(w, dout, stride, padding, x_shape):
     wphase = np.take(wz, taps, axis=3).transpose(0, 3, 2, 1, 4)
     wphase = np.ascontiguousarray(wphase.reshape(groups, len(phases) * group_inputs, -1))
     # inputs of phases that no tap reaches get no gradient
-    dx = np.empty(x_shape) if len(phases) == stride**dims else np.zeros(x_shape)
-    line_bytes = dout.itemsize * cout * span**dims * math.prod(extent[1:])
-    x_columns = dout.itemsize * cin * kernel**dims * math.prod(dout.shape[2:])
-    lines = min(extent[0], max(1, max(_CHUNK_BYTES, x_columns) // line_bytes))
-    if stride == 1 and lines == extent[0]:
-        # dx's rows, (rows, groups, group inputs, positions), are the product
-        dxg = dx.reshape(len(dx), groups, group_inputs, -1)
-        for rows, gs, cols in _columns(dout, span, 1, -lo, x_shape[2:], groups):
+    dx = np.empty(x_shape) if len(phases) == stride ** len(extent) else np.zeros(x_shape)
+    dxg = dx.reshape(len(dx), groups, group_inputs, -1)
+    _, _, grad = _plan(x_shape, kernel, stride, padding, groups, cout)
+    for lines, rows, gs, cols in _columns(dout, span, 1, grad):
+        if lines.copies is None:  # the product is dx
             np.matmul(wphase[gs], cols, out=dxg[rows, gs])
-        return dx
-    for pads, block, copies in _phase_blocks(x_shape[2:], kernel, stride, padding, lines):
-        length = math.prod(block)
-        prod = None
-        for rows, gs, cols in _columns(dout, span, 1, pads, block, groups):
-            n = len(cols)
-            if prod is None:  # the first chunk (and block of groups) is the largest
-                prod = np.empty((n, cols.shape[1], wphase.shape[1], length))
-            pc = prod[:n, : gs.stop - gs.start]
-            np.matmul(wphase[gs], cols, out=pc)
-            dxc = dx[rows].reshape((n, groups, group_inputs) + x_shape[2:])[:, gs]
-            pc = pc.reshape(pc.shape[:2] + (len(phases), group_inputs) + block)
-            for dst, src in copies:
-                dxc[dst] = pc[src]
+            continue
+        n = len(cols)
+        if rows is lines.rows[0] and gs is lines.groups[0][0]:  # its line block's largest
+            prod = np.empty((n, cols.shape[1], wphase.shape[1], cols.shape[-1]))
+        pc = np.matmul(wphase[gs], cols, out=prod[:n, : gs.stop - gs.start])
+        pc = pc.reshape(pc.shape[:2] + (len(phases), group_inputs) + lines.out_sp)
+        dxc = dx[rows].reshape((n, groups, group_inputs) + x_shape[2:])[:, gs]
+        for dst, src in lines.copies:
+            dxc[dst] = pc[src]
     return dx
 
 
@@ -499,12 +401,11 @@ def _conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     B, cin = x.shape[:2]
     cout, kernel = w.shape[0], w.shape[2]
     groups = cin // w.shape[1]
-    out_sp = dout.shape[2:]
-    length = math.prod(out_sp)
-    dflat = dout.reshape(B, groups, cout // groups, length)
+    dflat = dout.reshape(B, groups, cout // groups, -1)
     dw = np.empty((B,) + w.shape)
     dw_flat = dw.reshape(B, groups, cout // groups, -1)
-    for rows, gs, cols in _columns(x, kernel, stride, padding, out_sp, groups):
+    _, blocks, _ = _plan(x.shape, kernel, stride, padding, groups, cout)
+    for _, rows, gs, cols in _columns(x, kernel, stride, blocks):
         np.matmul(dflat[rows, gs], cols.transpose(0, 1, 3, 2), out=dw_flat[rows, gs])
     dx = _input_gradient(w, dout, stride, padding, x.shape) if want_dx else None
     db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
@@ -512,19 +413,14 @@ def _conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
 
 
 def _maxpool_fwd(x, kernel, stride, padding):
-    dims = x.ndim - 2
-    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in x.shape[2:])
-    offsets = _offsets(kernel, dims)
+    out_sp, (lines,), _ = _plan(x.shape, kernel, stride, padding)
+    offsets = _offsets(kernel, x.ndim - 2)
     out = np.empty(x.shape[:2] + out_sp)
     # one byte a cell up to 256 taps: forward's trace holds it until backward
     arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(offsets) - 1))
-    extent = tuple((n - 1) * stride + kernel for n in out_sp)
-    chunks = _row_chunks(len(x), x.itemsize * x.shape[1] * math.prod(extent))
-    greater = np.empty(out[chunks[0]].shape, dtype=bool)
-    moved = np.empty(greater.shape, dtype=arg.dtype)
-    for rows, xc in _padded_rows(x, padding, extent, chunks, -np.inf):
+    for rows, _, xc in _padded(x, lines, -np.inf):
         oc, ac = out[rows], arg[rows]
-        gt, mv = greater[: len(oc)], moved[: len(oc)]
+        gt, mv = np.empty(oc.shape, dtype=bool), np.empty(oc.shape, dtype=arg.dtype)
         oc[...] = _window(xc, offsets[0], stride, out_sp)
         for idx, off in enumerate(offsets[1:], start=1):
             win = _window(xc, off, stride, out_sp)
@@ -554,22 +450,19 @@ def _pool_taps(padded: tuple[int, ...], out_sp: tuple[int, ...], kernel: int, st
 
 def _maxpool_bwd(x_shape, arg, dout, kernel, stride, padding):
     """Each output's gradient goes to its argmax: one weighted bincount per
-    row chunk over the flat padded indices (plane, window origin and tap),
-    whose interior is then copied into dx."""
-    c = x_shape[1]
-    padded = tuple(n + 2 * padding for n in x_shape[2:])
-    plane = math.prod(padded)
-    origins, taps = _pool_taps(padded, dout.shape[2:], kernel, stride)
+    block of rows over the flat padded indices (plane, window origin and
+    tap), whose interior is then copied into dx."""
+    out_sp, _, (lines,) = _plan(x_shape, kernel, stride, padding)
+    plane = math.prod(lines.padded[2:])
+    origins, taps = _pool_taps(lines.padded[2:], out_sp, kernel, stride)
     dx = np.empty(x_shape)
-    inner = (slice(None),) * 2 + tuple(slice(padding, padding + n) for n in x_shape[2:])
-    for rows in _row_chunks(x_shape[0], dout.itemsize * c * plane):
+    for rows in lines.rows:
         ac = arg[rows]
-        n = len(ac)
-        idx = taps[ac.reshape(n * c, -1)]
+        idx = taps[ac.reshape(ac.shape[0] * ac.shape[1], -1)]
         idx += origins
-        idx += np.arange(0, n * c * plane, plane)[:, None]
-        acc = np.bincount(idx.ravel(), weights=dout[rows].ravel(), minlength=n * c * plane)
-        dx[rows] = acc.reshape((n, c) + padded)[inner]
+        idx += np.arange(0, idx.shape[0] * plane, plane)[:, None]
+        acc = np.bincount(idx.ravel(), weights=dout[rows].ravel(), minlength=idx.shape[0] * plane)
+        dx[rows] = acc.reshape((-1,) + lines.padded[1:])[lines.dst]
     return dx
 
 

@@ -5,6 +5,7 @@ import numpy as np
 
 from protonas.costmodel import Feasibility
 from protonas.search import constrained_dominates, crowding_distance, nondominated_sort
+from protonas.search.run import compute_pareto_indices
 
 
 @dataclass
@@ -69,6 +70,32 @@ def test_sort_matches_peeling_oracle():
         got = [sorted(f) for f in nondominated_sort(records)]
         assert got == brute_fronts(records)
         assert sorted(i for f in got for i in f) == list(range(len(records)))
+
+
+def test_pareto_indices_match_the_pairwise_definition():
+    """The front is every feasible record that no other record dominates,
+    in index order, on records with ties, duplicates, equal violations,
+    inf objectives, no feasible record, or none at all."""
+    rng = np.random.default_rng(1)
+    values = [0.0, 1.0, 2.0, math.inf]
+    sizes = [0, 1, 2] + rng.integers(3, 40, 200).tolist()
+    for n in sizes:
+        records = []
+        share = rng.choice([0.0, 0.3, 1.0])  # all, some or no infeasible records
+        for _ in range(n):
+            objectives = [values[k] for k in rng.integers(0, 4, 5)]
+            if records and rng.random() < 0.1:  # a duplicate
+                records.append(records[rng.integers(len(records))])
+            elif rng.random() < share:
+                records.append(infeas(float(rng.integers(1, 3)), *objectives))
+            else:
+                records.append(feas(*objectives))
+        want = [
+            i for i, r in enumerate(records)
+            if r.feasibility.feasible
+            and not any(constrained_dominates(o, r) for j, o in enumerate(records) if j != i)
+        ]
+        assert compute_pareto_indices(records) == want
 
 
 def test_sort_single_front_when_incomparable():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import os
@@ -20,11 +21,17 @@ from protonas.tensorcore.engine import (
     _conv_bwd,
     _maxpool_fwd,
     _offsets,
-    _padded_rows,
     _window,
 )
 
 from conftest import chain_graph, tiny_classifier
+
+
+def set_budget(monkeypatch, budget):
+    """Set the spatial kernels' block budget, with a fresh plan cache:
+    a plan reads the budget when it is made."""
+    monkeypatch.setattr(engine, "_CHUNK_BYTES", budget)
+    monkeypatch.setattr(engine, "_plan", functools.cache(engine._plan.__wrapped__))
 
 
 def fd_gradient(g, params, batch, labels, node, idx, h=1e-5, bias=False):
@@ -263,23 +270,33 @@ def test_backward_rejects_trace_of_another_batch_size():
 @pytest.mark.parametrize("shape", [(2, 3, 5), (2, 3, 4, 5)])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 def test_pad_matches_np_pad(value, shape, padding):
-    """The kernels pad a row chunk by filling a buffer of `value` once and
-    copying the chunk into it; a negative padding crops, and an extent
-    short of the padded input cuts its end."""
-    x = np.random.default_rng(0).normal(size=shape)
+    """A block's cells land in its padded buffer as np.pad puts them, with
+    `value` around them: all of the padded input for 1x1 stride-1
+    windows, its start where 2x2 stride-2 windows stop short of its end
+    (an odd extent), and a crop where the input gradient's padding is
+    negative."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=shape)
     spec = [(0, 0), (0, 0)] + [(padding, padding)] * (len(shape) - 2)
     want = np.pad(x, spec, constant_values=value)
-    extent = want.shape[2:]
-    [(rows, got)] = _padded_rows(x, padding, extent, [slice(None)], value)
-    assert rows == slice(None)
+    _, (lines,), _ = engine._plan(shape, 1, 1, padding)
+    [(rows, _, got)] = engine._padded(x, lines, value)
+    assert rows == slice(0, shape[0])
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
-    cut = tuple(n - 1 for n in extent)
-    [(_, got)] = _padded_rows(x, padding, cut, [slice(None)], value)
+    _, (lines,), _ = engine._plan(shape, 2, 2, padding)
+    [(_, _, got)] = engine._padded(x, lines, value)
+    cut = tuple(n - n % 2 for n in want.shape[2:])
+    assert got.shape[2:] == cut
     assert np.array_equal(got, want[(Ellipsis,) + tuple(slice(0, n) for n in cut)])
-    crop = tuple(n - padding for n in shape[2:])
-    [(_, got)] = _padded_rows(x, -padding, crop, [slice(None)], value)
-    assert np.array_equal(got, x[(Ellipsis,) + (slice(padding, None),) * len(crop)])
+    # a 1x1 convolution padded by p > 0: its input gradient reads dout
+    # cropped by p (at p = 0, dout is its own columns)
+    if padding:
+        dout = rng.normal(size=want.shape)
+        _, _, (lines,) = engine._plan(shape, 1, 1, padding, 1, 3)
+        [(_, _, got)] = engine._padded(dout, lines, value)
+        crop = (Ellipsis,) + tuple(slice(padding, padding + n) for n in shape[2:])
+        assert np.array_equal(got, dout[crop])
 
 
 @pytest.mark.parametrize("cout, group_inputs", [(4, 2), (2, 1)], ids=["conv", "depthwise-conv"])
@@ -576,8 +593,10 @@ def test_column_kernels_match_per_offset_kernels(spatial, stride, monkeypatch):
                 want = offset_dwconv_bwd(x5, w5, dout, stride, padding, bias)
                 row = 8 * 5 * kernel**dims * math.prod(out.shape[2:])
                 with monkeypatch.context() as m:
-                    m.setattr(engine, "_CHUNK_BYTES", -(-2 * row // 5))
-                    assert len(engine._group_blocks(5, row)) == 3
+                    set_budget(m, -(-2 * row // 5))
+                    _, (lines,), _ = engine._plan(x5.shape, kernel, stride, padding, 5, 5)
+                    # but a 1x1 stride-1 layer is its own columns, one block
+                    assert len(lines.groups) == (1 if lines.src is None else 3)
                     got_out = engine._conv_fwd(x5, w5, b5, stride, padding)
                     assert max_rel_diff(got_out, out) <= 1e-12
                     for want_dx in (True, False):
@@ -594,15 +613,7 @@ def test_input_gradient_in_line_blocks_matches_per_offset_kernel(spatial, stride
     and the input gradient goes in blocks of lines of the phase outputs,
     the last one short where they do not divide: one line a block at the
     smallest budget.  The blocks agree with the per-offset kernel."""
-    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1)
-    blocks = []
-    columns = engine._columns
-
-    def recording_columns(x, kernel, stride, padding, out_sp, groups=1):
-        blocks.append(out_sp)
-        yield from columns(x, kernel, stride, padding, out_sp, groups)
-
-    monkeypatch.setattr(engine, "_columns", recording_columns)
+    set_budget(monkeypatch, 1)
     rng = np.random.default_rng(len(spatial) * 10 + stride)
     B, cin, cout = 3, 1, 6
     dims = len(spatial)
@@ -615,18 +626,19 @@ def test_input_gradient_in_line_blocks_matches_per_offset_kernel(spatial, stride
             w = rng.standard_normal((cout, cin) + (kernel,) * dims)
             out = offset_conv_fwd(x, w, None, stride, padding)
             dout = rng.standard_normal(out.shape)
-            blocks.clear()
             got = engine._conv_bwd(x, w, dout, stride, padding, False)
             want = offset_conv_bwd(x, w, dout, stride, padding, False)
             assert max_rel_diff(got[0], want[0]) <= 1e-12
             assert_unreached_phases_are_zero(got[0], kernel, stride, padding)
-            # the weight gradient's columns, then one call a block: equal
-            # blocks of whole lines, but for a shorter last one
+            # the plan's line blocks of dout: equal blocks of whole lines,
+            # but for a shorter last one
+            _, _, grad = engine._plan(x.shape, kernel, stride, padding, 1, cout)
+            blocks = [lines.out_sp for lines in grad]
             extent = tuple(-(-n // stride) for n in spatial)
-            lines = [b[0] for b in blocks[1:]]
+            lines = [b[0] for b in blocks]
             assert sum(lines) == extent[0] and set(lines[:-1]) <= {lines[0]}
             assert lines[-1] <= lines[0]
-            assert all(b[1:] == extent[1:] for b in blocks[1:])
+            assert all(b[1:] == extent[1:] for b in blocks)
             blocked += len(lines) > 1
     assert blocked >= 5
 
@@ -674,10 +686,10 @@ def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, mo
     sizes = []
     columns = engine._columns
 
-    def recording_columns(x, kernel, stride, padding, out_sp, groups=1):
-        for rows, gs, cols in columns(x, kernel, stride, padding, out_sp, groups):
+    def recording_columns(x, kernel, stride, blocks):
+        for lines, rows, gs, cols in columns(x, kernel, stride, blocks):
             sizes.append(buffer_bytes(cols))
-            yield rows, gs, cols
+            yield lines, rows, gs, cols
 
     monkeypatch.setattr(engine, "_columns", recording_columns)
     rng = np.random.default_rng(0)
@@ -696,8 +708,9 @@ def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, mo
 
 def test_pointwise_conv_reads_its_input_without_a_column_copy():
     x = np.random.default_rng(0).standard_normal((4, 3, 5, 6))
-    [(rows, gs, cols)] = engine._columns(x, 1, 1, 0, (5, 6))
-    assert rows == slice(None) and gs == slice(0, 1) and np.shares_memory(cols, x)
+    _, blocks, _ = engine._plan(x.shape, 1, 1, 0, 1, 2)
+    [(_, rows, gs, cols)] = engine._columns(x, 1, 1, blocks)
+    assert rows == slice(0, 4) and gs == slice(0, 1) and np.shares_memory(cols, x)
 
 
 def traced_peak(call):
@@ -711,6 +724,20 @@ def traced_peak(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def test_stride1_input_gradient_writes_its_product_into_dx():
+    """At stride 1, where the phase output is one block, the input
+    gradient's product is dx itself: besides dx, a call holds dout's
+    padded input and columns, but no second array of dx's size."""
+    rng = np.random.default_rng(0)
+    x_shape = (4, 64, 32, 32)
+    w = rng.standard_normal((2, 64, 3, 3))
+    dout = rng.standard_normal((4, 2, 32, 32))
+    dx, peak = traced_peak(lambda: engine._input_gradient(w, dout, 1, 1, x_shape))
+    # dout's columns, 2 channels x 9 taps a position, fit one block
+    assert 4 * 2 * 9 * 32 * 32 * 8 <= engine._CHUNK_BYTES
+    assert dx.shape == x_shape and peak - dx.nbytes < dx.nbytes // 2
 
 
 def test_elementwise_nodes_make_no_fresh_activation():
@@ -747,7 +774,7 @@ def test_conv_kernels_pad_row_chunks_not_the_batch(group_inputs, stride, monkeyp
     """Over a batch of many row chunks, no convolution or max pooling
     kernel allocates an array the size of the padded batch: beside its
     results, a call's traced peak stays below one padded batch."""
-    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1 << 14)  # one row a chunk
+    set_budget(monkeypatch, 1 << 14)  # one row a chunk
     rng = np.random.default_rng(0)
     x = rng.standard_normal((32, 2, 16, 16))
     padded_batch = x.itemsize * 32 * 2 * 18 * 18
@@ -946,13 +973,23 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
     xm[rng.random(x.shape) < 0.2] = -np.inf
     default_budget = engine._CHUNK_BYTES
 
-    def chunk_rows_of(row_bytes):
+    def chunk_rows_of(row_bytes, blocks):
         """Set the budget to rows_per_chunk rows of row_bytes (the default
-        budget, which holds the whole batch, when None)."""
-        budget = row_bytes * rows_per_chunk if rows_per_chunk else default_budget
-        monkeypatch.setattr(engine, "_CHUNK_BYTES", budget)
-        want = -(-B // rows_per_chunk) if rows_per_chunk else 1
-        assert len(engine._row_chunks(B, row_bytes)) == want
+        budget, which holds the whole batch, when None); the plan's
+        blocks() then cut the batch into such chunks, the last one short,
+        except that a 1x1 stride-1 block over all of x is the batch."""
+        step = rows_per_chunk or B
+        set_budget(monkeypatch, row_bytes * step if rows_per_chunk else default_budget)
+        (lines,) = blocks()
+        want = [B] if lines.src is None else [min(step, B - lo) for lo in range(0, B, step)]
+        assert [len(range(B)[rows]) for rows in lines.rows] == want
+
+    # a plan is (out_sp, the line blocks over x, those over dout)
+    def conv_plan(w):
+        return engine._plan(x.shape, kernel, stride, padding, cin // w.shape[1], w.shape[0])
+
+    def pool_plan():
+        return engine._plan(xm.shape, kernel, stride, padding)
 
     for kernel in (1, 3, 5):
         for padding in (0, 1, 2):
@@ -967,14 +1004,16 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
                 w = rng.standard_normal((outs, cin) + (kernel,) * dims)
                 b = rng.standard_normal(outs)
                 out = whole_conv_fwd(x, w, b, stride, padding)
-                chunk_rows_of(x_columns)
+                chunk_rows_of(x_columns, lambda: conv_plan(w)[1])
                 assert_same_bits(engine._conv_fwd(x, w, b, stride, padding), out)
                 # relu-like gradients: zeros of both signs
                 dout = np.maximum(rng.standard_normal(out.shape), 0.0)
                 dout *= rng.choice([1.0, -1.0], out.shape)
                 for want_dx in (True, False):
-                    for row_bytes in (x_columns, phase_column_bytes(w, stride, padding, x.shape)):
-                        chunk_rows_of(row_bytes)
+                    phase_bytes = phase_column_bytes(w, stride, padding, x.shape)
+                    for row_bytes, blocks in ((x_columns, lambda: conv_plan(w)[1]),
+                                              (phase_bytes, lambda: conv_plan(w)[2])):
+                        chunk_rows_of(row_bytes, blocks)
                         want = whole_conv_bwd(x, w, dout, stride, padding, True, want_dx)
                         got = engine._conv_bwd(x, w, dout, stride, padding, True, want_dx)
                         for g_, w_ in zip(got, want):
@@ -983,12 +1022,14 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
             wd = rng.standard_normal((cin, 1) + (kernel,) * dims)
             bd = rng.standard_normal(cin)
             out = whole_dwconv_fwd(x, wd, bd, stride, padding)
-            chunk_rows_of(x_columns)
+            chunk_rows_of(x_columns, lambda: conv_plan(wd)[1])
             assert_same_bits(engine._conv_fwd(x, wd, bd, stride, padding), out)
             # a channel slice of a wider gradient, as concat's backward passes on
             dout = rng.standard_normal((B, 2 * cin) + out.shape[2:])[:, 1 : 1 + cin]
-            for row_bytes in (x_columns, phase_column_bytes(wd, stride, padding, x.shape)):
-                chunk_rows_of(row_bytes)
+            phase_bytes = phase_column_bytes(wd, stride, padding, x.shape)
+            for row_bytes, blocks in ((x_columns, lambda: conv_plan(wd)[1]),
+                                      (phase_bytes, lambda: conv_plan(wd)[2])):
+                chunk_rows_of(row_bytes, blocks)
                 want = whole_dwconv_bwd(x, wd, dout, stride, padding, True)
                 got = engine._conv_bwd(x, wd, dout, stride, padding, True)
                 for g_, w_ in zip(got, want):
@@ -996,13 +1037,14 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
 
             # forward pads each chunk to the windows' extent
             extent = tuple((n - 1) * stride + kernel for n in out_sp)
-            chunk_rows_of(8 * cin * math.prod(extent))
+            chunk_rows_of(8 * cin * math.prod(extent), lambda: pool_plan()[1])
             out, arg = whole_maxpool_fwd(xm, kernel, stride, padding)
             got_out, got_arg = engine._maxpool_fwd(xm, kernel, stride, padding)
             assert_same_bits(got_out, out)
             assert_same_bits(got_arg, arg)
             dout = rng.standard_normal(out.shape)
-            chunk_rows_of(8 * cin * math.prod(n + 2 * padding for n in spatial))
+            chunk_rows_of(8 * cin * math.prod(n + 2 * padding for n in spatial),
+                          lambda: pool_plan()[2])
             assert_same_bits(
                 engine._maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
                 whole_maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
@@ -1010,24 +1052,26 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
 
 
 def test_group_blocks_are_as_few_and_as_even_as_the_budget_allows(monkeypatch):
-    """A row over the budget is cut into the fewest blocks of whole groups
-    that fit (one group at least), whose sizes differ by one group at
-    most, the larger ones first; a row that fits, or one group, is not
-    cut."""
-    monkeypatch.setattr(engine, "_CHUNK_BYTES", 1000)
-    assert engine._group_blocks(1, 10**6) is None
-    assert engine._group_blocks(36, 1000) is None
-    for groups in (2, 7, 10, 16, 29, 36):
-        for group_bytes in (1, 90, 100, 333, 999, 1000, 1001, 5000):
-            row = groups * group_bytes
-            if row <= 1000:
+    """A row of columns over the budget is cut into the fewest blocks of
+    whole groups that fit (one group at least), whose sizes differ by one
+    group at most, the larger ones first, each over every row; a
+    row that fits, or one group, is not cut.  A depthwise row here holds
+    120 bytes a group: 3 taps at 5 positions."""
+    for groups in (1, 2, 7, 10, 16, 29, 36):
+        shape = (2, groups, 5)
+        for budget in (1, 90, 100, 119, 120, 121, 333, 1000, 5000):
+            set_budget(monkeypatch, budget)
+            _, (lines,), _ = engine._plan(shape, 3, 1, 1, groups, groups)
+            cuts = [(gs.start, gs.stop) for gs, _ in lines.groups]
+            sizes = [hi - lo for lo, hi in cuts]
+            if groups == 1 or groups * 120 <= budget:
+                assert cuts == [(0, groups)]
                 continue
-            blocks = engine._group_blocks(groups, row)
-            sizes = [gs.stop - gs.start for gs in blocks]
-            fit = max(1, 1000 // group_bytes)
-            assert blocks[0].start == 0 and blocks[-1].stop == groups
-            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
-            assert len(blocks) == -(-groups // fit)
+            fit = max(1, budget // 120)
+            assert len(lines.rows) == 2  # one row a chunk
+            assert cuts[0][0] == 0 and cuts[-1][1] == groups
+            assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
+            assert len(cuts) == -(-groups // fit)
             assert max(sizes) <= fit and sorted(sizes, reverse=True) == sizes
             assert max(sizes) - min(sizes) <= 1
 
@@ -1071,10 +1115,10 @@ def test_group_blocked_kernels_equal_whole_batch_kernels(spatial, stride, want_d
     blocks = []
     columns = engine._columns
 
-    def recording_columns(x, kernel, stride, padding, out_sp, groups=1):
-        for rows, gs, cols in columns(x, kernel, stride, padding, out_sp, groups):
+    def recording_columns(x, kernel, stride, plan_blocks):
+        for lines, rows, gs, cols in columns(x, kernel, stride, plan_blocks):
             blocks.append(gs)
-            yield rows, gs, cols
+            yield lines, rows, gs, cols
 
     monkeypatch.setattr(engine, "_columns", recording_columns)
     for kernel in (3, 5):
@@ -1086,7 +1130,7 @@ def test_group_blocked_kernels_equal_whole_batch_kernels(spatial, stride, want_d
                 groups = xs.shape[1] // w.shape[1]
                 out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in spatial)
                 row = 8 * xs.shape[1] * kernel**dims * math.prod(out_sp)
-                monkeypatch.setattr(engine, "_CHUNK_BYTES", -(-2 * row // groups))
+                set_budget(monkeypatch, -(-2 * row // groups))
                 out = whole_grouped_conv_fwd(xs, w, stride, padding)
                 blocks.clear()
                 assert_same_bits(engine._conv_fwd(xs, w, None, stride, padding), out)
@@ -1109,12 +1153,12 @@ def test_depthwise_rows_that_fit_make_the_same_column_calls(stride, monkeypatch)
     calls = []
     columns = engine._columns
 
-    def recording_columns(x, kernel, stride, padding, out_sp, groups=1):
+    def recording_columns(x, kernel, stride, blocks):
         yields = []
-        calls.append((x.shape, kernel, stride, padding, tuple(out_sp), groups, yields))
-        for rows, gs, cols in columns(x, kernel, stride, padding, out_sp, groups):
+        calls.append((x.shape, kernel, stride, yields))
+        for lines, rows, gs, cols in columns(x, kernel, stride, blocks):
             yields.append((rows, gs, cols.shape))
-            yield rows, gs, cols
+            yield lines, rows, gs, cols
 
     monkeypatch.setattr(engine, "_columns", recording_columns)
     rng = np.random.default_rng(stride)
@@ -1125,14 +1169,15 @@ def test_depthwise_rows_that_fit_make_the_same_column_calls(stride, monkeypatch)
     length = math.prod(out.shape[2:])
     row = 8 * 12 * 9 * length
     assert row <= engine._CHUNK_BYTES
-    chunks = engine._row_chunks(16, row)
+    step = engine._CHUNK_BYTES // row
+    chunks = [slice(lo, lo + step) for lo in range(0, 16, step)]
     assert len(chunks) > 1
     want = [(rows, slice(0, 12), (len(range(16)[rows]), 12, 9, length)) for rows in chunks]
-    assert calls[0] == (x.shape, 3, stride, 1, out.shape[2:], 12, want)
+    assert calls[0] == (x.shape, 3, stride, want)
     assert calls[1] == calls[0]
     # the input gradient's columns of dout: one call, all groups in each chunk
-    (shape, span, _, _, extent, groups, yields), = calls[2:]
-    assert shape == out.shape and groups == 12
+    (shape, span, _, yields), = calls[2:]
+    assert shape == out.shape
     assert [gs for _, gs, _ in yields] == [slice(0, 12)] * len(yields)
     assert [cols[1] for _, _, cols in yields] == [12] * len(yields)
 

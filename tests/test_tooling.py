@@ -1,7 +1,8 @@
-"""The benchmark scripts under pipebench/ name protonas attributes by
-string or import them lazily; check that every name still resolves, so
-a refactor cannot silently break `--trace 1` or the benchmark child.
-The scripts are read, never changed."""
+"""The benchmark scripts under pipebench/ and scripts/ name protonas
+attributes by string or import them lazily; check that every name still
+resolves, so a refactor cannot silently break `--trace 1`, the benchmark
+child or the per-layer bit comparison.  The scripts are read, never
+changed."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import importlib.util
 from pathlib import Path
 
 PIPEBENCH = Path(__file__).resolve().parents[1] / "pipebench"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
 def _load_tracing():
@@ -41,6 +43,22 @@ def test_benchmark_scripts_import_existing_names():
                         importlib.import_module(alias.name)
     # child.py imports its loaders and protonas.hvss.HAVE_COMPILED this way
     assert "protonas.config.load_config" in imported
+
+
+def test_layer_timings_reads_existing_engine_names():
+    """scripts/layer_timings.py calls the engine's kernels by name."""
+    from protonas.tensorcore import engine
+
+    tree = ast.parse((SCRIPTS / "layer_timings.py").read_text(encoding="utf-8"))
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "engine"
+    }
+    assert names >= {"_conv_fwd", "_conv_bwd", "retain_freed_memory"}
+    for name in names:
+        assert callable(getattr(engine, name, None)), f"layer_timings.py: engine.{name}"
 
 
 def test_trace_records_each_scoring_stage_once_per_candidate(
