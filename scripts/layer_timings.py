@@ -1,10 +1,13 @@
-"""Per-layer timings of the engine's depthwise convolution kernels.
+"""Per-layer timings of the engine's convolution kernels.
 
 Times forward (_conv_fwd) and backward with the input gradient
-(_conv_bwd) of the depthwise layers that dominate 2-D scoring: the
-default space's k5/k7 stride-1 layers and explore-2d's k3 layers.  Each
-layer runs on standard-normal data with He weights; the time of a
-kernel is the best of REPEAT calls in each of ROUNDS runs.
+(_conv_bwd) of the layers that dominate scoring: the default space's
+k5/k7 stride-1 depthwise layers, explore-2d's k3 depthwise layers, and
+explore-1d's most frequent small layers (k5 and k3 regular, pointwise
+and k3 depthwise convolutions at stride 1), whose cost is mostly the
+fixed cost of a call.  Each layer runs on standard-normal data with He
+weights; the time of a kernel is the best of REPEAT calls in each of
+ROUNDS runs.
 
 Run from the root of a checkout:
 
@@ -36,20 +39,29 @@ PINNED_THREADS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_
 REPEAT = 7  # calls per kernel in one run; the best is kept
 ROUNDS = 6  # runs of every tree, alternating which tree goes first
 
-# (batch, channels, *spatial), kernel, stride; padding is kernel // 2
+# (batch, channels, *spatial), kernel, stride, groups; padding is kernel // 2
+# and a layer has as many outputs as inputs
 LAYERS = [
-    ((16, 36, 64, 64), 7, 1),  # default space, the largest taps
-    ((16, 36, 64, 64), 5, 1),
-    ((16, 16, 64, 64), 3, 2),  # explore-2d
-    ((16, 26, 64, 64), 3, 2),
-    ((16, 29, 64, 64), 3, 2),
-    ((16, 26, 32, 32), 3, 1),
-    ((16, 29, 32, 32), 3, 1),
+    ((16, 36, 64, 64), 7, 1, 36),  # default space, the largest taps
+    ((16, 36, 64, 64), 5, 1, 36),
+    ((16, 16, 64, 64), 3, 2, 16),  # explore-2d
+    ((16, 26, 64, 64), 3, 2, 26),
+    ((16, 29, 64, 64), 3, 2, 29),
+    ((16, 26, 32, 32), 3, 1, 26),
+    ((16, 29, 32, 32), 3, 1, 29),
+    ((16, 12, 32), 5, 1, 1),  # explore-1d
+    ((16, 12, 32), 3, 1, 1),
+    ((16, 12, 32), 1, 1, 1),
+    ((16, 12, 32), 3, 1, 12),
+    ((16, 24, 64), 5, 1, 1),
+    ((16, 24, 64), 3, 1, 1),
+    ((16, 24, 64), 1, 1, 1),
+    ((16, 24, 64), 3, 1, 24),
 ]
 
 
-def label(shape, kernel, stride) -> str:
-    return f"{tuple(shape)} k{kernel} s{stride}"
+def label(shape, kernel, stride, groups) -> str:
+    return f"{tuple(shape)} k{kernel} s{stride} g{groups}"
 
 
 def time_layers() -> dict:
@@ -61,10 +73,11 @@ def time_layers() -> dict:
 
     engine.retain_freed_memory()
     results = {}
-    for shape, kernel, stride in LAYERS:
+    for shape, kernel, stride, groups in LAYERS:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(shape)
-        w = rng.normal(0.0, math.sqrt(2.0 / kernel**2), size=(shape[1], 1, kernel, kernel))
+        w_shape = (shape[1], shape[1] // groups) + (kernel,) * (len(shape) - 2)
+        w = rng.normal(0.0, math.sqrt(2.0 / math.prod(w_shape[1:])), size=w_shape)
         padding = kernel // 2
         out = engine._conv_fwd(x, w, None, stride, padding)
         dout = rng.standard_normal(out.shape)
@@ -82,7 +95,7 @@ def time_layers() -> dict:
                 call()
                 best = min(best, time.perf_counter() - t0)
             times[name] = best * 1e3
-        results[label(shape, kernel, stride)] = dict(times, sha256=digest.hexdigest())
+        results[label(shape, kernel, stride, groups)] = dict(times, sha256=digest.hexdigest())
     return results
 
 
@@ -115,12 +128,12 @@ def main(argv=None) -> int:
                     raise SystemExit(f"{src}: {layer} gave different bits in two runs")
     first, last = str(srcs[0]), str(srcs[-1])
     trees = "".join(f"  {f'fwd / bwd ms, tree {i}':>26}" for i in range(len(srcs)))
-    print("layer".ljust(28) + trees + "  last tree's speedup  same bits")
+    print("layer".ljust(30) + trees + "  last tree's speedup  same bits")
     for layer in best[first]:
-        line = layer.ljust(28)
+        line = layer.ljust(30)
         for src in best:
             r = best[src][layer]
-            line += f"  {r['forward_ms']:>14.1f} / {r['backward_ms']:>7.1f}"
+            line += f"  {r['forward_ms']:>14.3f} / {r['backward_ms']:>7.3f}"
         base, r = best[first][layer], best[last][layer]
         total = (base["forward_ms"] + base["backward_ms"]) / (r["forward_ms"] + r["backward_ms"])
         same = all(best[src][layer]["sha256"] == base["sha256"] for src in best)

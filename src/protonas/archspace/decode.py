@@ -14,7 +14,6 @@ channel counts off one shape pass (ArchitectureGraph.infer_shapes).
 
 from __future__ import annotations
 
-import copy
 import math
 
 from ..errors import ConfigError, ShapeMismatch
@@ -193,6 +192,14 @@ def _channel_driver(h: ArchitectureGraph, i: int) -> int:
     return i
 
 
+def _copy(node: LayerSpec) -> LayerSpec:
+    """A shallow copy, which suffices as LayerSpec holds only scalars:
+    copy.copy's result, without its protocol lookups."""
+    twin = object.__new__(LayerSpec)
+    twin.__dict__.update(node.__dict__)
+    return twin
+
+
 def apply_static_pruning(g: ArchitectureGraph, sparsity) -> ArchitectureGraph:
     """Shrink each group's regular convolutions by its sparsity gene.
 
@@ -209,14 +216,9 @@ def apply_static_pruning(g: ArchitectureGraph, sparsity) -> ArchitectureGraph:
         raise ConfigError("expected four per-group sparsities")
     if any(not (0.0 <= s < 1.0) for s in sparsity):
         raise ConfigError("sparsities must lie in [0, 1)")
-    # LayerSpec holds only scalars, so a shallow copy per node suffices
-    h = ArchitectureGraph(
-        [copy.copy(node) for node in g.nodes],
-        [list(p) for p in g.preds],
-        g.input_shape,
-        g.num_classes,
-        list(g.shapes),
-    )
+    # the shape pass below gives h its shapes
+    h = ArchitectureGraph([_copy(node) for node in g.nodes], [list(p) for p in g.preds],
+                          g.input_shape, g.num_classes)
     for node in h.nodes:
         if node.kind == "conv" and node.group is not None:
             c = node.out_channels

@@ -114,15 +114,20 @@ def estimate_ram(g: ArchitectureGraph) -> int:
             last_use[n] = max(last_use[n], i)
         for p in ps:
             last_use[p] = max(last_use[p], i)
+    # freed[i]: the bytes of the node outputs before node i whose last
+    # consumer is node i, which are live up to and including step i
+    freed = [0] * n
+    for j in range(n):
+        if last_use[j] > j:
+            freed[last_use[j]] += sizes[j]
     peak = sizes[n]  # the input buffer alone, before any node runs
+    held = 0  # the bytes of the outputs before node i still live at step i
     for i in range(n):
-        live = sizes[i]
+        live = sizes[i] + held
         if last_use[n] >= i:
             live += sizes[n]
-        for j in range(i):
-            if last_use[j] >= i:
-                live += sizes[j]
         peak = max(peak, live)
+        held += (sizes[i] if last_use[i] > i else 0) - freed[i]
     return peak
 
 

@@ -138,8 +138,13 @@ def _box_volumes(corners: np.ndarray, ref: np.ndarray) -> np.ndarray:
     # The sides overwrite corners, which every caller builds for this
     # call: a second temporary of its size made malloc return memory to
     # the OS and fault it in again, on some heap layouts at every call.
-    sides = np.subtract(ref, corners, out=corners)
-    return np.prod(np.clip(sides, 0.0, None, out=sides), axis=-1)
+    sides = np.clip(np.subtract(ref, corners, out=corners), 0.0, None, out=corners)
+    # np.prod(sides, axis=-1)'s left-to-right product, one pass a side:
+    # the reduction calls its inner loop once per box
+    volumes = sides[..., 0].copy()
+    for a in range(1, sides.shape[-1]):
+        volumes *= sides[..., a]
+    return volumes
 
 
 def _volume_rows(p: np.ndarray, ref: np.ndarray) -> np.ndarray:

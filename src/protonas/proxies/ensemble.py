@@ -174,9 +174,15 @@ def _zico_ratios(parts: list[np.ndarray], eps: float) -> np.ndarray:
     bounds = list(range(0, width, step)) + [width]
     if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
         del bounds[-2]
-    buf = np.empty(samples * min(width, step + 1))
-    scratch = np.empty_like(buf)  # a block's |g|, then its squared deviations
     ratio = np.empty(width)
+    if len(bounds) == 2:  # one block: the parts side by side, laid out as in a buffer
+        whole = parts[0]
+        if len(parts) > 1 or not whole.flags.c_contiguous:
+            whole = np.concatenate(parts, axis=1)
+        _block_ratios(whole, np.empty_like(whole), eps, ratio)
+        return ratio
+    buf = np.empty(samples * (step + 1))
+    scratch = np.empty_like(buf)  # a block's |g|, then its squared deviations
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         block = buf[: samples * (hi - lo)].reshape(samples, hi - lo)
         c0 = 0
@@ -186,21 +192,27 @@ def _zico_ratios(parts: list[np.ndarray], eps: float) -> np.ndarray:
             if a < b:
                 block[:, a - lo : b - lo] = part[:, a - c0 : b - c0]
             c0 = c1
-        work = scratch[: block.size].reshape(block.shape)
-        # numpy's mean and std arithmetic (sums over the samples divided
-        # by their count), without the Python wrappers of ndarray.mean and
-        # ndarray.std, which cost more than the sums on small layers
-        mean_abs = np.add.reduce(np.abs(block, out=work), axis=0)
-        mean_abs /= samples
-        mean = np.add.reduce(block, axis=0)
-        mean /= samples
-        np.square(np.subtract(block, mean, out=work), out=work)
-        std = np.add.reduce(work, axis=0)
-        std /= samples
-        np.sqrt(std, out=std)
-        std += eps
-        np.divide(mean_abs, std, out=ratio[lo:hi])
+        _block_ratios(block, scratch[: block.size].reshape(block.shape), eps, ratio[lo:hi])
     return ratio
+
+
+def _block_ratios(block: np.ndarray, work: np.ndarray, eps: float, out: np.ndarray) -> None:
+    """_zico_ratios of one C-contiguous (S, P) block into out; work, its
+    shape, takes the block's |g|, then its squared deviations."""
+    samples = len(block)
+    # numpy's mean and std arithmetic (sums over the samples divided by
+    # their count), without the Python wrappers of ndarray.mean and
+    # ndarray.std, which cost more than the sums on small layers
+    mean_abs = np.add.reduce(np.abs(block, out=work), axis=0)
+    mean_abs /= samples
+    mean = np.add.reduce(block, axis=0)
+    mean /= samples
+    np.square(np.subtract(block, mean, out=work), out=work)
+    std = np.add.reduce(work, axis=0)
+    std /= samples
+    np.sqrt(std, out=std)
+    std += eps
+    np.divide(mean_abs, std, out=out)
 
 
 def zico(grads: list[np.ndarray], eps: float = 1e-6) -> float:
@@ -222,10 +234,11 @@ def correlation_min_eigenvalue(channels: np.ndarray, eps: float = 1e-6) -> float
     x = np.asarray(channels, dtype=float)
     if x.ndim != 2:
         raise ValueError("channels must be (C, N)")
-    centered = x - x.mean(axis=1, keepdims=True)
+    # x.mean, np.diag and np.outer's arithmetic, without their Python wrappers
+    centered = x - np.add.reduce(x, axis=1, keepdims=True) / x.shape[1]
     cov = centered @ centered.T / x.shape[1]
-    denom = np.sqrt(np.maximum(np.diag(cov), eps))
-    corr = cov / np.outer(denom, denom)
+    denom = np.sqrt(np.maximum(cov.diagonal(), eps))
+    corr = cov / np.multiply.outer(denom, denom)
     return float(np.linalg.eigvalsh(corr)[0])
 
 

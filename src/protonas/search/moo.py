@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 
 def constrained_dominates(a, b) -> bool:
     """Feasibility-first dominance.
@@ -25,30 +27,40 @@ def constrained_dominates(a, b) -> bool:
     return le and lt
 
 
-def nondominated_sort(records, dominates=constrained_dominates) -> list[list[int]]:
-    """Indices grouped into fronts; front 0 is non-dominated."""
+def nondominated_sort(records) -> list[list[int]]:
+    """Indices grouped into fronts under constrained_dominates; front 0 is
+    non-dominated.
+
+    Front 0 is in index order.  A later front's members come in the order
+    of the last member of the front before that dominates them (the one
+    that releases them), then by index: the order of the pairwise
+    peeling of NSGA-II's fast non-dominated sort.  Crowding distance
+    breaks its ties by position, so survivors depend on this order.
+    """
     n = len(records)
-    dominated_by: list[list[int]] = [[] for _ in range(n)]
-    count = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dominates(records[i], records[j]):
-                dominated_by[i].append(j)
-                count[j] += 1
-            elif dominates(records[j], records[i]):
-                dominated_by[j].append(i)
-                count[i] += 1
+    if n == 0:
+        return []
+    feasible = np.array([r.feasibility.feasible for r in records])
+    violation = np.array([r.feasibility.violation for r in records], dtype=float)
+    objectives = np.array([r.objectives for r in records], dtype=float).reshape(n, -1)
+    # beats[i, j]: record i constrained-dominates record j
+    le = (objectives[:, None, :] <= objectives[None, :, :]).all(axis=2)
+    lt = (objectives[:, None, :] < objectives[None, :, :]).any(axis=2)
+    both = np.logical_and.outer(feasible, feasible)
+    neither = np.logical_and.outer(~feasible, ~feasible)
+    beats = (both & le & lt) | np.logical_and.outer(feasible, ~feasible)
+    beats |= neither & (violation[:, None] < violation[None, :])
+    count = beats.sum(axis=0)
+    current = np.flatnonzero(count == 0)
     fronts: list[list[int]] = []
-    current = [i for i in range(n) if count[i] == 0]
-    while current:
-        fronts.append(current)
-        nxt = []
-        for i in current:
-            for j in dominated_by[i]:
-                count[j] -= 1
-                if count[j] == 0:
-                    nxt.append(j)
-        current = nxt
+    while len(current):
+        fronts.append(current.tolist())
+        sub = beats[current]
+        count -= sub.sum(axis=0)
+        released = np.flatnonzero((count == 0) & sub.any(axis=0))
+        # each released member's last dominator in the current front
+        last = len(current) - 1 - np.argmax(sub[::-1, released], axis=0)
+        current = released[np.lexsort((released, last))]
     return fronts
 
 

@@ -11,8 +11,10 @@ Bits: batch rows never mix, and every product keeps its per-row shape,
 its operands' layout and its order, so the results are those of one
 whole-batch pass.  The nodes that work in place give every ufunc the
 operands and order of fresh outputs.  Memory: convolution and max
-pooling work in the blocks of one plan per layer geometry (_plan),
-whose buffers stay within _CHUNK_BYTES where they can.
+pooling work in blocks whose buffers stay within _CHUNK_BYTES where
+they can: a cached plan per channel-free layer geometry holds the line
+blocks (_plan, _grad_plan), and each call cuts them into blocks of rows
+and groups by arithmetic (_blocks), so a plan serves every width.
 
 Forward keeps the outputs a caller names, drops the others after their
 last consumer (a relu, batchnorm or add may write over them), and keeps
@@ -43,7 +45,7 @@ from ..errors import ShapeMismatch
 
 _BN_EPS = 1e-5
 _BN_SCALE = 1.0 / math.sqrt(1.0 + _BN_EPS)
-# Bytes of a block's buffer (_plan), to stay in cache: budgets of 128 KiB
+# Bytes of a block's buffer (_blocks), to stay in cache: budgets of 128 KiB
 # to 2 MiB time within 20% on the default space, whole batches 25-60% slower.
 _CHUNK_BYTES = 1 << 20
 # glibc's mallopt parameter numbers.
@@ -167,10 +169,11 @@ def _window(xp: np.ndarray, off: tuple[int, ...], stride: int, out_sp: tuple[int
     return xp[tuple(sl)]
 
 
-# _phases and _window_cells are keyed by layer geometry, which a search
-# bounds: on pipebench's seed-2031 inputs an explore-2d command makes at
-# most 18 and 25 keys, an explore-1d command 29 and 36, and 16
-# default-space trials (base seeds 5, 6) 24-33 and 58-61.
+# _phases, _plan, _grad_plan and _pool_taps are keyed by channel-free layer
+# geometry (_grad_plan also by a line count), which a search bounds: on
+# pipebench's seed-2101 round-0 inputs an explore-2d command makes at most
+# 17, 18, 17 and 1 keys, an explore-1d command 28, 29, 28 and 7, and 16
+# default-space trials (base seeds 5, 6) 23-32, 24-33, 29-35 and 0-1.
 @functools.cache
 def _phases(spatial: tuple[int, ...], kernel: int, stride: int, padding: int):
     """The phase-stacked form of a convolution's input gradient.
@@ -207,94 +210,58 @@ def _phases(spatial: tuple[int, ...], kernel: int, stride: int, padding: int):
     return lo, span, taps, extent, phases
 
 
-@functools.cache  # keyed by geometry, like _phases
-def _window_cells(sp, k, s, pads, out):
-    """For _plan: the padded extent that k-tap windows at stride s read for
-    `out` outputs over `sp` cells with pads[a] before axis a (negative
-    crops), the index of the cells it holds and of where they land in
-    it, and whether any of its cells get none."""
-    ext = tuple((m - 1) * s + k for m in out)
-    src = tuple(slice(max(-q, 0), e - q) for q, e in zip(pads, ext))
-    dst = tuple(slice(max(q, 0), min(e, n + q)) for q, e, n in zip(pads, ext, sp))
-    border = any(q > 0 or e - q > n for q, e, n in zip(pads, ext, sp))
-    return ext, src, (slice(None),) * 2 + dst, border
+# One line block of a pass over a layer's input (_plan), for any channels: its
+# output positions, input-gradient copies, a channel's im2col columns and
+# padded cells, the index of the input cells it reads and of where they land
+# in its padded buffer (shaped ext after the row and channel axes), whether
+# that buffer has a border, and whether the input is its own columns (1x1,
+# stride 1, unpadded: a convolution then reads no buffer).
+_Lines = collections.namedtuple("_Lines", "out_sp copies columns cells src dst ext border own")
 
 
-# One line block of a pass over a layer's input (_plan).
-_Lines = collections.namedtuple("_Lines", "out_sp copies rows groups src dst padded border")
+def _line_blocks(sp, k, s, pads, out, lines=0, copies=lambda a, block: None):
+    """The line blocks of k-tap windows at stride s making `out` outputs
+    over `sp` cells with pads[a] before axis a (negative crops): `lines`
+    lines of the first axis a block, all of them by default."""
+    parts = []
+    for a in range(0, out[0], lines or out[0]):
+        o = (min(lines or out[0], out[0] - a),) + out[1:]
+        p = (pads[0] - a * s,) + pads[1:]
+        ext = tuple((m - 1) * s + k for m in o)
+        src = tuple(slice(max(-q, 0), e - q) for q, e in zip(p, ext))
+        dst = tuple(slice(max(q, 0), min(e, n + q)) for q, e, n in zip(p, ext, sp))
+        border = any(q > 0 or e - q > n for q, e, n in zip(p, ext, sp))
+        own = k == 1 and s == 1 and not any(p) and o == sp
+        parts.append(_Lines(o, copies(a, o), k ** len(o) * math.prod(o), math.prod(ext), src,
+                            (slice(None),) * 2 + dst, ext, border, own))
+    return tuple(parts)
 
 
-# _plan's key holds rows and channels too: those commands make 50, 478
-# and 170 keys, one candidate at most 38, a plan 1-21 KB; it keeps 128.
-@functools.lru_cache(maxsize=128)
-def _plan(shape: tuple[int, ...], kernel: int, stride: int, padding: int, groups: int = 1,
-          cout: int = 0) -> tuple:
-    """The blocks in which a layer's spatial kernels work, over an input
-    of `shape`: a convolution of cout outputs in `groups` groups, or max
-    pooling where cout is 0.
-
-    A block needs a buffer a batch row (float64): im2col columns for a
-    convolution (of x in forward and the weight gradient, of dout in the
-    input gradient), the padded input for max-pool forward, the padded
-    planes for max-pool backward.  The one blocking rule keeps it within
-    _CHUNK_BYTES where it can.  The input gradient's phase outputs
-    (_phases) are cut along their first axis into blocks of as many whole
-    lines as keep a row of dout's columns within the budget or within a
-    row of x's columns, forward's bound (one line at least).  A row still
-    over the budget is cut into the fewest blocks of whole groups that
-    fit (one at least), their sizes at most one apart, the larger first.
-    The batch goes in chunks of as many rows as fit (one at least).
-    Blocks come by line block, then group block, then row chunk, so each
-    line block starts with its largest block, whose buffers serve it all.
-    The blocks depend on a row's shapes only, so every product keeps its
-    per-row shape and operand layout: the bits of a whole-batch pass.
-
-    Returns (out_sp, blocks, grad): the output extent and the line
-    blocks of the passes over x and over dout (or max-pool backward's
-    padded planes), each with its output positions, copies, row chunks,
-    group blocks with their channels, and _window_cells' index (src is
-    None where the input is its own columns: 1x1, stride 1, unpadded);
-    its buffer is shaped for its first block.  An input gradient's
-    copies hold, per stacked phase, the index of its inputs in dx and of
-    their gradients in the (rows, groups, phases, group inputs, *lines)
-    product; at stride 1 with one line block they are None: it is dx.
-    """
-    B, c = shape[:2]
-    spatial = shape[2:]
-    dims = len(spatial)
+@functools.cache
+def _plan(spatial: tuple[int, ...], kernel: int, stride: int, padding: int) -> tuple:
+    """A layer geometry's passes over its input, for any batch rows and
+    channels: (out_sp, x, planes), the output extent and the line block
+    of the pass over x (convolution forward and weight gradient, max-pool
+    forward) and of max-pool backward's padded planes.  _grad_plan holds
+    the input gradient's pass over dout; _blocks cuts a line block."""
+    pads = (padding,) * len(spatial)
     out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in spatial)
+    padded = tuple(n + 2 * padding for n in spatial)
+    (x,) = _line_blocks(spatial, kernel, stride, pads, out_sp)
+    (planes,) = _line_blocks(spatial, 1, 1, pads, padded)
+    return out_sp, x, planes
 
-    def cut(channels, sp, k, s, pads, out, lines=None, copies=lambda a, o: None):
-        parts = []
-        lines = lines or out[0]
-        for a in range(0, out[0], lines):
-            o = (min(lines, out[0] - a),) + out[1:]
-            p = (pads[0] - a * s,) + pads[1:]
-            ext, src, dst, border = _window_cells(sp, k, s, p, o)
-            own = cout and k == 1 and s == 1 and not any(p) and o == sp  # its own columns
-            row = max(1, 8 * channels * (k**dims * math.prod(o) if cout else math.prod(ext)))
-            step = B if own else min(B, max(1, _CHUNK_BYTES // row))
-            count = 1 if own else -(-groups // max(1, _CHUNK_BYTES * groups // row))
-            size, larger = divmod(groups, count)
-            bounds = [j * size + min(j, larger) for j in range(count + 1)]
-            width = channels // groups
-            cuts = tuple((slice(g0, g1), slice(width * g0, width * g1))
-                         for g0, g1 in zip(bounds, bounds[1:]))
-            rows = tuple(slice(r, r + step) for r in range(0, B, step))
-            padded = (step, width * (bounds[1] - bounds[0])) + ext
-            parts.append(_Lines(o, copies(a, o), rows, cuts, None if own else src, dst, padded,
-                                border))
-        return tuple(parts)
 
-    pads = (padding,) * dims
-    blocks = cut(c, spatial, kernel, stride, pads, out_sp)
-    if not cout:  # max pooling; backward's blocks are of padded planes
-        padded = tuple(n + 2 * padding for n in spatial)
-        return out_sp, blocks, cut(c, spatial, 1, 1, pads, padded)
+@functools.cache
+def _grad_plan(spatial: tuple[int, ...], kernel: int, stride: int, padding: int, lines: int):
+    """The line blocks of a convolution's input gradient (_input_gradient)
+    over dout, `lines` lines of its phase outputs a block, each with its
+    copies: per stacked phase, the index of its inputs in dx and of their
+    gradients in the (rows, groups, phases, group inputs, *lines) product;
+    at stride 1 with one line block they are None: the product is dx."""
+    dims = len(spatial)
     lo, span, _, extent, phases = _phases(spatial, kernel, stride, padding)
-    x_columns = 8 * c * kernel**dims * math.prod(out_sp)
-    line = 8 * cout * span**dims * math.prod(extent[1:])
-    lines = min(extent[0], max(1, max(_CHUNK_BYTES, x_columns) // line))
+    out_sp = tuple(windowed_extent(n, kernel, stride, padding) for n in spatial)
 
     def copies(a, block):
         if stride == 1 and block[0] == extent[0]:
@@ -307,53 +274,87 @@ def _plan(shape: tuple[int, ...], kernel: int, stride: int, padding: int, groups
             index.append(((Ellipsis,) + dst, (slice(None), slice(None), i, Ellipsis) + src))
         return tuple(index)
 
-    return out_sp, blocks, cut(cout, out_sp, span, 1, (-lo,) * dims, extent, lines, copies)
+    return _line_blocks(out_sp, span, 1, (-lo,) * dims, extent, lines, copies)
 
 
-def _padded(x, lines: _Lines, value=0.0):
-    """Yield (rows, groups, xc) per block of a line block (_plan): the
+def _blocks(shape: tuple[int, ...], groups: int, cells: int) -> tuple:
+    """The blocks of one line block over an input of `shape` in `groups`
+    groups, `cells` cells of a block's buffer a channel: (rows, groups,
+    channels) slices, under the one blocking rule.
+
+    A block's buffer holds (float64) im2col columns for a convolution (of
+    x in forward and the weight gradient, of dout in the input gradient),
+    the padded input for max-pool forward, the padded planes for max-pool
+    backward, and the rule keeps it within _CHUNK_BYTES where it can.  A
+    batch row still over the budget is cut into the fewest blocks of
+    whole groups that fit (one at least), their sizes at most one apart,
+    the larger first; the batch goes in chunks of as many rows as fit
+    (one at least).  Blocks come by group block, then row chunk, so the
+    first is the largest and its buffers serve them all.  (The input
+    gradient's line blocks are cut by _input_gradient, to keep a row of
+    dout's columns within the budget or within a row of x's columns.)
+    The blocks depend on a row's shapes only, so every product keeps its
+    per-row shape and operand layout: the bits of a whole-batch pass.
+    """
+    rows, channels = shape[:2]
+    row = 8 * channels * cells
+    if rows * row <= _CHUNK_BYTES:  # one block, as the rule below gives it
+        return ((slice(0, rows), slice(0, groups), slice(0, channels)),)
+    step = min(rows, max(1, _CHUNK_BYTES // row))
+    count = -(-groups // max(1, _CHUNK_BYTES * groups // row))
+    size, larger = divmod(groups, count)
+    bounds = [j * size + min(j, larger) for j in range(count + 1)]
+    width = channels // groups
+    return tuple((slice(r, r + step), slice(g0, g1), slice(width * g0, width * g1))
+                 for g0, g1 in zip(bounds, bounds[1:]) for r in range(0, rows, step))
+
+
+def _padded(x, lines: _Lines, blocks: tuple, value=0.0):
+    """Yield (rows, groups, xc) per block (_blocks) of a line block: the
     cells of x the block reads in the line block's padded buffer, `value`
     around them; each xc is only valid until the next one is yielded."""
-    buf = np.full(lines.padded, value) if lines.border else np.empty(lines.padded)
-    for gs, chans in lines.groups:
-        for rows in lines.rows:
-            xs = x[(rows, chans) + lines.src]
-            xc = buf[: len(xs), : xs.shape[1]]
-            xc[lines.dst] = xs
-            yield rows, gs, xc
+    rows, _, chans = blocks[0]
+    buf = np.empty((rows.stop, chans.stop) + lines.ext)
+    if lines.border:
+        buf.fill(value)  # np.full's fill, without its Python wrapper
+    for rows, gs, chans in blocks:
+        xs = x[(rows, chans) + lines.src]
+        xc = buf[: len(xs), : xs.shape[1]]
+        xc[lines.dst] = xs
+        yield rows, gs, xc
 
 
-def _columns(x: np.ndarray, kernel: int, stride: int, blocks: tuple[_Lines, ...]):
-    """Yield (line block, rows, groups, cols) per block of x (_plan):
+def _columns(x: np.ndarray, kernel: int, stride: int, lines: _Lines, groups: int):
+    """Yield (rows, groups, cols) per block of x in a line block (_blocks):
     cols[:, g, ch * taps + t] is the block's group g's channel ch's window
     of tap t (in _offsets order) over its output positions, copied from
-    the padded block into a buffer per line block, and only valid until
-    the next yield; a block that is its own columns yields x."""
-    for lines in blocks:
-        length = math.prod(lines.out_sp)
-        if lines.src is None:
-            (gs, _), = lines.groups
-            yield lines, lines.rows[0], gs, x.reshape(len(x), gs.stop, -1, length)
-            continue
-        buf = np.empty(lines.padded[:2] + (kernel,) * (x.ndim - 2) + lines.out_sp)
-        for rows, gs, xc in _padded(x, lines):
-            cols = buf[: len(xc), : xc.shape[1]]
-            # a view of every window: [b, ch, *off, *pos] is xc[b, ch, *(off + stride * pos)]
-            # (xc is contiguous, so np.ndarray takes it without as_strided's overhead)
-            spatial = xc.strides[2:]
-            strides = xc.strides[:2] + spatial + tuple(s * stride for s in spatial)
-            np.copyto(cols, np.ndarray(cols.shape, xc.dtype, xc, 0, strides))
-            yield lines, rows, gs, cols.reshape(len(cols), gs.stop - gs.start, -1, length)
+    the padded block into a buffer for the line block, and only valid
+    until the next yield; a line block that is its own columns yields x."""
+    length = math.prod(lines.out_sp)
+    if lines.own:
+        yield slice(0, len(x)), slice(0, groups), x.reshape(len(x), groups, -1, length)
+        return
+    blocks = _blocks(x.shape, groups, lines.columns)
+    rows, _, chans = blocks[0]
+    buf = np.empty((rows.stop, chans.stop) + (kernel,) * (x.ndim - 2) + lines.out_sp)
+    for rows, gs, xc in _padded(x, lines, blocks):
+        cols = buf[: len(xc), : xc.shape[1]]
+        # a view of every window: [b, ch, *off, *pos] is xc[b, ch, *(off + stride * pos)]
+        # (xc is contiguous, so np.ndarray takes it without as_strided's overhead)
+        spatial = xc.strides[2:]
+        strides = xc.strides[:2] + spatial + tuple(s * stride for s in spatial)
+        np.copyto(cols, np.ndarray(cols.shape, xc.dtype, xc, 0, strides))
+        yield rows, gs, cols.reshape(len(cols), gs.stop - gs.start, -1, length)
 
 
 def _conv_fwd(x, w, b, stride, padding):
     B, cin = x.shape[:2]
     cout, kernel = w.shape[0], w.shape[2]
     groups = cin // w.shape[1]
-    out_sp, blocks, _ = _plan(x.shape, kernel, stride, padding, groups, cout)
+    out_sp, lines, _ = _plan(x.shape[2:], kernel, stride, padding)
     wmat = w.reshape(groups, cout // groups, -1)
     out = np.empty((B, groups, cout // groups, math.prod(out_sp)))
-    for _, rows, gs, cols in _columns(x, kernel, stride, blocks):
+    for rows, gs, cols in _columns(x, kernel, stride, lines, groups):
         np.matmul(wmat[gs], cols, out=out[rows, gs])
     out = out.reshape(B, cout, *out_sp)
     if b is not None:
@@ -361,38 +362,55 @@ def _conv_fwd(x, w, b, stride, padding):
     return out
 
 
+def _phase_kernels(w, groups: int, stride: int, taps) -> np.ndarray:
+    """The stacked phases' kernels of a convolution's input gradient, for
+    _phases' taps: (groups, phases * group inputs, group outputs * taps),
+    in C order whatever the transpose leaves (a product's bits can depend
+    on its operands' layout)."""
+    cout, group_inputs = w.shape[:2]
+    wg = w.reshape(groups, cout // groups, group_inputs, -1)
+    if stride == 1:  # the one phase's kernel is the whole kernel flipped
+        wphase = wg[..., ::-1].transpose(0, 2, 1, 3)
+    else:  # a gather from the taps, with a zero tap appended
+        wz = np.concatenate((wg, np.zeros(wg.shape[:3] + (1,))), axis=3)
+        wphase = np.take(wz, taps, axis=3).transpose(0, 3, 2, 1, 4)
+    return np.ascontiguousarray(wphase).reshape(groups, len(taps) * group_inputs, -1)
+
+
 def _input_gradient(w, dout, stride, padding, x_shape):
     """A convolution's input gradient as one stride-1 convolution of dout
     with every reached phase's kernel (_phases) stacked as extra output
-    channels of each group: one product per block of dout (_plan), whose
-    phases are copied into dx[..., r::s] unless it is dx itself."""
+    channels of each group: one product per block of dout, in line
+    blocks of as many whole lines of the phase outputs as keep a row of
+    dout's columns within _CHUNK_BYTES or within a row of x's columns,
+    forward's bound (one line at least).  Each product's phases are
+    copied into dx[..., r::s] unless it is dx itself (_grad_plan)."""
     cout, group_inputs, kernel = w.shape[:3]
     groups = x_shape[1] // group_inputs
-    _, span, taps, extent, phases = _phases(x_shape[2:], kernel, stride, padding)
-    # the phase kernels in one gather from the taps, with a zero tap appended:
-    # (groups, out, in, phases, offsets) -> (groups, phases * in, out * offsets),
-    # in C order whatever the reshape would leave (a product's bits can
-    # depend on its operands' layout)
-    wg = w.reshape(groups, cout // groups, group_inputs, -1)
-    wz = np.concatenate((wg, np.zeros(wg.shape[:3] + (1,))), axis=3)
-    wphase = np.take(wz, taps, axis=3).transpose(0, 3, 2, 1, 4)
-    wphase = np.ascontiguousarray(wphase.reshape(groups, len(phases) * group_inputs, -1))
+    spatial = x_shape[2:]
+    dims = len(spatial)
+    _, span, taps, extent, phases = _phases(spatial, kernel, stride, padding)
+    wphase = _phase_kernels(w, groups, stride, taps)
     # inputs of phases that no tap reaches get no gradient
-    dx = np.empty(x_shape) if len(phases) == stride ** len(extent) else np.zeros(x_shape)
+    dx = np.empty(x_shape) if len(phases) == stride**dims else np.zeros(x_shape)
     dxg = dx.reshape(len(dx), groups, group_inputs, -1)
-    _, _, grad = _plan(x_shape, kernel, stride, padding, groups, cout)
-    for lines, rows, gs, cols in _columns(dout, span, 1, grad):
-        if lines.copies is None:  # the product is dx
-            np.matmul(wphase[gs], cols, out=dxg[rows, gs])
-            continue
-        n = len(cols)
-        if rows is lines.rows[0] and gs is lines.groups[0][0]:  # its line block's largest
-            prod = np.empty((n, cols.shape[1], wphase.shape[1], cols.shape[-1]))
-        pc = np.matmul(wphase[gs], cols, out=prod[:n, : gs.stop - gs.start])
-        pc = pc.reshape(pc.shape[:2] + (len(phases), group_inputs) + lines.out_sp)
-        dxc = dx[rows].reshape((n, groups, group_inputs) + x_shape[2:])[:, gs]
-        for dst, src in lines.copies:
-            dxc[dst] = pc[src]
+    x_columns = 8 * x_shape[1] * kernel**dims * math.prod(dout.shape[2:])
+    line = 8 * cout * span**dims * math.prod(extent[1:])
+    lines = min(extent[0], max(1, max(_CHUNK_BYTES, x_columns) // line))
+    for block in _grad_plan(spatial, kernel, stride, padding, lines):
+        prod = None
+        for rows, gs, cols in _columns(dout, span, 1, block, groups):
+            if block.copies is None:  # the product is dx
+                np.matmul(wphase[gs], cols, out=dxg[rows, gs])
+                continue
+            n = len(cols)
+            if prod is None:  # the line block's first block is its largest
+                prod = np.empty((n, cols.shape[1], wphase.shape[1], cols.shape[-1]))
+            pc = np.matmul(wphase[gs], cols, out=prod[:n, : gs.stop - gs.start])
+            pc = pc.reshape(pc.shape[:2] + (len(phases), group_inputs) + block.out_sp)
+            dxc = dx[rows].reshape((n, groups, group_inputs) + spatial)[:, gs]
+            for dst, src in block.copies:
+                dxc[dst] = pc[src]
     return dx
 
 
@@ -404,21 +422,22 @@ def _conv_bwd(x, w, dout, stride, padding, want_bias, want_dx=True):
     dflat = dout.reshape(B, groups, cout // groups, -1)
     dw = np.empty((B,) + w.shape)
     dw_flat = dw.reshape(B, groups, cout // groups, -1)
-    _, blocks, _ = _plan(x.shape, kernel, stride, padding, groups, cout)
-    for _, rows, gs, cols in _columns(x, kernel, stride, blocks):
+    _, lines, _ = _plan(x.shape[2:], kernel, stride, padding)
+    for rows, gs, cols in _columns(x, kernel, stride, lines, groups):
         np.matmul(dflat[rows, gs], cols.transpose(0, 1, 3, 2), out=dw_flat[rows, gs])
     dx = _input_gradient(w, dout, stride, padding, x.shape) if want_dx else None
-    db = dout.sum(axis=tuple(range(2, dout.ndim))) if want_bias else None
+    # dout.sum(axis=...)'s arithmetic, without its Python wrapper
+    db = np.add.reduce(dout, axis=tuple(range(2, dout.ndim))) if want_bias else None
     return dx, dw, db
 
 
 def _maxpool_fwd(x, kernel, stride, padding):
-    out_sp, (lines,), _ = _plan(x.shape, kernel, stride, padding)
+    out_sp, lines, _ = _plan(x.shape[2:], kernel, stride, padding)
     offsets = _offsets(kernel, x.ndim - 2)
     out = np.empty(x.shape[:2] + out_sp)
     # one byte a cell up to 256 taps: forward's trace holds it until backward
     arg = np.zeros(out.shape, dtype=np.min_scalar_type(len(offsets) - 1))
-    for rows, _, xc in _padded(x, lines, -np.inf):
+    for rows, _, xc in _padded(x, lines, _blocks(x.shape, 1, lines.cells), -np.inf):
         oc, ac = out[rows], arg[rows]
         gt, mv = np.empty(oc.shape, dtype=bool), np.empty(oc.shape, dtype=arg.dtype)
         oc[...] = _window(xc, offsets[0], stride, out_sp)
@@ -452,17 +471,17 @@ def _maxpool_bwd(x_shape, arg, dout, kernel, stride, padding):
     """Each output's gradient goes to its argmax: one weighted bincount per
     block of rows over the flat padded indices (plane, window origin and
     tap), whose interior is then copied into dx."""
-    out_sp, _, (lines,) = _plan(x_shape, kernel, stride, padding)
-    plane = math.prod(lines.padded[2:])
-    origins, taps = _pool_taps(lines.padded[2:], out_sp, kernel, stride)
+    out_sp, _, lines = _plan(x_shape[2:], kernel, stride, padding)
+    plane = lines.cells
+    origins, taps = _pool_taps(lines.ext, out_sp, kernel, stride)
     dx = np.empty(x_shape)
-    for rows in lines.rows:
+    for rows, _, _ in _blocks(x_shape, 1, plane):
         ac = arg[rows]
         idx = taps[ac.reshape(ac.shape[0] * ac.shape[1], -1)]
         idx += origins
         idx += np.arange(0, idx.shape[0] * plane, plane)[:, None]
         acc = np.bincount(idx.ravel(), weights=dout[rows].ravel(), minlength=idx.shape[0] * plane)
-        dx[rows] = acc.reshape((-1,) + lines.padded[1:])[lines.dst]
+        dx[rows] = acc.reshape((-1, x_shape[1]) + lines.ext)[lines.dst]
     return dx
 
 

@@ -173,3 +173,32 @@ def test_costs_on_decoded_candidates(space1d, task1d, templates):
         g = decode(sample(rng, space1d), space1d, task1d, templates)
         c = estimate_costs(g, TargetProfile())
         assert c.flops > 0 and c.rom_bytes > 0 and c.ram_bytes > 0
+
+
+def quadratic_peak_ram(g):
+    """estimate_ram's liveness rule summed afresh at every step: the
+    reference for its running sum."""
+    import math
+
+    shapes = g.infer_shapes()
+    n = len(g.nodes)
+    sizes = [math.prod(s) for s in shapes] + [math.prod(g.input_shape)]
+    last_use = list(range(n)) + [-1]
+    for i, ps in enumerate(g.preds):
+        for p in ps or [n]:
+            last_use[p] = max(last_use[p], i)
+    peak = sizes[n]
+    for i in range(n):
+        live = sizes[i] + sum(sizes[j] for j in range(i) if last_use[j] >= i)
+        peak = max(peak, live + (sizes[n] if last_use[n] >= i else 0))
+    return peak
+
+
+def test_ram_running_sum_equals_the_per_step_sum(space1d, task1d, space2d, task2d, templates):
+    import numpy as np
+
+    rng = np.random.default_rng(13)
+    for space, task in ((space1d, task1d), (space2d, task2d)):
+        for _ in range(25):
+            g = decode(sample(rng, space), space, task, templates)
+            assert estimate_ram(g) == quadratic_peak_ram(g)

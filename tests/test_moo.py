@@ -98,6 +98,58 @@ def test_pareto_indices_match_the_pairwise_definition():
         assert compute_pareto_indices(records) == want
 
 
+def pairwise_fronts(records):
+    """NSGA-II's fast non-dominated sort as a pairwise loop: the reference
+    for nondominated_sort's fronts and the order of their members."""
+    n = len(records)
+    dominated_by = [[] for _ in range(n)]
+    count = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if constrained_dominates(records[i], records[j]):
+                dominated_by[i].append(j)
+                count[j] += 1
+            elif constrained_dominates(records[j], records[i]):
+                dominated_by[j].append(i)
+                count[i] += 1
+    fronts = []
+    current = [i for i in range(n) if count[i] == 0]
+    while current:
+        fronts.append(current)
+        nxt = []
+        for i in current:
+            for j in dominated_by[i]:
+                count[j] -= 1
+                if count[j] == 0:
+                    nxt.append(j)
+        current = nxt
+    return fronts
+
+
+def test_sort_fronts_and_their_order_match_the_pairwise_loop():
+    """Fronts compared as lists, unsorted: crowding distance breaks ties
+    by position, so the order of a front's members decides survivors.
+    Records have ties, duplicates, equal violations and inf objectives;
+    some sets have no feasible record, some no infeasible one."""
+    rng = np.random.default_rng(2)
+    values = [0.0, 1.0, 2.0, math.inf]
+    sizes = [0, 1, 2] + rng.integers(3, 60, 150).tolist() + [100, 200, 300]
+    for n in sizes:
+        records = []
+        share = rng.choice([0.0, 0.3, 1.0])
+        dims = rng.integers(1, 6)
+        for _ in range(n):
+            objectives = [values[k] for k in rng.integers(0, 4, dims)]
+            if records and rng.random() < 0.1:  # a duplicate
+                records.append(records[rng.integers(len(records))])
+            elif rng.random() < share:
+                violation = [0.5, 1.0, math.inf][rng.integers(3)]
+                records.append(infeas(violation, *objectives))
+            else:
+                records.append(feas(*objectives))
+        assert nondominated_sort(records) == pairwise_fronts(records)
+
+
 def test_sort_single_front_when_incomparable():
     records = [feas(0, 3), feas(1, 2), feas(2, 1), feas(3, 0)]
     assert nondominated_sort(records) == [[0, 1, 2, 3]]

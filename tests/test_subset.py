@@ -279,6 +279,21 @@ def oracle_volumes(corners, ref):
     return np.prod(np.clip(ref - corners, 0.0, None), axis=-1)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_box_volumes_have_the_bytes_of_np_prod(d):
+    """The left-to-right product over the objective axis is np.prod's,
+    byte for byte, on sides clipped to zero, exactly zero, or tiny
+    enough to underflow."""
+    rng = np.random.default_rng(d)
+    for scale in (1.0, 1e-100):  # sides near 1e-100 underflow from d = 4
+        ref = np.full(d, 1.1 * scale)
+        corners = rng.random((5, 37, d)) * 1.4 * scale  # some beyond ref: clipped sides
+        corners[rng.random(corners.shape) < 0.1] = 1.1 * scale  # zero sides
+        want = np.prod(np.clip(ref - corners, 0.0, None), axis=-1)
+        got = _box_volumes(corners.copy(), ref)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_box_volumes_make_no_temporary_of_the_corners_size():
     """The sides overwrite the corners: a second block-sized temporary per
     call made malloc return memory to the OS and fault it in again."""

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import os
@@ -28,10 +27,9 @@ from conftest import chain_graph, tiny_classifier
 
 
 def set_budget(monkeypatch, budget):
-    """Set the spatial kernels' block budget, with a fresh plan cache:
-    a plan reads the budget when it is made."""
+    """Set the spatial kernels' block budget, which every call reads (a
+    plan holds no budget and no channel count)."""
     monkeypatch.setattr(engine, "_CHUNK_BYTES", budget)
-    monkeypatch.setattr(engine, "_plan", functools.cache(engine._plan.__wrapped__))
 
 
 def fd_gradient(g, params, batch, labels, node, idx, h=1e-5, bias=False):
@@ -279,13 +277,13 @@ def test_pad_matches_np_pad(value, shape, padding):
     x = rng.normal(size=shape)
     spec = [(0, 0), (0, 0)] + [(padding, padding)] * (len(shape) - 2)
     want = np.pad(x, spec, constant_values=value)
-    _, (lines,), _ = engine._plan(shape, 1, 1, padding)
-    [(rows, _, got)] = engine._padded(x, lines, value)
+    _, lines, _ = engine._plan(shape[2:], 1, 1, padding)
+    [(rows, _, got)] = engine._padded(x, lines, engine._blocks(shape, 1, lines.cells), value)
     assert rows == slice(0, shape[0])
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
-    _, (lines,), _ = engine._plan(shape, 2, 2, padding)
-    [(_, _, got)] = engine._padded(x, lines, value)
+    _, lines, _ = engine._plan(shape[2:], 2, 2, padding)
+    [(_, _, got)] = engine._padded(x, lines, engine._blocks(shape, 1, lines.cells), value)
     cut = tuple(n - n % 2 for n in want.shape[2:])
     assert got.shape[2:] == cut
     assert np.array_equal(got, want[(Ellipsis,) + tuple(slice(0, n) for n in cut)])
@@ -293,8 +291,9 @@ def test_pad_matches_np_pad(value, shape, padding):
     # cropped by p (at p = 0, dout is its own columns)
     if padding:
         dout = rng.normal(size=want.shape)
-        _, _, (lines,) = engine._plan(shape, 1, 1, padding, 1, 3)
-        [(_, _, got)] = engine._padded(dout, lines, value)
+        (lines,) = engine._grad_plan(shape[2:], 1, 1, padding, shape[2])
+        blocks = engine._blocks(dout.shape, 1, lines.columns)
+        [(_, _, got)] = engine._padded(dout, lines, blocks, value)
         crop = (Ellipsis,) + tuple(slice(padding, padding + n) for n in shape[2:])
         assert np.array_equal(got, dout[crop])
 
@@ -594,9 +593,11 @@ def test_column_kernels_match_per_offset_kernels(spatial, stride, monkeypatch):
                 row = 8 * 5 * kernel**dims * math.prod(out.shape[2:])
                 with monkeypatch.context() as m:
                     set_budget(m, -(-2 * row // 5))
-                    _, (lines,), _ = engine._plan(x5.shape, kernel, stride, padding, 5, 5)
-                    # but a 1x1 stride-1 layer is its own columns, one block
-                    assert len(lines.groups) == (1 if lines.src is None else 3)
+                    _, lines, _ = engine._plan(spatial, kernel, stride, padding)
+                    blocks = engine._columns(x5, kernel, stride, lines, 5)
+                    # but an unpadded 1x1 stride-1 layer is its own columns, one block
+                    own = kernel == stride == 1 and not padding
+                    assert len({(gs.start, gs.stop) for _, gs, _ in blocks}) == (1 if own else 3)
                     got_out = engine._conv_fwd(x5, w5, b5, stride, padding)
                     assert max_rel_diff(got_out, out) <= 1e-12
                     for want_dx in (True, False):
@@ -614,6 +615,14 @@ def test_input_gradient_in_line_blocks_matches_per_offset_kernel(spatial, stride
     the last one short where they do not divide: one line a block at the
     smallest budget.  The blocks agree with the per-offset kernel."""
     set_budget(monkeypatch, 1)
+    plans = []
+    grad_plan = engine._grad_plan
+
+    def recording_grad_plan(*key):
+        plans.append(grad_plan(*key))
+        return plans[-1]
+
+    monkeypatch.setattr(engine, "_grad_plan", recording_grad_plan)
     rng = np.random.default_rng(len(spatial) * 10 + stride)
     B, cin, cout = 3, 1, 6
     dims = len(spatial)
@@ -632,8 +641,7 @@ def test_input_gradient_in_line_blocks_matches_per_offset_kernel(spatial, stride
             assert_unreached_phases_are_zero(got[0], kernel, stride, padding)
             # the plan's line blocks of dout: equal blocks of whole lines,
             # but for a shorter last one
-            _, _, grad = engine._plan(x.shape, kernel, stride, padding, 1, cout)
-            blocks = [lines.out_sp for lines in grad]
+            blocks = [lines.out_sp for lines in plans[-1]]
             extent = tuple(-(-n // stride) for n in spatial)
             lines = [b[0] for b in blocks]
             assert sum(lines) == extent[0] and set(lines[:-1]) <= {lines[0]}
@@ -641,6 +649,34 @@ def test_input_gradient_in_line_blocks_matches_per_offset_kernel(spatial, stride
             assert all(b[1:] == extent[1:] for b in blocks)
             blocked += len(lines) > 1
     assert blocked >= 5
+
+
+def gather_phase_kernels(w, groups, taps):
+    """The phase kernels as one gather from _phases' taps with a zero tap
+    appended, in C order: the engine's form at every stride."""
+    cout, group_inputs = w.shape[:2]
+    wg = w.reshape(groups, cout // groups, group_inputs, -1)
+    wz = np.concatenate((wg, np.zeros(wg.shape[:3] + (1,))), axis=3)
+    wphase = np.take(wz, taps, axis=3).transpose(0, 3, 2, 1, 4)
+    return np.ascontiguousarray(wphase.reshape(groups, len(taps) * group_inputs, -1))
+
+
+@pytest.mark.parametrize("spatial", [(9,), (7, 8)])
+def test_stride1_phase_kernels_are_the_gathered_kernels(spatial):
+    """At stride 1 the one phase's kernel is the whole kernel flipped: the
+    engine's flip has the bytes, shape and layout of the gather, for
+    regular, grouped and depthwise layers, kernels 1-7, paddings 0..k."""
+    rng = np.random.default_rng(len(spatial))
+    dims = len(spatial)
+    for cin, cout, groups in ((4, 6, 1), (4, 6, 2), (6, 6, 6)):
+        for kernel in range(1, 8):
+            for padding in range(kernel + 1):
+                w = rng.standard_normal((cout, cin // groups) + (kernel,) * dims)
+                taps = engine._phases(spatial, kernel, 1, padding)[2]
+                got = engine._phase_kernels(w, groups, 1, taps)
+                want = gather_phase_kernels(w, groups, taps)
+                assert got.flags.c_contiguous and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
@@ -686,10 +722,10 @@ def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, mo
     sizes = []
     columns = engine._columns
 
-    def recording_columns(x, kernel, stride, blocks):
-        for lines, rows, gs, cols in columns(x, kernel, stride, blocks):
+    def recording_columns(x, kernel, stride, lines, groups):
+        for rows, gs, cols in columns(x, kernel, stride, lines, groups):
             sizes.append(buffer_bytes(cols))
-            yield lines, rows, gs, cols
+            yield rows, gs, cols
 
     monkeypatch.setattr(engine, "_columns", recording_columns)
     rng = np.random.default_rng(0)
@@ -708,8 +744,8 @@ def test_column_buffers_stay_within_chunk_budget(kind, shape, kernel, stride, mo
 
 def test_pointwise_conv_reads_its_input_without_a_column_copy():
     x = np.random.default_rng(0).standard_normal((4, 3, 5, 6))
-    _, blocks, _ = engine._plan(x.shape, 1, 1, 0, 1, 2)
-    [(_, rows, gs, cols)] = engine._columns(x, 1, 1, blocks)
+    _, lines, _ = engine._plan(x.shape[2:], 1, 1, 0)
+    [(rows, gs, cols)] = engine._columns(x, 1, 1, lines, 1)
     assert rows == slice(0, 4) and gs == slice(0, 1) and np.shares_memory(cols, x)
 
 
@@ -975,21 +1011,32 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
 
     def chunk_rows_of(row_bytes, blocks):
         """Set the budget to rows_per_chunk rows of row_bytes (the default
-        budget, which holds the whole batch, when None); the plan's
-        blocks() then cut the batch into such chunks, the last one short,
-        except that a 1x1 stride-1 block over all of x is the batch."""
+        budget, which holds the whole batch, when None); blocks() then
+        cuts the batch into such chunks, the last one short, except that
+        a convolution's unpadded 1x1 stride-1 pass is the batch."""
         step = rows_per_chunk or B
         set_budget(monkeypatch, row_bytes * step if rows_per_chunk else default_budget)
-        (lines,) = blocks()
-        want = [B] if lines.src is None else [min(step, B - lo) for lo in range(0, B, step)]
-        assert [len(range(B)[rows]) for rows in lines.rows] == want
+        own, rows = blocks()
+        want = [B] if own else [min(step, B - lo) for lo in range(0, B, step)]
+        assert [len(range(B)[r]) for r in rows] == want
 
-    # a plan is (out_sp, the line blocks over x, those over dout)
-    def conv_plan(w):
-        return engine._plan(x.shape, kernel, stride, padding, cin // w.shape[1], w.shape[0])
+    # a convolution's passes: over x (forward, weight gradient), over dout
+    def conv_pass(w, over_dout=False):
+        groups = cin // w.shape[1]
+        if over_dout:
+            _, span, _, extent, _ = engine._phases(spatial, kernel, stride, padding)
+            (lines,) = engine._grad_plan(spatial, kernel, stride, padding, extent[0])
+            a = np.zeros((B, w.shape[0]) + out_sp)
+            blocks = engine._columns(a, span, 1, lines, groups)
+        else:
+            lines = engine._plan(spatial, kernel, stride, padding)[1]
+            blocks = engine._columns(x, kernel, stride, lines, groups)
+        return lines.own, [rows for rows, _, _ in blocks]
 
-    def pool_plan():
-        return engine._plan(xm.shape, kernel, stride, padding)
+    # max pooling's: over x (forward), over the padded planes (backward)
+    def pool_pass(planes=False):
+        lines = engine._plan(spatial, kernel, stride, padding)[2 if planes else 1]
+        return False, [rows for rows, _, _ in engine._blocks(xm.shape, 1, lines.cells)]
 
     for kernel in (1, 3, 5):
         for padding in (0, 1, 2):
@@ -1004,15 +1051,15 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
                 w = rng.standard_normal((outs, cin) + (kernel,) * dims)
                 b = rng.standard_normal(outs)
                 out = whole_conv_fwd(x, w, b, stride, padding)
-                chunk_rows_of(x_columns, lambda: conv_plan(w)[1])
+                chunk_rows_of(x_columns, lambda: conv_pass(w))
                 assert_same_bits(engine._conv_fwd(x, w, b, stride, padding), out)
                 # relu-like gradients: zeros of both signs
                 dout = np.maximum(rng.standard_normal(out.shape), 0.0)
                 dout *= rng.choice([1.0, -1.0], out.shape)
                 for want_dx in (True, False):
                     phase_bytes = phase_column_bytes(w, stride, padding, x.shape)
-                    for row_bytes, blocks in ((x_columns, lambda: conv_plan(w)[1]),
-                                              (phase_bytes, lambda: conv_plan(w)[2])):
+                    for row_bytes, blocks in ((x_columns, lambda: conv_pass(w)),
+                                              (phase_bytes, lambda: conv_pass(w, True))):
                         chunk_rows_of(row_bytes, blocks)
                         want = whole_conv_bwd(x, w, dout, stride, padding, True, want_dx)
                         got = engine._conv_bwd(x, w, dout, stride, padding, True, want_dx)
@@ -1022,13 +1069,13 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
             wd = rng.standard_normal((cin, 1) + (kernel,) * dims)
             bd = rng.standard_normal(cin)
             out = whole_dwconv_fwd(x, wd, bd, stride, padding)
-            chunk_rows_of(x_columns, lambda: conv_plan(wd)[1])
+            chunk_rows_of(x_columns, lambda: conv_pass(wd))
             assert_same_bits(engine._conv_fwd(x, wd, bd, stride, padding), out)
             # a channel slice of a wider gradient, as concat's backward passes on
             dout = rng.standard_normal((B, 2 * cin) + out.shape[2:])[:, 1 : 1 + cin]
             phase_bytes = phase_column_bytes(wd, stride, padding, x.shape)
-            for row_bytes, blocks in ((x_columns, lambda: conv_plan(wd)[1]),
-                                      (phase_bytes, lambda: conv_plan(wd)[2])):
+            for row_bytes, blocks in ((x_columns, lambda: conv_pass(wd)),
+                                      (phase_bytes, lambda: conv_pass(wd, True))):
                 chunk_rows_of(row_bytes, blocks)
                 want = whole_dwconv_bwd(x, wd, dout, stride, padding, True)
                 got = engine._conv_bwd(x, wd, dout, stride, padding, True)
@@ -1037,14 +1084,14 @@ def test_row_chunked_kernels_equal_whole_batch_kernels(
 
             # forward pads each chunk to the windows' extent
             extent = tuple((n - 1) * stride + kernel for n in out_sp)
-            chunk_rows_of(8 * cin * math.prod(extent), lambda: pool_plan()[1])
+            chunk_rows_of(8 * cin * math.prod(extent), pool_pass)
             out, arg = whole_maxpool_fwd(xm, kernel, stride, padding)
             got_out, got_arg = engine._maxpool_fwd(xm, kernel, stride, padding)
             assert_same_bits(got_out, out)
             assert_same_bits(got_arg, arg)
             dout = rng.standard_normal(out.shape)
             chunk_rows_of(8 * cin * math.prod(n + 2 * padding for n in spatial),
-                          lambda: pool_plan()[2])
+                          lambda: pool_pass(planes=True))
             assert_same_bits(
                 engine._maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
                 whole_maxpool_bwd(xm.shape, arg, dout, kernel, stride, padding),
@@ -1061,14 +1108,16 @@ def test_group_blocks_are_as_few_and_as_even_as_the_budget_allows(monkeypatch):
         shape = (2, groups, 5)
         for budget in (1, 90, 100, 119, 120, 121, 333, 1000, 5000):
             set_budget(monkeypatch, budget)
-            _, (lines,), _ = engine._plan(shape, 3, 1, 1, groups, groups)
-            cuts = [(gs.start, gs.stop) for gs, _ in lines.groups]
+            _, lines, _ = engine._plan(shape[2:], 3, 1, 1)
+            blocks = engine._blocks(shape, groups, lines.columns)
+            cuts = list(dict.fromkeys((gs.start, gs.stop) for _, gs, _ in blocks))
             sizes = [hi - lo for lo, hi in cuts]
             if groups == 1 or groups * 120 <= budget:
                 assert cuts == [(0, groups)]
                 continue
             fit = max(1, budget // 120)
-            assert len(lines.rows) == 2  # one row a chunk
+            # one row a chunk, every chunk in each group block
+            assert [(rows.start, rows.stop) for rows, _, _ in blocks] == [(0, 1), (1, 2)] * len(cuts)
             assert cuts[0][0] == 0 and cuts[-1][1] == groups
             assert all(a[1] == b[0] for a, b in zip(cuts, cuts[1:]))
             assert len(cuts) == -(-groups // fit)
@@ -1115,10 +1164,10 @@ def test_group_blocked_kernels_equal_whole_batch_kernels(spatial, stride, want_d
     blocks = []
     columns = engine._columns
 
-    def recording_columns(x, kernel, stride, plan_blocks):
-        for lines, rows, gs, cols in columns(x, kernel, stride, plan_blocks):
+    def recording_columns(x, kernel, stride, lines, groups):
+        for rows, gs, cols in columns(x, kernel, stride, lines, groups):
             blocks.append(gs)
-            yield lines, rows, gs, cols
+            yield rows, gs, cols
 
     monkeypatch.setattr(engine, "_columns", recording_columns)
     for kernel in (3, 5):
@@ -1153,12 +1202,12 @@ def test_depthwise_rows_that_fit_make_the_same_column_calls(stride, monkeypatch)
     calls = []
     columns = engine._columns
 
-    def recording_columns(x, kernel, stride, blocks):
+    def recording_columns(x, kernel, stride, lines, groups):
         yields = []
         calls.append((x.shape, kernel, stride, yields))
-        for lines, rows, gs, cols in columns(x, kernel, stride, blocks):
+        for rows, gs, cols in columns(x, kernel, stride, lines, groups):
             yields.append((rows, gs, cols.shape))
-            yield lines, rows, gs, cols
+            yield rows, gs, cols
 
     monkeypatch.setattr(engine, "_columns", recording_columns)
     rng = np.random.default_rng(stride)
@@ -1492,3 +1541,64 @@ def test_retain_freed_memory_is_harmless_anywhere(libc, monkeypatch):
         pytest.skip("mallopt is glibc's")
     engine.retain_freed_memory()
     engine.retain_freed_memory()
+
+
+def clear_plan_caches():
+    for cached in (engine._plan, engine._grad_plan, engine._phases, engine._pool_taps):
+        cached.cache_clear()
+
+
+def pruned_candidate(space, task, templates, **genes):
+    from protonas.archspace import HyperparamVector, apply_static_pruning
+
+    x = HyperparamVector(**genes)
+    return apply_static_pruning(decode(x, space, task, templates), x.pruning_sparsity)
+
+
+GENES = dict(architecture=0, group_depth=(1, 0, 1, 0), kernel_stride=(1, 0, 1, 3),
+             pruning_sparsity=(0.3, 0.3, 0.3, 0.3))
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_scores_are_equal_with_cold_and_warm_plan_caches(dims, space1d, task1d, space2d, task2d,
+                                                         templates):
+    """The plans hold no result: a candidate scored right after the plan
+    caches are cleared, and again with them warm, gets the same bits."""
+    from protonas.proxies import ProxyBatchConfig, evaluate_ensemble
+
+    space, task = (space1d, task1d) if dims == 1 else (space2d, task2d)
+    g = pruned_candidate(space, task, templates, width_multiplier=0.5, **GENES)
+    scores = []
+    for cold in (True, False):
+        if cold:
+            clear_plan_caches()
+        params = init_params(g, np.random.default_rng(0))
+        got = evaluate_ensemble(g, params, ProxyBatchConfig(), np.random.default_rng(1))
+        scores.append({k: float(v).hex() for k, v in got.as_dict().items()})
+    assert scores[0] == scores[1]
+
+
+def test_plan_caches_hold_one_entry_per_geometry(space1d, task1d, templates):
+    """Plans are keyed by channel-free geometry (input extent, kernel,
+    stride, padding): one depth at several widths, whose channel counts
+    all differ, adds no plan beyond the geometries of its layers."""
+    from protonas.proxies import ProxyBatchConfig, evaluate_ensemble
+
+    clear_plan_caches()
+    geometries, grad_geometries, channels = set(), set(), set()
+    for width in (0.3, 0.45, 0.6, 0.8, 1.0):
+        g = pruned_candidate(space1d, task1d, templates, width_multiplier=width, **GENES)
+        params = init_params(g, np.random.default_rng(0))
+        evaluate_ensemble(g, params, ProxyBatchConfig(), np.random.default_rng(1))
+        for i, node in enumerate(g.nodes):
+            if node.kind in ("conv", "depthwise-conv", "maxpool"):
+                in_shape = g.shapes[g.preds[i][0]] if g.preds[i] else g.input_shape
+                key = (tuple(in_shape[1:]), node.kernel, node.stride, node.padding)
+                geometries.add(key)
+                if node.kind != "maxpool" and g.preds[i]:
+                    grad_geometries.add(key)
+        channels.add(tuple(node.out_channels for node in g.nodes))
+    assert len(channels) == 5
+    assert engine._plan.cache_info().currsize <= len(geometries)
+    # a 1-D layer's input gradient goes in one line block: one line count a geometry
+    assert engine._grad_plan.cache_info().currsize <= len(grad_geometries)
