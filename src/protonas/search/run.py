@@ -36,7 +36,7 @@ from ..archspace.templates import BaselineTemplate
 from ..costmodel.model import CostEstimate, Feasibility, TargetProfile, check, estimate_costs
 from ..errors import ConfigError, ProtonasError
 from ..proxies.ensemble import PROXY_NAMES, ProxyBatchConfig, ProxyScores, evaluate_ensemble
-from ..tensorcore.engine import init_params, retain_freed_memory
+from ..tensorcore.engine import init_params
 from .moo import crowding_distance, nondominated_sort
 
 log = logging.getLogger(__name__)
@@ -273,16 +273,10 @@ def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) 
 
     records: list[CandidateRecord] = []
     sink = open(log_path, "w", encoding="utf-8") if log_path is not None else None
-    # Workers take the allocator setting from the initializer under any
-    # start method, not only by inheriting it through fork.
-    retain_freed_memory()
     # A generation holds at most population_size candidates, and the pool
     # may start all of its workers at once, so ask for no more than that.
     workers = min(jobs, cfg.population_size)
-    pool = (
-        ProcessPoolExecutor(max_workers=workers, initializer=retain_freed_memory)
-        if workers > 1 else None
-    )
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def evaluate_batch(genes: list[HyperparamVector], start: int) -> list[CandidateRecord]:
         nonlocal pool
@@ -302,7 +296,7 @@ def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) 
                 log.warning("process pool broke in trials %d-%d; rebuilding it once",
                             start, start + len(args) - 1)
                 pool.shutdown()
-                pool = ProcessPoolExecutor(max_workers=workers, initializer=retain_freed_memory)
+                pool = ProcessPoolExecutor(max_workers=workers)
                 batch = list(pool.map(_eval_star, args))
         for rec in batch:
             records.append(rec)

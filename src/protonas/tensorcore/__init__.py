@@ -2,20 +2,16 @@
 
 from .engine import (
     ForwardTrace,
-    GradientRecord,
     ParamSet,
     backward,
-    cross_entropy,
     forward,
     init_params,
 )
 
 __all__ = [
     "ForwardTrace",
-    "GradientRecord",
     "ParamSet",
     "backward",
-    "cross_entropy",
     "forward",
     "init_params",
 ]

@@ -19,12 +19,12 @@ and groups by arithmetic (_blocks), so a plan serves every width.
 Forward keeps the outputs a caller names, drops the others after their
 last consumer (a relu, batchnorm or add may write over them), and keeps
 the logits, max-pool argmaxes, shapes and relu patterns, but not the
-pattern of a relu whose kept output holds it.  Backward keeps nothing
-it has read: it drops each array after its last reader, never writes
-the trace, and hands each weighted node's per-sample gradients to a
-consumer as soon as they are made.  The loss is softmax cross-entropy
-seeded per row; batchnorm uses fixed statistics (zero mean, unit
-variance, identity affine) and has no parameters.
+pattern of a relu whose kept output holds it.  Backward has one mode:
+it reads forward's trace, drops each array after its last reader, never
+writes the trace, and hands each weighted node's per-sample gradients
+to a consumer as soon as they are made.  The loss is softmax
+cross-entropy seeded per row; batchnorm uses fixed statistics (zero
+mean, unit variance, identity affine) and has no parameters.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ def retain_freed_memory() -> None:
     again page by page.  Pinning the mmap threshold at its cap (which
     also stops glibc's dynamic adjustment of it) and raising the trim
     threshold keeps those pages for reuse.  No result changes.  Does
-    nothing off glibc; calling it again is harmless.
+    nothing off glibc; calling it again is harmless.  init_params and
+    forward call it once per process, before a scorer allocates its batch.
     """
     if platform.libc_ver()[0] != "glibc":
         return
@@ -76,16 +77,15 @@ def retain_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 
+_retain_once = functools.cache(retain_freed_memory)  # not at import: select never scores
+
+
 @dataclass
 class ParamSet:
     """Per-node weight and bias tensors, keyed by node index."""
 
     weights: dict[int, np.ndarray]
     biases: dict[int, np.ndarray]
-
-    def count(self) -> int:
-        total = sum(w.size for w in self.weights.values())
-        return total + sum(b.size for b in self.biases.values())
 
 
 @dataclass
@@ -123,28 +123,10 @@ class ForwardTrace:
                 yield block if block.dtype == bool else block != 0
 
 
-@dataclass
-class GradientRecord:
-    """Per-sample loss gradients per parameter tensor, in the order
-    backward makes them.
-
-    Each array has a leading batch axis; row b is the gradient of the
-    loss on sample b alone.
-    """
-
-    weight_grads: dict[int, np.ndarray]
-    bias_grads: dict[int, np.ndarray]
-
-    def add(self, i: int, dw: np.ndarray, db: np.ndarray | None) -> None:
-        """Collect node i's gradients: backward's consumer by default."""
-        self.weight_grads[i] = dw
-        if db is not None:
-            self.bias_grads[i] = db
-
-
 def init_params(g: ArchitectureGraph, rng: np.random.Generator) -> ParamSet:
     """He fan-in normal weights of each node's weight_shape (fan-in: all
     axes but the first), zero biases; draw order is node order."""
+    _retain_once()
     dims = len(g.input_shape) - 1
     weights: dict[int, np.ndarray] = {}
     biases: dict[int, np.ndarray] = {}
@@ -485,14 +467,6 @@ def _maxpool_bwd(x_shape, arg, dout, kernel, stride, padding):
     return dx
 
 
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1))
-    picked = z[np.arange(len(labels)), labels]
-    return float(np.mean(lse - picked))
-
-
 def _ce_grad(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-row loss gradient w.r.t. the logits.
 
@@ -544,6 +518,7 @@ def forward(
     output is kept and read by backward (backward_reads): relu_mask_blocks
     reads that one from the output.
     """
+    _retain_once()
     x = _as_batch(g, batch)
     outputs: dict[int, np.ndarray] = {}
     relu_patterns: dict[int, np.ndarray | None] = {}
@@ -610,24 +585,17 @@ def backward(
     params: ParamSet,
     batch: np.ndarray,
     labels: np.ndarray,
-    trace: ForwardTrace | None = None,
-    consumer: Callable[[int, np.ndarray, np.ndarray | None], None] | None = None,
-) -> GradientRecord | None:
-    """Per-sample cross-entropy gradients w.r.t. all parameters.
+    trace: ForwardTrace,
+    consumer: Callable[[int, np.ndarray, np.ndarray | None], None],
+) -> None:
+    """Per-sample cross-entropy gradients w.r.t. all parameters, to consumer.
 
-    Every array has a leading batch axis, and row b holds the gradient
-    of the loss evaluated on sample b alone; the mean over that axis is
-    the gradient of the mean loss over the batch.  trace, when given,
-    must be forward(g, params, batch) keeping at least backward_reads(g);
-    backward then reuses it instead of running the forward pass again,
-    and leaves it intact.  Without a trace, the forward pass keeps only
-    what backward reads.
-
-    consumer, when given, is called as consumer(i, dw, db) as soon as
-    weighted node i's gradients are made, in decreasing node order, with
-    db None for a node without a bias; backward keeps neither array and
-    returns None.  Without a consumer, every gradient is collected into
-    the GradientRecord returned.
+    trace must be forward(g, params, batch) keeping at least
+    backward_reads(g), and is left intact.  consumer(i, dw, db) gets
+    weighted node i's gradients as soon as they are made, in decreasing
+    node order, db None for a node without a bias; backward keeps
+    neither.  Each array's row b is the gradient of the loss on sample b
+    alone, and their mean the gradient of the mean loss over the batch.
 
     A pending output gradient is exclusive when no other pending gradient
     shares its memory: an add hands the same array to each of its inputs,
@@ -644,9 +612,7 @@ def backward(
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= g.num_classes:
         raise ShapeMismatch("label outside class range")
     reads = backward_reads(g)
-    if trace is None:
-        trace = forward(g, params, x, keep=reads)
-    elif len(trace.logits) != len(x):
+    if len(trace.logits) != len(x):
         raise ShapeMismatch("trace was not recorded on this batch")
     # the relus whose pattern is read from their output, at their own step
     derived = {i for i, pattern in trace.relu_patterns.items() if pattern is None}
@@ -665,10 +631,6 @@ def backward(
     douts: dict[int, np.ndarray] = {n - 1: _ce_grad(trace.logits, labels)}
     exclusive = {n - 1}  # the nodes in douts whose gradient may be written over
     del trace
-    rec = None
-    if consumer is None:
-        rec = GradientRecord(weight_grads={}, bias_grads={})
-        consumer = rec.add
 
     def push(p: int, grad: np.ndarray, own: bool = True) -> None:
         """Add grad to p's pending gradient; own: grad is exclusive."""
@@ -736,4 +698,3 @@ def backward(
             raise ShapeMismatch(f"unknown layer kind '{kind}'")
         if g.preds[i]:
             push(g.preds[i][0], dx)
-    return rec

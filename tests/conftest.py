@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from protonas.archspace import (
     sample,
 )
 from protonas.archspace.graph import ArchitectureGraph, LayerSpec
+from protonas.tensorcore import backward, forward
+from protonas.tensorcore.engine import backward_reads
 
 
 @pytest.fixture(scope="session")
@@ -90,9 +94,44 @@ def tiny_classifier(in_shape=(2, 6, 6), classes=3, hidden=4):
     )
 
 
+# backward's per-sample gradients collected into plain dicts, keyed by
+# node, in the order backward makes them (decreasing node order)
+Gradients = collections.namedtuple("Gradients", "weight_grads bias_grads")
+
+
+def record_gradients(g, params, batch, labels, trace=None):
+    """Run backward with a consumer that collects every gradient into a
+    Gradients; without a trace, forward keeps what backward reads."""
+    if trace is None:
+        trace = forward(g, params, batch, keep=backward_reads(g))
+    rec = Gradients({}, {})
+
+    def collect(i, dw, db):
+        rec.weight_grads[i] = dw
+        if db is not None:
+            rec.bias_grads[i] = db
+
+    backward(g, params, batch, labels, trace, collect)
+    return rec
+
+
+def cross_entropy(logits, labels):
+    """Mean softmax cross-entropy: the loss whose gradients backward makes."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=1))
+    picked = z[np.arange(len(labels)), labels]
+    return float(np.mean(lse - picked))
+
+
+def param_count(params):
+    """Scalars in a ParamSet's weights and biases."""
+    total = sum(w.size for w in params.weights.values())
+    return total + sum(b.size for b in params.biases.values())
+
+
 def record_snip(params, rec, rows=None):
-    """snip over a collected GradientRecord: every weight term, then every
-    bias term, in the record's order (the order backward makes them)."""
+    """snip over collected Gradients: every weight term, then every bias
+    term, in the record's order (the order backward makes them)."""
     from protonas.proxies import snip
 
     total = 0.0
@@ -104,7 +143,7 @@ def record_snip(params, rec, rows=None):
 
 
 def record_zico(rec, eps=1e-6):
-    """zico over a collected GradientRecord: the layers' terms in node order."""
+    """zico over collected Gradients: the layers' terms in node order."""
     from protonas.proxies import zico
 
     total = 0.0

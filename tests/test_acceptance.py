@@ -60,7 +60,7 @@ from protonas.search import (
     evaluate_candidate,
     run_search,
 )
-from protonas.tensorcore import ForwardTrace, backward, cross_entropy, forward, init_params
+from protonas.tensorcore import ForwardTrace, forward, init_params
 
 
 def verdict(name: str, ok: bool, detail: str) -> None:
@@ -229,12 +229,12 @@ def test_criterion_04_gradient_correctness():
     for _ in range(10):
         g = _random_small_graph(rng)
         params = init_params(g, rng)
-        n_params = params.count()
+        n_params = conftest.param_count(params)
         total_params.append(n_params)
         assert len(g.nodes) <= 5 and n_params <= 2000
         batch = rng.standard_normal((2, *g.input_shape))
         labels = rng.integers(0, g.num_classes, 2)
-        rec = backward(g, params, batch, labels)
+        rec = conftest.record_gradients(g, params, batch, labels)
         # finite differences of the mean loss against the batch mean of
         # the per-sample gradients
         weight_grads = {k: v.mean(axis=0) for k, v in rec.weight_grads.items()}
@@ -250,9 +250,9 @@ def test_criterion_04_gradient_correctness():
                 for idx in rng.choice(flat.size, size=take, replace=False):
                     keep = flat[idx]
                     flat[idx] = keep + h
-                    up = cross_entropy(forward(g, params, batch).logits, labels)
+                    up = conftest.cross_entropy(forward(g, params, batch).logits, labels)
                     flat[idx] = keep - h
-                    down = cross_entropy(forward(g, params, batch).logits, labels)
+                    down = conftest.cross_entropy(forward(g, params, batch).logits, labels)
                     flat[idx] = keep
                     num = (up - down) / (2 * h)
                     ana = gstore[node].reshape(-1)[idx]
@@ -475,7 +475,8 @@ def test_criterion_10_proxy_sanity():
     for node in zp.weights:
         zp.weights[node] = np.zeros_like(zp.weights[node])
     zbatch = np.random.default_rng(2).standard_normal((2, *zg.input_shape))
-    snip_ok = conftest.record_snip(zp, backward(zg, zp, zbatch, np.array([0, 1]))) == 0.0
+    zrec = conftest.record_gradients(zg, zp, zbatch, np.array([0, 1]))
+    snip_ok = conftest.record_snip(zp, zrec) == 0.0
 
     rng = np.random.default_rng(1010)
     cfg = ProxyBatchConfig(batch_size=2)

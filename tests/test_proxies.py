@@ -15,9 +15,16 @@ from protonas.proxies import (
     naswot,
     zico,
 )
-from protonas.tensorcore import ForwardTrace, GradientRecord, backward, forward, init_params
+from protonas.tensorcore import ForwardTrace, forward, init_params
 
-from conftest import chain_graph, record_snip, record_zico, tiny_classifier
+from conftest import (
+    Gradients,
+    chain_graph,
+    record_gradients,
+    record_snip,
+    record_zico,
+    tiny_classifier,
+)
 
 
 def code_trace(codes):
@@ -28,7 +35,7 @@ def code_trace(codes):
 
 def weight_record(per_layer):
     """A record with one (S, P) weight gradient per layer and no biases."""
-    return GradientRecord(weight_grads=dict(enumerate(per_layer)), bias_grads={})
+    return Gradients(weight_grads=dict(enumerate(per_layer)), bias_grads={})
 
 
 def test_naswot_complementary_codes():
@@ -134,7 +141,7 @@ def test_snip_matches_softmax_regression_oracle():
     gw = (p[:, :, None] * x[:, None, :]).mean(axis=0)
     gb = p.mean(axis=0)
     want = np.abs(w * gw).sum() + np.abs(params.biases[1] * gb).sum()
-    got = record_snip(params, backward(g, params, batch, labels))
+    got = record_snip(params, record_gradients(g, params, batch, labels))
     assert math.isclose(got, want, rel_tol=1e-9)
 
 
@@ -144,7 +151,7 @@ def test_snip_zero_weights_score_zero():
     for node in params.weights:
         params.weights[node] = np.zeros_like(params.weights[node])
     batch = np.random.default_rng(1).standard_normal((2, *g.input_shape))
-    assert record_snip(params, backward(g, params, batch, np.array([0, 1]))) == 0.0
+    assert record_snip(params, record_gradients(g, params, batch, np.array([0, 1]))) == 0.0
 
 
 def test_full_scores_on_small_network():
@@ -154,9 +161,10 @@ def test_full_scores_on_small_network():
     params = init_params(g, rng)
     batch = rng.standard_normal((4, *g.input_shape))
     labels = np.array([0, 1, 2, 0])
-    assert math.isfinite(record_snip(params, backward(g, params, batch, labels)))
+    assert math.isfinite(record_snip(params, record_gradients(g, params, batch, labels)))
     assert math.isfinite(naswot(forward(g, params, batch)))
-    two = backward(g, params, np.concatenate([batch, batch + 0.1]), np.concatenate([labels, labels]))
+    two = record_gradients(g, params, np.concatenate([batch, batch + 0.1]),
+                           np.concatenate([labels, labels]))
     assert math.isfinite(record_zico(two))
     assert math.isfinite(meco(g, forward(g, params, batch[:1])))
 
@@ -213,9 +221,9 @@ def test_ensemble_matches_standalone_proxies(space1d, task1d, templates):
         got = evaluate_ensemble(g, params, cfg, np.random.default_rng(seed + 100)).as_dict()
         batches, labels = _drawn_batches(g, cfg, np.random.default_rng(seed + 100))
         # one engine pass per proxy, each on only the rows it reads
-        stacked = backward(g, params, np.concatenate(batches), np.concatenate(labels))
+        stacked = record_gradients(g, params, np.concatenate(batches), np.concatenate(labels))
         want = {
-            "snip": record_snip(params, backward(g, params, batches[0], labels[0])),
+            "snip": record_snip(params, record_gradients(g, params, batches[0], labels[0])),
             "naswot": naswot(forward(g, params, batches[0]), cfg.eps_logdet),
             "zico": record_zico(stacked, cfg.eps_std),
             "meco": meco(g, forward(g, params, batches[0][:1]), cfg.eps_var),
@@ -239,7 +247,8 @@ def test_ensemble_runs_one_forward_and_one_backward_per_batch(
 
         return wrapper
 
-    # the engine calls forward from backward, the ensemble calls both
+    # the ensemble calls both; patched in the engine too, so a forward
+    # that backward ran itself would count
     for name in rows:
         wrapper = counting(name, getattr(engine_mod, name))
         monkeypatch.setattr(engine_mod, name, wrapper)
@@ -394,8 +403,8 @@ def test_blocked_zico_equals_unblocked(monkeypatch):
             want = unblocked_zico_layer(full)
             lone = unblocked_zico_layer(full[:, :1])
             # layer 0 split into weight and bias, then a one-parameter layer
-            rec = GradientRecord(weight_grads={0: parts[0], 1: full[:, :1]},
-                                 bias_grads={0: parts[1]} if bias else {})
+            rec = Gradients(weight_grads={0: parts[0], 1: full[:, :1]},
+                            bias_grads={0: parts[1]} if bias else {})
             assert zico(parts, 1e-6) == want
             assert record_zico(rec, 1e-6) == want + lone
 
@@ -419,12 +428,12 @@ def two_pass_ensemble(g, params, cfg, rng):
     trace = forward(g, params, batches[0])
     naswot_v = naswot(trace, cfg.eps_logdet)
     meco_v = meco(g, trace, cfg.eps_var)
-    records = [backward(g, params, batches[0], labels[0], trace=trace)]
+    records = [record_gradients(g, params, batches[0], labels[0], trace=trace)]
     del trace
-    records += [backward(g, params, b, l) for b, l in zip(batches[1:], labels[1:])]
+    records += [record_gradients(g, params, b, l) for b, l in zip(batches[1:], labels[1:])]
     snip_v = record_snip(params, records[0])
     # concatenate one tensor at a time, letting go of the per-batch parts
-    rec = GradientRecord(weight_grads={}, bias_grads={})
+    rec = Gradients({}, {})
     for name in ("weight_grads", "bias_grads"):
         for nid in list(getattr(records[0], name)):
             getattr(rec, name)[nid] = np.concatenate([getattr(r, name).pop(nid) for r in records])

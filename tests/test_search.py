@@ -190,7 +190,7 @@ def test_run_search_caps_the_pool_at_the_population_size(
         """Records max_workers and maps in this process; the first pool
         breaks on its first map, so run_search builds a second one."""
 
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers):
             asked.append(max_workers)
             self.first = len(asked) == 1
 

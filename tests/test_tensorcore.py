@@ -14,7 +14,7 @@ import pytest
 from protonas.archspace import decode, sample
 from protonas.archspace.graph import ArchitectureGraph, LayerSpec, windowed_extent
 from protonas.errors import ShapeMismatch
-from protonas.tensorcore import backward, cross_entropy, forward, init_params
+from protonas.tensorcore import backward, forward, init_params
 import protonas.tensorcore.engine as engine
 from protonas.tensorcore.engine import (
     _conv_bwd,
@@ -23,7 +23,7 @@ from protonas.tensorcore.engine import (
     _window,
 )
 
-from conftest import chain_graph, tiny_classifier
+from conftest import chain_graph, cross_entropy, record_gradients, tiny_classifier
 
 
 def set_budget(monkeypatch, budget):
@@ -48,7 +48,7 @@ def fd_gradient(g, params, batch, labels, node, idx, h=1e-5, bias=False):
 def max_rel_error(g, params, batch, labels, rng, probes=12):
     """Worst relative gap between finite differences of the mean loss and
     the batch mean of the per-sample gradients."""
-    grads = backward(g, params, batch, labels)
+    grads = record_gradients(g, params, batch, labels)
     worst = 0.0
     nodes = sorted(params.weights)
     for _ in range(probes):
@@ -95,7 +95,7 @@ def test_gradients_match_finite_differences_on_depthwise_first_chain():
     batch = rng.standard_normal((3, *g.input_shape))
     labels = np.array([2, 0, 1])
     assert max_rel_error(g, params, batch, labels, rng) < 1e-5
-    grads = backward(g, params, batch, labels)
+    grads = record_gradients(g, params, batch, labels)
     for store, gstore, bias in (
         (params.weights, grads.weight_grads, False),
         (params.biases, grads.bias_grads, True),
@@ -203,16 +203,33 @@ def test_forward_rejects_wrong_input_shape():
         forward(g, params, np.zeros((2, 3, 6, 6)))
 
 
-def _assert_per_sample_matches_rows(g, params, batch, labels):
-    per = backward(g, params, batch, labels)
+def one_row_backward(g, params, batch, labels):
+    """Per row, {node: (dw, db)} as backward hands them to a consumer of
+    its own after a forward over that row alone, the batch axis dropped
+    (db None without a bias): an oracle that does not go through
+    conftest.record_gradients."""
+    rows = []
     for b in range(len(batch)):
-        row = backward(g, params, batch[b : b + 1], labels[b : b + 1])
-        for got, want in ((per.weight_grads, row.weight_grads), (per.bias_grads, row.bias_grads)):
-            assert got.keys() == want.keys()
-            for node in want:
-                assert got[node].shape == (len(batch), *want[node].shape[1:])
-                err = np.abs(got[node][b] - want[node][0]).max(initial=0.0)
-                assert err <= 1e-12 * max(1.0, np.abs(want[node]).max(initial=0.0))
+        row, got = batch[b : b + 1], {}
+        trace = forward(g, params, row, keep=engine.backward_reads(g))
+        backward(g, params, row, labels[b : b + 1], trace,
+                 lambda i, dw, db: got.update({i: (dw[0], None if db is None else db[0])}))
+        rows.append(got)
+    return rows
+
+
+def _assert_per_sample_matches_rows(g, params, batch, labels):
+    per = record_gradients(g, params, batch, labels)
+    for b, row in enumerate(one_row_backward(g, params, batch, labels)):
+        assert per.weight_grads.keys() == row.keys()
+        assert per.bias_grads.keys() == {i for i, (_, db) in row.items() if db is not None}
+        for node, grads in row.items():
+            for got, want in zip((per.weight_grads, per.bias_grads), grads):
+                if want is None:
+                    continue
+                assert got[node].shape == (len(batch), *want.shape)
+                err = np.abs(got[node][b] - want).max(initial=0.0)
+                assert err <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
 
 
 def test_batched_per_sample_gradients_equal_one_row_backward():
@@ -244,11 +261,11 @@ def test_backward_reuses_a_given_trace_exactly(reuse_twice):
         params = init_params(g, rng)
         batch = rng.standard_normal((3, *g.input_shape))
         labels = np.array([2, 0, 1])
-        fresh = backward(g, params, batch, labels)
+        fresh = record_gradients(g, params, batch, labels)
         trace = forward(g, params, batch)
-        reused = backward(g, params, batch, labels, trace=trace)
+        reused = record_gradients(g, params, batch, labels, trace=trace)
         if reuse_twice:
-            reused = backward(g, params, batch, labels, trace=trace)
+            reused = record_gradients(g, params, batch, labels, trace=trace)
         pairs = ((reused.weight_grads, fresh.weight_grads), (reused.bias_grads, fresh.bias_grads))
         for got, want in pairs:
             assert got.keys() == want.keys()
@@ -261,7 +278,7 @@ def test_backward_rejects_trace_of_another_batch_size():
     params = init_params(g, np.random.default_rng(0))
     batch = np.random.default_rng(1).standard_normal((3, *g.input_shape))
     with pytest.raises(ShapeMismatch):
-        backward(g, params, batch, np.array([0, 1, 2]), trace=forward(g, params, batch[:2]))
+        record_gradients(g, params, batch, np.array([0, 1, 2]), trace=forward(g, params, batch[:2]))
 
 
 @pytest.mark.parametrize("value", [0.0, -np.inf])
@@ -423,7 +440,7 @@ def test_forward_on_decoded_candidates(space1d, task1d, templates):
         trace = forward(g, params, batch)
         assert trace.logits.shape == (2, task1d.num_classes)
         assert np.isfinite(trace.logits).all()
-        grads = backward(g, params, batch, np.array([0, 1]))
+        grads = record_gradients(g, params, batch, np.array([0, 1]))
         assert all(np.isfinite(v).all() for v in grads.weight_grads.values())
 
 
@@ -799,8 +816,8 @@ def test_elementwise_nodes_make_no_fresh_activation():
     activation = 8 * 8 * 64 * 64 * 8
     trace, peak = traced_peak(lambda: forward(g, params, batch, keep=engine.backward_reads(g)))
     assert peak < 1.5 * activation
-    for given in (trace, None):  # without a trace, backward runs forward too
-        _, peak = traced_peak(lambda: backward(g, params, batch, labels, trace=given))
+    for given in (trace, None):  # without a trace, the recorder runs forward too
+        _, peak = traced_peak(lambda: record_gradients(g, params, batch, labels, trace=given))
         assert peak < 1.5 * activation
 
 
@@ -1300,12 +1317,12 @@ def test_backward_from_a_kept_trace_equals_backward_from_a_full_trace(graph):
         params.biases[nid] = rng.standard_normal(params.biases[nid].shape)
     batch = rng.standard_normal((4, *g.input_shape))
     labels = rng.integers(0, g.num_classes, 4)
-    want = backward(g, params, batch, labels, trace=forward(g, params, batch))
+    want = record_gradients(g, params, batch, labels, trace=forward(g, params, batch))
     kept = forward(g, params, batch, keep=engine.backward_reads(g))
     held = dict(kept.outputs)
     for got in (
-        backward(g, params, batch, labels, trace=kept),
-        backward(g, params, batch, labels),
+        record_gradients(g, params, batch, labels, trace=kept),
+        record_gradients(g, params, batch, labels),
     ):
         pairs = ((got.weight_grads, want.weight_grads), (got.bias_grads, want.bias_grads))
         for got_grads, want_grads in pairs:
@@ -1319,9 +1336,12 @@ def test_backward_from_a_kept_trace_equals_backward_from_a_full_trace(graph):
 
 @pytest.mark.parametrize("spatial", [(12,), (12, 12)], ids=["1d", "2d"])
 def test_backward_hands_each_weighted_node_to_the_consumer_once(spatial):
-    """With a consumer, backward passes each weighted node's gradients once,
-    in decreasing node order, with the bits, shapes and dtypes it would
-    collect, and returns nothing."""
+    """backward passes each weighted node's gradients to the consumer
+    once, in decreasing node order, db None exactly where the node has
+    no bias, and returns nothing.  The bits are the same from a full and
+    from a kept trace, and each row has the shape and dtype of a backward
+    over the row alone (one_row_backward) and its values to that test's
+    tolerance: a one-row product need not have a batched product's bits."""
     g = depthwise_chain(spatial)
     rng = np.random.default_rng(17)
     params = init_params(g, rng)
@@ -1329,20 +1349,27 @@ def test_backward_hands_each_weighted_node_to_the_consumer_once(spatial):
         params.biases[nid] = rng.standard_normal(params.biases[nid].shape)
     batch = rng.standard_normal((5, *g.input_shape))
     labels = rng.integers(0, g.num_classes, 5)
-    want = backward(g, params, batch, labels)
-    assert list(want.weight_grads) == sorted(params.weights, reverse=True)
-    for trace in (None, forward(g, params, batch, keep=engine.backward_reads(g))):
+    rows = one_row_backward(g, params, batch, labels)
+    passes = []
+    for trace in (forward(g, params, batch), forward(g, params, batch, keep=engine.backward_reads(g))):
         seen = []
-        got = backward(g, params, batch, labels, trace=trace,
-                       consumer=lambda i, dw, db: seen.append((i, dw, db)))
+        got = backward(g, params, batch, labels, trace, lambda i, dw, db: seen.append((i, dw, db)))
         assert got is None
         assert [i for i, _, _ in seen] == sorted(params.weights, reverse=True)
         for i, dw, db in seen:
-            assert_same_bits(dw, want.weight_grads[i])
-            if i in params.biases:
-                assert_same_bits(db, want.bias_grads[i])
-            else:
-                assert db is None
+            assert (db is None) == (i not in params.biases)
+            for b, row in enumerate(rows):
+                for got_grad, want in zip((dw, db), row[i]):
+                    if want is not None:
+                        assert got_grad.shape == (len(batch), *want.shape)
+                        assert got_grad.dtype == want.dtype
+                        err = np.abs(got_grad[b] - want).max()
+                        assert err <= 1e-12 * max(1.0, np.abs(want).max())
+        passes.append(seen)
+    for (i, dw, db), (j, want_dw, want_db) in zip(*passes):
+        assert i == j
+        assert_same_bits(dw, want_dw)
+        assert_same_bits(db, want_db)
 
 
 def relu_probe_graph(spatial=(2, 5)):
@@ -1423,8 +1450,8 @@ def test_relu_masks_are_read_from_kept_outputs():
             outputs=dict(kept.outputs), relu_patterns=want, logits=kept.logits,
             pool_argmax=kept.pool_argmax, shapes=kept.shapes,
         )
-        got = backward(g, params, batch, labels, trace=kept)
-        ref = backward(g, params, batch, labels, trace=stored)
+        got = record_gradients(g, params, batch, labels, trace=kept)
+        ref = record_gradients(g, params, batch, labels, trace=stored)
         for got_grads, ref_grads in ((got.weight_grads, ref.weight_grads),
                                      (got.bias_grads, ref.bias_grads)):
             assert list(got_grads) == list(ref_grads)
@@ -1459,14 +1486,14 @@ def test_a_trace_without_a_relu_mask_is_rejected():
         with pytest.raises(ShapeMismatch):
             relu_mask(bad, node)
     with pytest.raises(ShapeMismatch):
-        backward(g, params, batch, np.array([0, 1]), trace=lacking)
+        record_gradients(g, params, batch, np.array([0, 1]), trace=lacking)
     # no entry at all for relu 4
     missing = engine.ForwardTrace(
         outputs=trace.outputs, logits=trace.logits, shapes=trace.shapes,
         relu_patterns={i: p for i, p in trace.relu_patterns.items() if i != 4},
     )
     with pytest.raises(ShapeMismatch):
-        backward(g, params, batch, np.array([0, 1]), trace=missing)
+        record_gradients(g, params, batch, np.array([0, 1]), trace=missing)
 
 
 def test_backward_rejects_a_trace_without_the_outputs_it_reads():
@@ -1475,13 +1502,15 @@ def test_backward_rejects_a_trace_without_the_outputs_it_reads():
     batch = np.random.default_rng(1).standard_normal((2, 2, 8, 8))
     trace = forward(g, params, batch, keep=set())
     with pytest.raises(ShapeMismatch):
-        backward(g, params, batch, np.array([0, 1]), trace=trace)
+        record_gradients(g, params, batch, np.array([0, 1]), trace=trace)
 
 
 # Scores one seeded 3x128x128 candidate twice in a fresh process and
-# prints the minor page faults each call took.
+# prints the minor page faults each call took; with the argument "retain"
+# it calls retain_freed_memory itself first.
 _FAULTS_PER_CALL = textwrap.dedent("""
     import resource
+    import sys
 
     import numpy as np
 
@@ -1492,7 +1521,8 @@ _FAULTS_PER_CALL = textwrap.dedent("""
     from protonas.tensorcore import init_params
     from protonas.tensorcore.engine import retain_freed_memory
 
-    retain_freed_memory()
+    if sys.argv[1:] == ["retain"]:
+        retain_freed_memory()
     space = SearchSpaceDef(baseline_pool=("mbednet", "mobilenetv2", "resnet", "squeezenet"))
     task = TaskSpec(input_shape=(3, 128, 128), num_classes=10)
     x = HyperparamVector(
@@ -1513,13 +1543,16 @@ _FAULTS_PER_CALL = textwrap.dedent("""
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
-def test_scoring_a_candidate_again_faults_in_no_working_set():
+@pytest.mark.parametrize("args", [("retain",), ()], ids=["caller-sets-it", "engine-sets-it"])
+def test_scoring_a_candidate_again_faults_in_no_working_set(args):
     # by default glibc unmaps or trims the multi-MB buffers a candidate
-    # frees, and the second call faults them in again page by page
+    # frees, and the second call faults them in again page by page; a
+    # caller that never sets the allocator itself gets the setting from
+    # init_params, before it allocates its batch
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _FAULTS_PER_CALL], capture_output=True, text=True, env=env
+        [sys.executable, "-c", _FAULTS_PER_CALL, *args], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
     first, second = map(int, proc.stdout.split())

@@ -11,6 +11,7 @@ from pathlib import Path
 
 PIPEBENCH = Path(__file__).resolve().parents[1] / "pipebench"
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _load_tracing():
@@ -59,6 +60,23 @@ def test_layer_timings_reads_existing_engine_names():
     assert names >= {"_conv_fwd", "_conv_bwd", "retain_freed_memory"}
     for name in names:
         assert callable(getattr(engine, name, None)), f"layer_timings.py: engine.{name}"
+
+
+def test_engine_exports_only_what_the_package_imports():
+    """Every name protonas.tensorcore exports is imported by a module of
+    the package outside tensorcore/, so no mode that only the tests call
+    sits in the engine's public surface."""
+    import protonas.tensorcore as tensorcore
+
+    imported = set()
+    for path in sorted((SRC / "protonas").rglob("*.py")):
+        if "tensorcore" in path.relative_to(SRC / "protonas").parts:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # `from ..tensorcore.engine import x` or `from protonas.tensorcore import x`
+            if isinstance(node, ast.ImportFrom) and "tensorcore" in (node.module or "").split("."):
+                imported.update(alias.name for alias in node.names)
+    assert not set(tensorcore.__all__) - imported, sorted(set(tensorcore.__all__) - imported)
 
 
 def test_trace_records_each_scoring_stage_once_per_candidate(
