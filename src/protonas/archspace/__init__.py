@@ -1,7 +1,7 @@
 """Search space, baseline templates, and architecture graphs."""
 
 from .decode import apply_static_pruning, decode, scaled_channels
-from .graph import ArchitectureGraph, LayerSpec, validate
+from .graph import ArchitectureGraph, LayerSpec
 from .space import (
     GROUP_COUNT,
     HyperparamVector,
@@ -24,5 +24,4 @@ __all__ = [
     "load_templates",
     "sample",
     "scaled_channels",
-    "validate",
 ]

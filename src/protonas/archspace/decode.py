@@ -20,7 +20,7 @@ from ..errors import ConfigError, ShapeMismatch
 from .graph import PASSTHROUGH_KINDS, WEIGHTED_KINDS, WINDOWED_KINDS, ArchitectureGraph, LayerSpec
 from .graph import input_count, layer_out_shape, windowed_extent
 from .space import GROUP_COUNT, HyperparamVector, SearchSpaceDef, TaskSpec
-from .templates import BaselineTemplate, eval_channel_expr, load_templates
+from .templates import BaselineTemplate, eval_channel_expr
 
 
 def scaled_channels(raw: int, width: float) -> int:
@@ -131,7 +131,7 @@ def decode(
     x: HyperparamVector,
     space: SearchSpaceDef,
     task: TaskSpec,
-    templates: dict[str, BaselineTemplate] | None = None,
+    templates: dict[str, BaselineTemplate],
 ) -> ArchitectureGraph:
     """Instantiate the backbone described by a hyperparameter vector.
 
@@ -139,8 +139,6 @@ def decode(
     Raises ConfigError for genes outside the space or a template whose
     dimensionality disagrees with the task.
     """
-    if templates is None:
-        templates = load_templates()
     if not x.in_space(space):
         raise ConfigError("hyperparameter vector lies outside the search space")
     tid = space.baseline_pool[x.architecture]

@@ -94,16 +94,6 @@ class ArchitectureGraph:
                     succ[p].append(i)
         return succ
 
-    def input_nodes(self) -> list[int]:
-        return [i for i, ps in enumerate(self.preds) if not ps]
-
-    def output_node(self) -> int:
-        succ = self.successors()
-        sinks = [i for i, s in enumerate(succ) if not s]
-        if len(sinks) != 1:
-            raise ShapeMismatch(f"graph has {len(sinks)} output nodes, expected 1")
-        return sinks[0]
-
     def infer_shapes(self) -> list[tuple[int, ...]]:
         """Recompute per-node output shapes in node order.
 
@@ -158,87 +148,4 @@ def layer_out_shape(node: LayerSpec, in_shapes: list[tuple[int, ...]]) -> tuple[
                 raise ShapeMismatch(f"concat spatial extents disagree: {first} vs {s}")
         return (sum(s[0] for s in in_shapes),) + first[1:]
     raise ShapeMismatch(f"unknown layer kind '{kind}'")
-
-
-def _find_cycle(preds: list[list[int]]) -> bool:
-    n = len(preds)
-    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
-    for start in range(n):
-        if state[start]:
-            continue
-        stack = [(start, 0)]
-        state[start] = 1
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(preds[node]):
-                stack[-1] = (node, idx + 1)
-                p = preds[node][idx]
-                if 0 <= p < n:
-                    if state[p] == 1:
-                        return True
-                    if state[p] == 0:
-                        state[p] = 1
-                        stack.append((p, 0))
-            else:
-                state[node] = 2
-                stack.pop()
-    return False
-
-
-def validate(g: ArchitectureGraph) -> list[str]:
-    """Structural and shape checks; returns a list of violation strings."""
-    out: list[str] = []
-    n = len(g.nodes)
-    if n == 0:
-        return ["graph is empty"]
-    for i, node in enumerate(g.nodes):
-        if node.kind not in LAYER_KINDS:
-            out.append(f"node {i}: unknown kind '{node.kind}'")
-        if node.in_channels < 1 or node.out_channels < 1:
-            out.append(f"node {i}: channel count below 1")
-        if node.kind in CONV_KINDS and node.kernel % 2 == 0:
-            out.append(f"node {i}: even kernel {node.kernel}")
-        if node.stride not in (1, 2):
-            out.append(f"node {i}: stride {node.stride} outside {{1, 2}}")
-        for p in g.preds[i]:
-            if not (0 <= p < n):
-                out.append(f"node {i}: dangling edge to {p}")
-    if out:
-        return out
-    if _find_cycle(g.preds):
-        return ["graph is not acyclic"]
-    inputs = g.input_nodes()
-    if len(inputs) != 1:
-        out.append(f"graph has {len(inputs)} input nodes, expected 1")
-    succ = g.successors()
-    sinks = [i for i, s in enumerate(succ) if not s]
-    if len(sinks) != 1:
-        out.append(f"graph has {len(sinks)} output nodes, expected 1")
-    # Shape pass: needs node order to be topological.
-    order_ok = all(all(p < i for p in ps) for i, ps in enumerate(g.preds))
-    if not order_ok:
-        out.append("node order is not topological")
-        return out
-    shapes: list[tuple[int, ...]] = []
-    for i, node in enumerate(g.nodes):
-        ins = [shapes[p] for p in g.preds[i]] or [tuple(g.input_shape)]
-        if node.kind in WEIGHTED_KINDS:
-            expect = input_count(node.kind, ins[0])
-            if node.in_channels != expect:
-                out.append(
-                    f"node {i}: channel mismatch (declares {node.in_channels}, gets {expect})"
-                )
-        if node.kind == "depthwise-conv" and node.out_channels != node.in_channels:
-            out.append(f"node {i}: depthwise out {node.out_channels} != in {node.in_channels}")
-        if node.kind == "add" and len(g.preds[i]) < 2:
-            out.append(f"node {i}: add needs at least two inputs")
-        try:
-            shapes.append(layer_out_shape(node, ins))
-        except (ShapeMismatch, ShapeCollapse) as exc:
-            out.append(f"node {i}: {exc}")
-            return out
-    final = g.nodes[sinks[0]] if len(sinks) == 1 else None
-    if final is not None and final.kind == "linear" and final.out_channels != g.num_classes:
-        out.append(f"classifier emits {final.out_channels} logits for {g.num_classes} classes")
-    return out
 

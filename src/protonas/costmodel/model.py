@@ -144,10 +144,9 @@ def check(c: CostEstimate, t: TargetProfile) -> Feasibility:
     return Feasibility(feasible=violation == 0.0, violation=violation)
 
 
-def estimate_costs(g: ArchitectureGraph, profile: TargetProfile | None = None) -> CostEstimate:
-    overhead = profile.rom_code_overhead if profile is not None else 0
+def estimate_costs(g: ArchitectureGraph, profile: TargetProfile) -> CostEstimate:
     return CostEstimate(
         flops=count_flops(g),
-        rom_bytes=estimate_rom(g, overhead),
+        rom_bytes=estimate_rom(g, profile.rom_code_overhead),
         ram_bytes=estimate_ram(g),
     )

@@ -1,13 +1,10 @@
 """Exact hypervolume and hypervolume subset selection."""
 
-from .hv import HAVE_COMPILED, hv_monte_carlo, hypervolume
+from .hv import HAVE_COMPILED, hypervolume
 from .subset import (
     HssConfig,
-    SubsetGene,
     default_reference,
-    exhaustive_subset,
     normalize_objectives,
-    repair,
     select_subset,
     subset_hypervolume,
 )
@@ -15,13 +12,9 @@ from .subset import (
 __all__ = [
     "HAVE_COMPILED",
     "HssConfig",
-    "SubsetGene",
     "default_reference",
-    "exhaustive_subset",
-    "hv_monte_carlo",
     "hypervolume",
     "normalize_objectives",
-    "repair",
     "select_subset",
     "subset_hypervolume",
 ]

@@ -1,15 +1,15 @@
-"""Hypervolume: validation, the exact kernel, a Monte Carlo estimator.
+"""Exact hypervolume under minimization.
 
-The exact kernel is a pure-Python dimension sweep under minimization:
-sort by the last objective, sweep the slabs between consecutive values,
-and recurse on the dominance-filtered projections of the prefix.
+The hypervolume of a point set is the volume of the region that some
+point dominates and the reference point bounds.  The kernel is a
+pure-Python dimension sweep: sort by the last objective, sweep the
+slabs between consecutive values, and recurse on the dominance-filtered
+projections of the prefix.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from ..errors import DimensionMismatch
 
@@ -87,41 +87,3 @@ def hypervolume(points, ref) -> float:
     pts, ref_t = _checked(points, ref)
     return _hv_rec(pts, len(ref_t), ref_t)
 
-
-def hv_monte_carlo(points, ref, samples: int = 1_000_000, rng=None) -> float:
-    """Monte Carlo hypervolume estimate over the [0, ref] box.
-
-    Independent of the exact kernel on purpose; used to cross-check it.
-    Assumes points lie within [0, ref] (the usual normalized setting).
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    pts, ref_t = _checked(points, ref)
-    if rng is None:
-        rng = np.random.default_rng()
-    ref_a = np.asarray(ref_t)
-    box = float(np.prod(ref_a))
-    if not pts:
-        return 0.0
-    p = np.asarray(pts)
-    d = len(ref_t)
-    hits = 0
-    done = 0
-    chunk = 65536
-    # one point at a time against the chunk's samples, one objective (a
-    # contiguous row of the transposed chunk) at a time, in reused buffers
-    dominated, inside, test = (np.empty(min(chunk, samples), dtype=bool) for _ in range(3))
-    while done < samples:
-        m = min(chunk, samples - done)
-        ut = np.ascontiguousarray((rng.random((m, d)) * ref_a).T)
-        dom, ins, t = dominated[:m], inside[:m], test[:m]
-        dom.fill(False)
-        for point in p:
-            np.less_equal(point[0], ut[0], out=ins)
-            for v, row in zip(point[1:], ut[1:]):
-                np.less_equal(v, row, out=t)
-                ins &= t
-            dom |= ins
-        hits += int(np.count_nonzero(dom))
-        done += m
-    return box * hits / samples

@@ -3,17 +3,15 @@
 Given a Pareto front P (minimization, typically normalized to [0, 1]
 per objective) pick the k points whose joint hypervolume against the
 reference point is maximal.  select_subset runs a genetic algorithm
-over binary membership genes, repairing and scoring each generation
-once per distinct gene; exhaustive_subset is the brute-force oracle
-for small instances.  Sets of at most IE_MAX_POINTS points are scored
-by exact inclusion-exclusion over numpy arrays, larger ones by the
-sweep kernel behind hypervolume.
+over binary membership genes.  Each gene is repaired to exactly k
+members, steered by hypervolume (_repair_rows), and scored by the
+hypervolume of its members, once per distinct gene.  Sets of at most
+IE_MAX_POINTS points are scored by exact inclusion-exclusion over numpy
+arrays, larger ones by the sweep kernel behind hypervolume.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,22 +39,6 @@ class HssConfig:
             raise ConfigError("hss.generations and hss.stagnation: must be >= 1")
         if self.seed < 0:
             raise ConfigError("hss.seed: must be >= 0")
-
-
-@dataclass
-class SubsetGene:
-    """Binary membership vector over the front; repair enforces sum == k."""
-
-    bits: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool).copy()
-        if self.bits.ndim != 1:
-            raise ValueError("bits must be one-dimensional")
-
-    def indices(self) -> list[int]:
-        return [int(i) for i in np.flatnonzero(self.bits)]
 
 
 def default_reference(d: int) -> tuple[float, ...]:
@@ -301,20 +283,6 @@ def _repair_rows(bits: np.ndarray, k: int, cache: _HvCache) -> np.ndarray:
     return bits
 
 
-def repair(gene: SubsetGene, points, ref=None) -> SubsetGene:
-    """Return a copy of gene with exactly gene.k bits set.
-
-    Raises InfeasibleK when k exceeds the number of points.
-    """
-    p = np.asarray(points, dtype=float)
-    if gene.bits.size != len(p):
-        raise ValueError("gene length does not match the point set")
-    if gene.k < 1 or gene.k > len(p):
-        raise InfeasibleK(f"cannot select {gene.k} of {len(p)} points")
-    cache = _HvCache(p, _reference(p, ref))
-    return SubsetGene(_repair_rows(gene.bits[None], gene.k, cache)[0], gene.k)
-
-
 def _repair_population(genes, k, cache, memo):
     """Repair and score every row of genes, once per distinct row.
 
@@ -399,27 +367,6 @@ def select_subset(points, k: int, cfg: HssConfig | None = None, ref=None) -> lis
     # the elitist stable sort keeps the first best gene at pop[0]
     # (generations >= 1, so pop has been sorted at least once)
     return [int(i) for i in np.flatnonzero(pop[0])]
-
-
-def exhaustive_subset(points, k: int, ref=None, limit: int = 2_000_000) -> list[int]:
-    """Brute-force optimal k-subset; oracle for small instances."""
-    p = np.asarray(points, dtype=float)
-    n = len(p)
-    if k < 1 or n == 0:
-        raise InfeasibleK(f"cannot select {k} of {n} points")
-    if k >= n:
-        return list(range(n))
-    if math.comb(n, k) > limit:
-        raise ValueError(f"C({n},{k}) exceeds the exhaustive search limit")
-    cache = _HvCache(p, _reference(p, ref))
-    best = None
-    best_hv = -math.inf
-    for combo in itertools.combinations(range(n), k):
-        h = cache.of_indices(list(combo))
-        if h > best_hv:
-            best_hv = h
-            best = combo
-    return list(best)
 
 
 def subset_hypervolume(points, indices, ref=None) -> float:

@@ -85,10 +85,10 @@ class ProxyScores:
 PROXY_NAMES = tuple(f.name for f in fields(ProxyScores))
 
 
-def snip(theta: np.ndarray, grad: np.ndarray, rows: int | None = None) -> float:
+def snip(theta: np.ndarray, grad: np.ndarray, rows: int) -> float:
     """One parameter tensor's connection-sensitivity mass: the sum of
     |theta * mean_b g_b|, the mean taken over the first `rows` samples of
-    its per-sample gradients grad (all of them by default)."""
+    its per-sample gradients grad."""
     grad = grad[:rows]
     # grad.mean(axis=0)'s arithmetic, without its Python wrapper
     return float(np.abs(theta * (np.add.reduce(grad, axis=0) / len(grad))).sum())
@@ -140,14 +140,13 @@ def _agreement(blocks, rows: int) -> np.ndarray:
     return 2.0 * cc + units - s[:, None] - s[None, :]
 
 
-def naswot(trace: ForwardTrace, eps: float = 1e-6, rows: int | None = None) -> float:
+def naswot(trace: ForwardTrace, eps: float, rows: int) -> float:
     """Log-determinant of the code agreement matrix, floored by eps*I,
     over every relu's activation codes in the trace's first `rows`
-    samples (all of them by default), in node order, read in blocks of
-    at most _CODE_BLOCK units per sample."""
+    samples, in node order, read in blocks of at most _CODE_BLOCK units
+    per sample."""
     if not trace.relu_patterns:
         raise ConfigError("naswot needs at least one relu layer")
-    rows = len(trace.logits) if rows is None else rows
     # chain keeps no block it has handed on, so each is freed before the next is made
     blocks = itertools.chain.from_iterable(
         trace.relu_mask_blocks(i, rows, _CODE_BLOCK) for i in sorted(trace.relu_patterns)
@@ -215,7 +214,7 @@ def _block_ratios(block: np.ndarray, work: np.ndarray, eps: float, out: np.ndarr
     np.divide(mean_abs, std, out=out)
 
 
-def zico(grads: list[np.ndarray], eps: float = 1e-6) -> float:
+def zico(grads: list[np.ndarray], eps: float) -> float:
     """One weighted layer's term: log(sum_theta mean|g| / (std(g) + eps))
     over its per-sample weight and bias gradients grads, flattened per
     sample.  The sum is floored at eps before the log, and the ratio
@@ -224,7 +223,7 @@ def zico(grads: list[np.ndarray], eps: float = 1e-6) -> float:
     return float(np.log(max(_zico_ratios(parts, eps).sum(), eps)))
 
 
-def correlation_min_eigenvalue(channels: np.ndarray, eps: float = 1e-6) -> float:
+def correlation_min_eigenvalue(channels: np.ndarray, eps: float) -> float:
     """Smallest eigenvalue of the channel Pearson correlation matrix.
 
     channels: (C, N) flattened feature map.  Variances are floored at
@@ -242,7 +241,7 @@ def correlation_min_eigenvalue(channels: np.ndarray, eps: float = 1e-6) -> float
     return float(np.linalg.eigvalsh(corr)[0])
 
 
-def meco(g: ArchitectureGraph, trace: ForwardTrace, eps: float = 1e-6) -> float:
+def meco(g: ArchitectureGraph, trace: ForwardTrace, eps: float) -> float:
     """Sum of per-tap minimum correlation eigenvalues on the trace's first
     row; the taps are g's block outputs, which the trace must keep."""
     taps = _meco_taps(g)

@@ -1,6 +1,6 @@
 """Constrained multi-objective exploration."""
 
-from .moo import constrained_dominates, crowding_distance, nondominated_sort
+from .moo import crowding_distance, nondominated_sort
 from .run import (
     OBJECTIVE_LABELS,
     CandidateRecord,
@@ -22,7 +22,6 @@ __all__ = [
     "ParetoArchive",
     "SearchConfig",
     "compute_pareto_indices",
-    "constrained_dominates",
     "crowding_distance",
     "derive_seed",
     "evaluate_candidate",

@@ -1,4 +1,10 @@
-"""Constrained dominance, non-dominated sorting, crowding distance."""
+"""Non-dominated sorting and crowding distance under constrained dominance.
+
+A record a constrained-dominates a record b when a is feasible and b is
+not, when both are infeasible and a has the lower total violation, or
+when both are feasible and a Pareto-dominates b on their objective
+vectors (every objective <=, at least one <).
+"""
 
 from __future__ import annotations
 
@@ -7,29 +13,9 @@ import math
 import numpy as np
 
 
-def constrained_dominates(a, b) -> bool:
-    """Feasibility-first dominance.
-
-    A feasible record beats any infeasible one; two infeasible records
-    compare by total violation (lower wins); two feasible records
-    compare by Pareto dominance on their objective vectors (all <=,
-    at least one <).
-    """
-    fa, fb = a.feasibility.feasible, b.feasibility.feasible
-    if fa and not fb:
-        return True
-    if fb and not fa:
-        return False
-    if not fa:
-        return a.feasibility.violation < b.feasibility.violation
-    le = all(x <= y for x, y in zip(a.objectives, b.objectives))
-    lt = any(x < y for x, y in zip(a.objectives, b.objectives))
-    return le and lt
-
-
 def nondominated_sort(records) -> list[list[int]]:
-    """Indices grouped into fronts under constrained_dominates; front 0 is
-    non-dominated.
+    """Indices grouped into fronts under constrained dominance (see the
+    module docstring); front 0 is non-dominated.
 
     Front 0 is in index order.  A later front's members come in the order
     of the last member of the front before that dominates them (the one

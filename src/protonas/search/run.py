@@ -69,7 +69,7 @@ class EvalContext:
     task: TaskSpec
     profile: TargetProfile
     proxy: ProxyBatchConfig
-    templates: dict[str, BaselineTemplate] | None = None
+    templates: dict[str, BaselineTemplate]
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,9 @@ def compute_pareto_indices(records: list[CandidateRecord]) -> list[int]:
     return [i for i in first if records[i].feasibility.feasible]
 
 
-def run_search(cfg: SearchConfig, jobs: int = 1, log_path=None, templates=None) -> ParetoArchive:
+def run_search(
+    cfg: SearchConfig, templates: dict[str, BaselineTemplate], jobs: int = 1, log_path=None
+) -> ParetoArchive:
     """Run the full exploration; returns every record plus the front.
 
     jobs > 1 evaluates each generation in one process pool kept for the

@@ -504,36 +504,34 @@ def forward(
     g: ArchitectureGraph,
     params: ParamSet,
     batch: np.ndarray,
-    keep: Collection[int] | None = None,
+    keep: Collection[int],
 ) -> ForwardTrace:
     """Run the graph on a batch shaped (B, *input_shape).
 
-    keep names the nodes whose outputs the trace holds; by default it
-    holds all of them.  Any other output is dropped as soon as its last
-    consumer has run, and a relu, batchnorm or add that is that last
-    consumer writes its result over it (an add only if no other operand
-    is the same output).  The batch and the kept outputs are never
-    written.  The logits, max-pool argmaxes and output shapes are always
-    recorded, and so is each relu's pattern, except that of a relu whose
-    output is kept and read by backward (backward_reads): relu_mask_blocks
-    reads that one from the output.
+    keep names the nodes whose outputs the trace holds (every node:
+    range(len(g.nodes))).  Any other output is dropped as soon as its
+    last consumer has run, and a relu, batchnorm or add that is that
+    last consumer writes its result over it (an add only if no other
+    operand is the same output).  The batch and the kept outputs are
+    never written.  The logits, max-pool argmaxes and output shapes are
+    always recorded, and so is each relu's pattern, except that of a
+    relu whose output is kept and read by backward (backward_reads):
+    relu_mask_blocks reads that one from the output.
     """
     _retain_once()
     x = _as_batch(g, batch)
+    keep = set(keep)
     outputs: dict[int, np.ndarray] = {}
     relu_patterns: dict[int, np.ndarray | None] = {}
     # the relus whose pattern their kept output holds
-    derived = backward_reads(g).keys()
+    derived = backward_reads(g).keys() & keep
     pool_argmax: dict[int, np.ndarray] = {}
     shapes: list[tuple[int, ...]] = []
     # drop_after[i]: the unkept outputs whose last consumer is node i
     drop_after: list[list[int]] = [[] for _ in g.nodes]
-    if keep is not None:
-        keep = set(keep)
-        derived = derived & keep
-        for p, succ in enumerate(g.successors()):
-            if p not in keep:
-                drop_after[max(succ, default=p)].append(p)
+    for p, succ in enumerate(g.successors()):
+        if p not in keep:
+            drop_after[max(succ, default=p)].append(p)
     for i, node in enumerate(g.nodes):
         if any(p >= i for p in g.preds[i]):
             raise ShapeMismatch("node order is not topological")

@@ -1,4 +1,6 @@
 import collections
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +22,18 @@ from protonas.archspace import (
     load_templates,
     sample,
 )
-from protonas.archspace.graph import ArchitectureGraph, LayerSpec
+from protonas.archspace.graph import (
+    CONV_KINDS,
+    LAYER_KINDS,
+    WEIGHTED_KINDS,
+    ArchitectureGraph,
+    LayerSpec,
+    input_count,
+    layer_out_shape,
+)
+from protonas.errors import InfeasibleK, ShapeCollapse, ShapeMismatch
+from protonas.hvss.hv import _checked
+from protonas.hvss.subset import _HvCache, _reference, _repair_rows
 from protonas.tensorcore import backward, forward
 from protonas.tensorcore.engine import backward_reads
 
@@ -123,22 +136,198 @@ def cross_entropy(logits, labels):
     return float(np.mean(lse - picked))
 
 
+# Oracles the tests check the package against: each states a rule
+# directly, apart from the code that the commands run.
+
+def _find_cycle(preds: list[list[int]]) -> bool:
+    n = len(preds)
+    state = [0] * n  # 0 unvisited, 1 on stack, 2 done
+    for start in range(n):
+        if state[start]:
+            continue
+        stack = [(start, 0)]
+        state[start] = 1
+        while stack:
+            node, idx = stack[-1]
+            if idx < len(preds[node]):
+                stack[-1] = (node, idx + 1)
+                p = preds[node][idx]
+                if 0 <= p < n:
+                    if state[p] == 1:
+                        return True
+                    if state[p] == 0:
+                        state[p] = 1
+                        stack.append((p, 0))
+            else:
+                state[node] = 2
+                stack.pop()
+    return False
+
+
+def validate(g: ArchitectureGraph) -> list[str]:
+    """Structural and shape checks; returns a list of violation strings."""
+    out: list[str] = []
+    n = len(g.nodes)
+    if n == 0:
+        return ["graph is empty"]
+    for i, node in enumerate(g.nodes):
+        if node.kind not in LAYER_KINDS:
+            out.append(f"node {i}: unknown kind '{node.kind}'")
+        if node.in_channels < 1 or node.out_channels < 1:
+            out.append(f"node {i}: channel count below 1")
+        if node.kind in CONV_KINDS and node.kernel % 2 == 0:
+            out.append(f"node {i}: even kernel {node.kernel}")
+        if node.stride not in (1, 2):
+            out.append(f"node {i}: stride {node.stride} outside {{1, 2}}")
+        for p in g.preds[i]:
+            if not (0 <= p < n):
+                out.append(f"node {i}: dangling edge to {p}")
+    if out:
+        return out
+    if _find_cycle(g.preds):
+        return ["graph is not acyclic"]
+    inputs = [i for i, ps in enumerate(g.preds) if not ps]
+    if len(inputs) != 1:
+        out.append(f"graph has {len(inputs)} input nodes, expected 1")
+    succ = g.successors()
+    sinks = [i for i, s in enumerate(succ) if not s]
+    if len(sinks) != 1:
+        out.append(f"graph has {len(sinks)} output nodes, expected 1")
+    # Shape pass: needs node order to be topological.
+    order_ok = all(all(p < i for p in ps) for i, ps in enumerate(g.preds))
+    if not order_ok:
+        out.append("node order is not topological")
+        return out
+    shapes: list[tuple[int, ...]] = []
+    for i, node in enumerate(g.nodes):
+        ins = [shapes[p] for p in g.preds[i]] or [tuple(g.input_shape)]
+        if node.kind in WEIGHTED_KINDS:
+            expect = input_count(node.kind, ins[0])
+            if node.in_channels != expect:
+                out.append(
+                    f"node {i}: channel mismatch (declares {node.in_channels}, gets {expect})"
+                )
+        if node.kind == "depthwise-conv" and node.out_channels != node.in_channels:
+            out.append(f"node {i}: depthwise out {node.out_channels} != in {node.in_channels}")
+        if node.kind == "add" and len(g.preds[i]) < 2:
+            out.append(f"node {i}: add needs at least two inputs")
+        try:
+            shapes.append(layer_out_shape(node, ins))
+        except (ShapeMismatch, ShapeCollapse) as exc:
+            out.append(f"node {i}: {exc}")
+            return out
+    final = g.nodes[sinks[0]] if len(sinks) == 1 else None
+    if final is not None and final.kind == "linear" and final.out_channels != g.num_classes:
+        out.append(f"classifier emits {final.out_channels} logits for {g.num_classes} classes")
+    return out
+
+
+def constrained_dominates(a, b) -> bool:
+    """Feasibility-first dominance.
+
+    A feasible record beats any infeasible one; two infeasible records
+    compare by total violation (lower wins); two feasible records
+    compare by Pareto dominance on their objective vectors (all <=,
+    at least one <).
+    """
+    fa, fb = a.feasibility.feasible, b.feasibility.feasible
+    if fa and not fb:
+        return True
+    if fb and not fa:
+        return False
+    if not fa:
+        return a.feasibility.violation < b.feasibility.violation
+    le = all(x <= y for x, y in zip(a.objectives, b.objectives))
+    lt = any(x < y for x, y in zip(a.objectives, b.objectives))
+    return le and lt
+
+
+def hv_monte_carlo(points, ref, samples: int = 1_000_000, rng=None) -> float:
+    """Monte Carlo hypervolume estimate over the [0, ref] box.
+
+    Independent of the exact kernel on purpose; used to cross-check it.
+    Assumes points lie within [0, ref] (the usual normalized setting).
+    """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    pts, ref_t = _checked(points, ref)
+    if rng is None:
+        rng = np.random.default_rng()
+    ref_a = np.asarray(ref_t)
+    box = float(np.prod(ref_a))
+    if not pts:
+        return 0.0
+    p = np.asarray(pts)
+    d = len(ref_t)
+    hits = 0
+    done = 0
+    chunk = 65536
+    # one point at a time against the chunk's samples, one objective (a
+    # contiguous row of the transposed chunk) at a time, in reused buffers
+    dominated, inside, test = (np.empty(min(chunk, samples), dtype=bool) for _ in range(3))
+    while done < samples:
+        m = min(chunk, samples - done)
+        ut = np.ascontiguousarray((rng.random((m, d)) * ref_a).T)
+        dom, ins, t = dominated[:m], inside[:m], test[:m]
+        dom.fill(False)
+        for point in p:
+            np.less_equal(point[0], ut[0], out=ins)
+            for v, row in zip(point[1:], ut[1:]):
+                np.less_equal(v, row, out=t)
+                ins &= t
+            dom |= ins
+        hits += int(np.count_nonzero(dom))
+        done += m
+    return box * hits / samples
+
+
+def exhaustive_subset(points, k: int, ref=None, limit: int = 2_000_000) -> list[int]:
+    """Brute-force optimal k-subset; oracle for small instances."""
+    p = np.asarray(points, dtype=float)
+    n = len(p)
+    if k < 1 or n == 0:
+        raise InfeasibleK(f"cannot select {k} of {n} points")
+    if k >= n:
+        return list(range(n))
+    if math.comb(n, k) > limit:
+        raise ValueError(f"C({n},{k}) exceeds the exhaustive search limit")
+    cache = _HvCache(p, _reference(p, ref))
+    best = None
+    best_hv = -math.inf
+    for combo in itertools.combinations(range(n), k):
+        h = cache.of_indices(list(combo))
+        if h > best_hv:
+            best_hv = h
+            best = combo
+    return list(best)
+
+
+def repair(bits, k, points, ref=None):
+    """select_subset's repair of one gene: a copy of the membership bits
+    with exactly k set, for 1 <= k <= len(points)."""
+    p = np.asarray(points, dtype=float)
+    if k < 1 or k > len(p):
+        raise InfeasibleK(f"cannot select {k} of {len(p)} points")
+    return _repair_rows(np.asarray(bits, dtype=bool)[None], k, _HvCache(p, _reference(p, ref)))[0]
+
+
 def param_count(params):
     """Scalars in a ParamSet's weights and biases."""
     total = sum(w.size for w in params.weights.values())
     return total + sum(b.size for b in params.biases.values())
 
 
-def record_snip(params, rec, rows=None):
-    """snip over collected Gradients: every weight term, then every bias
-    term, in the record's order (the order backward makes them)."""
+def record_snip(params, rec):
+    """snip over collected Gradients, on every sample: every weight term,
+    then every bias term, in the record's order (the order backward makes
+    them)."""
     from protonas.proxies import snip
 
     total = 0.0
     for nid, grad in rec.weight_grads.items():
-        total += snip(params.weights[nid], grad, rows)
+        total += snip(params.weights[nid], grad, len(grad))
     for nid, grad in rec.bias_grads.items():
-        total += snip(params.biases[nid], grad, rows)
+        total += snip(params.biases[nid], grad, len(grad))
     return total
 
 

@@ -36,12 +36,8 @@ from protonas.costmodel import (
 )
 from protonas.hvss import (
     HssConfig,
-    SubsetGene,
-    exhaustive_subset,
-    hv_monte_carlo,
     hypervolume,
     normalize_objectives,
-    repair,
     select_subset,
     subset_hypervolume,
 )
@@ -55,7 +51,6 @@ from protonas.search import (
     EvalContext,
     SearchConfig,
     compute_pareto_indices,
-    constrained_dominates,
     derive_seed,
     evaluate_candidate,
     run_search,
@@ -112,7 +107,7 @@ def test_criterion_01_hypervolume_exactness():
         pts = [tuple(v) for v in rng.random((n, 5)) * 0.5]
         ref = (1.0,) * 5
         exact = hypervolume(pts, ref)
-        est = hv_monte_carlo(pts, ref, samples=1_000_000, rng=np.random.default_rng(rng.integers(2**32)))
+        est = conftest.hv_monte_carlo(pts, ref, samples=1_000_000, rng=np.random.default_rng(rng.integers(2**32)))
         worst = max(worst, abs(est - exact) / exact)
     elapsed = time.perf_counter() - t0
     verdict(
@@ -133,7 +128,7 @@ def test_criterion_02_subset_selection_optimality():
         k = i % 5 + 1
         pts = rng.random((n, 5))
         ref = (1.1,) * 5
-        best = exhaustive_subset(pts, k, ref)
+        best = conftest.exhaustive_subset(pts, k, ref)
         got = select_subset(pts, k, cfg, ref)
         gap = subset_hypervolume(pts, best, ref) - subset_hypervolume(pts, got, ref)
         worst_gap = max(worst_gap, gap)
@@ -173,15 +168,15 @@ def test_criterion_03_repair_contract():
         if bits.sum() == k:
             flip = int(rng.integers(n))
             bits[flip] = not bits[flip]
-        fixed = repair(SubsetGene(bits.copy(), k), pts, ref=ref)
-        if fixed.bits.sum() != k:
-            verdict("criterion 3 repair contract", False, f"repair produced {fixed.bits.sum()} bits, wanted {k}")
+        fixed = conftest.repair(bits.copy(), k, pts, ref=ref)
+        if fixed.sum() != k:
+            verdict("criterion 3 repair contract", False, f"repair produced {fixed.sum()} bits, wanted {k}")
         checked += 1
         on = [int(i) for i in np.flatnonzero(bits)]
         if len(on) > k:
             overfull_checked += 1
             independent = drop_lowest_contribution(pts, on, k, ref)
-            h_repair = hypervolume([tuple(pts[i]) for i in fixed.indices()], ref)
+            h_repair = hypervolume([tuple(pts[i]) for i in np.flatnonzero(fixed)], ref)
             h_indep = hypervolume([tuple(pts[i]) for i in independent], ref)
             if h_repair < h_indep - 1e-12:
                 hv_ok = False
@@ -250,9 +245,13 @@ def test_criterion_04_gradient_correctness():
                 for idx in rng.choice(flat.size, size=take, replace=False):
                     keep = flat[idx]
                     flat[idx] = keep + h
-                    up = conftest.cross_entropy(forward(g, params, batch).logits, labels)
+                    up = conftest.cross_entropy(
+                        forward(g, params, batch, range(len(g.nodes))).logits, labels
+                    )
                     flat[idx] = keep - h
-                    down = conftest.cross_entropy(forward(g, params, batch).logits, labels)
+                    down = conftest.cross_entropy(
+                        forward(g, params, batch, range(len(g.nodes))).logits, labels
+                    )
                     flat[idx] = keep
                     num = (up - down) / (2 * h)
                     ana = gstore[node].reshape(-1)[idx]
@@ -307,9 +306,9 @@ def test_criterion_05_cost_model_goldens():
     diamond_ok = estimate_ram(diamond) == 384
 
     profile = TargetProfile(name="t", ram_max=20_000, rom_max=10_000, flops_max=442_368)
-    feas = check(estimate_costs(conv), profile)
+    feas = check(estimate_costs(conv, profile), profile)
     margin = check(
-        estimate_costs(conv), TargetProfile(name="t2", ram_max=20_000, rom_max=10_000,
+        estimate_costs(conv, profile), TargetProfile(name="t2", ram_max=20_000, rom_max=10_000,
                                             flops_max=294_912)
     )
     check_ok = feas.feasible and not margin.feasible and abs(margin.violation - 0.5) < 1e-12
@@ -336,7 +335,7 @@ def test_criterion_06_search_soundness(search_500):
             constraints_ok = False
     front = set(archive.pareto_indices)
     domination_ok = not any(
-        constrained_dominates(other, archive.records[i])
+        conftest.constrained_dominates(other, archive.records[i])
         for i in front
         for other in archive.records
         if other is not archive.records[i]
@@ -463,12 +462,12 @@ def test_criterion_10_proxy_sanity():
     params.weights[1] = eye.copy()
     # channels with exactly zero sample correlation at both taps
     x = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]]).reshape(2, 2, 2)
-    meco_val = meco(g, forward(g, params, x[None]))
+    meco_val = meco(g, forward(g, params, x[None], range(len(g.nodes))), 1e-6)
     meco_ok = abs(meco_val - 2.0) <= 1e-9
 
     codes = np.array([[1.0, 1, 1, 1], [0, 0, 0, 0]])
     codes_trace = ForwardTrace(outputs={}, relu_patterns={0: codes}, logits=np.zeros((2, 1)))
-    naswot_ok = abs(naswot(codes_trace) - 2 * math.log(4)) <= 1e-6
+    naswot_ok = abs(naswot(codes_trace, 1e-6, 2) - 2 * math.log(4)) <= 1e-6
 
     zg = conftest.tiny_classifier()
     zp = init_params(zg, np.random.default_rng(1))

@@ -14,10 +14,10 @@ from protonas.archspace import (
     load_templates,
     sample,
     scaled_channels,
-    validate,
 )
 from protonas.archspace.templates import eval_channel_expr
 from protonas.errors import ConfigError, ShapeCollapse
+from conftest import validate
 
 
 def test_catalog_has_six_baselines(templates):
@@ -136,7 +136,7 @@ def test_stride_applies_to_first_block_only(space1d, task1d, templates):
 
 def test_classifier_matches_task(space1d, task1d, templates):
     g = decode(_vec(), space1d, task1d, templates)
-    out = g.nodes[g.output_node()]
+    (out,) = [node for node, succ in zip(g.nodes, g.successors()) if not succ]
     assert out.kind == "linear"
     assert out.out_channels == task1d.num_classes
 
@@ -198,7 +198,7 @@ def test_prune_zero_sparsity_is_identity(graph1d):
 
 def test_prune_preserves_classifier(graph1d, task1d):
     pruned = apply_static_pruning(graph1d, (0.8, 0.8, 0.8, 0.8))
-    out = pruned.nodes[pruned.output_node()]
+    (out,) = [node for node, succ in zip(pruned.nodes, pruned.successors()) if not succ]
     assert out.out_channels == task1d.num_classes
 
 

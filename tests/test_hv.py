@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from protonas.errors import DimensionMismatch
-from protonas.hvss import hv_monte_carlo, hypervolume
+from protonas.hvss import hypervolume
+from conftest import hv_monte_carlo
 
 
 def hv_inclusion_exclusion(points, ref):

@@ -16,7 +16,6 @@ from protonas.archspace import (
     apply_static_pruning,
     decode,
     sample,
-    validate,
 )
 from protonas.archspace.decode import _equalize_add_endpoints
 from protonas.archspace.graph import ArchitectureGraph
@@ -25,6 +24,7 @@ from protonas.cli import main
 from protonas.costmodel import count_flops, estimate_rom
 from protonas.errors import ShapeMismatch
 from protonas.tensorcore import init_params
+from conftest import validate
 
 TASKS = {1: TaskSpec(input_shape=(3, 64), num_classes=5),
          2: TaskSpec(input_shape=(3, 32, 32), num_classes=10)}

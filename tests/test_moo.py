@@ -4,8 +4,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from protonas.costmodel import Feasibility
-from protonas.search import constrained_dominates, crowding_distance, nondominated_sort
+from protonas.search import crowding_distance, nondominated_sort
 from protonas.search.run import compute_pareto_indices
+from conftest import constrained_dominates
 
 
 @dataclass

@@ -42,26 +42,26 @@ def test_naswot_complementary_codes():
     # two samples with disjoint activation codes over four units:
     # the kernel is 4*I, so logdet is 2 ln 4
     codes = np.array([[1.0, 1, 1, 1], [0, 0, 0, 0]])
-    assert abs(naswot(code_trace(codes)) - 2 * math.log(4)) < 1e-6
+    assert abs(naswot(code_trace(codes), 1e-6, 2) - 2 * math.log(4)) < 1e-6
 
 
 def test_naswot_identical_codes_stay_finite():
     # rank-deficient kernel; the diagonal shift keeps logdet defined
     codes = np.ones((4, 6))
-    v = naswot(code_trace(codes))
+    v = naswot(code_trace(codes), 1e-6, 4)
     assert math.isfinite(v)
 
 
 def test_naswot_more_distinct_codes_score_higher():
     same = np.ones((3, 8))
     mixed = np.array([[1.0] * 8, [0.0] * 8, [1, 0, 1, 0, 1, 0, 1, 0]])
-    assert naswot(code_trace(mixed)) > naswot(code_trace(same))
+    assert naswot(code_trace(mixed), 1e-6, 3) > naswot(code_trace(same), 1e-6, 3)
 
 
 def test_zico_constant_gradients():
     # one parameter, identical per-sample gradients: std 0, mean 1,
     # so the layer sums to 1/eps and the score is log(1e6)
-    assert math.isclose(zico([np.ones((3, 1))]), math.log(1e6), rel_tol=1e-12)
+    assert math.isclose(zico([np.ones((3, 1))], 1e-6), math.log(1e6), rel_tol=1e-12)
 
 
 def test_zico_sums_over_layers():
@@ -75,7 +75,7 @@ def test_zico_noise_scores_below_constant():
     rng = np.random.default_rng(0)
     noisy = [rng.standard_normal((16, 4))]
     const = [np.ones((16, 4))]
-    assert zico(noisy) < zico(const)
+    assert zico(noisy, 1e-6) < zico(const, 1e-6)
 
 
 def _pearson(x, y):
@@ -89,7 +89,7 @@ def test_meco_eigenvalue_against_closed_form():
     x = np.array([1.0, -1.0, 2.0, -2.0, 0.5, -0.5])
     y = np.array([1.0, 1.0, -1.0, 2.0, -0.5, 0.25])
     r = _pearson(x, y)
-    lam = correlation_min_eigenvalue(np.stack([x, y]))
+    lam = correlation_min_eigenvalue(np.stack([x, y]), 1e-6)
     assert abs(lam - (1.0 - abs(r))) < 1e-6
 
 
@@ -97,19 +97,19 @@ def test_meco_uncorrelated_channels():
     x = np.array([1.0, -1.0, 1.0, -1.0])
     y = np.array([1.0, 1.0, -1.0, -1.0])
     assert abs(_pearson(x, y)) < 1e-12
-    assert abs(correlation_min_eigenvalue(np.stack([x, y])) - 1.0) < 1e-6
+    assert abs(correlation_min_eigenvalue(np.stack([x, y]), 1e-6) - 1.0) < 1e-6
 
 
 def test_meco_identical_channels():
     x = np.array([0.3, -1.2, 0.9, 2.0])
-    lam = correlation_min_eigenvalue(np.stack([x, x]))
+    lam = correlation_min_eigenvalue(np.stack([x, x]), 1e-6)
     assert abs(lam) < 1e-5
 
 
 def test_meco_constant_channel_is_finite():
     x = np.array([1.0, 1.0, 1.0, 1.0])
     y = np.array([0.1, 0.4, -0.3, 0.2])
-    assert math.isfinite(correlation_min_eigenvalue(np.stack([x, y])))
+    assert math.isfinite(correlation_min_eigenvalue(np.stack([x, y]), 1e-6))
 
 
 def _linear_model(classes=3, channels=4):
@@ -162,11 +162,11 @@ def test_full_scores_on_small_network():
     batch = rng.standard_normal((4, *g.input_shape))
     labels = np.array([0, 1, 2, 0])
     assert math.isfinite(record_snip(params, record_gradients(g, params, batch, labels)))
-    assert math.isfinite(naswot(forward(g, params, batch)))
+    assert math.isfinite(naswot(forward(g, params, batch, range(len(g.nodes))), 1e-6, 4))
     two = record_gradients(g, params, np.concatenate([batch, batch + 0.1]),
                            np.concatenate([labels, labels]))
     assert math.isfinite(record_zico(two))
-    assert math.isfinite(meco(g, forward(g, params, batch[:1])))
+    assert math.isfinite(meco(g, forward(g, params, batch[:1], range(len(g.nodes))), 1e-6))
 
 
 def test_ensemble_deterministic(space1d, task1d, templates):
@@ -220,13 +220,14 @@ def test_ensemble_matches_standalone_proxies(space1d, task1d, templates):
         params = init_params(g, np.random.default_rng(seed))
         got = evaluate_ensemble(g, params, cfg, np.random.default_rng(seed + 100)).as_dict()
         batches, labels = _drawn_batches(g, cfg, np.random.default_rng(seed + 100))
+        every = range(len(g.nodes))
         # one engine pass per proxy, each on only the rows it reads
         stacked = record_gradients(g, params, np.concatenate(batches), np.concatenate(labels))
         want = {
             "snip": record_snip(params, record_gradients(g, params, batches[0], labels[0])),
-            "naswot": naswot(forward(g, params, batches[0]), cfg.eps_logdet),
+            "naswot": naswot(forward(g, params, batches[0], every), cfg.eps_logdet, cfg.batch_size),
             "zico": record_zico(stacked, cfg.eps_std),
-            "meco": meco(g, forward(g, params, batches[0][:1]), cfg.eps_var),
+            "meco": meco(g, forward(g, params, batches[0][:1], every), cfg.eps_var),
         }
         for name, v in want.items():
             assert math.isclose(got[name], v, rel_tol=1e-12), name
@@ -286,8 +287,8 @@ def test_naswot_one_product_equals_two_product_formula(monkeypatch):
     for rows in (4, 8, 16):
         for units in (1, 7, 300, 5000):
             codes = _binary_codes(rng, rows, units)
-            assert naswot(code_trace(codes)) == two_product_naswot(codes)
-            assert naswot(code_trace(codes.astype(float))) == two_product_naswot(codes)
+            assert naswot(code_trace(codes), 1e-6, rows) == two_product_naswot(codes)
+            assert naswot(code_trace(codes.astype(float)), 1e-6, rows) == two_product_naswot(codes)
     # from a trace: every relu's codes, in node order, in blocks of 7 units
     monkeypatch.setattr(ensemble_mod, "_CODE_BLOCK", 7)
     patterns = {i: rng.random((8, 2 + i, 5 + i)) < 0.5 for i in (4, 1, 9)}
@@ -295,7 +296,7 @@ def test_naswot_one_product_equals_two_product_formula(monkeypatch):
     patterns[9][3] = True
     trace = ForwardTrace(outputs={}, relu_patterns=patterns, logits=np.zeros((8, 3)))
     codes = np.concatenate([patterns[i].reshape(8, -1) for i in (1, 4, 9)], axis=1)
-    assert naswot(trace, 1e-6) == two_product_naswot(codes)
+    assert naswot(trace, 1e-6, 8) == two_product_naswot(codes)
 
 
 def float_agreement(codes):
@@ -329,7 +330,7 @@ def test_naswot_packed_counts_equal_float_agreement(monkeypatch):
                 want = float_agreement(codes)
                 assert got.dtype == want.dtype and np.array_equal(got, want)
                 trace = code_trace(codes.astype(float))
-                assert naswot(trace) == two_product_naswot(codes)
+                assert naswot(trace, 1e-6, rows) == two_product_naswot(codes)
 
 
 def test_naswot_reads_relus_in_node_order_from_any_pattern_source(monkeypatch):
@@ -348,10 +349,9 @@ def test_naswot_reads_relus_in_node_order_from_any_pattern_source(monkeypatch):
     floats = (rng.random((10, 13)) < 0.5).astype(float)
     trace = ForwardTrace(outputs={4: out}, relu_patterns={7: floats, 4: None, 1: stored},
                          logits=np.zeros((10, 3)))
-    for rows in (None, 2, 8):
-        n = 10 if rows is None else rows
-        codes = np.concatenate([stored[:n].reshape(n, -1), out[:n].reshape(n, -1) > 0,
-                                floats[:n] != 0], axis=1)
+    for rows in (10, 2, 8):
+        codes = np.concatenate([stored[:rows].reshape(rows, -1), out[:rows].reshape(rows, -1) > 0,
+                                floats[:rows] != 0], axis=1)
         assert naswot(trace, 1e-6, rows) == two_product_naswot(codes)
 
 
@@ -370,7 +370,7 @@ def test_naswot_transient_stays_under_a_megabyte(source):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        naswot(trace)
+        naswot(trace, 1e-6, 8)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -425,8 +425,8 @@ def two_pass_ensemble(g, params, cfg, rng):
     first batch's full trace gives naswot and meco, every batch its own
     gradient record, and zico reads their rows concatenated into one."""
     batches, labels = _drawn_batches(g, cfg, rng)
-    trace = forward(g, params, batches[0])
-    naswot_v = naswot(trace, cfg.eps_logdet)
+    trace = forward(g, params, batches[0], range(len(g.nodes)))
+    naswot_v = naswot(trace, cfg.eps_logdet, cfg.batch_size)
     meco_v = meco(g, trace, cfg.eps_var)
     records = [record_gradients(g, params, batches[0], labels[0], trace=trace)]
     del trace
@@ -592,7 +592,7 @@ def test_naswot_reads_masks_from_kept_outputs_as_from_stored_patterns(
     for k, g in enumerate(graphs):
         params = init_params(g, np.random.default_rng(k))
         batch = np.random.default_rng(60 + k).standard_normal((6, *g.input_shape))
-        full = forward(g, params, batch)
+        full = forward(g, params, batch, range(len(g.nodes)))
         relus = [i for i, node in enumerate(g.nodes) if node.kind == "relu"]
         stored = ForwardTrace(
             outputs={}, logits=full.logits,
@@ -601,7 +601,7 @@ def test_naswot_reads_masks_from_kept_outputs_as_from_stored_patterns(
         )
         kept = forward(g, params, batch, keep=backward_reads(g))
         assert any(kept.relu_patterns[i] is None for i in relus)
-        for rows in (None, 4):
+        for rows in (6, 4):
             assert naswot(kept, 1e-6, rows) == naswot(stored, 1e-6, rows)
     # the only relu reads the batch, and a convolution reads it
     g = chain_graph(
@@ -618,6 +618,6 @@ def test_naswot_reads_masks_from_kept_outputs_as_from_stored_patterns(
     batch = np.random.default_rng(1).standard_normal((4, 3, 5))
     trace = forward(g, params, batch, keep=backward_reads(g))
     assert trace.relu_patterns == {0: None}
-    assert naswot(trace) == naswot(code_trace((batch > 0).reshape(4, -1)))
+    assert naswot(trace, 1e-6, 4) == naswot(code_trace((batch > 0).reshape(4, -1)), 1e-6, 4)
     with pytest.raises(ConfigError):
-        naswot(ForwardTrace(outputs={}, relu_patterns={}, logits=trace.logits))
+        naswot(ForwardTrace(outputs={}, relu_patterns={}, logits=trace.logits), 1e-6, 4)

@@ -12,13 +12,13 @@ from protonas.search import (
     EvalContext,
     SearchConfig,
     compute_pareto_indices,
-    constrained_dominates,
     derive_seed,
     evaluate_candidate,
     record_to_log_line,
     run_search,
     trial_seed,
 )
+from conftest import constrained_dominates
 
 
 def small_search(space, task, trials=12, pop=6, seed=0):

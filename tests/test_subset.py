@@ -10,12 +10,9 @@ import pytest
 from protonas.errors import InfeasibleK
 from protonas.hvss import (
     HssConfig,
-    SubsetGene,
     default_reference,
-    exhaustive_subset,
     hypervolume,
     normalize_objectives,
-    repair,
     select_subset,
     subset_hypervolume,
 )
@@ -27,6 +24,7 @@ from protonas.hvss.subset import (
     _ie_hypervolume,
     _repair_population,
 )
+from conftest import exhaustive_subset, repair
 
 
 def small_cfg(seed=0):
@@ -52,8 +50,8 @@ def test_repair_is_identity_on_valid_genes():
     pts = rng.random((8, 3))
     bits = np.zeros(8, dtype=bool)
     bits[[1, 4, 6]] = True
-    fixed = repair(SubsetGene(bits, 3), pts)
-    assert fixed.indices() == [1, 4, 6]
+    fixed = repair(bits, 3, pts)
+    assert np.flatnonzero(fixed).tolist() == [1, 4, 6]
 
 
 def loo_keep(points, on, k, ref):
@@ -71,8 +69,8 @@ def test_repair_overfull_keeps_largest_individual_losses():
     # dropping the middle point loses the most volume here: it owns the
     # whole box between the two corner points
     assert loo_keep(pts, [0, 1, 2], 2, ref) == [1, 2]
-    fixed = repair(SubsetGene(np.ones(3, dtype=bool), 2), pts, ref=ref)
-    assert fixed.indices() == [1, 2]
+    fixed = repair(np.ones(3, dtype=bool), 2, pts, ref=ref)
+    assert np.flatnonzero(fixed).tolist() == [1, 2]
 
 
 def test_repair_overfull_matches_reference_rule_on_random_sets():
@@ -86,24 +84,24 @@ def test_repair_overfull_matches_reference_rule_on_random_sets():
         k = int(rng.integers(1, len(on)))
         bits = np.zeros(n, dtype=bool)
         bits[on] = True
-        fixed = repair(SubsetGene(bits, k), pts, ref=ref)
-        assert fixed.indices() == loo_keep(pts, on, k, ref)
+        fixed = repair(bits, k, pts, ref=ref)
+        assert np.flatnonzero(fixed).tolist() == loo_keep(pts, on, k, ref)
 
 
 def test_repair_underfull_adds_greedy_best():
     pts = np.array([[0.0, 1.0], [0.5, 0.5], [1.0, 0.0], [0.9, 0.9]])
     bits = np.zeros(4, dtype=bool)
-    fixed = repair(SubsetGene(bits, 1), pts, ref=(1.1, 1.1))
+    fixed = repair(bits, 1, pts, ref=(1.1, 1.1))
     # the single best point by hypervolume is the balanced one
     best = max(range(4), key=lambda i: hypervolume([tuple(pts[i])], (1.1, 1.1)))
-    assert fixed.indices() == [best]
+    assert np.flatnonzero(fixed).tolist() == [best]
 
 
 def test_repair_empty_to_full_k():
     rng = np.random.default_rng(1)
     pts = rng.random((10, 3))
-    fixed = repair(SubsetGene(np.zeros(10, dtype=bool), 4), pts)
-    assert len(fixed.indices()) == 4
+    fixed = repair(np.zeros(10, dtype=bool), 4, pts)
+    assert np.count_nonzero(fixed) == 4
 
 
 def test_repair_always_yields_exactly_k():
@@ -112,28 +110,28 @@ def test_repair_always_yields_exactly_k():
     for _ in range(200):
         bits = rng.random(9) < rng.random()
         k = int(rng.integers(1, 9))
-        fixed = repair(SubsetGene(bits.copy(), k), pts)
-        assert fixed.bits.sum() == k
+        fixed = repair(bits.copy(), k, pts)
+        assert fixed.sum() == k
         # repairing an already valid gene changes nothing
-        again = repair(SubsetGene(fixed.bits.copy(), k), pts)
-        assert (again.bits == fixed.bits).all()
+        again = repair(fixed.copy(), k, pts)
+        assert (again == fixed).all()
 
 
 def test_repair_tie_break_prefers_lower_index():
     # two duplicate points: identical contributions, lower index wins
     pts = np.array([[0.5, 0.5], [0.5, 0.5], [0.0, 1.0]])
-    fixed = repair(SubsetGene(np.ones(3, dtype=bool), 2), pts, ref=(1.1, 1.1))
-    assert fixed.indices() == [0, 2]
-    under = repair(SubsetGene(np.zeros(3, dtype=bool), 1), pts, ref=(1.1, 1.1))
-    assert under.indices() == [0]
+    fixed = repair(np.ones(3, dtype=bool), 2, pts, ref=(1.1, 1.1))
+    assert np.flatnonzero(fixed).tolist() == [0, 2]
+    under = repair(np.zeros(3, dtype=bool), 1, pts, ref=(1.1, 1.1))
+    assert np.flatnonzero(under).tolist() == [0]
 
 
 def test_repair_rejects_impossible_k():
     pts = np.random.default_rng(0).random((4, 2))
     with pytest.raises(InfeasibleK):
-        repair(SubsetGene(np.zeros(4, dtype=bool), 5), pts)
+        repair(np.zeros(4, dtype=bool), 5, pts)
     with pytest.raises(InfeasibleK):
-        repair(SubsetGene(np.zeros(4, dtype=bool), 0), pts)
+        repair(np.zeros(4, dtype=bool), 0, pts)
 
 
 def brute_best(points, k, ref):

@@ -38,9 +38,9 @@ def fd_gradient(g, params, batch, labels, node, idx, h=1e-5, bias=False):
     flat = store[node].reshape(-1)
     keep = flat[idx]
     flat[idx] = keep + h
-    up = cross_entropy(forward(g, params, batch).logits, labels)
+    up = cross_entropy(forward(g, params, batch, range(len(g.nodes))).logits, labels)
     flat[idx] = keep - h
-    down = cross_entropy(forward(g, params, batch).logits, labels)
+    down = cross_entropy(forward(g, params, batch, range(len(g.nodes))).logits, labels)
     flat[idx] = keep
     return (up - down) / (2 * h)
 
@@ -190,7 +190,7 @@ def test_forward_shapes_match_graph():
     rng = np.random.default_rng(1)
     params = init_params(g, rng)
     batch = rng.standard_normal((4, *g.input_shape))
-    trace = forward(g, params, batch)
+    trace = forward(g, params, batch, range(len(g.nodes)))
     for i, shape in enumerate(g.shapes):
         assert trace.outputs[i].shape == (4, *shape)
     assert trace.logits.shape == (4, g.num_classes)
@@ -200,7 +200,7 @@ def test_forward_rejects_wrong_input_shape():
     g = tiny_classifier()
     params = init_params(g, np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
-        forward(g, params, np.zeros((2, 3, 6, 6)))
+        forward(g, params, np.zeros((2, 3, 6, 6)), range(len(g.nodes)))
 
 
 def one_row_backward(g, params, batch, labels):
@@ -262,7 +262,7 @@ def test_backward_reuses_a_given_trace_exactly(reuse_twice):
         batch = rng.standard_normal((3, *g.input_shape))
         labels = np.array([2, 0, 1])
         fresh = record_gradients(g, params, batch, labels)
-        trace = forward(g, params, batch)
+        trace = forward(g, params, batch, range(len(g.nodes)))
         reused = record_gradients(g, params, batch, labels, trace=trace)
         if reuse_twice:
             reused = record_gradients(g, params, batch, labels, trace=trace)
@@ -278,7 +278,10 @@ def test_backward_rejects_trace_of_another_batch_size():
     params = init_params(g, np.random.default_rng(0))
     batch = np.random.default_rng(1).standard_normal((3, *g.input_shape))
     with pytest.raises(ShapeMismatch):
-        record_gradients(g, params, batch, np.array([0, 1, 2]), trace=forward(g, params, batch[:2]))
+        record_gradients(
+            g, params, batch, np.array([0, 1, 2]),
+            trace=forward(g, params, batch[:2], range(len(g.nodes))),
+        )
 
 
 @pytest.mark.parametrize("value", [0.0, -np.inf])
@@ -356,12 +359,12 @@ def test_maxpool_ties_resolve_to_first_window_offset():
     )
     params = init_params(g, np.random.default_rng(0))
     # constant plane: every window position ties, the first offset wins
-    trace = forward(g, params, np.ones((1, 1, 4, 4)))
+    trace = forward(g, params, np.ones((1, 1, 4, 4)), range(len(g.nodes)))
     assert (trace.pool_argmax[0] == 0).all()
     # breaking one tie moves only that window's argmax
     bumped = np.ones((1, 1, 4, 4))
     bumped[0, 0, 0, 1] = 2.0  # second offset of the top-left window
-    trace2 = forward(g, params, bumped)
+    trace2 = forward(g, params, bumped, range(len(g.nodes)))
     assert trace2.pool_argmax[0][0, 0, 0, 0] == 1
     assert trace2.pool_argmax[0][0, 0, 0, 1] == 0
     assert trace2.outputs[0][0, 0, 0, 0] == 2.0
@@ -437,7 +440,7 @@ def test_forward_on_decoded_candidates(space1d, task1d, templates):
         g.infer_shapes()
         params = init_params(g, rng)
         batch = rng.standard_normal((2, *task1d.input_shape))
-        trace = forward(g, params, batch)
+        trace = forward(g, params, batch, range(len(g.nodes)))
         assert trace.logits.shape == (2, task1d.num_classes)
         assert np.isfinite(trace.logits).all()
         grads = record_gradients(g, params, batch, np.array([0, 1]))
@@ -1282,7 +1285,7 @@ def test_forward_trace_holds_exactly_the_kept_outputs():
         params = init_params(g, rng)
         batch = rng.standard_normal((3, *g.input_shape))
         held = batch.copy()
-        full = forward(g, params, batch)
+        full = forward(g, params, batch, range(len(g.nodes)))
         assert batch.tobytes() == held.tobytes()
         for i, j in itertools.combinations(full.outputs, 2):
             assert not np.shares_memory(full.outputs[i], full.outputs[j])
@@ -1317,7 +1320,9 @@ def test_backward_from_a_kept_trace_equals_backward_from_a_full_trace(graph):
         params.biases[nid] = rng.standard_normal(params.biases[nid].shape)
     batch = rng.standard_normal((4, *g.input_shape))
     labels = rng.integers(0, g.num_classes, 4)
-    want = record_gradients(g, params, batch, labels, trace=forward(g, params, batch))
+    want = record_gradients(
+        g, params, batch, labels, trace=forward(g, params, batch, range(len(g.nodes)))
+    )
     kept = forward(g, params, batch, keep=engine.backward_reads(g))
     held = dict(kept.outputs)
     for got in (
@@ -1351,7 +1356,8 @@ def test_backward_hands_each_weighted_node_to_the_consumer_once(spatial):
     labels = rng.integers(0, g.num_classes, 5)
     rows = one_row_backward(g, params, batch, labels)
     passes = []
-    for trace in (forward(g, params, batch), forward(g, params, batch, keep=engine.backward_reads(g))):
+    for keep in (range(len(g.nodes)), engine.backward_reads(g)):
+        trace = forward(g, params, batch, keep=keep)
         seen = []
         got = backward(g, params, batch, labels, trace, lambda i, dw, db: seen.append((i, dw, db)))
         assert got is None
@@ -1426,15 +1432,15 @@ def test_relu_masks_are_read_from_kept_outputs():
         params = init_params(g, rng)
         batch = rng.standard_normal((4, *g.input_shape))
         labels = rng.integers(0, g.num_classes, 4)
-        inputs = forward(g, params, batch).outputs
+        inputs = forward(g, params, batch, range(len(g.nodes))).outputs
         relus = [i for i, node in enumerate(g.nodes) if node.kind == "relu"]
         want = {i: (inputs[g.preds[i][0]] if g.preds[i] else batch) > 0 for i in relus}
         reads = engine.backward_reads(g)
-        for keep in (None, set(reads), set(reads) | set(relus), set()):
+        for keep in (set(range(len(g.nodes))), set(reads), set(reads) | set(relus), set()):
             trace = forward(g, params, batch, keep=keep)
             assert list(trace.relu_patterns) == relus
             for i in relus:
-                derived = i in reads and (keep is None or i in keep)
+                derived = i in reads and i in keep
                 assert (trace.relu_patterns[i] is None) == derived
                 flat = want[i].reshape(len(batch), -1)
                 for rows in (None, 2):
@@ -1465,7 +1471,7 @@ def test_relu_masks_are_read_from_kept_outputs():
     batch = special_values_batch(np.random.default_rng(20), (3, *g.input_shape))
     with np.errstate(invalid="ignore"):  # the NaN reaches every later layer
         trace = forward(g, params, batch, keep=engine.backward_reads(g))
-        full = forward(g, params, batch)
+        full = forward(g, params, batch, range(len(g.nodes)))
     assert trace.relu_patterns[0] is None
     assert np.array_equal(relu_mask(trace, 0), (batch > 0).reshape(3, -1))
     assert np.array_equal(relu_mask(full, 0), (batch > 0).reshape(3, -1))

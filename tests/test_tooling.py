@@ -5,6 +5,7 @@ child or the per-layer bit comparison.  The scripts are read, never
 changed."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 from pathlib import Path
@@ -77,6 +78,62 @@ def test_engine_exports_only_what_the_package_imports():
             if isinstance(node, ast.ImportFrom) and "tensorcore" in (node.module or "").split("."):
                 imported.update(alias.name for alias in node.names)
     assert not set(tensorcore.__all__) - imported, sorted(set(tensorcore.__all__) - imported)
+
+
+def _definitions(tree):
+    """Top-level functions and classes of a module, and their methods
+    (dunders aside: Python calls those itself)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield sub
+
+
+def _referenced_names(node):
+    """Every name node refers to: names, attributes, imported names, and
+    the attribute of a tracing-style "protonas.module:attr" string."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            module, sep, attr = sub.value.partition(":")
+            if sep and module.startswith("protonas") and attr.isidentifier():
+                yield attr
+
+
+def test_every_package_definition_is_used_outside_the_tests():
+    """Every top-level function, class and method under src/protonas is
+    referred to by code other than its own definition and the package's
+    __init__ re-exports: by the package, pipebench/ or scripts/.  Code
+    that only the tests call belongs in tests/.  Names are matched by
+    spelling, so a definition sharing its name with one in use passes."""
+    modules = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((SRC / "protonas").rglob("*.py"))
+        if path.name != "__init__.py"
+    }
+    uses = collections.Counter()
+    for tree in modules.values():
+        uses.update(_referenced_names(tree))
+    for path in sorted(PIPEBENCH.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
+        uses.update(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+    unused = [
+        f"{path.relative_to(SRC)}:{node.name}"
+        for path, tree in modules.items()
+        for node in _definitions(tree)
+        # a definition's own body (a recursive call, a method's self.x) does not count
+        if uses[node.name] == collections.Counter(_referenced_names(node))[node.name]
+    ]
+    assert not unused, unused
 
 
 def test_trace_records_each_scoring_stage_once_per_candidate(
