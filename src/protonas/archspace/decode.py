@@ -4,7 +4,7 @@ decode() turns a hyperparameter vector into a concrete layer graph:
 stem, four groups of (1 + depth) superblocks, classifier.  Within a
 group the stride gene applies to the first superblock only; remaining
 blocks run at stride 1.  Convolutions use same-style padding (k // 2),
-so spatial extents never collapse; the stride clamp below is defensive.
+so spatial extents never collapse.
 
 apply_static_pruning() shrinks the regular convolutions of each group
 by the group's sparsity gene, re-equalizes residual endpoints to the
@@ -18,7 +18,7 @@ import math
 
 from ..errors import ConfigError, ShapeMismatch
 from .graph import PASSTHROUGH_KINDS, WEIGHTED_KINDS, WINDOWED_KINDS, ArchitectureGraph, LayerSpec
-from .graph import input_count, layer_out_shape, windowed_extent
+from .graph import input_count, layer_out_shape
 from .space import GROUP_COUNT, HyperparamVector, SearchSpaceDef, TaskSpec
 from .templates import BaselineTemplate, eval_channel_expr
 
@@ -49,7 +49,7 @@ class _Builder:
         return len(self.nodes) - 1
 
 
-def _resolve(value, ctx: dict) -> int:
+def _gene_or_literal(value, ctx: dict) -> int:
     if value == "K":
         return ctx["kernel"]
     if value == "S":
@@ -57,22 +57,14 @@ def _resolve(value, ctx: dict) -> int:
     return int(value)
 
 
-def _clamped_stride(in_shape: tuple[int, ...], kernel: int, stride: int, padding: int) -> int:
-    if any(windowed_extent(n, kernel, stride, padding) < 1 for n in in_shape[1:]):
-        return 1
-    return stride
-
-
 def _make_layer(b: _Builder, entry: int, layer: dict, ctx: dict) -> int:
     op = layer["op"]
-    in_shape = b.shape_of(entry)
-    cin = input_count(op, in_shape)
+    cin = input_count(op, b.shape_of(entry))
     spec = LayerSpec(op, cin, cin, bias=op in WEIGHTED_KINDS, group=ctx.get("group"))
     if op in WINDOWED_KINDS:
-        k = _resolve(layer.get("kernel", 1), ctx)
-        s = _resolve(layer.get("stride", 1), ctx)
+        k = _gene_or_literal(layer.get("kernel", 1), ctx)
         spec.kernel, spec.padding = k, k // 2
-        spec.stride = _clamped_stride(in_shape, k, s, spec.padding)
+        spec.stride = _gene_or_literal(layer.get("stride", 1), ctx)
         if op == "conv":
             raw = eval_channel_expr(layer["out"], ctx["base_channels"])
             spec.out_channels = scaled_channels(raw, ctx["width"])

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import math
@@ -41,11 +40,8 @@ class _Parser(argparse.ArgumentParser):
     # for empty results, so remap.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(self.exit_with_usage(message))
-
-    def exit_with_usage(self, message) -> int:
         print(f"{self.prog}: error: {message}", file=sys.stderr)
-        return USAGE_ERROR
+        raise SystemExit(USAGE_ERROR)
 
 
 def _build_parser() -> _Parser:
@@ -85,18 +81,26 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _resolve(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "out", None) is not None:
-        cfg.output_dir = str(args.out)
-    if getattr(args, "jobs", None) is not None:
-        if args.jobs < 1:
-            raise ConfigError("jobs: expected a positive integer")
-        cfg.jobs = args.jobs
-    if getattr(args, "k", None) is not None:
-        if args.k < 1:
-            raise ConfigError("k: must be >= 1")
-        cfg.k = args.k
-    return cfg
+def _load(args) -> RunConfig:
+    """The --config file with the command's flags over it.
+
+    The loader takes the flags as overrides shaped like the document, so
+    each is checked by the code that checks the field it sets, and its
+    errors name that field.
+    """
+    flag = {name: value for name, value in vars(args).items() if value is not None}
+    overrides = {"search": {}, "hss": {}}
+    if "out" in flag:
+        overrides["output_dir"] = str(flag["out"])
+    if "jobs" in flag:
+        overrides["jobs"] = flag["jobs"]
+    if "k" in flag:
+        overrides["hss"]["k"] = flag["k"]
+    if "seed" in flag:
+        overrides["search"]["base_seed"] = flag["seed"]
+        if args.command == "select":
+            overrides["hss"]["seed"] = flag["seed"]  # the genetic algorithm's seed
+    return load_config(args.config, overrides)
 
 
 def _load_catalog(cfg: RunConfig) -> dict:
@@ -118,7 +122,7 @@ def _load_catalog(cfg: RunConfig) -> dict:
 
 
 def cmd_explore(args) -> int:
-    cfg = _resolve(load_config(args.config, seed_flag=args.seed), args)
+    cfg = _load(args)
     templates = _load_catalog(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,9 +193,7 @@ def _numeric_columns(
 
 
 def cmd_select(args) -> int:
-    cfg = _resolve(load_config(args.config, seed_flag=args.seed), args)
-    if args.seed is not None:
-        cfg.hss = dataclasses.replace(cfg.hss, seed=args.seed)
+    cfg = _load(args)
     out = Path(cfg.output_dir)
     front_path = args.pareto if args.pareto is not None else out / "pareto.csv"
     header, rows = _read_front_csv(front_path)
@@ -205,14 +207,10 @@ def cmd_select(args) -> int:
     trials = [int(v[0]) for v in values]
     points = [v[1:] for v in values]
 
-    k = min(cfg.k, len(points))
-    note = None
-    if cfg.k >= len(points):
-        note = f"k={cfg.k} >= front size {len(points)}; keeping the whole front"
     normalized = normalize_objectives(points)
     ref = default_reference(normalized.shape[1])
     try:
-        chosen = select_subset(normalized, k, cfg.hss, ref)
+        chosen = select_subset(normalized, cfg.hss.k, cfg.hss, ref)
     except InfeasibleK as exc:
         raise ConfigError(str(exc)) from exc
     out.mkdir(parents=True, exist_ok=True)
@@ -220,15 +218,15 @@ def cmd_select(args) -> int:
     write_csv(sel_path, header, [rows[i] for i in chosen])
     summary = {
         "front_size": len(points),
-        "k_requested": cfg.k,
+        "k_requested": cfg.hss.k,
         "k_selected": len(chosen),
         "selected_trials": [trials[i] for i in chosen],
         "hypervolume": subset_hypervolume(normalized, chosen, ref),
         "reference": list(ref),
     }
-    if note is not None:
-        summary["note"] = note
-        print(note)
+    if cfg.hss.k >= len(points):
+        summary["note"] = f"k={cfg.hss.k} >= front size {len(points)}; keeping the whole front"
+        print(summary["note"])
     write_json(out / "selection_summary.json", summary)
     print(f"selected {len(chosen)} of {len(points)} front members -> {sel_path}")
     return OK
@@ -245,7 +243,7 @@ def _load_trials(path: Path) -> list[dict]:
 
 
 def cmd_report(args) -> int:
-    cfg = _resolve(load_config(args.config), args)
+    cfg = _load(args)
     out = Path(cfg.output_dir)
     trials = _load_trials(out / "trials.jsonl")
     scored = [t for t in trials if t.get("feasible") and t.get("proxies")]
@@ -295,7 +293,7 @@ def cmd_print_defaults(_args) -> int:
 def cmd_validate_config(args) -> int:
     cfg = load_config(args.config)
     _load_catalog(cfg)
-    print(f"{args.config}: ok ({cfg.search.trials} trials, k={cfg.k})")
+    print(f"{args.config}: ok ({cfg.search.trials} trials, k={cfg.hss.k})")
     return OK
 
 

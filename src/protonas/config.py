@@ -51,7 +51,6 @@ def _plain(value):
 DEFAULTS: dict = {
     name: {f.name: _plain(f.default) for f in _own_fields(cls)} for name, cls in SECTIONS.items()
 }
-DEFAULTS["hss"] = {"k": 5, **DEFAULTS["hss"]}
 DEFAULTS.update(templates=None, output_dir="runs/out", jobs=1)
 
 
@@ -59,7 +58,6 @@ DEFAULTS.update(templates=None, output_dir="runs/out", jobs=1)
 class RunConfig:
     search: SearchConfig
     hss: HssConfig
-    k: int
     templates_path: str | None
     output_dir: str
     jobs: int
@@ -79,7 +77,6 @@ class RunConfig:
         }
         doc["space"]["gene_count"] = s.space.gene_count()
         doc["search"]["objective_count"] = len(OBJECTIVE_LABELS)
-        doc["hss"]["k"] = self.k
         doc["templates"] = self.templates_path
         return doc
 
@@ -113,48 +110,60 @@ def _integer(field: str, v) -> int:
 _CONVERT = {int: _integer, float: lambda _, v: float(v), str: lambda _, v: str(v)}
 
 
-def _build(doc: dict, name: str, **fixed):
+def _build(doc: dict, name: str, **nested):
     """Section `name` of doc merged over the defaults, as its dataclass.
 
-    Keyword arguments set fields outright: the nested sections of
-    SearchConfig, or a base seed taken from the flag or environment.
+    Keyword arguments are the sections nested in it (SearchConfig's),
+    built separately.
     """
     cls = SECTIONS[name]
     values = _section(doc, name)
     hints = typing.get_type_hints(cls)
     for f in _own_fields(cls):
-        if f.name not in fixed:
-            convert = _CONVERT.get(hints[f.name], lambda _, v: v)
-            fixed[f.name] = convert(f"{name}.{f.name}", values[f.name])
-    return cls(**fixed)
+        convert = _CONVERT.get(hints[f.name], lambda _, v: v)
+        nested[f.name] = convert(f"{name}.{f.name}", values[f.name])
+    return cls(**nested)
+
+
+def _merge(doc: dict, overrides: dict) -> dict:
+    """doc with overrides over it, a section's fields over that section's."""
+    merged = dict(doc)
+    for key, value in overrides.items():
+        given = merged.get(key)
+        if isinstance(value, dict) and given is not None:
+            if not isinstance(given, dict):
+                continue  # _section reports the malformed section
+            value = {**given, **value}
+        merged[key] = value
+    return merged
 
 
 def build_config(
     doc: dict | None,
-    seed_flag: int | None = None,
+    overrides: dict | None = None,
     env: dict | None = None,
 ) -> RunConfig:
-    """Merge a parsed YAML document over the defaults.
+    """Merge a parsed YAML document, then overrides shaped like it (the
+    command-line flags), over the defaults.
 
-    Seed precedence for the search: the --seed flag, then an explicit
-    search.base_seed in the document, then the PROTONAS_SEED environment
-    variable, then 0.
+    An override is checked as the same field in the document, so its
+    errors name that field.  Seed precedence for the search: an
+    overriding search.base_seed (the --seed flag), then an explicit one
+    in the document, then the PROTONAS_SEED environment variable, then 0.
     """
     doc = doc or {}
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected a mapping")
+    doc = _merge(doc, overrides or {})
     env = os.environ if env is None else env
     for key in doc:
         if key not in DEFAULTS:
             raise ConfigError(f"top level: unknown field '{key}'")
 
-    seed = {}
-    seed_in_file = isinstance(doc.get("search"), dict) and "base_seed" in doc["search"]
-    if seed_flag is not None:
-        seed["base_seed"] = int(seed_flag)
-    elif not seed_in_file and SEED_ENV_VAR in env:
+    seed_given = isinstance(doc.get("search"), dict) and "base_seed" in doc["search"]
+    if not seed_given and SEED_ENV_VAR in env:
         try:
-            seed["base_seed"] = int(env[SEED_ENV_VAR])
+            doc = _merge(doc, {"search": {"base_seed": int(env[SEED_ENV_VAR])}})
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR}: expected an integer") from exc
 
@@ -166,14 +175,10 @@ def build_config(
             space=_build(doc, "space"),
             profile=_build(doc, "profile"),
             proxy=_build(doc, "proxy"),
-            **seed,
         )
         hss = _build(doc, "hss")
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration value: {exc}") from exc
-    k = _integer("hss.k", _section(doc, "hss")["k"])
-    if k < 1:
-        raise ConfigError("hss.k: must be >= 1")
 
     templates = doc.get("templates", DEFAULTS["templates"])
     if templates is not None and not isinstance(templates, str):
@@ -188,7 +193,6 @@ def build_config(
     return RunConfig(
         search=search,
         hss=hss,
-        k=k,
         templates_path=templates,
         output_dir=output_dir,
         jobs=jobs,
@@ -197,14 +201,13 @@ def build_config(
 
 def load_config(
     path: str | Path | None,
-    seed_flag: int | None = None,
+    overrides: dict | None = None,
     env: dict | None = None,
 ) -> RunConfig:
-    """Parse a YAML config file; None loads pure defaults.
+    """Parse a YAML config file, with overrides over it (see
+    build_config); None loads pure defaults.
 
     ConfigError messages carry the offending field (or the YAML parser's
     line/column mark for syntax errors).
     """
-    if path is None:
-        return build_config(None, seed_flag, env)
-    return build_config(read_yaml(path), seed_flag, env)
+    return build_config(None if path is None else read_yaml(path), overrides, env)

@@ -24,6 +24,7 @@ DEFAULT_REF_VALUE = 1.1
 
 @dataclass
 class HssConfig:
+    k: int = 5  # the subset size `protonas select` asks for
     population: int = 2000
     mutation_rate: float = 0.3
     generations: int = 10000
@@ -31,6 +32,8 @@ class HssConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ConfigError("hss.k: must be >= 1")
         if self.population < 2:
             raise ConfigError("hss.population: must be >= 2")
         if not (0.0 <= self.mutation_rate <= 1.0):

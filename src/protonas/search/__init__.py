@@ -4,7 +4,6 @@ from .moo import crowding_distance, nondominated_sort
 from .run import (
     OBJECTIVE_LABELS,
     CandidateRecord,
-    EvalContext,
     ParetoArchive,
     SearchConfig,
     compute_pareto_indices,
@@ -18,7 +17,6 @@ from .run import (
 __all__ = [
     "OBJECTIVE_LABELS",
     "CandidateRecord",
-    "EvalContext",
     "ParetoArchive",
     "SearchConfig",
     "compute_pareto_indices",

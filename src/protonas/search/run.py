@@ -64,15 +64,6 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class EvalContext:
-    space: SearchSpaceDef
-    task: TaskSpec
-    profile: TargetProfile
-    proxy: ProxyBatchConfig
-    templates: dict[str, BaselineTemplate]
-
-
-@dataclass(frozen=True)
 class CandidateRecord:
     trial_index: int
     seed: int
@@ -122,14 +113,22 @@ def _unscored(x, seed, trial_index, feasibility, costs, error=None) -> Candidate
 
 
 def evaluate_candidate(
-    x: HyperparamVector, ctx: EvalContext, seed: int, trial_index: int = -1
+    x: HyperparamVector,
+    cfg: SearchConfig,
+    templates: dict[str, BaselineTemplate],
+    seed: int,
+    trial_index: int = -1,
 ) -> CandidateRecord:
-    """Decode, prune, cost-check, and (if feasible) proxy-score one candidate."""
+    """Decode, prune, cost-check, and (if feasible) proxy-score one candidate.
+
+    Reads cfg's space, task, target profile and proxy batches only;
+    `seed` is the candidate's own (trial_seed), not cfg.base_seed.
+    """
     try:
-        graph = decode(x, ctx.space, ctx.task, ctx.templates)
+        graph = decode(x, cfg.space, cfg.task, templates)
         pruned = apply_static_pruning(graph, x.pruning_sparsity)
-        costs = estimate_costs(pruned, ctx.profile)
-        feas = check(costs, ctx.profile)
+        costs = estimate_costs(pruned, cfg.profile)
+        feas = check(costs, cfg.profile)
     except ProtonasError as exc:
         return _unscored(x, seed, trial_index, Feasibility(False, math.inf), None,
                          f"{type(exc).__name__}: {exc}")
@@ -138,7 +137,7 @@ def evaluate_candidate(
     rng = np.random.default_rng(seed)
     params = init_params(pruned, rng)
     try:
-        scores = evaluate_ensemble(pruned, params, ctx.proxy, rng)
+        scores = evaluate_ensemble(pruned, params, cfg.proxy, rng)
     except (np.linalg.LinAlgError, MemoryError, ProtonasError) as exc:
         error = f"{type(exc).__name__}: {exc}"
     else:
@@ -269,7 +268,6 @@ def run_search(
     """
     if jobs < 1:
         raise ConfigError("jobs must be >= 1")
-    ctx = EvalContext(cfg.space, cfg.task, cfg.profile, cfg.proxy, templates)
     sampler = np.random.default_rng(derive_seed(cfg.base_seed, "sampler"))
     variation = np.random.default_rng(derive_seed(cfg.base_seed, "variation"))
 
@@ -283,7 +281,7 @@ def run_search(
     def evaluate_batch(genes: list[HyperparamVector], start: int) -> list[CandidateRecord]:
         nonlocal pool
         args = [
-            (x, ctx, trial_seed(cfg.base_seed, start + off), start + off)
+            (x, cfg, templates, trial_seed(cfg.base_seed, start + off), start + off)
             for off, x in enumerate(genes)
         ]
         if pool is None or len(args) == 1:

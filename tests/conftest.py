@@ -20,7 +20,6 @@ from protonas.archspace import (
     TaskSpec,
     decode,
     load_templates,
-    sample,
 )
 from protonas.archspace.graph import (
     CONV_KINDS,

@@ -6,7 +6,6 @@ need hours at production scale run here on reduced but structurally
 identical configurations; the reductions are noted inline.
 """
 
-import itertools
 import json
 import math
 import time
@@ -48,7 +47,6 @@ from protonas.proxies import (
     naswot,
 )
 from protonas.search import (
-    EvalContext,
     SearchConfig,
     compute_pareto_indices,
     derive_seed,
@@ -502,8 +500,7 @@ def test_criterion_11_search_effectiveness():
     # self-experiment at a reduced equal budget: 300 evaluations per arm,
     # ten seeds, union-normalized archive hypervolume
     proxy = ProxyBatchConfig(batch_size=2)
-    ctx = EvalContext(space=SPACE_1D, task=TASK_1D, profile=TargetProfile(), proxy=proxy,
-                      templates=TEMPLATES)
+    scoring = SearchConfig(space=SPACE_1D, task=TASK_1D, profile=TargetProfile(), proxy=proxy)
     trials, pop = 300, 20
     wins = 0
     details = []
@@ -513,8 +510,8 @@ def test_criterion_11_search_effectiveness():
         for i in range(trials):
             xv = sample(rng, SPACE_1D)
             recs.append(
-                evaluate_candidate(xv, ctx, seed=derive_seed(seed, "random-eval", i),
-                                   trial_index=i)
+                evaluate_candidate(xv, scoring, TEMPLATES,
+                                   seed=derive_seed(seed, "random-eval", i), trial_index=i)
             )
         random_front = [recs[i].objectives for i in compute_pareto_indices(recs)]
         cfg = SearchConfig(space=SPACE_1D, task=TASK_1D, profile=TargetProfile(), proxy=proxy,

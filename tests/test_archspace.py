@@ -16,7 +16,7 @@ from protonas.archspace import (
     scaled_channels,
 )
 from protonas.archspace.templates import eval_channel_expr
-from protonas.errors import ConfigError, ShapeCollapse
+from protonas.errors import ConfigError
 from conftest import validate
 
 

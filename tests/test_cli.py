@@ -10,6 +10,8 @@ import pytest
 import yaml
 
 from protonas.cli import main
+from protonas.config import load_config
+from protonas.errors import ConfigError
 
 
 @pytest.fixture
@@ -203,6 +205,75 @@ def test_seed_flag_overrides_config(run_yaml, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, flags, doc",
+    [
+        ("explore", ["--out", "OUT"], {"output_dir": "OUT"}),
+        ("explore", ["--jobs", "2"], {"jobs": 2}),
+        ("explore", ["--seed", "7"], {"search": {"base_seed": 7}}),
+        ("select", ["--out", "OUT"], {"output_dir": "OUT"}),
+        ("select", ["--k", "2"], {"hss": {"k": 2}}),
+        # select's --seed also seeds its genetic algorithm
+        ("select", ["--seed", "7"], {"search": {"base_seed": 7}, "hss": {"seed": 7}}),
+    ],
+)
+def test_a_flag_loads_as_its_field_in_the_file(
+    run_yaml, tmp_path, capsys, monkeypatch, command, flags, doc
+):
+    """A flag and the same value in the file load the same RunConfig."""
+    import protonas.cli as cli
+
+    # OUT stands for a directory under tmp_path
+    other = str(tmp_path / "other")
+    flags = [other if f == "OUT" else f for f in flags]
+    doc = {key: other if value == "OUT" else value for key, value in doc.items()}
+    loaded = []
+
+    def load(*args, **kwargs):
+        loaded.append(load_config(*args, **kwargs))
+        return loaded[-1]
+
+    def stop(*args, **kwargs):
+        raise ConfigError("stopped after loading")
+
+    # record what each run loads (the flags applied), then stop before
+    # the search or the selection runs
+    monkeypatch.setattr(cli, "load_config", load)
+    monkeypatch.setattr(cli, "run_search", stop)
+    monkeypatch.setattr(cli, "select_subset", stop)
+    front = tmp_path / "front.csv"
+    front.write_text("\n".join(GOOD_FRONT) + "\n")
+    argv = [command, "--pareto", str(front)] if command == "select" else [command]
+    out = tmp_path / "out"
+    assert main(argv + ["--config", str(run_yaml(out))] + flags) == 1
+    assert main(argv + ["--config", str(run_yaml(out, **doc))]) == 1
+    assert capsys.readouterr().err.count("error: stopped after loading") == 2
+    by_flag, by_file = loaded
+    assert by_flag == by_file
+    assert by_flag.echo() == by_file.echo()
+
+
+@pytest.mark.parametrize(
+    "command, flags, doc, error",
+    [
+        ("explore", ["--jobs", "0"], {"jobs": 0}, "jobs: expected a positive integer"),
+        ("select", ["--k", "0"], {"hss": {"k": 0}}, "hss.k: must be >= 1"),
+        ("select", ["--seed", "-3"], {"hss": {"seed": -3}}, "hss.seed: must be >= 0"),
+    ],
+)
+def test_a_bad_flag_fails_as_its_field_in_the_file(
+    run_yaml, tmp_path, capsys, command, flags, doc, error
+):
+    """A bad flag value fails with the error of the same value in the
+    file, which names the field, before the command writes anything."""
+    out = tmp_path / "out"
+    assert main([command, "--config", str(run_yaml(out))] + flags) == 1
+    by_flag = capsys.readouterr().err
+    assert main([command, "--config", str(run_yaml(out, **doc))]) == 1
+    assert capsys.readouterr().err == by_flag == f"error: {error}\n"
+    assert not out.exists()
+
+
 def test_env_seed_used_without_explicit_value(run_yaml, tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     cfg = run_yaml(out)
@@ -234,12 +305,12 @@ def dies_once_in_a_worker(evaluate, trial, marker):
     """evaluate_candidate, except that the first pool worker to reach
     `trial` exits on the spot (and leaves `marker`, so it happens once)."""
 
-    def hook(x, ctx, seed, trial_index=-1):
+    def hook(x, cfg, templates, seed, trial_index=-1):
         if trial_index == trial and multiprocessing.parent_process() is not None:
             if not marker.exists():
                 marker.touch()
                 os._exit(1)
-        return evaluate(x, ctx, seed, trial_index)
+        return evaluate(x, cfg, templates, seed, trial_index)
 
     return hook
 

@@ -21,7 +21,7 @@ def test_defaults_round_trip():
     assert cfg.echo() == base.echo()
     assert cfg.search.trials == 500
     assert cfg.search.population_size == 50
-    assert cfg.k == 5
+    assert cfg.hss.k == 5
     assert cfg.hss.population == 2000
     assert cfg.hss.mutation_rate == 0.3
     assert cfg.hss.generations == 10000
@@ -42,9 +42,21 @@ def test_seed_precedence():
     assert build_config(None, env={SEED_ENV_VAR: "7"}).search.base_seed == 7
     doc = {"search": {"base_seed": 3}}
     assert build_config(doc, env={SEED_ENV_VAR: "7"}).search.base_seed == 3
-    assert build_config(doc, seed_flag=11, env={SEED_ENV_VAR: "7"}).search.base_seed == 11
+    flag = {"search": {"base_seed": 11}}
+    assert build_config(doc, flag, env={SEED_ENV_VAR: "7"}).search.base_seed == 11
     with pytest.raises(ConfigError):
         build_config(None, env={SEED_ENV_VAR: "not-a-number"})
+
+
+def test_overrides_merge_over_the_document_before_any_check():
+    doc = {"search": {"trials": 60}, "hss": {"k": 2}}
+    cfg = build_config(doc, {"search": {"base_seed": 4}, "hss": {"k": 3}, "jobs": 2}, env={})
+    assert (cfg.search.trials, cfg.search.base_seed, cfg.hss.k, cfg.jobs) == (60, 4, 3, 2)
+    with pytest.raises(ConfigError, match="hss.k: must be >= 1"):
+        build_config(None, {"hss": {"k": 0}}, env={})
+    # an override leaves a malformed section of the document an error
+    with pytest.raises(ConfigError, match="search: expected a mapping"):
+        build_config({"search": 5}, {"search": {"base_seed": 4}}, env={})
 
 
 def test_partial_documents_merge_over_defaults():

@@ -22,7 +22,7 @@ from protonas.proxies import ProxyBatchConfig
 from protonas.search import (
     OBJECTIVE_LABELS,
     CandidateRecord,
-    EvalContext,
+    SearchConfig,
     evaluate_candidate,
     record_to_log_line,
 )
@@ -130,12 +130,13 @@ def records(templates):
     proxy = ProxyBatchConfig(batch_size=2)
     x = sample(np.random.default_rng(3), space)
     tight = TargetProfile(name="tight", ram_max=64, rom_max=64, flops_max=64)
-    feasible = evaluate_candidate(x, EvalContext(space, task, TargetProfile(), proxy, templates), 11, 0)
-    infeasible = evaluate_candidate(x, EvalContext(space, task, tight, proxy, templates), 11, 1)
+    cfg = SearchConfig(space, task, TargetProfile(), proxy)
+    feasible = evaluate_candidate(x, cfg, templates, 11, 0)
+    infeasible = evaluate_candidate(x, SearchConfig(space, task, tight, proxy), templates, 11, 1)
     missing = SearchSpaceDef(baseline_pool=("nosuch", "inceptiontime"))
     error = evaluate_candidate(
         HyperparamVector.from_genes([0] + x.to_genes()[1:]),
-        EvalContext(missing, task, TargetProfile(), proxy, templates), 11, 2,
+        SearchConfig(missing, task, TargetProfile(), proxy), templates, 11, 2,
     )
     assert feasible.feasibility.feasible and feasible.proxies is not None
     assert not infeasible.feasibility.feasible and infeasible.costs is not None

@@ -9,7 +9,6 @@ from protonas.costmodel import TargetProfile
 from protonas.errors import ConfigError
 from protonas.proxies import ProxyBatchConfig, ProxyScores
 from protonas.search import (
-    EvalContext,
     SearchConfig,
     compute_pareto_indices,
     derive_seed,
@@ -43,15 +42,14 @@ def test_seed_derivation_stable_and_distinct():
 
 
 def test_evaluate_candidate_feasible(space1d, task1d, templates):
-    ctx = EvalContext(
+    cfg = SearchConfig(
         space=space1d,
         task=task1d,
         profile=TargetProfile(),
         proxy=ProxyBatchConfig(batch_size=2),
-        templates=templates,
     )
     x = sample(np.random.default_rng(0), space1d)
-    rec = evaluate_candidate(x, ctx, seed=123, trial_index=4)
+    rec = evaluate_candidate(x, cfg, templates, seed=123, trial_index=4)
     assert rec.trial_index == 4
     assert rec.seed == 123
     assert rec.feasibility.feasible
@@ -68,15 +66,14 @@ def test_evaluate_candidate_feasible(space1d, task1d, templates):
 
 def test_evaluate_candidate_infeasible_skips_proxies(space1d, task1d, templates):
     tight = TargetProfile(name="tight", ram_max=64, rom_max=64, flops_max=64)
-    ctx = EvalContext(
+    cfg = SearchConfig(
         space=space1d,
         task=task1d,
         profile=tight,
         proxy=ProxyBatchConfig(batch_size=2),
-        templates=templates,
     )
     x = sample(np.random.default_rng(1), space1d)
-    rec = evaluate_candidate(x, ctx, seed=5)
+    rec = evaluate_candidate(x, cfg, templates, seed=5)
     assert not rec.feasibility.feasible
     assert rec.feasibility.violation > 0
     assert rec.proxies is None
@@ -85,31 +82,29 @@ def test_evaluate_candidate_infeasible_skips_proxies(space1d, task1d, templates)
 
 
 def test_evaluate_candidate_deterministic(space1d, task1d, templates):
-    ctx = EvalContext(
+    cfg = SearchConfig(
         space=space1d,
         task=task1d,
         profile=TargetProfile(),
         proxy=ProxyBatchConfig(batch_size=2),
-        templates=templates,
     )
     x = sample(np.random.default_rng(2), space1d)
-    a = evaluate_candidate(x, ctx, seed=9)
-    b = evaluate_candidate(x, ctx, seed=9)
+    a = evaluate_candidate(x, cfg, templates, seed=9)
+    b = evaluate_candidate(x, cfg, templates, seed=9)
     assert a.objectives == b.objectives
-    c = evaluate_candidate(x, ctx, seed=10)
+    c = evaluate_candidate(x, cfg, templates, seed=10)
     assert a.objectives[1:] != c.objectives[1:]
 
 
 def test_log_line_schema(space1d, task1d, templates):
-    ctx = EvalContext(
+    cfg = SearchConfig(
         space=space1d,
         task=task1d,
         profile=TargetProfile(),
         proxy=ProxyBatchConfig(batch_size=2),
-        templates=templates,
     )
     x = sample(np.random.default_rng(3), space1d)
-    rec = evaluate_candidate(x, ctx, seed=11, trial_index=0)
+    rec = evaluate_candidate(x, cfg, templates, seed=11, trial_index=0)
     doc = json.loads(record_to_log_line(rec))
     assert set(doc) == {
         "trial", "seed", "genes", "feasible", "violation", "costs", "objectives",
@@ -119,9 +114,9 @@ def test_log_line_schema(space1d, task1d, templates):
     assert doc["error"] is None
     # infeasible records serialize unbounded objectives as nulls
     tight = TargetProfile(name="tight", ram_max=64, rom_max=64, flops_max=64)
-    ctx2 = EvalContext(space=space1d, task=task1d, profile=tight,
-                       proxy=ProxyBatchConfig(batch_size=2), templates=templates)
-    bad = evaluate_candidate(x, ctx2, seed=11, trial_index=1)
+    cfg2 = SearchConfig(space=space1d, task=task1d, profile=tight,
+                        proxy=ProxyBatchConfig(batch_size=2))
+    bad = evaluate_candidate(x, cfg2, templates, seed=11, trial_index=1)
     doc2 = json.loads(record_to_log_line(bad))
     assert doc2["proxies"] is None
     assert doc2["objectives"][1:] == [None] * 4
@@ -167,10 +162,10 @@ def test_run_search_raises_when_the_rebuilt_pool_breaks_too(
 
     evaluate = run_mod.evaluate_candidate
 
-    def always_dies(x, ctx, seed, trial_index=-1):
+    def always_dies(x, cfg, templates, seed, trial_index=-1):
         if trial_index == 6 and multiprocessing.parent_process() is not None:
             os._exit(1)
-        return evaluate(x, ctx, seed, trial_index)
+        return evaluate(x, cfg, templates, seed, trial_index)
 
     monkeypatch.setattr(run_mod, "evaluate_candidate", always_dies)
     with pytest.raises(BrokenProcessPool):

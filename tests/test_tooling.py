@@ -10,9 +10,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-PIPEBENCH = Path(__file__).resolve().parents[1] / "pipebench"
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+PIPEBENCH = REPO / "pipebench"
+SCRIPTS = REPO / "scripts"
+SRC = REPO / "src"
+TESTS = REPO / "tests"
 
 
 def _load_tracing():
@@ -136,6 +138,52 @@ def test_every_package_definition_is_used_outside_the_tests():
     assert not unused, unused
 
 
+def _unread_imports(tree, exported):
+    """(line, name) of each name the module imports and never reads.
+    `import a.b` binds a; `from m import x as y` binds y.  A name loaded
+    anywhere in the module counts as read, and so does one in exported."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, a.asname or a.name.partition(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted((line, name) for line, name in bound if name not in read | exported)
+
+
+def test_every_import_is_read():
+    """No module under src/, tests/, scripts/ or pipebench/ imports a name
+    it never reads.  A name listed in the module's __all__ is read by its
+    importers, and a conftest name by the test modules that import it."""
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for root in (SRC, TESTS, SCRIPTS, PIPEBENCH)
+        for path in sorted(root.rglob("*.py"))
+    }
+    from_conftest = {
+        alias.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "conftest"
+        for alias in node.names
+    }
+    unread = []
+    for path, tree in trees.items():
+        exported = set(from_conftest) if path == TESTS / "conftest.py" else set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                exported |= set(ast.literal_eval(node.value))
+        unread += [
+            f"{path.relative_to(REPO)}:{line}: {name}"
+            for line, name in _unread_imports(tree, exported)
+        ]
+    assert not unread, unread
+
+
 def test_trace_records_each_scoring_stage_once_per_candidate(
     space1d, task1d, templates, monkeypatch
 ):
@@ -147,7 +195,7 @@ def test_trace_records_each_scoring_stage_once_per_candidate(
     from protonas.archspace import apply_static_pruning, decode, sample
     from protonas.costmodel import TargetProfile
     from protonas.proxies import ProxyBatchConfig
-    from protonas.search import EvalContext
+    from protonas.search import SearchConfig
     from protonas.tensorcore import init_params
 
     tracing = _load_tracing()
@@ -162,9 +210,9 @@ def test_trace_records_each_scoring_stage_once_per_candidate(
 
     import protonas.search.run as run_mod
 
-    ctx = EvalContext(space1d, task1d, TargetProfile(), ProxyBatchConfig(batch_size=2), templates)
+    cfg = SearchConfig(space1d, task1d, TargetProfile(), ProxyBatchConfig(batch_size=2))
     x = sample(np.random.default_rng(0), space1d)
-    rec = run_mod.evaluate_candidate(x, ctx, seed=1)
+    rec = run_mod.evaluate_candidate(x, cfg, templates, seed=1)
     assert rec.proxies is not None, rec.error
     counts = {}
     parents = {}
