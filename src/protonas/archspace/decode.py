@@ -9,7 +9,7 @@ so spatial extents never collapse.
 apply_static_pruning() shrinks the regular convolutions of each group
 by the group's sparsity gene, re-equalizes residual endpoints to the
 minimum of their coupled channel counts, and then reads every node's
-channel counts off one shape pass (ArchitectureGraph.infer_shapes).
+channel counts off the shapes the pruned graph is made with.
 """
 
 from __future__ import annotations
@@ -168,17 +168,16 @@ def decode(
     return graph
 
 
-def _channel_driver(h: ArchitectureGraph, i: int) -> int:
+def _channel_driver(nodes: list[LayerSpec], preds: list[list[int]], i: int) -> int:
     """Index of the node that decides the channel count seen at node i.
 
     Walks backwards through channel-preserving kinds; -1 denotes the
     graph input.
     """
-    while i >= 0 and h.nodes[i].kind in PASSTHROUGH_KINDS:
-        preds = h.preds[i]
-        if not preds:
+    while i >= 0 and nodes[i].kind in PASSTHROUGH_KINDS:
+        if not preds[i]:
             return -1
-        i = preds[0]
+        i = preds[i][0]
     return i
 
 
@@ -195,35 +194,35 @@ def apply_static_pruning(g: ArchitectureGraph, sparsity) -> ArchitectureGraph:
 
     Every pruned width is max(1, c - floor(s * c)).  Residual-add
     endpoints coupled through identity skips are then re-equalized to
-    the minimum width of their coupled group.  One shape pass over the
-    result then gives every node its in/out counts: out_channels is its
-    output's channel count, in_channels is input_count of its first
-    input (every element of it for a linear layer).  Pure: returns a
-    new graph.
+    the minimum width of their coupled group.  The pruned graph is made
+    from the result, and its shapes give every node its in/out counts:
+    out_channels is its output's channel count, in_channels is
+    input_count of its first input (every element of it for a linear
+    layer).  Pure: returns a new graph.
     """
     sparsity = tuple(float(s) for s in sparsity)
     if len(sparsity) != 4:
         raise ConfigError("expected four per-group sparsities")
     if any(not (0.0 <= s < 1.0) for s in sparsity):
         raise ConfigError("sparsities must lie in [0, 1)")
-    # the shape pass below gives h its shapes
-    h = ArchitectureGraph([_copy(node) for node in g.nodes], [list(p) for p in g.preds],
-                          g.input_shape, g.num_classes)
-    for node in h.nodes:
+    nodes = [_copy(node) for node in g.nodes]
+    preds = [list(p) for p in g.preds]
+    for node in nodes:
         if node.kind == "conv" and node.group is not None:
             c = node.out_channels
             node.out_channels = max(1, c - math.floor(sparsity[node.group] * c))
 
-    _equalize_add_endpoints(h)
-    shapes = h.infer_shapes()
-    for node, preds, shape in zip(h.nodes, h.preds, shapes):
-        node.in_channels = input_count(node.kind, shapes[preds[0]] if preds else h.input_shape)
+    _equalize_add_endpoints(nodes, preds)
+    # the shape pass reads only conv and linear out_channels, final by now
+    h = ArchitectureGraph(nodes, preds, g.input_shape, g.num_classes)
+    for node, ps, shape in zip(nodes, preds, h.shapes):
+        node.in_channels = input_count(node.kind, h.shapes[ps[0]] if ps else h.input_shape)
         node.out_channels = shape[0]
     return h
 
 
-def _equalize_add_endpoints(h: ArchitectureGraph) -> None:
-    n = len(h.nodes)
+def _equalize_add_endpoints(nodes: list[LayerSpec], preds: list[list[int]]) -> None:
+    n = len(nodes)
     parent = list(range(n + 1))  # slot n stands for the graph input
 
     def find(a: int) -> int:
@@ -240,20 +239,20 @@ def _equalize_add_endpoints(h: ArchitectureGraph) -> None:
     def slot(i: int) -> int:
         return n if i < 0 else i
 
-    for i, node in enumerate(h.nodes):
+    for i, node in enumerate(nodes):
         if node.kind == "add":
-            for p in h.preds[i]:
-                union(slot(i), slot(_channel_driver(h, p)))
+            for p in preds[i]:
+                union(slot(i), slot(_channel_driver(nodes, preds, p)))
 
     classes: dict[int, list[int]] = {}
     for i in range(n + 1):
         classes.setdefault(find(i), []).append(i)
     for members in classes.values():
-        if not any(m < n and h.nodes[m].kind == "add" for m in members):
+        if not any(m < n and nodes[m].kind == "add" for m in members):
             continue
-        convs = [m for m in members if m < n and h.nodes[m].kind == "conv"]
+        convs = [m for m in members if m < n and nodes[m].kind == "conv"]
         if not convs:
             raise ShapeMismatch("residual join has no adjustable channel source")
-        target = min(h.nodes[m].out_channels for m in convs)
+        target = min(nodes[m].out_channels for m in convs)
         for m in convs:
-            h.nodes[m].out_channels = target
+            nodes[m].out_channels = target

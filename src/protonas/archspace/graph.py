@@ -3,6 +3,9 @@
 A graph is a flat list of layer nodes plus a predecessor list.  Nodes
 with no predecessors read the network input; exactly one such node may
 exist.  Spatial shapes use channels-first layout without the batch axis.
+A graph is made with every node's output shape: its one shape pass runs
+when it is made, and pruning, the cost model and the engine read
+ArchitectureGraph.shapes.
 
 The per-kind rules live here, and decode, pruning, the cost model, the
 engine and zico read them: weights (WEIGHTED_KINDS, LayerSpec.weight_shape),
@@ -80,34 +83,43 @@ class LayerSpec:
 
 @dataclass
 class ArchitectureGraph:
+    """Layer nodes, each node's predecessors, and each node's output shape.
+
+    Made without shapes, the graph runs its shape pass (infer_shapes);
+    shapes given to it, as decode's builder gives them, are taken as that
+    pass's result.
+    """
+
     nodes: list[LayerSpec]
     preds: list[list[int]]
     input_shape: tuple[int, ...]
     num_classes: int
     shapes: list[tuple[int, ...]] = field(default_factory=list)
 
+    def __post_init__(self):
+        if not self.shapes:
+            self.infer_shapes()
+
     def successors(self) -> list[list[int]]:
         succ: list[list[int]] = [[] for _ in self.nodes]
         for i, ps in enumerate(self.preds):
             for p in ps:
-                if 0 <= p < len(self.nodes):
-                    succ[p].append(i)
+                succ[p].append(i)
         return succ
 
     def infer_shapes(self) -> list[tuple[int, ...]]:
-        """Recompute per-node output shapes in node order.
+        """Compute every node's output shape in node order into self.shapes.
 
-        Node order must be topological (construction guarantees this);
-        raises ShapeCollapse if a spatial extent would drop below 1 and
-        ShapeMismatch on inconsistent predecessor shapes.
+        The one check of node order: ShapeMismatch unless every
+        predecessor is an earlier node (0 <= p < i).  Raises ShapeCollapse
+        if a spatial extent would drop below 1 and ShapeMismatch on
+        inconsistent predecessor shapes.
         """
         shapes: list[tuple[int, ...]] = []
         for i, node in enumerate(self.nodes):
-            ins = [shapes[p] if p < i else None for p in self.preds[i]]
-            if any(s is None for s in ins):
-                raise ShapeMismatch(f"node {i}: predecessor computed after the node itself")
-            if not ins:
-                ins = [tuple(self.input_shape)]
+            if not all(0 <= p < i for p in self.preds[i]):
+                raise ShapeMismatch(f"node {i}: a predecessor is not an earlier node")
+            ins = [shapes[p] for p in self.preds[i]] or [tuple(self.input_shape)]
             shapes.append(layer_out_shape(node, ins))
         self.shapes = shapes
         return shapes

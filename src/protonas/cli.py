@@ -86,7 +86,8 @@ def _load(args) -> RunConfig:
 
     The loader takes the flags as overrides shaped like the document, so
     each is checked by the code that checks the field it sets, and its
-    errors name that field.
+    errors name that field.  Only explore reads the search seed, so only
+    explore reads it from the environment.
     """
     flag = {name: value for name, value in vars(args).items() if value is not None}
     overrides = {"search": {}, "hss": {}}
@@ -100,7 +101,7 @@ def _load(args) -> RunConfig:
         overrides["search"]["base_seed"] = flag["seed"]
         if args.command == "select":
             overrides["hss"]["seed"] = flag["seed"]  # the genetic algorithm's seed
-    return load_config(args.config, overrides)
+    return load_config(args.config, overrides, None if args.command == "explore" else {})
 
 
 def _load_catalog(cfg: RunConfig) -> dict:

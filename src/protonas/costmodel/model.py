@@ -58,10 +58,9 @@ class Feasibility:
 
 def count_flops(g: ArchitectureGraph) -> int:
     """Total forward FLOPs for one input sample."""
-    shapes = g.shapes or g.infer_shapes()
     dims = len(g.input_shape) - 1
     total = 0
-    for node, out in zip(g.nodes, shapes):
+    for node, out in zip(g.nodes, g.shapes):
         out_elems = math.prod(out)
         weight = node.weight_shape(dims)
         if weight is not None:
@@ -101,19 +100,14 @@ def estimate_ram(g: ArchitectureGraph) -> int:
     that produces them until their last consumer finishes, so a skip
     connection keeps its source buffer alive across the whole body.
     """
-    shapes = g.shapes or g.infer_shapes()
     n = len(g.nodes)
     # buffer ids: 0..n-1 node outputs, n the network input
-    sizes = [math.prod(s) * ACTIVATION_BYTES for s in shapes]
+    sizes = [math.prod(s) * ACTIVATION_BYTES for s in g.shapes]
     sizes.append(math.prod(tuple(g.input_shape)) * ACTIVATION_BYTES)
-    last_use = [i for i in range(n + 1)]
-    last_use[n] = -1
-    for i in range(n):
-        ps = g.preds[i]
-        if not ps:
-            last_use[n] = max(last_use[n], i)
-        for p in ps:
-            last_use[p] = max(last_use[p], i)
+    # each buffer's last consumer: a node's latest successor (itself when
+    # none reads it), and the last node that reads the network input
+    last_use = [max(succ, default=i) for i, succ in enumerate(g.successors())]
+    last_use.append(max((i for i, ps in enumerate(g.preds) if not ps), default=-1))
     # freed[i]: the bytes of the node outputs before node i whose last
     # consumer is node i, which are live up to and including step i
     freed = [0] * n

@@ -18,13 +18,14 @@ and groups by arithmetic (_blocks), so a plan serves every width.
 
 Forward keeps the outputs a caller names, drops the others after their
 last consumer (a relu, batchnorm or add may write over them), and keeps
-the logits, max-pool argmaxes, shapes and relu patterns, but not the
-pattern of a relu whose kept output holds it.  Backward has one mode:
-it reads forward's trace, drops each array after its last reader, never
-writes the trace, and hands each weighted node's per-sample gradients
-to a consumer as soon as they are made.  The loss is softmax
-cross-entropy seeded per row; batchnorm uses fixed statistics (zero
-mean, unit variance, identity affine) and has no parameters.
+the logits, max-pool argmaxes and relu patterns, but not the pattern
+of a relu whose kept output holds it.  Backward has one mode: it reads
+forward's trace and the graph's shapes, drops each array after its last
+reader, never writes the trace, and hands each weighted node's
+per-sample gradients to a consumer as soon as they are made.  The loss
+is softmax cross-entropy seeded per row; batchnorm uses fixed
+statistics (zero mean, unit variance, identity affine) and has no
+parameters.
 """
 
 from __future__ import annotations
@@ -90,9 +91,8 @@ class ParamSet:
 
 @dataclass
 class ForwardTrace:
-    """The kept node outputs, the logits, every relu's activation
-    pattern and max-pool argmax, and every node's output shape (batch
-    axis first).
+    """The kept node outputs, the logits, and every relu's activation
+    pattern and max-pool argmax (batch axis first).
 
     relu_patterns maps every relu node to its pattern, or to None where
     the pattern is read from the relu's kept output (relu_mask_blocks).
@@ -102,7 +102,6 @@ class ForwardTrace:
     relu_patterns: dict[int, np.ndarray | None]
     logits: np.ndarray
     pool_argmax: dict[int, np.ndarray] = field(default_factory=dict)
-    shapes: list[tuple[int, ...]] = field(default_factory=list)
 
     def relu_mask_blocks(self, i: int, rows: int, units: int):
         """Yield relu node i's activation pattern a > 0 on the first
@@ -513,8 +512,8 @@ def forward(
     last consumer has run, and a relu, batchnorm or add that is that
     last consumer writes its result over it (an add only if no other
     operand is the same output).  The batch and the kept outputs are
-    never written.  The logits, max-pool argmaxes and output shapes are
-    always recorded, and so is each relu's pattern, except that of a
+    never written.  The logits and max-pool argmaxes are always
+    recorded, and so is each relu's pattern, except that of a
     relu whose output is kept and read by backward (backward_reads):
     relu_mask_blocks reads that one from the output.
     """
@@ -526,15 +525,12 @@ def forward(
     # the relus whose pattern their kept output holds
     derived = backward_reads(g).keys() & keep
     pool_argmax: dict[int, np.ndarray] = {}
-    shapes: list[tuple[int, ...]] = []
     # drop_after[i]: the unkept outputs whose last consumer is node i
     drop_after: list[list[int]] = [[] for _ in g.nodes]
     for p, succ in enumerate(g.successors()):
         if p not in keep:
             drop_after[max(succ, default=p)].append(p)
     for i, node in enumerate(g.nodes):
-        if any(p >= i for p in g.preds[i]):
-            raise ShapeMismatch("node order is not topological")
         ins = [outputs[p] for p in g.preds[i]] or [x]
         a = ins[0]
         # a may be written over: it is not the batch, not kept, and read by no later node
@@ -566,7 +562,6 @@ def forward(
         else:
             raise ShapeMismatch(f"unknown layer kind '{kind}'")
         outputs[i] = out
-        shapes.append(out.shape)
         for p in drop_after[i]:
             del outputs[p]
     return ForwardTrace(
@@ -574,7 +569,6 @@ def forward(
         relu_patterns=relu_patterns,
         logits=out,
         pool_argmax=pool_argmax,
-        shapes=shapes,
     )
 
 
@@ -624,7 +618,6 @@ def backward(
     outputs = {p: trace.outputs[p] for p in reads.keys() | derived}
     relu_patterns = dict(trace.relu_patterns)
     pool_argmax = dict(trace.pool_argmax)
-    shapes = trace.shapes
     n = len(g.nodes)
     douts: dict[int, np.ndarray] = {n - 1: _ce_grad(trace.logits, labels)}
     exclusive = {n - 1}  # the nodes in douts whose gradient may be written over
@@ -655,7 +648,7 @@ def backward(
         if dout is None:
             continue
         own = i in exclusive
-        in_shape = shapes[g.preds[i][0]] if g.preds[i] else x.shape
+        in_shape = (len(x),) + g.shapes[g.preds[i][0]] if g.preds[i] else x.shape
         kind = node.kind
         if kind in CONV_KINDS:
             # a convolution reading the graph input has no input gradient to pass on
@@ -688,7 +681,7 @@ def backward(
         elif kind == "concat":
             start = 0
             for p in g.preds[i]:
-                c = shapes[p][1]
+                c = g.shapes[p][0]
                 push(p, dout[:, start : start + c], own)
                 start += c
             continue

@@ -75,19 +75,15 @@ def vector1d():
 
 @pytest.fixture
 def graph1d(vector1d, space1d, task1d, templates):
-    g = decode(vector1d, space1d, task1d, templates)
-    g.infer_shapes()
-    return g
+    return decode(vector1d, space1d, task1d, templates)
 
 
 def chain_graph(specs, input_shape, num_classes):
     """Linear graph from a list of LayerSpec; node i feeds node i+1."""
     preds = [[] if i == 0 else [i - 1] for i in range(len(specs))]
-    g = ArchitectureGraph(
+    return ArchitectureGraph(
         nodes=list(specs), preds=preds, input_shape=input_shape, num_classes=num_classes
     )
-    g.infer_shapes()
-    return g
 
 
 def tiny_classifier(in_shape=(2, 6, 6), classes=3, hidden=4):

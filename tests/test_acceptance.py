@@ -299,7 +299,6 @@ def test_criterion_05_cost_model_goldens():
         input_shape=(3, 4, 4),
         num_classes=2,
     )
-    diamond.infer_shapes()
     # the add step keeps three 128-byte buffers alive
     diamond_ok = estimate_ram(diamond) == 384
 
@@ -446,10 +445,8 @@ def _identity_two_tap_graph():
         LayerSpec(kind="global-avg-pool"),
         LayerSpec(kind="linear", in_channels=2, out_channels=2, bias=True),
     ]
-    g = ArchitectureGraph(nodes=nodes, preds=[[], [0], [1], [2]], input_shape=(2, 2, 2),
-                          num_classes=2)
-    g.infer_shapes()
-    return g
+    return ArchitectureGraph(nodes=nodes, preds=[[], [0], [1], [2]], input_shape=(2, 2, 2),
+                             num_classes=2)
 
 
 def test_criterion_10_proxy_sanity():
@@ -484,7 +481,6 @@ def test_criterion_10_proxy_sanity():
         space, task = (SPACE_1D, TASK_1D) if i % 2 == 0 else (space_2d, task_2d)
         xv = sample(rng, space)
         net = apply_static_pruning(decode(xv, space, task, TEMPLATES), xv.pruning_sparsity)
-        net.infer_shapes()
         scores = evaluate_ensemble(net, init_params(net, np.random.default_rng(i)), cfg,
                                    np.random.default_rng(1000 + i))
         if all(math.isfinite(v) for v in scores.as_dict().values()):

@@ -15,8 +15,9 @@ from protonas.archspace import (
     sample,
     scaled_channels,
 )
+from protonas.archspace.graph import ArchitectureGraph, LayerSpec, layer_out_shape
 from protonas.archspace.templates import eval_channel_expr
-from protonas.errors import ConfigError
+from protonas.errors import ConfigError, ShapeMismatch
 from conftest import validate
 
 
@@ -177,6 +178,31 @@ def test_small_inputs_decode_without_collapse(space2d, task2d, templates):
         g = decode(x, space2d, tiny, templates)
         shapes = g.infer_shapes()
         assert all(all(v >= 1 for v in s) for s in shapes)
+
+
+def test_a_graph_is_made_with_its_shapes(space1d, task1d, space2d, task2d, templates):
+    """A graph made without shapes holds what a layer-by-layer
+    layer_out_shape pass gives, and so do decode's and pruning's."""
+    rng = np.random.default_rng(41)
+    for space, task in ((space1d, task1d), (space2d, task2d)):
+        for _ in range(4):
+            x = sample(rng, space)
+            decoded = decode(x, space, task, templates)
+            for g in (decoded, apply_static_pruning(decoded, x.pruning_sparsity)):
+                want: list[tuple[int, ...]] = []
+                for node, preds in zip(g.nodes, g.preds):
+                    want.append(layer_out_shape(node, [want[p] for p in preds]
+                                                or [tuple(g.input_shape)]))
+                made = ArchitectureGraph(g.nodes, g.preds, g.input_shape, g.num_classes)
+                assert made.shapes == g.shapes == want
+
+
+@pytest.mark.parametrize("preds", [[[1], []], [[], [1]], [[], [-1]]],
+                         ids=["later", "itself", "negative"])
+def test_a_graph_refuses_a_predecessor_that_is_not_an_earlier_node(preds):
+    nodes = [LayerSpec(kind="relu"), LayerSpec(kind="relu")]
+    with pytest.raises(ShapeMismatch, match="a predecessor is not an earlier node"):
+        ArchitectureGraph(nodes, preds, (2, 4), 2)
 
 
 def test_prune_channel_formula(graph1d):

@@ -287,6 +287,39 @@ def test_env_seed_used_without_explicit_value(run_yaml, tmp_path, capsys, monkey
     capsys.readouterr()
 
 
+def test_only_the_commands_using_the_seed_read_it_from_the_environment(
+    run_yaml, tmp_path, capsys, monkeypatch
+):
+    """select and report never use search.base_seed: with a malformed
+    PROTONAS_SEED they print and write what they do without it.  explore
+    and validate-config use it and reject it."""
+    out = tmp_path / "out"
+    cfg = run_yaml(out)
+    doc = yaml.safe_load(cfg.read_text())
+    del doc["search"]["base_seed"]
+    cfg.write_text(yaml.safe_dump(doc))
+    front = tmp_path / "front.csv"
+    front.write_text("trial,obj_flops,obj_neg_meco\n"
+                     + "".join(f"{i},{i}.0,{6 - i}.0\n" for i in range(6)))
+    _write_scored_trials(out, 4)
+    written = ("selection.csv", "selection_summary.json", "tau.csv", "report_summary.json")
+    runs = []
+    for seed in (None, "abc"):
+        if seed is not None:
+            monkeypatch.setenv("PROTONAS_SEED", seed)
+        codes = (main(["select", "--config", str(cfg), "--pareto", str(front), "--k", "2"]),
+                 main(["report", "--config", str(cfg)]))
+        shown = capsys.readouterr()
+        assert codes == (0, 0), shown.err
+        runs.append((shown, {name: (out / name).read_bytes() for name in written}))
+        for name in written:
+            (out / name).unlink()
+    assert runs[1] == runs[0]
+    for command in ("explore", "validate-config"):
+        assert main([command, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: PROTONAS_SEED: expected an integer\n"
+
+
 def test_jobs_flag_matches_serial_output(run_yaml, tmp_path, capsys):
     # the same run at --jobs 1 and 2, written to two directories: neither
     # the worker count nor the output directory may change a byte

@@ -54,7 +54,6 @@ def test_elementwise_kinds_cost_their_output():
 def test_concat_is_free():
     nodes = [_conv(3, 4, k=1, p=0), _conv(3, 4, k=1, p=0), LayerSpec(kind="concat")]
     g = ArchitectureGraph(nodes=nodes, preds=[[], [], [0, 1]], input_shape=(3, 8, 8), num_classes=2)
-    g.infer_shapes()
     assert count_flops(g) == 2 * (2 * 3 * 4 * 64)
 
 
@@ -111,7 +110,6 @@ def test_ram_diamond_hand_trace():
     # holds three 128-byte buffers
     nodes = [_conv(3, 8, k=1, p=0), _conv(3, 8, k=1, p=0), LayerSpec(kind="add")]
     g = ArchitectureGraph(nodes=nodes, preds=[[], [], [0, 1]], input_shape=(3, 4, 4), num_classes=2)
-    g.infer_shapes()
     assert estimate_ram(g) == 384
 
 
@@ -122,7 +120,6 @@ def test_ram_skip_keeps_source_alive():
     g = ArchitectureGraph(
         nodes=nodes, preds=[[], [0], [1], [0, 2]], input_shape=(3, 4, 4), num_classes=2
     )
-    g.infer_shapes()
     b = 8 * 16  # every intermediate buffer is 128 bytes
     # step2: out + node1 + node0 (alive for the skip) = 3 * 128
     # step3: add out + node2 + node0 = 3 * 128

@@ -68,7 +68,7 @@ def _oracle_prune(g, sparsity):
         if node.kind == "conv" and node.group is not None:
             c = node.out_channels
             node.out_channels = max(1, c - math.floor(sparsity[node.group] * c))
-    _equalize_add_endpoints(h)
+    _equalize_add_endpoints(h.nodes, h.preds)
     _oracle_propagate_channels(h)
     h.infer_shapes()
     return h

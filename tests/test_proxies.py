@@ -172,7 +172,6 @@ def test_full_scores_on_small_network():
 def test_ensemble_deterministic(space1d, task1d, templates):
     x = sample(np.random.default_rng(3), space1d)
     g = decode(x, space1d, task1d, templates)
-    g.infer_shapes()
     cfg = ProxyBatchConfig(batch_size=4)
     params = init_params(g, np.random.default_rng(0))
     a = evaluate_ensemble(g, params, cfg, np.random.default_rng(7))
@@ -192,7 +191,6 @@ def test_ensemble_finite_on_random_candidates(space2d, task2d, templates):
     for _ in range(4):
         x = sample(rng, space2d)
         g = apply_static_pruning(decode(x, space2d, small, templates), x.pruning_sparsity)
-        g.infer_shapes()
         params = init_params(g, np.random.default_rng(1))
         scores = evaluate_ensemble(g, params, cfg, np.random.default_rng(2))
         assert all(math.isfinite(v) for v in scores.as_dict().values())
@@ -200,9 +198,7 @@ def test_ensemble_finite_on_random_candidates(space2d, task2d, templates):
 
 def _decoded_1d(space1d, task1d, templates, seed):
     x = sample(np.random.default_rng(seed), space1d)
-    g = apply_static_pruning(decode(x, space1d, task1d, templates), x.pruning_sparsity)
-    g.infer_shapes()
-    return g
+    return apply_static_pruning(decode(x, space1d, task1d, templates), x.pruning_sparsity)
 
 
 def _drawn_batches(g, cfg, rng):
@@ -450,9 +446,7 @@ ONE_PASS_CONFIGS = [
 
 def _decoded_2d(space2d, task2d, templates, seed):
     x = sample(np.random.default_rng(seed), space2d)
-    g = apply_static_pruning(decode(x, space2d, task2d, templates), x.pruning_sparsity)
-    g.infer_shapes()
-    return g
+    return apply_static_pruning(decode(x, space2d, task2d, templates), x.pruning_sparsity)
 
 
 def branchy_ensemble_graph():
@@ -524,7 +518,6 @@ def test_one_pass_ensemble_peaks_no_higher_than_two_pass_oracle(architecture, sp
         pruning_sparsity=(0.5, 0.5, 0.5, 0.5),
     )
     g = apply_static_pruning(decode(x, space2d, task, templates), x.pruning_sparsity)
-    g.infer_shapes()
     params = init_params(g, np.random.default_rng(0))
     cfg = ProxyBatchConfig()
     peaks = {}

@@ -122,9 +122,7 @@ def branchy_graph():
         LayerSpec(kind="linear", in_channels=5, out_channels=4, bias=True),
     ]
     preds = [[], [0], [1], [2], [1, 3], [4], [4, 5], [6], [7], [8], [9]]
-    g = ArchitectureGraph(nodes=nodes, preds=preds, input_shape=(2, 8, 8), num_classes=4)
-    g.infer_shapes()
-    return g
+    return ArchitectureGraph(nodes=nodes, preds=preds, input_shape=(2, 8, 8), num_classes=4)
 
 
 def sharing_graph():
@@ -156,9 +154,7 @@ def sharing_graph():
         [10], [10], [11, 12],
         [13], [13, 13], [14, 15], [16], [17],
     ]
-    g = ArchitectureGraph(nodes=nodes, preds=preds, input_shape=(2, 6, 6), num_classes=3)
-    g.infer_shapes()
-    return g
+    return ArchitectureGraph(nodes=nodes, preds=preds, input_shape=(2, 6, 6), num_classes=3)
 
 
 def test_gradients_match_finite_differences_on_branchy_graph():
@@ -245,7 +241,6 @@ def test_batched_per_sample_gradients_equal_one_row_backward():
 def test_batched_per_sample_gradients_on_decoded_candidate(space1d, task1d, templates):
     x = sample(np.random.default_rng(12), space1d)
     g = decode(x, space1d, task1d, templates)
-    g.infer_shapes()
     rng = np.random.default_rng(13)
     params = init_params(g, rng)
     batch = rng.standard_normal((6, *task1d.input_shape))
@@ -437,7 +432,6 @@ def test_forward_on_decoded_candidates(space1d, task1d, templates):
     for _ in range(3):
         x = sample(rng, space1d)
         g = decode(x, space1d, task1d, templates)
-        g.infer_shapes()
         params = init_params(g, rng)
         batch = rng.standard_normal((2, *task1d.input_shape))
         trace = forward(g, params, batch, range(len(g.nodes)))
@@ -1296,7 +1290,6 @@ def test_forward_trace_holds_exactly_the_kept_outputs():
             for i in keep:
                 assert_same_bits(kept.outputs[i], full.outputs[i])
             assert_same_bits(kept.logits, full.logits)
-            assert kept.shapes == [full.outputs[i].shape for i in range(len(g.nodes))]
             assert kept.relu_patterns.keys() == full.relu_patterns.keys()
             for i in full.relu_patterns:
                 assert np.array_equal(relu_mask(kept, i), relu_mask(full, i))
@@ -1454,7 +1447,7 @@ def test_relu_masks_are_read_from_kept_outputs():
         held = {i: a.copy() for i, a in kept.outputs.items()}
         stored = engine.ForwardTrace(
             outputs=dict(kept.outputs), relu_patterns=want, logits=kept.logits,
-            pool_argmax=kept.pool_argmax, shapes=kept.shapes,
+            pool_argmax=kept.pool_argmax,
         )
         got = record_gradients(g, params, batch, labels, trace=kept)
         ref = record_gradients(g, params, batch, labels, trace=stored)
@@ -1486,7 +1479,7 @@ def test_a_trace_without_a_relu_mask_is_rejected():
     # the output holding relu 2's pattern is gone
     lacking = engine.ForwardTrace(
         outputs={i: a for i, a in trace.outputs.items() if i != 2},
-        relu_patterns=trace.relu_patterns, logits=trace.logits, shapes=trace.shapes,
+        relu_patterns=trace.relu_patterns, logits=trace.logits,
     )
     for bad, node in ((lacking, 2), (trace, 1), (trace, 99)):
         with pytest.raises(ShapeMismatch):
@@ -1495,7 +1488,7 @@ def test_a_trace_without_a_relu_mask_is_rejected():
         record_gradients(g, params, batch, np.array([0, 1]), trace=lacking)
     # no entry at all for relu 4
     missing = engine.ForwardTrace(
-        outputs=trace.outputs, logits=trace.logits, shapes=trace.shapes,
+        outputs=trace.outputs, logits=trace.logits,
         relu_patterns={i: p for i, p in trace.relu_patterns.items() if i != 4},
     )
     with pytest.raises(ShapeMismatch):
@@ -1539,7 +1532,6 @@ _FAULTS_PER_CALL = textwrap.dedent("""
         pruning_sparsity=(0.5, 0.5, 0.5, 0.5),
     )
     g = apply_static_pruning(decode(x, space, task, load_templates()), x.pruning_sparsity)
-    g.infer_shapes()
     params = init_params(g, np.random.default_rng(0))
     for _ in range(2):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -138,6 +138,22 @@ def test_every_package_definition_is_used_outside_the_tests():
     assert not unused, unused
 
 
+def test_only_the_graph_runs_the_shape_pass():
+    """A graph is made with its shapes, so no module under src/protonas
+    but archspace/graph.py refers to infer_shapes in code: pruning, the
+    cost model and the engine read ArchitectureGraph.shapes.  A docstring
+    may name it."""
+    graph = SRC / "protonas" / "archspace" / "graph.py"
+    sites = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "protonas").rglob("*.py"))
+        if path != graph
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if "infer_shapes" in (getattr(node, "id", None), getattr(node, "attr", None))
+    ]
+    assert not sites, sites
+
+
 def _unread_imports(tree, exported):
     """(line, name) of each name the module imports and never reads.
     `import a.b` binds a; `from m import x as y` binds y.  A name loaded
@@ -226,7 +242,6 @@ def test_trace_records_each_scoring_stage_once_per_candidate(
     # backward hands each weighted layer to zico, and each of its weight
     # and bias tensors to snip, inside its own span
     g = apply_static_pruning(decode(x, space1d, task1d, templates), x.pruning_sparsity)
-    g.infer_shapes()
     params = init_params(g, np.random.default_rng(0))
     per_layer = {"proxies.snip": len(params.weights) + len(params.biases),
                  "proxies.zico": len(params.weights)}
